@@ -976,7 +976,7 @@ def make_parser() -> argparse.ArgumentParser:
     common(p, positional_model=True)
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="explore on N worker processes (the provenance log "
-                        "is bit-identical to a serial run)")
+                        "is bit-identical at every width)")
     p.add_argument("--json", action="store_true",
                    help="print the provenance log as JSON")
     p.set_defaults(fn=cmd_explain)

@@ -55,8 +55,8 @@ class ProfileIndex:
 
         This is the canonical write path for worker-produced measurements
         (and for the wirer's own recording): iteration order is insertion
-        order, so merging in candidate order reproduces a serial run's
-        store byte for byte.  Semantics differ from :meth:`record` in two
+        order, so merging in candidate order reproduces the same store
+        byte for byte at every worker count.  Semantics differ from :meth:`record` in two
         deliberate ways:
 
         * **dedupe** -- a key that is already present is skipped

@@ -85,8 +85,7 @@ class AstraSession:
         checkpoint_path: str | None = None,
         fast=None,
         clock=None,
-        workers: int | None = None,
-        parallel=None,
+        workers: int = 1,
         provenance=None,
         store=None,
         server=None,
@@ -116,7 +115,7 @@ class AstraSession:
             self.graph, device, features, seed=seed, context=context, index=index,
             metrics=metrics, reporter=reporter, tracer=tracer, validate=validate,
             policy=policy, faults=faults, checkpoint_path=checkpoint_path,
-            fast=fast, clock=clock, workers=workers, parallel=parallel,
+            fast=fast, clock=clock, workers=workers,
             provenance=provenance, learned=learned,
         )
         # resume-on-restart: an existing checkpoint for the same
@@ -130,7 +129,7 @@ class AstraSession:
         self._published_keys: set = set()
 
     def close(self) -> None:
-        """Release held resources (the parallel engine's worker pool)."""
+        """Release held resources (the engine's worker pool)."""
         self.wirer.close()
 
     # -- cross-job warm start (docs/serving.md) -----------------------------

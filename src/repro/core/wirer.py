@@ -30,17 +30,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..faults.checkpoint import ExplorationCheckpoint
-from ..faults.events import (
-    DeviceOOMError,
-    FaultError,
-    PreemptionError,
-)
+from ..faults.events import DeviceOOMError, PreemptionError
 from ..gpu.device import GPUSpec
 from ..ir.graph import Graph
 from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
 from ..obs.provenance import NULL_PROVENANCE
 from ..obs.report import KIND_COMPARE, KIND_EXPLORE, KIND_PRODUCTION, NULL_REPORTER, RunReporter
 from ..obs.trace import NULL_TRACER
+from ..parallel.engine import (
+    HIT,
+    STATUS_BUDGET,
+    STATUS_EXHAUSTED,
+    ParallelEngine,
+    plan_wave,
+)
+from ..parallel.pool import InlinePool, make_pool
+from ..parallel.wire import CandidateOutcome, CandidateTask, WorkerSpec
+from ..parallel.worker import WorkerState, measure_plan, run_shard
 from ..perf.cache import LoweringCache
 from ..perf.ranker import FastPath, prune_fk_tree
 from ..perf.timers import NULL_CLOCK
@@ -163,8 +169,7 @@ class CustomWirer:
         checkpoint_path: str | None = None,
         fast: FastPath | None = None,
         clock=None,
-        workers: int | None = None,
-        parallel=None,
+        workers: int = 1,
         provenance=None,
         learned=None,
     ):
@@ -218,32 +223,23 @@ class CustomWirer:
             faults.injector() if faults is not None and faults.specs else None
         )
         self.checkpoint_path = checkpoint_path
-        # parallel engine (docs/performance.md): stood up before the
-        # enumerator so worker-process startup overlaps the parent's own
-        # static analysis; workers=None keeps the serial path untouched
-        self.parallel_config = None
-        self.engine = None
-        if workers is not None or parallel is not None:
-            from ..parallel import ParallelConfig, ParallelEngine, make_pool
-            from ..parallel.wire import WorkerSpec
-
-            self.parallel_config = (
-                parallel if parallel is not None
-                else ParallelConfig(workers=max(1, workers))
-            )
-            spec = WorkerSpec(
-                graph=graph, device=device, features=features, seed=seed,
-                validate=validate, policy=self.policy, fast=self.fast,
-                fault_plan=faults, trace=self.tracer.enabled,
-            )
-            pool = make_pool(
-                spec, self.parallel_config.workers,
-                self.parallel_config.start_method,
-            )
+        # exploration engine (docs/performance.md): one loop at every
+        # width.  Above width 1 the worker pool is stood up before the
+        # enumerator, so worker start-up overlaps the parent's own static
+        # analysis; at width 1 the waves run in the caller, on this
+        # wirer's own enumerator, lowering cache and executor
+        self.workers = max(1, workers or 1)
+        self.spec = WorkerSpec(
+            graph=graph, device=device, features=features, seed=seed,
+            validate=validate, policy=self.policy, fast=self.fast,
+            fault_plan=faults, trace=self.tracer.enabled and self.workers > 1,
+        )
+        self.engine: ParallelEngine | None = None
+        if self.workers > 1:
             self.engine = ParallelEngine(
-                pool, metrics=self.metrics, tracer=self.tracer
+                make_pool(self.spec, self.workers, WorkerState, run_shard),
+                metrics=self.metrics, tracer=self.tracer,
             )
-            self.engine.pool_spec = spec
             self.engine.prewarm()
         with self.clock.phase("enumerate"):
             self.enumerator = Enumerator(
@@ -253,10 +249,18 @@ class CustomWirer:
         self.cache = (
             LoweringCache(metrics=self.metrics) if self.fast.cache else None
         )
+        # no injector here: every measurement arms its own per-candidate
+        # injector (repro.parallel.worker.measure_plan)
         self.executor = Executor(
             graph, device, seed=seed, validate=validate, metrics=self.metrics,
-            injector=self.injector, cache=self.cache, clock=self.clock,
+            cache=self.cache, clock=self.clock,
         )
+        if self.engine is None:
+            state = WorkerState(self.spec, self.enumerator, self.executor)
+            self.engine = ParallelEngine(
+                InlinePool(WorkerState, run_shard, self.spec, state=state),
+                metrics=self.metrics, tracer=self.tracer,
+            )
         self._choices_total = 0
         self._choices_pruned = 0
         self._overhead_samples: list[float] = []
@@ -334,13 +338,9 @@ class CustomWirer:
                 {"learned": self.learned.model.fingerprint}
                 if self.learned is not None else {}
             ),
-            # with a fault injector, parallel runs draw per-candidate RNG
-            # substreams instead of the serial run-level stream, so a
-            # checkpoint must not cross the serial/parallel boundary.
-            # Worker *count* is deliberately absent: results are
-            # worker-count independent by construction, so any parallel
-            # run may resume any other parallel run's checkpoint.
-            "workers": "parallel" if self.engine is not None else "serial",
+            # worker count is deliberately absent: every width runs the
+            # same loop and draws the same per-candidate substreams, so a
+            # checkpoint taken at any width resumes at any other
         }
 
     def checkpoint_state(
@@ -360,7 +360,6 @@ class CustomWirer:
                 stats.name: (stats.minibatches, stats.index_hits)
                 for stats in self._all_phases
             },
-            simulator_rng=self.executor._simulator.rng_state(),
             injector_state=(
                 self.injector.state() if self.injector is not None else None
             ),
@@ -382,8 +381,6 @@ class CustomWirer:
         if checkpoint.best_so_far is not None:
             self._best_so_far = checkpoint.best_so_far
         self._phase_carry = dict(checkpoint.phase_carry)
-        if checkpoint.simulator_rng is not None:
-            self.executor._simulator.set_rng_state(checkpoint.simulator_rng)
         if checkpoint.injector_state is not None and self.injector is not None:
             self.injector.restore(checkpoint.injector_state)
         self.metrics.counter("recovery.resumed").inc()
@@ -450,93 +447,103 @@ class CustomWirer:
         self.reporter.fault(phase, kind, message, context=context)
         self.tracer.instant(f"fault/{kind}", detail=message)
 
-    def _execute(
-        self, plan: ExecutionPlan, context: tuple, validate: bool | None = None
-    ) -> MiniBatchResult:
-        """Run one configuration, surfacing validation failures.
+    # -- measurement: one sample/retry loop, one replay ------------------
 
-        In validated mode a defective schedule is recorded in the run
-        report (one record per violation) before the error propagates --
-        a wirer that silently explored unsound schedules would be
-        exactly the bug this subsystem exists to catch.
-        """
-        from ..check import ScheduleValidationError
+    def _measure_local(
+        self, plan: ExecutionPlan, var_units: dict, samples: int | None = None,
+    ) -> CandidateOutcome:
+        """Measure a plan this wirer built itself (stream, compare and
+        production phases) as the next mini-batch, in the caller, through
+        the same loop the worker pool runs."""
+        return measure_plan(
+            self.executor, self.spec, plan, var_units,
+            base_minibatch=self._prior_spent + self._spent_this_run,
+            preempted=self._injector_preempted(), samples=samples,
+        )
 
-        try:
-            return self.executor.run(plan, validate=validate)
-        except ScheduleValidationError as exc:
-            for violation in exc.report.violations:
-                self.reporter.violation(
-                    plan.label, violation.kind, str(violation), context=context
-                )
-            raise
+    def _injector_preempted(self) -> bool:
+        return self.injector._preempted if self.injector is not None else False
 
-    # -- measurement plumbing ---------------------------------------------
-
-    def _measure(
-        self, plan: ExecutionPlan, context: tuple, phase: str
-    ) -> MiniBatchResult | None:
-        """Obtain one measurement sample, retrying transient aborts.
-
-        Returns None when the sample could not be obtained within the
-        policy's attempt budget.  Each retry re-validates the schedule
-        through :mod:`repro.check` before re-execution: recovery must
-        never re-run a plan with ordering or memory violations."""
-        attempts = 0
-        while True:
-            try:
-                # a plan re-executed after a fault is statically
-                # re-validated, even when validated mode is off
-                validate = True if attempts > 0 and not self.validate else None
-                if validate:
-                    self.metrics.counter("recovery.revalidated").inc()
-                result = self._execute(plan, context, validate=validate)
-            except FaultError as exc:
-                if not exc.transient:
-                    raise
-                attempts += 1
-                self._log_fault(exc.kind, str(exc), context, phase)
-                if attempts >= self.policy.max_attempts:
-                    self.metrics.counter("recovery.measurements_failed").inc()
-                    return None
-                backoff = self.policy.backoff_for(attempts)
-                self.metrics.counter("recovery.retries").inc()
-                self.metrics.counter("recovery.backoff_minibatches").inc(backoff)
-                continue
-            if attempts > 0:
-                self.metrics.counter("recovery.retries_succeeded").inc()
-            for fault in result.faults:
-                self._log_fault(fault.kind, fault.detail, context, phase)
-            return result
-
-    def _measure_config(
+    def _replay(
         self,
-        plan: ExecutionPlan,
+        outcome: CandidateOutcome,
         context: tuple,
-        stats: PhaseStats,
-        assignment: dict[str, object] | None,
+        phase: str,
+        stats: PhaseStats | None = None,
+        assignment: dict[str, object] | None = None,
         kind: str = KIND_EXPLORE,
     ) -> tuple[list[MiniBatchResult], int]:
-        """Measure one configuration under the policy: up to ``samples``
-        mini-batches (min-of-k), each retried per :meth:`_measure`.
+        """Act on one measured configuration's event log, in order.
 
-        Returns (successful samples, mini-batches charged).  Failed
-        measurements still charge one mini-batch of budget -- their work
-        was dispatched and lost."""
+        Executor counters, injector side effects, fault records and the
+        retry accounting land at the configuration's canonical position.
+        Each sample charged to ``stats`` costs one mini-batch of budget
+        and joins the timeline (a lost one still costs: its work was
+        dispatched); the uncharged production run (``stats`` None) is
+        logged by its caller.  A preemption or error that cut the
+        measurement short is re-raised here.
+
+        Returns (successful samples, mini-batches charged).
+        """
+        for name, value in sorted(outcome.counters.items()):
+            self.metrics.counter(name).inc(value)
+        if self.injector is not None and outcome.injector_minibatch is not None:
+            self.injector.absorb(
+                outcome.injector_records,
+                outcome.injector_minibatch,
+                outcome.injector_preempted,
+            )
         results: list[MiniBatchResult] = []
         charged = 0
-        for _ in range(self.policy.samples):
-            result = self._measure(plan, context, stats.name)
-            charged += 1
-            self._spent_this_run += 1
-            if result is None:
-                continue
-            results.append(result)
-            self._overhead_samples.append(result.profiling_overhead_fraction)
-            self._log_minibatch(
-                stats.name, result.total_time_us, context, assignment, kind=kind
+        for record in outcome.samples:
+            gave_up = (
+                record.result is None
+                and len(record.aborts) >= self.policy.max_attempts
             )
-            stats.minibatches += 1
+            for attempt, (fault_kind, message) in enumerate(record.aborts, 1):
+                self._log_fault(fault_kind, message, context, phase)
+                if gave_up and attempt == len(record.aborts):
+                    self.metrics.counter("recovery.measurements_failed").inc()
+                else:
+                    # the retry re-validates the schedule statically
+                    # (repro.check), even in unvalidated mode
+                    if not self.validate:
+                        self.metrics.counter("recovery.revalidated").inc()
+                    self.metrics.counter("recovery.retries").inc()
+                    self.metrics.counter("recovery.backoff_minibatches").inc(
+                        self.policy.backoff_for(attempt)
+                    )
+            if record.result is None and not gave_up:
+                continue  # cut short by the fatal event raised below
+            if stats is not None:
+                charged += 1
+                self._spent_this_run += 1
+            if record.result is None:
+                continue  # lost: the attempt budget ran out
+            if record.aborts:
+                self.metrics.counter("recovery.retries_succeeded").inc()
+            for fault in record.result.faults:
+                self._log_fault(fault.kind, fault.detail, context, phase)
+            results.append(record.result)
+            if stats is not None:
+                self._overhead_samples.append(
+                    record.result.profiling_overhead_fraction
+                )
+                self._log_minibatch(
+                    phase, record.result.total_time_us, context, assignment,
+                    kind=kind,
+                )
+                stats.minibatches += 1
+        if outcome.preempted_at is not None:
+            raise PreemptionError(outcome.preempted_at)
+        if outcome.error is not None or outcome.error_repr:
+            # a defective schedule is recorded in the run report (one
+            # record per violation) before the error propagates
+            for label, violation_kind, text in outcome.violations:
+                self.reporter.violation(
+                    label, violation_kind, text, context=context
+                )
+            raise self._decode_worker_error(outcome)
         return results, charged
 
     def _record_measurements(
@@ -553,8 +560,7 @@ class CustomWirer:
 
         Goes through :meth:`ProfileIndex.merge`, which enforces the
         merge invariants (already-measured keys keep their first value;
-        quarantine sentinels are never overwritten) for the serial and
-        parallel paths alike.
+        quarantine sentinels are never overwritten).
         """
         measurements: dict = {}
         for var in tree.variables():
@@ -573,8 +579,7 @@ class CustomWirer:
                 # the first-merged value is the decisive one: merge() is
                 # first-writer-wins and the `key in self.index` guard above
                 # filters re-measurements, so this hook sees exactly the
-                # numbers finalize() will read -- in canonical order for
-                # the serial loop and the parallel merge alike
+                # numbers finalize() will read, in canonical order
                 self.provenance.measured(context, var.name, var.value, measurements[key])
         self.index.merge(measurements)
 
@@ -630,88 +635,25 @@ class CustomWirer:
             context, phase,
         )
 
-    # -- exploration phases ---------------------------------------------------
+    # -- the exploration loop ------------------------------------------
 
-    def _explore_tree(
+    def _explore(
         self,
         tree: UpdateNode,
         context: tuple,
-        build,
         stats: PhaseStats,
         budget: int,
+        measure,
     ) -> int:
-        """Generic explore loop: run current config, record, advance."""
-        spent = 0
-        with self.tracer.span(f"explore/{stats.name}"):
-            while True:
-                live_vars = [
-                    v for v in tree.variables() if not v.measured(self.index, context)
-                ]
-                if live_vars:
-                    assignment = tree.assignment()
-                    with self.clock.phase("enumerate"):
-                        built = build(assignment, {v.name for v in live_vars})
-                    results, charged = self._measure_config(
-                        built.plan, context, stats, assignment
-                    )
-                    spent += charged
-                    if results:
-                        self._record_measurements(
-                            tree, built.var_units, results, context
-                        )
-                        self._fault_strikes.pop(self._config_key(live_vars, context), None)
-                        self.metrics.counter(f"astra.index_misses.{stats.name}").inc()
-                    else:
-                        # every sample of this configuration failed: strike
-                        # it; quarantine once the policy's patience is out,
-                        # otherwise retry the same configuration
-                        key = self._config_key(live_vars, context)
-                        strikes = self._fault_strikes.get(key, 0) + 1
-                        self._fault_strikes[key] = strikes
-                        if strikes >= self.policy.quarantine_after:
-                            self._quarantine(live_vars, context, stats.name)
-                        if spent < budget:
-                            continue
-                else:
-                    stats.index_hits += 1
-                    self.metrics.counter(f"astra.index_hits.{stats.name}").inc()
-                if spent >= budget:
-                    tree.finalize(self.index, context)
-                    break
-                if not tree.advance(self.index, context):
-                    break
-        return spent
+        """Explore one update tree: plan a wave, measure, replay, advance.
 
-    @staticmethod
-    def _config_key(live_vars: list[AdaptiveVariable], context: tuple) -> tuple:
-        return tuple(var.profile_key(context) for var in live_vars)
-
-    # -- parallel exploration ---------------------------------------------
-
-    def _explore_tree_parallel(
-        self,
-        tree: UpdateNode,
-        context: tuple,
-        strategy: AllocationStrategy,
-        stats: PhaseStats,
-        budget: int,
-    ) -> int:
-        """Wave-at-a-time counterpart of :meth:`_explore_tree`.
-
-        Plans a wave of candidate configurations (``repro.parallel.engine``
-        proves the wave visits the serial loop's exact choice sequence),
-        ships them to the worker pool, and replays each outcome's event
-        log at its canonical position via :meth:`_merge_wave` -- so the
-        index, the counters, the timeline, the strikes and the budget all
-        evolve exactly as a serial run's would.
+        :func:`~repro.parallel.engine.plan_wave` lays out the
+        configurations the tree visits; ``measure(entries)`` returns one
+        outcome per measurement entry; :meth:`_merge_wave` replays them
+        in visiting order, so the index, the counters, the timeline, the
+        strikes and the budget evolve the same way at every width.
+        Returns the mini-batches spent.
         """
-        from ..parallel.engine import (
-            STATUS_BUDGET,
-            STATUS_EXHAUSTED,
-            plan_wave,
-        )
-        from ..parallel.wire import CandidateTask
-
         spent = 0
         advance_first = False
         with self.tracer.span(f"explore/{stats.name}"):
@@ -721,39 +663,21 @@ class CustomWirer:
                         tree, self.index, context,
                         samples=self.policy.samples,
                         spent=spent, budget=budget,
-                        limit=self.parallel_config.max_wave,
                         advance_first=advance_first,
                     )
                 advance_first = False
                 if not entries:
                     break  # the owed advance found the tree exhausted
                 end_snapshot = tree.snapshot_state()
-                tasks = []
-                base = self._prior_spent + self._spent_this_run
-                already_preempted = (
-                    self.injector._preempted
-                    if self.injector is not None else False
-                )
-                for entry in entries:
-                    if entry.kind != "measure":
-                        continue
-                    tasks.append(CandidateTask(
-                        ordinal=len(tasks),
-                        strategy_id=strategy.strategy_id,
-                        assignment=tuple(sorted(entry.assignment.items())),
-                        live_names=entry.live_names,
-                        base_minibatch=base + len(tasks) * self.policy.samples,
-                        preempted=already_preempted,
-                    ))
-                with self.clock.phase("dispatch"):
-                    outcomes = self.engine.measure_wave(tasks)
+                candidates = [e for e in entries if e is not HIT]
+                outcomes = measure(candidates) if candidates else []
                 merge_status, spent = self._merge_wave(
                     tree, context, stats, entries, outcomes, spent, budget
                 )
                 if merge_status == "retry":
-                    # every sample of a configuration failed: tree sits at
-                    # that configuration (wave tail discarded), re-plan --
-                    # the serial loop's `continue`
+                    # every sample of a configuration failed: the tree
+                    # sits at that configuration (wave tail discarded);
+                    # re-plan from there
                     continue
                 if merge_status == "budget":
                     # budget exhausted at the failed configuration
@@ -768,6 +692,25 @@ class CustomWirer:
                 advance_first = True  # sealed or wave-capped: advance owed
         return spent
 
+    def _measure_fk_wave(self, strategy: AllocationStrategy, entries):
+        """Ship an fk wave to the engine; workers build the plans."""
+        base = self._prior_spent + self._spent_this_run
+        samples = self.policy.samples
+        preempted = self._injector_preempted()
+        tasks = [
+            CandidateTask(
+                ordinal=n,
+                strategy_id=strategy.strategy_id,
+                assignment=tuple(sorted(entry.assignment.items())),
+                live_names=entry.live_names,
+                base_minibatch=base + n * samples,
+                preempted=preempted,
+            )
+            for n, entry in enumerate(entries)
+        ]
+        with self.clock.phase("dispatch"):
+            return self.engine.measure_wave(tasks)
+
     def _merge_wave(
         self,
         tree: UpdateNode,
@@ -778,130 +721,56 @@ class CustomWirer:
         spent: int,
         budget: int,
     ) -> tuple[str, int]:
-        """Replay worker outcomes in canonical order.
+        """Replay a wave's outcomes in visiting order.
 
         Each measurement entry restores its tree snapshot (profile keys
         and quarantine keys read variables' *current* values), replays
-        the worker's event log through the same bookkeeping the serial
-        loop runs inline, and merges profiles into the index.  Returns
-        ``("ok" | "retry" | "budget", spent)``; on ``retry``/``budget``
-        the tree is left at the failed entry's configuration and the
-        wave's unmerged tail is discarded -- its speculative keys were
-        never written anywhere.
+        its outcome through :meth:`_replay`, and merges the profiles into
+        the index.  Returns ``("ok" | "retry" | "budget", spent)``; on
+        ``retry``/``budget`` the tree is left at the failed entry's
+        configuration and the wave's unmerged tail is discarded -- its
+        speculative keys were never written anywhere.
         """
-        import time as _time
-
-        merge_start = _time.perf_counter()
         outcome_iter = iter(outcomes)
-        verdict = "ok"
-        try:
-            for position, entry in enumerate(entries):
-                if entry.kind == "hit":
-                    stats.index_hits += 1
-                    self.metrics.counter(
-                        f"astra.index_hits.{stats.name}").inc()
-                    continue
-                outcome = next(outcome_iter)
-                tree.restore_state(entry.snapshot)
-                live_vars = [
-                    v for v in tree.variables() if v.name in entry.live_names
-                ]
-                # worker-side executor counters (fault.*, check.*) land on
-                # the parent registry at the canonical position
-                for name, value in sorted(outcome.counters.items()):
-                    self.metrics.counter(name).inc(value)
-                if self.injector is not None and (
-                    outcome.injector_minibatch is not None
-                ):
-                    self.injector.absorb(
-                        outcome.injector_records,
-                        outcome.injector_minibatch,
-                        outcome.injector_preempted,
-                    )
-                results = []
-                for record in outcome.samples:
-                    gave_up = (
-                        record.result is None
-                        and len(record.aborts) >= self.policy.max_attempts
-                    )
-                    interrupted = record.result is None and not gave_up
-                    for attempt, (kind, message) in enumerate(
-                        record.aborts, 1
-                    ):
-                        self._log_fault(kind, message, context, stats.name)
-                        if gave_up and attempt == len(record.aborts):
-                            self.metrics.counter(
-                                "recovery.measurements_failed").inc()
-                        else:
-                            if not self.validate:
-                                self.metrics.counter(
-                                    "recovery.revalidated").inc()
-                            self.metrics.counter("recovery.retries").inc()
-                            self.metrics.counter(
-                                "recovery.backoff_minibatches"
-                            ).inc(self.policy.backoff_for(attempt))
-                    if interrupted:
-                        # sample cut short by the fatal event surfaced
-                        # below; the serial loop never charged it either
-                        continue
-                    spent += 1
-                    self._spent_this_run += 1
-                    if record.result is None:
-                        continue  # charged, lost (attempt budget out)
-                    if record.aborts:
-                        self.metrics.counter(
-                            "recovery.retries_succeeded").inc()
-                    for fault in record.result.faults:
-                        self._log_fault(
-                            fault.kind, fault.detail, context, stats.name
-                        )
-                    results.append(record.result)
-                    self._overhead_samples.append(
-                        record.result.profiling_overhead_fraction
-                    )
-                    self._log_minibatch(
-                        stats.name, record.result.total_time_us, context,
-                        entry.assignment,
-                    )
-                    stats.minibatches += 1
-                if outcome.preempted_at is not None:
-                    raise PreemptionError(outcome.preempted_at)
-                if outcome.error is not None or outcome.error_repr:
-                    for label, kind, text in outcome.violations:
-                        self.reporter.violation(
-                            label, kind, text, context=context
-                        )
-                    raise self._decode_worker_error(outcome)
-                if results:
-                    self._record_measurements(
-                        tree, outcome.var_units, results, context
-                    )
-                    self._fault_strikes.pop(
-                        self._config_key(live_vars, context), None
-                    )
-                    self.metrics.counter(
-                        f"astra.index_misses.{stats.name}").inc()
-                else:
-                    key = self._config_key(live_vars, context)
-                    strikes = self._fault_strikes.get(key, 0) + 1
-                    self._fault_strikes[key] = strikes
-                    if strikes >= self.policy.quarantine_after:
-                        self._quarantine(live_vars, context, stats.name)
-                    discarded = sum(
-                        1 for later in entries[position + 1:]
-                        if later.kind == "measure"
-                    )
-                    if discarded:
-                        self.engine.stats.discarded += discarded
-                        self.metrics.counter(
-                            "parallel.candidates_discarded").inc(discarded)
-                    verdict = "retry" if spent < budget else "budget"
-                    return verdict, spent
-        finally:
-            self.metrics.histogram("parallel.merge_us").observe(
-                (_time.perf_counter() - merge_start) * 1e6
+        for position, entry in enumerate(entries):
+            if entry is HIT:
+                stats.index_hits += 1
+                self.metrics.counter(f"astra.index_hits.{stats.name}").inc()
+                continue
+            outcome = next(outcome_iter)
+            tree.restore_state(entry.snapshot)
+            results, charged = self._replay(
+                outcome, context, stats.name, stats, entry.assignment
             )
-        return verdict, spent
+            spent += charged
+            live_vars = [
+                v for v in tree.variables() if v.name in entry.live_names
+            ]
+            key = self._config_key(live_vars, context)
+            if results:
+                self._record_measurements(
+                    tree, outcome.var_units, results, context
+                )
+                self._fault_strikes.pop(key, None)
+                self.metrics.counter(f"astra.index_misses.{stats.name}").inc()
+                continue
+            # every sample of this configuration failed: strike it;
+            # quarantine once the policy's patience is out, otherwise
+            # retry the same configuration
+            strikes = self._fault_strikes.get(key, 0) + 1
+            self._fault_strikes[key] = strikes
+            if strikes >= self.policy.quarantine_after:
+                self._quarantine(live_vars, context, stats.name)
+            discarded = sum(1 for later in entries[position + 1:] if later is not HIT)
+            if discarded:
+                self.engine.stats.discarded += discarded
+                self.metrics.counter("parallel.candidates_discarded").inc(discarded)
+            return ("retry" if spent < budget else "budget"), spent
+        return "ok", spent
+
+    @staticmethod
+    def _config_key(live_vars: list[AdaptiveVariable], context: tuple) -> tuple:
+        return tuple(var.profile_key(context) for var in live_vars)
 
     def _decode_worker_error(self, outcome) -> BaseException:
         import pickle as _pickle
@@ -916,9 +785,8 @@ class CustomWirer:
         )
 
     def close(self) -> None:
-        """Release the parallel engine's worker pool, if any."""
-        if self.engine is not None:
-            self.engine.close()
+        """Release the engine's worker pool."""
+        self.engine.close()
 
     def optimize(self, max_minibatches: int = 5000) -> AstraReport:
         """Run the full online exploration and return the custom-wired plan.
@@ -984,11 +852,12 @@ class CustomWirer:
             label=best_plan.label + "/production",
         )
         production_context = self.base_context + best_strategy.context_key()
-        production_result = self._measure(
-            production, production_context, "production"
+        production_results, _charged = self._replay(
+            self._measure_local(production, {}, samples=1),
+            production_context, "production",
         )
-        if production_result is not None:
-            production_time = production_result.total_time_us
+        if production_results:
+            production_time = production_results[0].total_time_us
         else:
             # the confirmation run itself kept faulting; the compare-phase
             # measurement stands in for it
@@ -1047,14 +916,11 @@ class CustomWirer:
         if self.fast.prune:
             with self.clock.phase("prerank"):
                 estimates = None
-                if (
-                    self.engine is not None
-                    and self.parallel_config.prerank
-                ):
+                if self.engine.workers > 1:
                     # shard the cost-model evaluation across the pool;
                     # workers compute against their own unpruned copy of
                     # this tree, and the pure-float estimates are
-                    # bit-identical to the serial computation
+                    # bit-identical to the in-process computation
                     from ..perf.ranker import estimate_jobs
 
                     jobs = estimate_jobs(
@@ -1088,25 +954,10 @@ class CustomWirer:
             for var in fk_tree.variables():
                 self.provenance.candidates(context, var.name, var.choices)
         fk_stats = self._phase_stats(f"fk/{strategy.label}")
-        use_engine = False
-        if self.engine is not None:
-            from ..parallel.engine import engine_supported
-
-            use_engine = engine_supported(fk_tree)
-        if use_engine:
-            self._explore_tree_parallel(
-                fk_tree, context, strategy, fk_stats, budget_left()
-            )
-        else:
-            self._explore_tree(
-                fk_tree,
-                context,
-                lambda assignment, live: self.enumerator.build_plan(
-                    strategy, assignment, profile_vars=live
-                ),
-                fk_stats,
-                budget_left(),
-            )
+        self._explore(
+            fk_tree, context, fk_stats, budget_left(),
+            lambda entries: self._measure_fk_wave(strategy, entries),
+        )
         phases.append(fk_stats)
         fk_tree.finalize(self.index, context)
         fk_assignment = fk_tree.assignment()
@@ -1127,12 +978,20 @@ class CustomWirer:
                 for var in stream_tree.variables():
                     self.provenance.candidates(context, var.name, var.choices)
             stream_stats = self._phase_stats(f"streams/{strategy.label}")
-            build_stream = lambda assignment, live: self._build_with_streams(
-                strategy, fk_assignment, assignment, partition, stream_tree,
-                profile_vars=live,
-            )
-            self._explore_tree(
-                stream_tree, context, build_stream, stream_stats, budget_left()
+
+            def measure_streams(entries):
+                (entry,) = entries  # a prefix tree plans one per wave
+                with self.clock.phase("enumerate"):
+                    built = self._build_with_streams(
+                        strategy, fk_assignment, entry.assignment,
+                        partition, stream_tree,
+                        profile_vars=set(entry.live_names),
+                    )
+                return [self._measure_local(built.plan, built.var_units)]
+
+            self._explore(
+                stream_tree, context, stream_stats, budget_left(),
+                measure_streams,
             )
             phases.append(stream_stats)
             stream_tree.finalize(self.index, context)
@@ -1170,8 +1029,9 @@ class CustomWirer:
                 self.provenance.compared(context, candidate_label, cached, cached=True)
                 measured.append((cached, built.plan, assignment))
                 continue
-            results, _charged = self._measure_config(
-                built.plan, context, compare_stats, assignment,
+            results, _charged = self._replay(
+                self._measure_local(built.plan, built.var_units),
+                context, compare_stats.name, compare_stats, assignment,
                 kind=KIND_COMPARE,
             )
             if not results:
@@ -1317,9 +1177,7 @@ class CustomWirer:
             "cache": self.cache.stats() if self.cache is not None else None,
             "choices_total": self._choices_total,
             "choices_pruned": self._choices_pruned,
-            "parallel": (
-                self.engine.summary() if self.engine is not None else None
-            ),
+            "parallel": self.engine.summary() if self.workers > 1 else None,
             "learned": (
                 self.learned.summary() if self.learned is not None
                 else {"rejected": self._learned_rejected}

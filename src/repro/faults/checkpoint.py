@@ -5,8 +5,10 @@ every measurement lives under a context-mangled key and every phase
 consults the index before spending a mini-batch, the index *is* the
 durable exploration state.  A checkpoint is therefore mostly the
 serialized index plus the run's bookkeeping (work-conservation timeline,
-spent-budget cursor, per-phase stats) and the RNG states that keep
-autoboost jitter and fault injection bit-identical across the restart.
+spent-budget cursor, per-phase stats) and the fault injector's ledger.
+Autoboost jitter and injected faults draw from per-candidate substreams
+keyed by the spent-budget cursor, so they continue bit-identically
+across the restart without any RNG state of their own.
 
 On resume the custom-wirer replays its phase structure: every already-
 measured configuration hits the index (no mini-batch spent), update trees
@@ -44,7 +46,6 @@ class ExplorationCheckpoint:
     best_so_far: float | None = None
     #: phase name -> [minibatches, index_hits] carried into resumed stats
     phase_carry: dict = field(default_factory=dict)
-    simulator_rng: dict | None = None
     injector_state: dict | None = None
     preempted_at: int | None = None
     completed: bool = False
@@ -61,7 +62,6 @@ class ExplorationCheckpoint:
             "overhead_samples": list(self.overhead_samples),
             "best_so_far": self.best_so_far,
             "phase_carry": {k: list(v) for k, v in self.phase_carry.items()},
-            "simulator_rng": self.simulator_rng,
             "injector_state": self.injector_state,
             "preempted_at": self.preempted_at,
             "completed": self.completed,
@@ -83,7 +83,6 @@ class ExplorationCheckpoint:
             phase_carry={
                 k: tuple(v) for k, v in data.get("phase_carry", {}).items()
             },
-            simulator_rng=data.get("simulator_rng"),
             injector_state=data.get("injector_state"),
             preempted_at=data.get("preempted_at"),
             completed=data.get("completed", False),

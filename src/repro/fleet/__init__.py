@@ -14,7 +14,7 @@ same device class.  See ``docs/distributed.md``.
 from .spec import DEFAULT_FLEET, FLEETS, FleetDevice, FleetSpec, get_fleet, with_clock
 from .strategy import Strategy, enumerate_strategies, resolve_weighted_shards
 from .measure import STRATEGY_VAR, FleetMeasurer, StrategyOutcome, strategy_profile_key
-from .search import FleetEngine, FleetSearchReport, run_fleet_search
+from .search import FleetSearchReport, run_fleet_search
 from .bench import (
     FLEET_BENCH_VERSION,
     bench_fleet,
@@ -28,7 +28,7 @@ __all__ = [
     "get_fleet", "with_clock",
     "Strategy", "enumerate_strategies", "resolve_weighted_shards",
     "STRATEGY_VAR", "FleetMeasurer", "StrategyOutcome", "strategy_profile_key",
-    "FleetEngine", "FleetSearchReport", "run_fleet_search",
+    "FleetSearchReport", "run_fleet_search",
     "FLEET_BENCH_VERSION", "bench_fleet", "compare_fleet_bench",
     "render_fleet_bench", "render_fleet_compare",
 ]

@@ -1,6 +1,6 @@
-"""Worker pools for the fleet strategy wave (mirrors ``parallel/pool.py``).
+"""The fleet strategy wave's worker, for :mod:`repro.parallel.pool`.
 
-The fleet engine dispatches :class:`FleetTask` shards -- (ordinal,
+The exploration engine dispatches :class:`FleetTask` shards -- (ordinal,
 strategy key) pairs -- to workers that rebuild the whole measurement
 stack from a pickled :class:`FleetWorkerSpec` and return
 :class:`FleetOutcome` rows in ordinal order.  Strategies cross the
@@ -8,7 +8,7 @@ process boundary **by value** (:meth:`Strategy.key`), never as objects,
 and the spec carries the parent's calibration snapshot so workers start
 from the same primitives the pre-ranker priced.
 
-Determinism is the same contract the parallel engine's pool has: a
+Determinism is the same contract the exploration worker has: a
 worker's measurements depend only on (spec, strategy key) -- fault
 sub-states are keyed by primitive, not by worker or order -- so the
 merged index is byte-identical for any worker count, including the
@@ -17,11 +17,8 @@ inline pool.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .measure import FleetMeasurer
@@ -107,94 +104,3 @@ def run_shard(state: FleetWorkerState, tasks) -> list[FleetOutcome]:
             worker_pid=os.getpid(),
         ))
     return outcomes
-
-
-class InlineFleetPool:
-    """Single-process fallback executing shards in the caller."""
-
-    kind = "inline"
-    workers = 1
-
-    def __init__(self, spec: FleetWorkerSpec):
-        self._spec = spec
-        self._state: FleetWorkerState | None = None
-
-    def _ensure(self) -> FleetWorkerState:
-        if self._state is None:
-            self._state = FleetWorkerState(self._spec)
-        return self._state
-
-    def prewarm(self) -> None:
-        return None
-
-    def run_shard(self, tasks) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(run_shard(self._ensure(), tasks))
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
-    def close(self) -> None:
-        self._state = None
-
-
-_STATE: FleetWorkerState | None = None
-
-
-def _pool_init(payload: bytes) -> None:
-    global _STATE
-    _STATE = FleetWorkerState(pickle.loads(payload))
-
-
-def _pool_warmup() -> bool:
-    return _STATE is not None
-
-
-def _pool_run_shard(tasks) -> list[FleetOutcome]:
-    assert _STATE is not None, "worker used before initialization"
-    return run_shard(_STATE, tasks)
-
-
-class FleetProcessPool:
-    """``ProcessPoolExecutor`` wrapper with spec-initialized workers."""
-
-    kind = "process"
-
-    def __init__(self, spec: FleetWorkerSpec, workers: int,
-                 start_method: str | None = None):
-        self.workers = workers
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        context = multiprocessing.get_context(start_method)
-        payload = pickle.dumps(spec)
-        self._executor = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_pool_init,
-            initargs=(payload,),
-        )
-        self._warmup: list[Future] = []
-
-    def prewarm(self) -> None:
-        self._warmup = [
-            self._executor.submit(_pool_warmup) for _ in range(self.workers)
-        ]
-
-    def run_shard(self, tasks) -> Future:
-        return self._executor.submit(_pool_run_shard, list(tasks))
-
-    def close(self) -> None:
-        self._executor.shutdown(wait=True, cancel_futures=True)
-
-
-def make_fleet_pool(spec: FleetWorkerSpec, workers: int,
-                    start_method: str | None = None):
-    """Best available pool; any process-pool failure degrades inline."""
-    if workers <= 1:
-        return InlineFleetPool(spec)
-    try:
-        return FleetProcessPool(spec, workers, start_method)
-    except Exception:
-        return InlineFleetPool(spec)

@@ -34,24 +34,13 @@ from dataclasses import dataclass, field
 from ..core.adaptive import MODE_PARALLEL, AdaptiveVariable, UpdateNode
 from ..distributed.data_parallel import OVERLAP_FRACTION
 from ..obs.metrics import NULL_REGISTRY
-from ..parallel.engine import STATUS_EXHAUSTED, ParallelEngine, plan_wave
+from ..parallel.engine import HIT, STATUS_EXHAUSTED, ParallelEngine, plan_wave
+from ..parallel.pool import make_pool
 from ..perf.ranker import fleet_strategy_lo, prune_fleet_strategies
 from .measure import STRATEGY_VAR, FleetMeasurer, strategy_profile_key
-from .pool import FleetTask, FleetWorkerSpec, InlineFleetPool, make_fleet_pool
+from .pool import FleetTask, FleetWorkerSpec, FleetWorkerState, run_shard
 from .spec import DEFAULT_FLEET, FleetSpec
 from .strategy import Strategy, enumerate_strategies, resolve_weighted_shards
-
-
-class FleetEngine(ParallelEngine):
-    """The wave engine re-pointed at strategy tasks.
-
-    Dispatch, sharding, ordinal-order collection, telemetry and the
-    degrade-to-inline fallback are all inherited; only the fallback
-    pool's task shape differs.
-    """
-
-    def make_inline_pool(self, spec):
-        return InlineFleetPool(spec)
 
 
 @dataclass
@@ -233,9 +222,10 @@ def run_fleet_search(
             use_astra=use_astra, seed=seed, faults=faults,
             seed_entries=tuple(measurer.index.snapshot().items()),
         )
-        pool = make_fleet_pool(spec, workers)
-        engine = FleetEngine(pool, metrics=metrics, tracer=tracer)
-        engine.pool_spec = spec
+        engine = ParallelEngine(
+            make_pool(spec, workers, FleetWorkerState, run_shard),
+            metrics=metrics, tracer=tracer,
+        )
         engine.prewarm()
         try:
             advance_first = False
@@ -245,9 +235,10 @@ def run_fleet_search(
                     samples=1, spent=0, budget=1 << 30, limit=1 << 30,
                     advance_first=advance_first,
                 )
+                candidates = [e for e in entries if e is not HIT]
                 tasks = [
                     FleetTask(ordinal=n, key=e.assignment[STRATEGY_VAR])
-                    for n, e in enumerate(entries) if e.kind == "measure"
+                    for n, e in enumerate(candidates)
                 ]
                 if tasks:
                     for outcome in engine.measure_wave(tasks):

@@ -197,29 +197,17 @@ class StreamSimulator:
         self._rng = np.random.default_rng(seed)
         self.injector = injector
 
-    def rng_state(self) -> dict:
-        """JSON-safe snapshot of the jitter RNG, for checkpointing: a
-        resumed run continues the exact autoboost noise stream."""
-        from ..faults.injector import _encode_rng_state
-
-        return _encode_rng_state(self._rng.bit_generator.state)
-
-    def set_rng_state(self, state: dict) -> None:
-        from ..faults.injector import _decode_rng_state
-
-        self._rng.bit_generator.state = _decode_rng_state(state)
-
     def reseed(self, seed_key) -> None:
         """Rebind the jitter RNG to a derived substream.
 
-        The parallel engine reseeds a worker's simulator once per
-        exploration candidate, keyed by the candidate's global mini-batch
-        ordinal, so autoboost jitter is a function of *which* candidate
-        runs -- never of which worker runs it or what ran on that worker
-        before.  At base clock no draws happen at all and reseeding is a
-        no-op in effect.
+        The exploration engine reseeds the simulator once per candidate,
+        keyed by the candidate's global mini-batch ordinal, so autoboost
+        jitter is a function of *which* candidate runs -- never of which
+        worker runs it or what ran before.  At base clock no draws happen
+        at all, so the (comparatively costly) reseed is skipped.
         """
-        self._rng = np.random.default_rng(seed_key)
+        if self.device.clock_mode == CLOCK_AUTOBOOST:
+            self._rng = np.random.default_rng(seed_key)
 
     def _jitter(self) -> float:
         if self.device.clock_mode != CLOCK_AUTOBOOST:

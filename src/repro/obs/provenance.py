@@ -9,10 +9,11 @@ their cost-model estimates, quarantine events, and the compare-phase
 numbers.  ``repro explain`` renders it as "winner vs runner-up, per
 variable, with the measurements that decided it".
 
-Determinism: events are recorded at the same call sites the serial loop
-and the parallel merge (`_merge_wave`) share, in canonical order, with no
-wall-clock timestamps -- so a serial run and a ``--workers N`` run of the
-same exploration produce bit-identical logs.  This is asserted in tests.
+Determinism: events are recorded by the wirer's one exploration loop as
+it merges each wave (`_merge_wave`), in canonical order, with no
+wall-clock timestamps -- so runs of the same exploration at any
+``--workers`` width produce bit-identical logs.  This is asserted in
+tests.
 
 Everything is zero-cost when disabled: :data:`NULL_PROVENANCE` is the
 null-object default wherever the hooks live.

@@ -1,13 +1,13 @@
-"""Parallel exploration engine (docs/performance.md).
+"""The exploration engine (docs/performance.md).
 
-Partitions each exploration round's candidate configurations into work
-shards, measures them on a pool of worker processes (with an in-process
-fallback), and merges the results back into the profile index in
-canonical order -- serial and parallel runs converge to the same winner,
-the same index contents, and the same epoch time.
+Plans each exploration round's candidate configurations as a wave,
+measures them -- in the caller at width 1, on a pool of worker processes
+above it -- and hands the outcomes back for the wirer to merge into the
+profile index in canonical order.  There is one loop at every width, so
+``--workers N`` changes wall-clock time only: same winner, same index
+contents, same epoch time.
 """
 
-from .config import ParallelConfig
 from .engine import ParallelEngine, engine_supported, plan_wave
 from .pool import InlinePool, ProcessPool, make_pool
 from .wire import CandidateOutcome, CandidateTask, WorkerSpec
@@ -16,7 +16,6 @@ __all__ = [
     "CandidateOutcome",
     "CandidateTask",
     "InlinePool",
-    "ParallelConfig",
     "ParallelEngine",
     "ProcessPool",
     "WorkerSpec",

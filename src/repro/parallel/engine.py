@@ -1,10 +1,11 @@
-"""Wave planning and dispatch for parallel exploration.
+"""Wave planning and dispatch: the wirer's one exploration loop.
 
-The serial wirer explores an fk update tree one configuration per
-iteration: measure the current config, merge its profiles into the index,
-advance.  ``advance`` consults the index, so naively parallelizing the
-loop stalls on every measurement.  This module exploits the structure of
-fk exploration to batch candidates into *waves*:
+Every update tree the wirer explores goes through :func:`plan_wave`,
+which lays out the configurations the tree visits -- current config,
+advance, config, advance ... -- and the engine measures the planned
+candidates.  How many candidates one wave may hold depends on the tree.
+
+**The fk shape** (:func:`engine_supported`) can be batched:
 
 * the fk tree is a single ``parallel``-mode node over independent
   ``"units"`` variables (:meth:`~repro.core.enumerator.Enumerator.build_fk_tree`),
@@ -14,49 +15,60 @@ fk exploration to batch candidates into *waves*:
   planning time, before the measurement exists -- only the values are
   pending.
 
-:func:`plan_wave` walks the tree speculatively against the union of the
-real index and the pending key set.  A variable that would need a pending
-*value* (its exhaustion ``finalize`` scans measured values) is deferred:
-it rides along at its stale position, other variables keep stepping, and
-the wave seals when nothing can step.  Each planned candidate carries a
-tree snapshot so the wirer's merge can replay the serial bookkeeping
-exactly -- and rewind cleanly when a candidate's samples all failed.
+For it, :func:`plan_wave` walks the tree speculatively against the union
+of the real index and the pending key set.  The wave seals as soon as a
+variable would need a pending *value* (its exhaustion ``finalize`` scans
+measured values); the next wave resumes with a real advance after the
+merge.  So every wave visits exactly the configurations one-at-a-time
+exploration visits, with every variable at the position it would hold
+there, and a phase dispatches as one wave per distinct choice count.
 
-The result: every variable visits the same choice sequence as the serial
-loop, the index receives identical keys and values, and winner selection
-(``finalize`` over those entries) is identical -- while a whole phase
-typically dispatches as one or two waves.  Trees of any other shape
-(prefix stream phases, exhaustive subtrees, hierarchical forks) take the
-serial path unchanged.
+**Every other tree** (the prefix-mode stream phase, whose next child
+depends on the previous child's measured best) plans one candidate per
+wave and advances against the real index, after the merge.
+
+Each planned candidate carries a tree snapshot so the wirer's merge can
+replay its bookkeeping at the canonical position -- and rewind cleanly
+when a candidate's samples all failed.  Index hits carry nothing: the
+merge only counts them.  The wave is the same at every worker count, so
+a run's results do not depend on how many processes measured it.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from ..core.adaptive import MODE_PARALLEL, AdaptiveVariable, UpdateNode
-from .wire import CandidateTask
 
-#: speculative advance results for one variable
+#: speculative advance results
 ADV_LIVE = "live"          # stepped to a new unmeasured choice
 ADV_DEFERRED = "deferred"  # cannot resolve without a pending value
 ADV_DONE = "done"          # exhausted; finalized against real values
+_FINALIZE = "finalize"     # one variable's choices ran out, all measured
 
 #: wave statuses
 STATUS_EXHAUSTED = "exhausted"  # tree fully explored; phase is over
-STATUS_SEALED = "sealed"        # blocked on pending values; advance owed
+STATUS_SEALED = "sealed"        # blocked on a pending value, or a
+                                # sequential tree's one candidate; advance owed
 STATUS_BUDGET = "budget"        # phase budget reached at the last config
 STATUS_LIMIT = "limit"          # wave cap reached; advance owed
 
 
-def engine_supported(tree) -> bool:
-    """Only the fk shape: a parallel root over plain adaptive variables.
+#: upper bound on candidates planned per wave.  A wave normally ends
+#: when it seals (a variable needs a pending value to finalize); the cap
+#: only bounds memory for degenerate spaces and is worker-count
+#: independent so batching never shifts with fleet size.
+MAX_WAVE = 32
 
+
+def engine_supported(tree) -> bool:
+    """Whether :func:`plan_wave` may batch several candidates per wave.
+
+    Only the fk shape: a parallel root over plain adaptive variables.
     Everything else -- prefix stream phases (each child frozen at its
     best before the next starts), exhaustive subtrees (cartesian
-    odometer) -- is inherently sequential in the index and stays on the
-    serial path.
+    odometer) -- is sequential in the index, so it plans one candidate
+    per wave.
     """
     return (
         isinstance(tree, UpdateNode)
@@ -66,65 +78,80 @@ def engine_supported(tree) -> bool:
     )
 
 
-@dataclass
 class WaveEntry:
-    """One planned configuration: a measurement candidate or an index hit.
+    """One planned measurement candidate.
 
     ``snapshot`` captures the tree positions *at* this configuration, so
     the merge can restore them before replaying -- profile keys and the
-    quarantine config-key both read variables' current values.
+    quarantine config-key both read variables' current values.  (A plain
+    class: every run imports this module, and a dataclass costs import
+    time.)
     """
 
-    kind: str  # "measure" | "hit"
-    snapshot: tuple
-    assignment: dict
-    live_names: tuple = ()
-    live_keys: tuple = ()
+    __slots__ = ("snapshot", "assignment", "live_names")
+
+    def __init__(self, snapshot: tuple, assignment: dict, live_names: tuple):
+        self.snapshot = snapshot
+        self.assignment = assignment
+        self.live_names = live_names
 
 
-def _advance_var(var, index, context, pending) -> str:
-    """Speculative mirror of :meth:`AdaptiveVariable.advance`.
+#: a planned configuration the index already answers; shared, because
+#: the merge only counts it
+HIT = None
 
-    Treats pending keys as measured while walking (their values are
-    coming), but refuses to *finalize* through them -- finalize compares
-    measured values, and guessing one would let the wave diverge from
-    the serial winner.
+
+def _step(var, index, context, pending):
+    """Where :meth:`AdaptiveVariable.advance` would move ``var``.
+
+    A side-effect-free mirror that treats pending keys as measured (their
+    values are coming).  Returns the next unmeasured position;
+    :data:`ADV_DONE` for a variable that is already exhausted;
+    :data:`_FINALIZE` when it runs out of choices and every value is in
+    the index; or :data:`ADV_DEFERRED` when it runs out with a value
+    still pending -- finalize compares measured values, so the wave must
+    seal before it.
     """
     if var._exhausted:
         return ADV_DONE
-    position = var._position
-    while True:
-        position += 1
-        if position >= len(var.choices):
-            for choice in var.choices:
-                if var.profile_key(context, choice) in pending:
-                    return ADV_DEFERRED  # position untouched; ride along
-            var._exhausted = True
-            var.finalize(index, context)
-            return ADV_DONE
+    for position in range(var._position + 1, len(var.choices)):
         key = var.profile_key(context, var.choices[position])
         if key not in index and key not in pending:
-            var._position = position
-            return ADV_LIVE
+            return position
+    for choice in var.choices:
+        if var.profile_key(context, choice) in pending:
+            return ADV_DEFERRED
+    return _FINALIZE
 
 
 def _advance_wave(root, index, context, pending) -> str:
-    """Speculative mirror of the parallel-mode :meth:`UpdateNode.advance`."""
-    any_live = False
-    any_deferred = False
+    """Speculative mirror of the parallel-mode :meth:`UpdateNode.advance`.
+
+    Returns :data:`ADV_DEFERRED`, leaving the tree untouched, when any
+    variable would finalize through a pending value.  So no candidate
+    ever carries a variable at a position the serial advance would not
+    have left it at: every wave visits exactly the configurations
+    one-at-a-time exploration visits.
+    """
+    steps = []
     for pos, child in enumerate(root.children):
         if root._done[pos]:
             continue
-        result = _advance_var(child, index, context, pending)
-        if result == ADV_LIVE:
-            any_live = True
-        elif result == ADV_DEFERRED:
-            any_deferred = True
-        else:
+        step = _step(child, index, context, pending)
+        if step == ADV_DEFERRED:
+            return ADV_DEFERRED
+        steps.append((pos, child, step))
+    any_live = False
+    for pos, child, step in steps:
+        if step == _FINALIZE:
+            child.finalize(index, context)  # against real values only
             root._done[pos] = True
-    if any_live:
-        return ADV_LIVE
-    return ADV_DEFERRED if any_deferred else ADV_DONE
+        elif step == ADV_DONE:
+            root._done[pos] = True
+        else:
+            child._position = step
+            any_live = True
+    return ADV_LIVE if any_live else ADV_DONE
 
 
 def plan_wave(
@@ -135,79 +162,80 @@ def plan_wave(
     samples: int,
     spent: int,
     budget: int,
-    limit: int,
     advance_first: bool,
-) -> tuple[list[WaveEntry], str]:
+    limit: int = MAX_WAVE,
+) -> tuple[list, str]:
     """Enumerate the next wave of configurations from the tree's state.
 
-    Visits configurations in exactly the serial loop's order: current
-    config, advance, config, advance ...  ``spent`` and ``budget`` are
-    the phase-local counts the serial loop compares (every measurement
-    candidate charges exactly ``samples`` mini-batches, so the projection
-    is exact).  ``advance_first`` discharges the advance owed by a
-    previous sealed/limit wave -- performed against the real index, with
-    nothing pending, it is the serial advance.
+    Returns a list of :class:`WaveEntry` candidates and :data:`HIT`
+    markers in visiting order: current config, advance, config, advance
+    ...  ``spent`` and ``budget`` are the phase-local counts the loop
+    compares (every measurement candidate charges exactly ``samples``
+    mini-batches, so the projection is exact).  ``advance_first``
+    discharges the advance owed by a previous sealed/limit wave --
+    performed against the real index, with nothing pending.
 
     Leaves the tree at the end-of-wave state; the caller re-restores
     entry snapshots while merging.
     """
-    entries: list[WaveEntry] = []
+    speculative = engine_supported(tree)
+    entries: list = []
     pending: set = set()
     measures = 0
     if advance_first:
         if not tree.advance(index, context):
             return entries, STATUS_EXHAUSTED
     while True:
-        live = [
-            v for v in tree.variables()
-            if v.profile_key(context) not in index
-            and v.profile_key(context) not in pending
-        ]
-        snapshot = tree.snapshot_state()
-        if live:
-            live_keys = tuple(v.profile_key(context) for v in live)
-            pending.update(live_keys)
+        live_names = []
+        for var in tree.variables():
+            key = var.profile_key(context)
+            if key not in index and key not in pending:
+                live_names.append(var.name)
+                if speculative:
+                    pending.add(key)
+        if live_names:
             entries.append(WaveEntry(
-                kind="measure",
-                snapshot=snapshot,
+                snapshot=tree.snapshot_state(),
                 assignment=tree.assignment(),
-                live_names=tuple(v.name for v in live),
-                live_keys=live_keys,
+                live_names=tuple(live_names),
             ))
             measures += 1
             if spent + measures * samples >= budget:
                 return entries, STATUS_BUDGET
+            if not speculative:
+                return entries, STATUS_SEALED
             if measures >= limit:
                 return entries, STATUS_LIMIT
         else:
-            entries.append(WaveEntry(
-                kind="hit", snapshot=snapshot, assignment=tree.assignment(),
-            ))
-        result = _advance_wave(tree, index, context, pending)
+            entries.append(HIT)
+        if speculative:
+            result = _advance_wave(tree, index, context, pending)
+        else:
+            result = ADV_LIVE if tree.advance(index, context) else ADV_DONE
         if result == ADV_DONE:
             return entries, STATUS_EXHAUSTED
         if result == ADV_DEFERRED:
             return entries, STATUS_SEALED
 
 
-@dataclass
 class EngineStats:
-    rounds: int = 0
-    candidates: int = 0
-    shards: int = 0
-    estimate_shards: int = 0
-    discarded: int = 0
-    busy_s: float = 0.0
-    dispatch_s: float = 0.0
-    inline_fallbacks: int = 0
-    pool_startup_s: float = 0.0
+    def __init__(self) -> None:
+        self.rounds = 0
+        self.candidates = 0
+        self.shards = 0
+        self.estimate_shards = 0
+        self.discarded = 0
+        self.busy_s = 0.0
+        self.dispatch_s = 0.0
+        self.inline_fallbacks = 0
+        self.pool_startup_s = 0.0
 
 
 class ParallelEngine:
     """Dispatches planned waves onto a worker pool and accounts for it.
 
-    Owns no exploration semantics: the wirer plans waves and merges
-    outcomes; the engine turns measurement candidates into shards,
+    Owns no exploration semantics: the wirer (and the fleet search) plan
+    waves and merge outcomes; the engine turns candidates into shards,
     gathers :class:`~repro.parallel.wire.CandidateOutcome` lists in
     canonical (ordinal) order, and publishes ``parallel.*`` telemetry.
     """
@@ -220,6 +248,7 @@ class ParallelEngine:
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = EngineStats()
+        self._fallback = None
 
     @property
     def workers(self) -> int:
@@ -232,7 +261,7 @@ class ParallelEngine:
 
     # -- dispatch ---------------------------------------------------------
 
-    def measure_wave(self, tasks: list[CandidateTask]) -> list:
+    def measure_wave(self, tasks: list) -> list:
         """Run one wave's candidates; outcomes return in ordinal order.
 
         Shards are contiguous runs of ordinals, so concatenating shard
@@ -296,11 +325,14 @@ class ParallelEngine:
 
     def gather_estimates(self, strategy_id: int, names: list) -> dict:
         """Sharded cost-model pre-ranking: name -> per-choice estimates."""
+        from .worker import run_estimates
+
         if not names:
             return {}
         shards = _shard(list(names), self.pool.workers)
         futures = [
-            self.pool.run_estimates(strategy_id, shard) for shard in shards
+            self.pool.call(run_estimates, strategy_id, shard)
+            for shard in shards
         ]
         estimates: dict = {}
         for shard, future in zip(shards, futures):
@@ -308,7 +340,7 @@ class ParallelEngine:
                 rows = future.result()
             except Exception:
                 # a failed estimate shard costs nothing: the pruner
-                # recomputes missing entries serially
+                # recomputes missing entries in-process
                 self.stats.inline_fallbacks += 1
                 continue
             estimates.update(zip(shard, rows))
@@ -318,37 +350,23 @@ class ParallelEngine:
 
     def _collect(self, shard, future) -> list:
         """Resolve one shard, degrading to in-caller execution if the
-        pool broke (worker killed, pipe torn): slower, never wrong --
-        the outcome log is identical by the determinism contract."""
+        process pool broke (worker killed, pipe torn): slower, never
+        wrong -- the outcome log is identical by the determinism
+        contract.  An inline pool's error is the caller's own."""
         try:
             return future.result()
         except Exception:
+            if self.pool.kind == "inline":
+                raise
             self.stats.inline_fallbacks += 1
             self.metrics.counter("parallel.inline_fallbacks").inc()
-            inline = self._inline()
-            return inline.run_shard(shard).result()
+            if self._fallback is None:
+                from .pool import InlinePool
 
-    def _inline(self):
-        if getattr(self.pool, "kind", None) == "inline":
-            return self.pool
-        if not hasattr(self, "_fallback"):
-            self._fallback = self.make_inline_pool(self.pool_spec)
-        return self._fallback
-
-    def make_inline_pool(self, spec):
-        """Build the in-caller fallback pool for ``_collect`` degradation.
-
-        Subclasses dispatching a different task shape (the fleet engine's
-        strategy tasks) override this with their own inline pool; the
-        collect/degrade machinery above is shared unchanged.
-        """
-        from .pool import InlinePool
-
-        return InlinePool(spec)
-
-    # the wirer sets this right after constructing the engine; kept out
-    # of __init__ so tests can drive the engine with a bare pool
-    pool_spec = None
+                self._fallback = InlinePool(
+                    self.pool.state_cls, self.pool.shard_fn, self.pool.spec
+                )
+            return self._fallback.run_shard(shard).result()
 
     def summary(self) -> dict:
         s = self.stats

@@ -9,17 +9,20 @@ guarantees are bit-identical (two plans with equal
 :func:`~repro.perf.signature.plan_key` lower to bit-identical schedules).
 Results travel back as slim :class:`~repro.runtime.executor.MiniBatchResult`
 objects with the raw simulator output stripped, plus the event log the
-wirer needs to replay its serial bookkeeping exactly (retry counters,
+wirer needs to replay its bookkeeping exactly (retry counters,
 fault records, injector ledger entries) in canonical candidate order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from typing import NamedTuple
+
+# Plain classes and named tuples rather than dataclasses: every run
+# imports this module, and creating a dataclass costs import time.
 
 
-@dataclass(frozen=True)
-class WorkerSpec:
+class WorkerSpec(NamedTuple):
     """Everything a worker needs to reconstruct the exploration world.
 
     Shipped once, pickled, through the pool initializer.  A worker built
@@ -43,8 +46,7 @@ class WorkerSpec:
     trace: bool = False
 
 
-@dataclass(frozen=True)
-class CandidateTask:
+class CandidateTask(NamedTuple):
     """One configuration to measure, identified by value, not by object.
 
     ``base_minibatch`` is the global budget ordinal of the candidate's
@@ -66,52 +68,70 @@ class CandidateTask:
         return dict(self.assignment)
 
 
-@dataclass
 class SampleRecord:
     """Event log of one measurement sample (one budget charge).
 
-    ``aborts`` lists the transient faults the worker's retry loop caught,
-    in order; ``result`` is the slim measurement, or None when the sample
-    was lost (attempt budget exhausted) or cut short by a non-transient
-    error recorded on the outcome.
+    ``aborts`` lists the transient faults the retry loop caught, in
+    order, as (kind, message) pairs; ``result`` is the slim measurement,
+    or None when the sample was lost (attempt budget exhausted) or cut
+    short by a non-transient error recorded on the outcome.
     """
 
-    aborts: list = field(default_factory=list)  # [(kind, message), ...]
-    result: object = None  # slim MiniBatchResult | None
+    def __init__(self, aborts: list | None = None, result=None):
+        self.aborts = [] if aborts is None else aborts
+        self.result = result
 
 
-@dataclass
 class CandidateOutcome:
-    """Everything a worker observed measuring one candidate."""
+    """Everything a worker observed measuring one candidate.
 
-    ordinal: int
-    samples: list = field(default_factory=list)  # [SampleRecord, ...]
-    #: var name -> unit ids, from the worker-built plan (feeds the
-    #: parent's metric extraction without shipping the plan itself)
-    var_units: dict = field(default_factory=dict)
-    #: executor-internal counter deltas (fault.*, check.*), merged into
-    #: the parent registry at the candidate's canonical merge position
-    counters: dict = field(default_factory=dict)
-    #: injector sub-state side effects (None when no injector armed)
-    injector_records: list = field(default_factory=list)
-    injector_minibatch: int | None = None
-    injector_preempted: bool = False
-    #: a non-transient error that aborted the candidate, pickled; the
-    #: parent re-raises it at the canonical merge position
-    error: bytes | None = None
-    error_repr: str | None = None
-    #: schedule-validation violations to replay into the run report
-    violations: list = field(default_factory=list)  # [(label, kind, text)]
-    #: set when the candidate's injector fired a scheduled preemption
-    preempted_at: int | None = None
-    #: worker wall seconds spent on this candidate (utilization metric)
-    busy_s: float = 0.0
-    #: host-side trace spans recorded while measuring this candidate
-    #: (Chrome-event dicts; ts relative to the candidate's own start;
-    #: empty unless the spec requested tracing)
-    spans: list = field(default_factory=list)
-    #: os pid of the worker that measured this candidate (trace track key)
-    worker_pid: int = 0
+    Fields default as below; keyword arguments override them.
+    """
+
+    def __init__(self, ordinal: int, **fields):
+        self.ordinal = ordinal
+        self.samples: list = []  # [SampleRecord, ...]
+        #: var name -> unit ids, from the worker-built plan (feeds the
+        #: parent's metric extraction without shipping the plan itself)
+        self.var_units: dict = {}
+        #: executor-internal counter deltas (fault.*, check.*), merged into
+        #: the parent registry at the candidate's canonical merge position
+        self.counters: dict = {}
+        #: injector sub-state side effects (None when no injector armed)
+        self.injector_records: list = []
+        self.injector_minibatch: int | None = None
+        self.injector_preempted = False
+        #: a non-transient error that aborted the candidate, pickled; the
+        #: parent re-raises it at the canonical merge position
+        self.error: bytes | None = None
+        self.error_repr: str | None = None
+        #: schedule-validation violations to replay into the run report
+        self.violations: list = []  # [(label, kind, text)]
+        #: set when the candidate's injector fired a scheduled preemption
+        self.preempted_at: int | None = None
+        #: worker wall seconds spent on this candidate (utilization metric)
+        self.busy_s = 0.0
+        #: host-side trace spans recorded while measuring this candidate
+        #: (Chrome-event dicts; ts relative to the candidate's own start;
+        #: empty unless the spec requested tracing)
+        self.spans: list = []
+        #: os pid of the worker that measured this candidate (trace track key)
+        self.worker_pid = 0
+        for name, value in fields.items():
+            if not hasattr(self, name):
+                raise TypeError(f"unknown CandidateOutcome field {name!r}")
+            setattr(self, name, value)
+
+    @property
+    def halts_merge(self) -> bool:
+        """The wirer's merge stops at this candidate: it was cut short,
+        or every sample was lost (the configuration is retried)."""
+        return (
+            self.preempted_at is not None
+            or self.error is not None
+            or self.error_repr is not None
+            or all(record.result is None for record in self.samples)
+        )
 
 
 def slim_result(result, keep_units=None):

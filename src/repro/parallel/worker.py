@@ -1,19 +1,20 @@
-"""Worker half of the parallel exploration engine.
+"""The measurement half of the exploration engine.
 
-A worker owns a full measurement pipeline -- enumerator, lowering cache,
-executor, simulator -- rebuilt from the :class:`~repro.parallel.wire.WorkerSpec`.
-Per candidate it: resolves the allocation strategy, builds the plan from
-the shipped assignment, lowers (through its own cache), optionally
-validates, and runs the policy's sample/retry loop against a per-candidate
-injector sub-state and jitter sub-stream.  Every observation the wirer's
-serial bookkeeping would have made is captured in the
-:class:`~repro.parallel.wire.CandidateOutcome` event log, so the parent
-can replay it in canonical order and end up in the same state a serial
-run reaches.
+:func:`measure_plan` is the wirer's one sample/retry loop: up to
+``policy.samples`` mini-batches of a built plan, each retried on
+transient faults, against a per-candidate injector sub-state and jitter
+sub-stream keyed by the candidate's global mini-batch ordinal.  Instead
+of *acting* on what it observes (counters, fault logs, quarantine), it
+records an event log, a :class:`~repro.parallel.wire.CandidateOutcome`,
+which the wirer replays in canonical order.  Every phase measures
+through it: fk candidates by way of :func:`measure_candidate`, which
+first builds the plan from a shipped assignment, and the stream,
+compare and production phases directly.
 
-Module-level ``_pool_*`` functions are the process-pool entry points; the
-in-process fallback pool calls the same code with an explicit state, so
-``--workers 1`` and ``--workers N`` execute one implementation.
+A :class:`WorkerState` holds one measurement pipeline -- enumerator,
+lowering cache, executor.  A pool process builds its own from the
+:class:`~repro.parallel.wire.WorkerSpec`; at width 1 the wirer lends its
+own, so the loop runs in the caller with no second pipeline.
 """
 
 from __future__ import annotations
@@ -29,29 +30,33 @@ SIM_STREAM_TAG = 0x51B0
 
 
 class WorkerState:
-    """One worker's long-lived pipeline, built once per process."""
+    """One measurement pipeline, built from ``spec`` unless lent."""
 
-    def __init__(self, spec: WorkerSpec):
+    def __init__(self, spec: WorkerSpec, enumerator=None, executor=None):
         from ..core.enumerator import Enumerator
-        from ..obs.metrics import NULL_REGISTRY
         from ..perf.cache import LoweringCache
         from ..runtime.executor import Executor
 
         self.spec = spec
-        self.enumerator = Enumerator(
-            spec.graph, spec.device, spec.features,
-            metrics=NULL_REGISTRY, cache_units=spec.fast.cache,
-        )
+        if enumerator is None:
+            enumerator = Enumerator(
+                spec.graph, spec.device, spec.features,
+                cache_units=spec.fast.cache,
+            )
+        if executor is None:
+            executor = Executor(
+                spec.graph, spec.device, seed=spec.seed,
+                validate=spec.validate,
+                cache=LoweringCache() if spec.fast.cache else None,
+            )
+        self.enumerator = enumerator
+        self.executor = executor
         self.strategies = {
             s.strategy_id: s for s in self.enumerator.strategies
         }
-        self.cache = LoweringCache() if spec.fast.cache else None
-        self.executor = Executor(
-            spec.graph, spec.device, seed=spec.seed, validate=spec.validate,
-            injector=None, cache=self.cache,
-        )
-        #: strategy_id -> (unpruned fk tree, {var name -> var}); estimates
-        #: must see the same choice lists the parent's unpruned tree has
+        #: strategy_id -> {var name -> var} of an unpruned fk tree;
+        #: estimates must see the same choice lists the parent's
+        #: unpruned tree has
         self._fk_vars: dict[int, dict] = {}
 
     def _vars_for(self, strategy_id: int) -> dict:
@@ -67,8 +72,8 @@ def run_estimates(state: WorkerState, strategy_id: int, names: list) -> list:
     """Cost-model estimates for a shard of fk variables.
 
     Returns one per-choice estimate list per name, computed by the same
-    pure-float :func:`~repro.perf.ranker.estimate_choice_us` the serial
-    pre-ranker uses -- bit-identical across processes.
+    pure-float :func:`~repro.perf.ranker.estimate_choice_us` the
+    in-process pre-ranker uses -- bit-identical across processes.
     """
     from ..perf.ranker import estimate_choice_us
 
@@ -86,63 +91,85 @@ def run_estimates(state: WorkerState, strategy_id: int, names: list) -> list:
 
 
 def run_shard(state: WorkerState, tasks: list) -> list:
-    """Measure a contiguous shard of candidates, in ordinal order."""
-    return [measure_candidate(state, task) for task in tasks]
+    """Measure a contiguous shard of candidates, in ordinal order.
+
+    Stops after a candidate that halts the merge: the wave's later
+    candidates would be discarded unread.
+    """
+    outcomes = []
+    for task in tasks:
+        outcomes.append(measure_candidate(state, task))
+        if outcomes[-1].halts_merge:
+            break
+    return outcomes
 
 
 def measure_candidate(state: WorkerState, task: CandidateTask) -> CandidateOutcome:
-    """The worker-side mirror of the wirer's per-configuration loop.
+    """Build one fk candidate's plan from its assignment and measure it."""
+    strategy = state.strategies[task.strategy_id]
+    built = state.enumerator.build_plan(
+        strategy, task.assignment_dict(), profile_vars=set(task.live_names),
+    )
+    return measure_plan(
+        state.executor, state.spec, built.plan, built.var_units,
+        base_minibatch=task.base_minibatch, preempted=task.preempted,
+        ordinal=task.ordinal, trace=state.spec.trace,
+    )
 
-    Mirrors ``CustomWirer._measure_config`` / ``_measure``: up to
-    ``policy.samples`` mini-batches, each retried on transient faults up
-    to ``policy.max_attempts`` with re-validation on retry.  Instead of
-    *acting* on the observations (counters, fault logs, quarantine), it
-    records them for the parent to replay at the merge position.
+
+def measure_plan(
+    executor,
+    spec: WorkerSpec,
+    plan,
+    var_units: dict,
+    *,
+    base_minibatch: int,
+    preempted: bool = False,
+    samples: int | None = None,
+    ordinal: int = 0,
+    trace: bool = False,
+) -> CandidateOutcome:
+    """Measure one built plan under the policy and log what happened.
+
+    Up to ``samples`` (default ``policy.samples``) mini-batches, each
+    retried on transient faults up to ``policy.max_attempts``; a retried
+    plan is statically re-validated even in unvalidated mode.  The
+    executor's metrics registry, injector and jitter stream are swapped
+    for per-candidate ones and restored on the way out, so the result
+    depends only on (spec, plan, ``base_minibatch``).
     """
     from ..check import ScheduleValidationError
     from ..faults.events import FaultError, PreemptionError
     from ..faults.injector import FaultInjector
     from ..obs.metrics import Counter, MetricsRegistry
 
-    out = CandidateOutcome(ordinal=task.ordinal, worker_pid=os.getpid())
+    out = CandidateOutcome(
+        ordinal=ordinal, var_units=var_units, worker_pid=os.getpid()
+    )
+    keep_units = {uid for ids in var_units.values() for uid in ids}
     start = time.perf_counter()
-    spec = state.spec
     registry = MetricsRegistry()
     injector = None
     if spec.fault_plan is not None and spec.fault_plan.specs:
         injector = FaultInjector.for_candidate(
-            spec.fault_plan, task.base_minibatch, preempted=task.preempted
+            spec.fault_plan, base_minibatch, preempted=preempted
         )
-    executor = state.executor
+    simulator = executor._simulator
+    saved = (executor.metrics, executor.injector, simulator.injector,
+             simulator._rng)
     executor.metrics = registry
-    executor.injector = injector
-    executor._simulator.injector = injector
-    executor._simulator.reseed((spec.seed, SIM_STREAM_TAG, task.base_minibatch))
-    plan_label = None
+    executor.injector = simulator.injector = injector
+    simulator.reseed((spec.seed, SIM_STREAM_TAG, base_minibatch))
     try:
-        strategy = state.strategies[task.strategy_id]
-        built = state.enumerator.build_plan(
-            strategy, task.assignment_dict(),
-            profile_vars=set(task.live_names),
-        )
-        plan_label = built.plan.label
-        out.var_units = {
-            name: list(ids) for name, ids in built.var_units.items()
-        }
-        keep_units = set()
-        for ids in built.var_units.values():
-            keep_units.update(ids)
-        for sample_no in range(spec.policy.samples):
+        for sample_no in range(spec.policy.samples if samples is None else samples):
             record = SampleRecord()
             out.samples.append(record)
             attempts = 0
             sample_start = time.perf_counter()
             while True:
                 try:
-                    # mirror of CustomWirer._measure: a retried plan is
-                    # statically re-validated even in unvalidated mode
                     validate = True if attempts > 0 and not spec.validate else None
-                    result = executor.run(built.plan, validate=validate)
+                    result = executor.run(plan, validate=validate)
                 except FaultError as exc:
                     if not exc.transient:
                         raise
@@ -153,16 +180,16 @@ def measure_candidate(state: WorkerState, task: CandidateTask) -> CandidateOutco
                     continue
                 record.result = slim_result(result, keep_units)
                 break
-            if spec.trace:
+            if trace:
                 now = time.perf_counter()
                 out.spans.append({
                     "ph": "X",
-                    "name": f"sample {plan_label}",
+                    "name": f"sample {plan.label}",
                     "cat": "worker",
                     "ts": (sample_start - start) * 1e6,
                     "dur": (now - sample_start) * 1e6,
                     "args": {
-                        "ordinal": task.ordinal,
+                        "ordinal": ordinal,
                         "sample": sample_no,
                         "retries": attempts,
                         "sim_us": (
@@ -175,15 +202,15 @@ def measure_candidate(state: WorkerState, task: CandidateTask) -> CandidateOutco
         out.preempted_at = exc.minibatch
     except ScheduleValidationError as exc:
         out.violations = [
-            (plan_label or "astra", violation.kind, str(violation))
+            (plan.label, violation.kind, str(violation))
             for violation in exc.report.violations
         ]
         out.error, out.error_repr = _encode_error(exc)
     except FaultError as exc:  # non-transient: OOM window, etc.
         out.error, out.error_repr = _encode_error(exc)
     finally:
-        executor.injector = None
-        executor._simulator.injector = None
+        (executor.metrics, executor.injector, simulator.injector,
+         simulator._rng) = saved
     if injector is not None:
         out.injector_records = list(injector.ledger)
         out.injector_minibatch = injector.minibatch
@@ -202,27 +229,3 @@ def _encode_error(exc) -> tuple:
         return pickle.dumps(exc), repr(exc)
     except Exception:
         return None, repr(exc)
-
-
-# -- process-pool entry points (module level: picklable by reference) -----
-
-_STATE: WorkerState | None = None
-
-
-def _pool_init(payload: bytes) -> None:
-    global _STATE
-    _STATE = WorkerState(pickle.loads(payload))
-
-
-def _pool_warmup() -> bool:
-    """No-op task: forces worker spawn + initializer while the parent is
-    still doing its own setup, so the fleet is warm before the first wave."""
-    return _STATE is not None
-
-
-def _pool_run_shard(tasks: list) -> list:
-    return run_shard(_STATE, tasks)
-
-
-def _pool_run_estimates(strategy_id: int, names: list) -> list:
-    return run_estimates(_STATE, strategy_id, names)

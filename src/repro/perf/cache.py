@@ -1,107 +1,77 @@
-"""The plan-signature compilation cache.
+"""The plan-structure compilation cache.
 
-Memoizes :meth:`repro.runtime.dispatcher.Dispatcher.lower` so repeated
-and resumed exploration skips re-lowering:
+Memoizes the structural half of
+:meth:`repro.runtime.dispatcher.Dispatcher.lower`:
+:func:`~repro.perf.signature.structure_key` -> (unit dependencies, issue
+order).  It hits whenever only kernel parameters, stream maps, barriers
+or the profiling set changed -- i.e. on almost every exploration round --
+and skips the dependency recursion and toposort while the dispatcher
+still emits fresh items.
 
-* **schedule tier** -- full :func:`~repro.perf.signature.plan_signature`
-  -> complete :class:`~repro.runtime.dispatcher.LoweredSchedule`.  Hits
-  whenever the exact same configuration is lowered again (retries,
-  resumed runs, compare-phase rebuilds of an already-explored config).
-* **structure tier** -- :func:`~repro.perf.signature.structure_key` ->
-  (unit dependencies, issue order).  Hits whenever only kernel
-  parameters, stream maps, barriers or the profiling set changed --
-  i.e. on almost every exploration round -- and skips the dependency
-  recursion and toposort while the dispatcher still emits fresh items.
-
-Both tiers are LRU-bounded.  Hit/miss/eviction counters are published to
+The cache is LRU-bounded.  Hit/miss/eviction counters are published to
 the metrics registry under ``perf.cache.*`` and mirrored in
 :meth:`stats` for the bench harness.
 
 Correctness contract (pinned by the differential test): a cache-served
 schedule serializes bit-identically to a fresh ``Dispatcher.lower`` of
-the same plan.  On a schedule-tier hit the cached schedule is re-bound
-to the *caller's* plan object (``dataclasses.replace``) so downstream
-consumers (memory gate, unit-time readback) see the plan they passed in.
+the same plan.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
 
 from ..obs.metrics import NULL_REGISTRY
-from .signature import plan_key, structure_key
+from .signature import structure_key
 
 
 class LoweringCache:
-    """Two-tier LRU memo for plan lowering."""
+    """LRU memo of plan structure for lowering."""
 
     def __init__(self, capacity: int = 256, metrics=None):
         self.capacity = capacity
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._schedules: OrderedDict[tuple, object] = OrderedDict()
         self._structures: OrderedDict[tuple, tuple] = OrderedDict()
         self._counts = {
-            "schedule_hits": 0, "schedule_misses": 0,
-            "structure_hits": 0, "structure_misses": 0,
-            "evictions": 0,
+            "structure_hits": 0, "structure_misses": 0, "evictions": 0,
         }
 
-    def _count(self, name: str, n: int = 1) -> None:
-        self._counts[name] += n
-        self.metrics.counter(f"perf.cache.{name}").inc(n)
-
-    def _evict(self, store: OrderedDict) -> None:
-        while len(store) > self.capacity:
-            store.popitem(last=False)
-            self._count("evictions")
+    def _count(self, name: str) -> None:
+        self._counts[name] += 1
+        self.metrics.counter(f"perf.cache.{name}").inc()
 
     def lower(self, dispatcher, plan):
         """Memoized ``dispatcher.lower(plan)``."""
         skey = structure_key(plan)
         entry = self._structures.get(skey)
         if entry is None:
-            # first sighting of this unit structure: neither tier can hold
-            # this plan, so skip the full plan key entirely -- the cache
-            # must be (nearly) free on all-miss workloads
             self._count("structure_misses")
-            self._count("schedule_misses")
             deps = dispatcher.unit_dependencies(plan)
             order = dispatcher.order_units(plan, deps)
             self._structures[skey] = (deps, [u.unit_id for u in order])
-            self._evict(self._structures)
+            while len(self._structures) > self.capacity:
+                self._structures.popitem(last=False)
+                self._count("evictions")
             return dispatcher.lower(plan, deps=deps, order=order)
-
-        key = plan_key(plan)
-        cached = self._schedules.get(key)
-        if cached is not None:
-            self._schedules.move_to_end(key)
-            self._count("schedule_hits")
-            return dataclasses.replace(cached, plan=plan)
-        self._count("schedule_misses")
 
         self._structures.move_to_end(skey)
         self._count("structure_hits")
         deps, order_ids = entry
         by_id = {u.unit_id: u for u in plan.units}
-        order = [by_id[uid] for uid in order_ids]
-
-        lowered = dispatcher.lower(plan, deps=deps, order=order)
-        self._schedules[key] = lowered
-        self._evict(self._schedules)
-        return lowered
+        return dispatcher.lower(
+            plan, deps=deps, order=[by_id[uid] for uid in order_ids]
+        )
 
     @property
     def hit_rate(self) -> float:
-        """Combined fraction of lookups answered by either tier."""
-        hits = self._counts["schedule_hits"] + self._counts["structure_hits"]
+        """Fraction of lookups answered by the cache."""
+        hits = self._counts["structure_hits"]
         total = hits + self._counts["structure_misses"]
         return hits / total if total else 0.0
 
     def stats(self) -> dict:
         return {
             **self._counts,
-            "schedule_entries": len(self._schedules),
             "structure_entries": len(self._structures),
             "hit_rate": self.hit_rate,
         }

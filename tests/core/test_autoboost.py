@@ -49,8 +49,10 @@ class TestMinOfK:
         ).optimize(max_minibatches=40)
         base_time = clean_time(small_sublstm, base.astra.best_plan)
 
+        # jitter is drawn per candidate, keyed by (seed, mini-batch
+        # ordinal); at seed 2 a lucky boost crowns a slower config
         trusting = AstraSession(
-            small_sublstm, device=NOISY, features="FK", seed=0,
+            small_sublstm, device=NOISY, features="FK", seed=2,
         ).optimize(max_minibatches=40)
         trusting_time = clean_time(small_sublstm, trusting.astra.best_plan)
         assert trusting_time > base_time * 1.001
@@ -64,7 +66,7 @@ class TestMinOfK:
         base_time = clean_time(small_sublstm, base.astra.best_plan)
 
         robust = AstraSession(
-            small_sublstm, device=NOISY, features="FK", seed=0,
+            small_sublstm, device=NOISY, features="FK", seed=2,
             policy=MeasurementPolicy(samples=7),
         ).optimize(max_minibatches=280)
         robust_time = clean_time(small_sublstm, robust.astra.best_plan)

@@ -1,12 +1,10 @@
 """The engine under fire: fault injection, preemption, checkpoint/resume.
 
-Under the engine every candidate draws faults from a per-candidate
-substream keyed by its base mini-batch ordinal, so fault decisions are a
-function of *which* candidate runs, not *where* it runs -- engine runs
-are bit-identical across worker counts even mid-chaos.  (A legacy serial
-run draws from one rolling stream, so serial-vs-engine fault equality is
-deliberately NOT claimed; the checkpoint signature keeps the two
-exploration shapes from resuming each other.)
+Every measurement draws faults from a per-candidate substream keyed by
+its base mini-batch ordinal, so fault decisions are a function of
+*which* candidate runs, not *where* it runs -- runs are bit-identical
+across widths even mid-chaos, and a checkpoint taken at one width
+resumes at any other.
 """
 
 import pickle
@@ -38,11 +36,15 @@ CHAOS = FaultPlan(
 POLICY = MeasurementPolicy(samples=3, max_attempts=3)
 
 
-def run_chaos(model, workers, budget=400):
+def _width(workers) -> dict:
+    return {} if workers is None else {"workers": workers}
+
+
+def run_chaos(model, workers, features="FK", budget=400):
     _clear_process_memos()
     session = AstraSession(
-        model, device=DEVICES["P100"], features="FK", seed=1, fast=FAST,
-        workers=workers, faults=CHAOS, policy=POLICY,
+        model, device=DEVICES["P100"], features=features, seed=1, fast=FAST,
+        faults=CHAOS, policy=POLICY, **_width(workers),
     )
     try:
         report = session.optimize(max_minibatches=budget)
@@ -52,6 +54,7 @@ def run_chaos(model, workers, budget=400):
         {k: repr(v) for k, v in report.astra.assignment.items()},
         report.best_time_us,
         report.configs_explored,
+        report.astra.exploration_time_us,
         report.astra.timeline,
         report.astra.fault_summary,
         session.wirer.index.snapshot(),
@@ -60,7 +63,16 @@ def run_chaos(model, workers, budget=400):
 
 class TestFaultEquivalence:
     def test_chaos_bit_identical_across_worker_counts(self, tiny_scrnn):
-        assert run_chaos(tiny_scrnn, 1) == run_chaos(tiny_scrnn, 2)
+        default = run_chaos(tiny_scrnn, None)
+        assert default == run_chaos(tiny_scrnn, 1) == run_chaos(tiny_scrnn, 2)
+
+    @pytest.mark.parametrize("fixture, features", [
+        ("tiny_milstm", "FK"), ("tiny_scrnn", "all"), ("tiny_milstm", "all"),
+    ])
+    def test_chaos_bit_identical_across_widths(self, request, fixture, features):
+        model = request.getfixturevalue(fixture)
+        assert (run_chaos(model, None, features)
+                == run_chaos(model, 2, features))
 
 
 class TestCheckpointResume:
@@ -72,8 +84,8 @@ class TestCheckpointResume:
         )
         session = AstraSession(
             model, device=DEVICES["P100"], features="FK", seed=1, fast=FAST,
-            workers=first_workers, faults=faults, policy=POLICY,
-            checkpoint_path=path,
+            faults=faults, policy=POLICY, checkpoint_path=path,
+            **_width(first_workers),
         )
         with pytest.raises(PreemptionError):
             try:
@@ -82,8 +94,8 @@ class TestCheckpointResume:
                 session.close()
         session = AstraSession(
             model, device=DEVICES["P100"], features="FK", seed=1, fast=FAST,
-            workers=resume_workers, faults=CHAOS, policy=POLICY,
-            checkpoint_path=path,
+            faults=CHAOS, policy=POLICY, checkpoint_path=path,
+            **_width(resume_workers),
         )
         try:
             report = session.optimize(max_minibatches=400)
@@ -107,20 +119,13 @@ class TestCheckpointResume:
         )
         assert a == b
 
-    def test_serial_checkpoint_refuses_parallel_resume(self, tiny_scrnn, tmp_path):
-        """A legacy serial exploration and an engine exploration walk the
-        tree differently; resuming one from the other's checkpoint would
-        silently re-shape the search, so the signature forbids it."""
-        path = str(tmp_path / "serial.json")
-        faults = FaultPlan(specs=(FaultSpec(kind=FAULT_PREEMPT, at=5),))
-        session = AstraSession(
-            tiny_scrnn, device=DEVICES["P100"], features="FK", seed=1,
-            fast=FAST, faults=faults, checkpoint_path=path,
+    def test_default_width_resumes_at_two_workers(self, tiny_scrnn, tmp_path):
+        """Preempt at the default width, resume at workers=2: the same
+        final state as resuming at the default width."""
+        a = self._preempt_then_resume(
+            tiny_scrnn, str(tmp_path / "a.json"), None, None
         )
-        with pytest.raises(PreemptionError):
-            session.optimize(max_minibatches=400)
-        with pytest.raises(ValueError, match="refusing to resume"):
-            AstraSession(
-                tiny_scrnn, device=DEVICES["P100"], features="FK", seed=1,
-                fast=FAST, workers=1, checkpoint_path=path,
-            )
+        b = self._preempt_then_resume(
+            tiny_scrnn, str(tmp_path / "b.json"), None, 2
+        )
+        assert a == b

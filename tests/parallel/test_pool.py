@@ -13,6 +13,7 @@ from repro.gpu import P100
 from repro.parallel import InlinePool, make_pool
 from repro.parallel.engine import _shard, engine_supported
 from repro.parallel.wire import WorkerSpec
+from repro.parallel.worker import WorkerState, run_shard
 from repro.perf.ranker import FastPath
 
 
@@ -46,7 +47,7 @@ class TestShard:
 
 class TestMakePool:
     def test_workers_one_is_inline(self, tiny_scrnn):
-        pool = make_pool(_spec(tiny_scrnn), workers=1)
+        pool = make_pool(_spec(tiny_scrnn), 1, WorkerState, run_shard)
         assert isinstance(pool, InlinePool)
         assert pool.kind == "inline"
         pool.close()
@@ -54,7 +55,9 @@ class TestMakePool:
     def test_unpicklable_spec_degrades_to_inline(self, tiny_scrnn):
         # a lambda can't cross a process boundary; the pool must degrade,
         # not die -- the engine still runs, merely without speedup
-        pool = make_pool(_spec(tiny_scrnn, policy=lambda: None), workers=4)
+        pool = make_pool(
+            _spec(tiny_scrnn, policy=lambda: None), 4, WorkerState, run_shard
+        )
         assert isinstance(pool, InlinePool)
         pool.close()
 
@@ -62,7 +65,8 @@ class TestMakePool:
         from repro.core.enumerator import AstraFeatures
 
         pool = make_pool(
-            _spec(tiny_scrnn, features=AstraFeatures.preset("FK")), workers=1
+            _spec(tiny_scrnn, features=AstraFeatures.preset("FK")), 1,
+            WorkerState, run_shard,
         )
         future = pool.run_shard([])
         assert future.result() == []
