@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..gpu.device import GPUSpec
 from ..gpu.kernels import CopyLaunch, GemmLaunch
@@ -463,9 +463,9 @@ class Enumerator:
     ) -> tuple[list[Unit], dict[str, list[int]]]:
         """Unit template for an assignment, through the template cache.
 
-        Cached units are *copied* on every return: plan building mutates
-        epoch coordinates in place and the serializer writes them, so a
-        shared template would leak one build's coordinates into the next.
+        Cached units are shared, not copied: every plan-specific
+        coordinate (streams, epochs) lives in the plan's side tables, so
+        no plan ever writes to a unit.  Only the containers are fresh.
         """
         if not self.cache_units:
             builder = self._build_units(strategy, assignment)
@@ -492,7 +492,7 @@ class Enumerator:
             self._template_cache.move_to_end(key)
             self.metrics.counter("perf.cache.units_hits").inc()
         units, var_units = cached
-        return [replace(u) for u in units], {k: list(v) for k, v in var_units.items()}
+        return list(units), {k: list(v) for k, v in var_units.items()}
 
     def units_for_choice(
         self, strategy: AllocationStrategy, var: AdaptiveVariable, choice
@@ -581,7 +581,8 @@ class Enumerator:
         """Instantiate an assignment of the adaptive variables as a plan.
 
         ``stream_options`` maps epoch ordinal -> (unit id -> stream); when
-        given, ``partition`` supplies barriers and epoch coordinates.
+        given, ``partition`` supplies barriers and the plan's ``epoch_of``
+        coordinates.
         Stream assignment keys units by *position* (units are rebuilt each
         call but deterministically, so positions are stable for a fixed
         FK assignment).
@@ -590,15 +591,17 @@ class Enumerator:
 
         # 4. streams
         stream_of: dict[int, int] = {}
+        epoch_of: dict[int, tuple[int, int]] = {}
         barriers: frozenset[int] = frozenset()
         if stream_options is not None and partition is not None:
             for epoch_ordinal, option in stream_options.items():
                 stream_of.update(option)
             barriers = frozenset(partition.barrier_units())
-            for unit in units:
-                coord = partition.coordinates.get(unit.unit_id)
-                if coord is not None:
-                    unit.super_epoch, unit.epoch = coord
+            coordinates = partition.coordinates
+            epoch_of = {
+                unit.unit_id: coordinates[unit.unit_id]
+                for unit in units if unit.unit_id in coordinates
+            }
 
         # profile only the regions of interest (section 5.2): units owned
         # by *live* adaptive variables (all variables when unrestricted),
@@ -619,6 +622,7 @@ class Enumerator:
             units=units,
             allocation=self.arena_plan(strategy),
             stream_of=stream_of,
+            epoch_of=epoch_of,
             barriers_after=barriers,
             profile=profile,
             profile_unit_ids=frozenset(profile_ids) if profile else frozenset(),

@@ -168,7 +168,8 @@ def partition_epochs(
     target_us: float = SUPER_EPOCH_TARGET_US,
 ) -> EpochPartition:
     """Assign every unit to (super_epoch, epoch) and enumerate per-epoch
-    stream options.  Also *writes* the coordinates onto the units."""
+    stream options.  The units are left untouched: a plan carries the
+    coordinates in its ``epoch_of`` table."""
     units_by_id = {u.unit_id: u for u in units}
     levels = _unit_levels(units, deps)
 
@@ -202,8 +203,6 @@ def partition_epochs(
         epochs.append(Epoch(super_epoch, epoch_index, unit_ids, options))
         for uid in unit_ids:
             coordinates[uid] = (super_epoch, epoch_index)
-            units_by_id[uid].super_epoch = super_epoch
-            units_by_id[uid].epoch = epoch_index
         epoch_index += 1
 
     return EpochPartition(

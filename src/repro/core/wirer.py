@@ -847,6 +847,7 @@ class CustomWirer:
             units=best_plan.units,
             allocation=best_plan.allocation,
             stream_of=best_plan.stream_of,
+            epoch_of=best_plan.epoch_of,
             barriers_after=best_plan.barriers_after,
             profile=False,
             label=best_plan.label + "/production",

@@ -100,9 +100,11 @@ def weighted_shards(
     shards = [max(1, int(r)) for r in raw]
     remainder = batch_size - sum(shards)
     # hand leftovers (or claw back overshoot) in largest-fraction order,
-    # index-ordered on ties -- fully deterministic
+    # index-ordered on ties -- fully deterministic.  The fraction is taken
+    # against the shard itself, so a replica the floor already lifted
+    # above its raw share is served last.
     order = sorted(
-        range(len(raw)), key=lambda i: (-(raw[i] - int(raw[i])), i)
+        range(len(raw)), key=lambda i: (-(raw[i] - shards[i]), i)
     )
     i = 0
     while remainder != 0 and i < 10 * len(shards):

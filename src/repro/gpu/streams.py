@@ -22,6 +22,8 @@ profiler computes the fine-grained measurements that drive adaptation.
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,29 +152,13 @@ class _Running:
         self.record = record
         self.cap = max(1, cap)
         self.work_left = work
-        self.rate = 0.0
+        # copy-engine work never shares the SM array: it runs at unit rate
+        self.rate = 0.0 if uses_sms else 1.0
         self.uses_sms = uses_sms
 
 
-def _waterfill(running: list[_Running], slots: int) -> None:
-    """Max-min fair allocation of SM slots among resident kernels.
-
-    Each kernel is capped by its own available parallelism; copy-engine
-    work (``uses_sms=False``) always progresses at unit rate.
-    """
-    sharers = [r for r in running if r.uses_sms]
-    for r in running:
-        if not r.uses_sms:
-            r.rate = 1.0
-    remaining = float(slots)
-    pending = sorted(sharers, key=lambda r: r.cap)
-    count = len(pending)
-    for r in pending:
-        share = remaining / count
-        alloc = min(float(r.cap), share)
-        r.rate = alloc
-        remaining -= alloc
-        count -= 1
+def _cap(running: _Running) -> int:
+    return running.cap
 
 
 class StreamSimulator:
@@ -310,27 +296,71 @@ class StreamSimulator:
         )
 
     def _run_concurrent(self, items: list[DispatchItem]) -> ExecutionResult:
+        """Event-driven execution of a multi-stream schedule.
+
+        Each step advances simulated time to the earlier of the next
+        kernel start and the next kernel completion.  The bookkeeping is
+        incremental: ``ready`` holds, for every stream whose head kernel
+        may start, ``(earliest start, stream order, record)`` and is
+        refreshed only for the streams a completion, an issue into an
+        empty queue, or a stamped event touched; ``sharers`` keeps the
+        SM-sharing kernels sorted by ``(cap, start order)``, so the
+        max-min fair water-fill is one linear pass, redone only when the
+        running set changes.
+        """
         device = self.device
-        slots = device.sm_slots
+        slots = float(device.sm_slots)
 
         event_times: dict[EventId, float] = {}
         records: list[KernelRecord] = []
-        # stream id -> list of (record, waits, record_event) not yet started
-        stream_queues: dict[int, list] = {}
-        # stream id -> completion time of the last *finished* kernel (for bare event records)
-        stream_last_done: dict[int, float] = {}
-        # events attached to kernels: kernel record -> list of events to stamp
-        running: list[_Running] = []
+        # stream id -> (record, waits, events to stamp) not yet finished
+        queues: dict[int, deque] = {}
+        # stream id -> rank of its first launch; breaks start-time ties
+        stream_order: dict[int, int] = {}
+        # stream id -> completion time of its last finished kernel
+        last_done: dict[int, float] = {}
+        # stream id -> (start, stream order, record) of a startable head
+        ready: dict[int, tuple[float, int, KernelRecord]] = {}
+        # event -> streams whose head waited on it when last refreshed
+        waiters: dict[EventId, list[int]] = {}
+        running: list[_Running] = []  # in start order
+        sharers: list[_Running] = []  # SM users, sorted by (cap, start order)
+        rates_stale = False
         profiling_overhead = 0.0
 
         cpu_time = 0.0
         idx = 0
-        blocked_on: EventId | None | str = "none"  # "none" = not blocked
         sim_time = 0.0
         in_flight = 0  # launched but unfinished kernels
 
-        def issue_until_blocked() -> None:
-            nonlocal cpu_time, idx, blocked_on, in_flight, profiling_overhead
+        def refresh(stream: int) -> None:
+            """Recompute ``stream``'s entry in ``ready`` from its head."""
+            ready.pop(stream, None)
+            queue = queues[stream]
+            if not queue:
+                return
+            rec, waits, _events = queue[0]
+            if rec.start_time >= 0.0:
+                return  # already running
+            # every wait, stamped or not: re-recording an event moves it
+            for ev in waits:
+                waiters.setdefault(ev, []).append(stream)
+            if any(ev not in event_times for ev in waits):
+                return
+            start = rec.issue_time
+            for ev in waits:
+                start = max(start, event_times[ev])
+            start = max(start, last_done.get(stream, 0.0))
+            ready[stream] = (start, stream_order[stream], rec)
+
+        def stamp(event: EventId, time: float) -> None:
+            event_times[event] = time
+            for stream in waiters.pop(event, ()):
+                refresh(stream)
+
+        def issue() -> None:
+            """Issue dispatch items until the host blocks on a sync."""
+            nonlocal cpu_time, idx, in_flight, profiling_overhead
             while idx < len(items):
                 item = items[idx]
                 if isinstance(item, LaunchItem):
@@ -344,35 +374,35 @@ class StreamSimulator:
                             profiling_overhead += device.event_overhead_us
                             self._mark_profiled_record(len(records))
                         events.append(item.record)
-                    stream_queues.setdefault(item.stream, []).append(
-                        (rec, tuple(item.waits), tuple(events))
-                    )
+                    queue = queues.get(item.stream)
+                    if queue is None:
+                        stream_order[item.stream] = len(queues)
+                        queue = queues[item.stream] = deque()
+                    queue.append((rec, tuple(item.waits), tuple(events)))
+                    if len(queue) == 1:
+                        refresh(item.stream)
                     records.append(rec)
                     in_flight += 1
                 elif isinstance(item, RecordEventItem):
                     cpu_time += device.event_overhead_us
                     profiling_overhead += device.event_overhead_us
-                    queue = stream_queues.get(item.stream, [])
+                    queue = queues.get(item.stream)
                     if queue:
                         # piggyback on the last launched kernel in the stream
                         rec, waits, events = queue[-1]
                         queue[-1] = (rec, waits, events + (item.event,))
                     else:
                         # stream idle: event completes immediately at CPU time
-                        event_times[item.event] = max(
-                            cpu_time, stream_last_done.get(item.stream, 0.0)
-                        )
+                        stamp(item.event, max(cpu_time, last_done.get(item.stream, 0.0)))
                 elif isinstance(item, HostComputeItem):
                     cpu_time += item.duration_us
                 elif isinstance(item, HostSyncItem):
                     if item.event is None:
                         if in_flight > 0:
-                            blocked_on = None
                             return
                         cpu_time = max(cpu_time, sim_time) + device.barrier_overhead_us
                     else:
                         if item.event not in event_times:
-                            blocked_on = item.event
                             return
                         cpu_time = (
                             max(cpu_time, event_times[item.event])
@@ -381,110 +411,94 @@ class StreamSimulator:
                 else:  # pragma: no cover - defensive
                     raise TypeError(f"unknown dispatch item {item!r}")
                 idx += 1
-            blocked_on = "none"
 
-        def try_unblock() -> None:
-            nonlocal cpu_time, idx, blocked_on
-            if idx >= len(items):
-                return
-            item = items[idx]
-            if not isinstance(item, HostSyncItem):
-                return
-            if item.event is None:
-                if in_flight == 0:
-                    cpu_time = max(cpu_time, sim_time) + device.barrier_overhead_us
-                    idx += 1
-                    blocked_on = "none"
-                    issue_until_blocked()
-            elif item.event in event_times:
-                cpu_time = max(cpu_time, event_times[item.event]) + device.barrier_overhead_us
-                idx += 1
-                blocked_on = "none"
-                issue_until_blocked()
-
-        def ready_time(stream: int) -> tuple | None:
-            """Head-of-stream kernel's earliest start, or None if not ready."""
-            queue = stream_queues.get(stream)
-            if not queue:
-                return None
-            rec, waits, events = queue[0]
-            if rec.start_time >= 0.0:
-                return None  # already running
-            if any(ev not in event_times for ev in waits):
-                return None
-            start = rec.issue_time
-            for ev in waits:
-                start = max(start, event_times[ev])
-            start = max(start, stream_last_done.get(stream, 0.0))
-            return (start, stream, rec, events)
-
-        issue_until_blocked()
+        issue()
 
         # Main event loop.
         while True:
-            candidates = [c for c in (ready_time(s) for s in list(stream_queues)) if c]
-            next_start = min(candidates, key=lambda c: c[0]) if candidates else None
+            next_start = min(ready.values()) if ready else None
 
-            _waterfill(running, slots)
+            if rates_stale:
+                remaining = slots
+                count = len(sharers)
+                for r in sharers:
+                    share = remaining / count
+                    alloc = min(float(r.cap), share)
+                    r.rate = alloc
+                    remaining -= alloc
+                    count -= 1
+                rates_stale = False
             next_completion = None
             for r in running:
                 if r.rate <= 0:
                     continue
                 finish = sim_time + r.work_left / r.rate
-                if next_completion is None or finish < next_completion[0]:
-                    next_completion = (finish, r)
+                if next_completion is None or finish < next_completion:
+                    next_completion = finish
 
-            moments = []
-            if next_start is not None:
-                moments.append(next_start[0])
-            if next_completion is not None:
-                moments.append(next_completion[0])
-            if not moments:
-                if any(stream_queues.values()) or running:
-                    raise RuntimeError(
-                        "deadlock: kernels pending but no progress possible "
-                        "(wait on an event that is never recorded?)"
-                    )
-                break
+            if next_start is None:
+                if next_completion is None:
+                    if any(queues.values()) or running:
+                        raise RuntimeError(
+                            "deadlock: kernels pending but no progress possible "
+                            "(wait on an event that is never recorded?)"
+                        )
+                    break
+                new_time = next_completion
+            elif next_completion is None:
+                new_time = next_start[0]
+            else:
+                new_time = min(next_start[0], next_completion)
 
-            new_time = min(moments)
             # progress running kernels
+            dt = new_time - sim_time
+            finished = []
             for r in running:
-                r.work_left -= r.rate * (new_time - sim_time)
+                r.work_left -= r.rate * dt
+                if r.work_left <= _EPS:
+                    finished.append(r)
             sim_time = new_time
 
             # completions first (frees stream heads and events)
-            finished = [r for r in running if r.work_left <= _EPS]
-            for r in finished:
-                running.remove(r)
-                r.record.end_time = sim_time
-                stream = r.record.stream
-                queue = stream_queues[stream]
-                entry = queue.pop(0)
-                stream_last_done[stream] = sim_time
-                for ev in entry[2]:
-                    event_times[ev] = sim_time
-                in_flight -= 1
             if finished:
-                try_unblock()
+                running = [r for r in running if r.work_left > _EPS]
+                sharers = [r for r in sharers if r.work_left > _EPS]
+                rates_stale = True
+                for r in finished:
+                    r.record.end_time = sim_time
+                    stream = r.record.stream
+                    entry = queues[stream].popleft()
+                    last_done[stream] = sim_time
+                    refresh(stream)
+                    for ev in entry[2]:
+                        stamp(ev, sim_time)
+                    in_flight -= 1
+                issue()  # the host may be blocked on what just finished
                 continue
 
-            # otherwise, start every kernel that is ready at this instant
-            started_any = False
-            for cand in sorted(candidates, key=lambda c: c[0]):
-                start, stream, rec, _events = cand
-                if start <= sim_time + _EPS and not any(
-                    r.record is rec for r in running
-                ):
-                    rec.start_time = sim_time
-                    kernel = rec.kernel
-                    cap = kernel.parallelism(device)
-                    uses_sms = cap > 0
-                    base = self._duration(kernel)
-                    work = base * (max(1, cap) if uses_sms else 1.0)
-                    running.append(_Running(rec, cap, work, uses_sms))
-                    started_any = True
-            if not started_any and next_completion is None:
+            # otherwise, start every kernel that is ready at this instant,
+            # in (start, stream order) order
+            if next_start is None or next_start[0] > sim_time + _EPS:
+                due = ()
+            elif len(ready) == 1:
+                due = (next_start,)
+            else:
+                due = sorted(c for c in ready.values() if c[0] <= sim_time + _EPS)
+            for _start, _order, rec in due:
+                del ready[rec.stream]
+                rec.start_time = sim_time
+                kernel = rec.kernel
+                cap = kernel.parallelism(device)
+                uses_sms = cap > 0
+                base = self._duration(kernel)
+                work = base * (max(1, cap) if uses_sms else 1.0)
+                r = _Running(rec, cap, work, uses_sms)
+                running.append(r)
+                if uses_sms:
+                    # insort_right: equal caps stay in start order
+                    insort(sharers, r, key=_cap)
+                    rates_stale = True
+            if not due and next_completion is None:
                 raise RuntimeError("simulation stalled without progress")
 
         total = max([cpu_time] + [r.end_time for r in records] + [sim_time])

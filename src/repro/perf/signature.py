@@ -98,21 +98,22 @@ def plan_key(plan) -> tuple:
     A plain nested tuple of hashable values -- usable directly as a dict
     key, with no serialization cost on the cache's hot path.
     """
+    units = []
+    for unit in plan.units:
+        super_epoch, epoch = plan.epoch(unit.unit_id)
+        units.append((
+            unit.unit_id,
+            _kernel_key(unit.kernel),
+            unit.node_ids,
+            unit.label,
+            tuple(_kernel_key(k) for k in unit.pre_copies),
+            unit.host_us,
+            epoch,
+            super_epoch,
+        ))
     return (
         "plan-sig", SIGNATURE_VERSION,
-        tuple(
-            (
-                unit.unit_id,
-                _kernel_key(unit.kernel),
-                unit.node_ids,
-                unit.label,
-                tuple(_kernel_key(k) for k in unit.pre_copies),
-                unit.host_us,
-                unit.epoch,
-                unit.super_epoch,
-            )
-            for unit in plan.units
-        ),
+        tuple(units),
         tuple(sorted(plan.stream_of.items())),
         tuple(plan.dispatch_order) if plan.dispatch_order is not None else None,
         tuple(sorted(plan.barriers_after)),

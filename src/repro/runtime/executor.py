@@ -255,10 +255,11 @@ class Executor:
         starts: dict[int, float] = {}
         ends: dict[tuple[int, int], float] = {}
         for unit in plan.units:
-            if unit.super_epoch < 0 or unit.epoch < 0:
+            se, epoch = plan.epoch(unit.unit_id)
+            if se < 0 or epoch < 0:
                 continue
             if unit.unit_id in tainted_units:
-                tainted_epochs.add((unit.super_epoch, unit.epoch))
+                tainted_epochs.add((se, epoch))
                 continue
             idx = lowered.unit_record_index.get(unit.unit_id)
             if idx is None:
@@ -266,9 +267,8 @@ class Executor:
             record = result.records[idx]
             first = max(0, idx - len(unit.pre_copies))
             start = result.records[first].start_time
-            se = unit.super_epoch
             starts[se] = min(starts.get(se, float("inf")), start)
-            key = (se, unit.epoch)
+            key = (se, epoch)
             ends[key] = max(ends.get(key, 0.0), record.end_time)
 
         metrics: dict[tuple[int, int], float] = {}

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from ..gpu.kernels import Kernel
 from ..gpu.memory import AllocationPlan
 
+_UNASSIGNED = (-1, -1)
+
 
 @dataclass
 class Unit:
@@ -27,6 +29,10 @@ class Unit:
     main kernel in the same stream (e.g. compacting non-contiguous fused
     operands).  ``host_us`` > 0 models CPU-side work that stalls dispatch
     instead of launching a device kernel (XLA embedding pathology).
+
+    Units are shared between plans (the enumerator caches them as
+    templates), so nothing that is specific to one plan -- its stream
+    map, its epoch coordinates -- lives on a unit.
     """
 
     unit_id: int
@@ -35,9 +41,6 @@ class Unit:
     label: str = ""
     pre_copies: tuple[Kernel, ...] = ()
     host_us: float = 0.0
-    #: epoch/super-epoch coordinates assigned by the enumerator (-1 = none)
-    epoch: int = -1
-    super_epoch: int = -1
 
     def __post_init__(self) -> None:
         if self.kernel is None and self.host_us <= 0.0:
@@ -52,7 +55,9 @@ class ExecutionPlan:
 
     ``units`` must cover each compute node at most once; nodes not covered
     by any unit are free (reshapes, constant fills).  ``stream_of`` maps
-    unit ids to streams (missing = stream 0).  ``dispatch_order`` optionally
+    unit ids to streams (missing = stream 0), ``epoch_of`` maps them to
+    their (super_epoch, epoch) coordinates (missing = unassigned, which
+    :meth:`epoch` reports as ``(-1, -1)``).  ``dispatch_order`` optionally
     overrides the topological issue order -- Astra's stream adaptation
     explores both assignment *and* dispatch order (section 4.5.3).
     """
@@ -60,6 +65,7 @@ class ExecutionPlan:
     units: list[Unit]
     allocation: AllocationPlan | None = None
     stream_of: dict[int, int] = field(default_factory=dict)
+    epoch_of: dict[int, tuple[int, int]] = field(default_factory=dict)
     dispatch_order: list[int] | None = None
     #: unit ids after which a cross-stream barrier is inserted
     barriers_after: frozenset[int] = frozenset()
@@ -72,6 +78,10 @@ class ExecutionPlan:
 
     def stream(self, unit_id: int) -> int:
         return self.stream_of.get(unit_id, 0)
+
+    def epoch(self, unit_id: int) -> tuple[int, int]:
+        """(super_epoch, epoch) of a unit; ``(-1, -1)`` when unassigned."""
+        return self.epoch_of.get(unit_id, _UNASSIGNED)
 
     @property
     def num_streams(self) -> int:

@@ -128,8 +128,8 @@ def plan_to_dict(plan: ExecutionPlan) -> dict:
                 "label": unit.label,
                 "pre_copies": [kernel_to_dict(k) for k in unit.pre_copies],
                 "host_us": unit.host_us,
-                "epoch": unit.epoch,
-                "super_epoch": unit.super_epoch,
+                "epoch": plan.epoch(unit.unit_id)[1],
+                "super_epoch": plan.epoch(unit.unit_id)[0],
             }
             for unit in plan.units
         ],
@@ -140,6 +140,7 @@ def plan_from_dict(data: dict) -> ExecutionPlan:
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported plan format version {data.get('version')}")
     units = []
+    epoch_of = {}
     for entry in data["units"]:
         unit = Unit(
             unit_id=entry["id"],
@@ -148,13 +149,15 @@ def plan_from_dict(data: dict) -> ExecutionPlan:
             label=entry["label"],
             pre_copies=tuple(kernel_from_dict(k) for k in entry["pre_copies"]),
             host_us=entry["host_us"],
-            epoch=entry["epoch"],
-            super_epoch=entry["super_epoch"],
         )
         units.append(unit)
+        coord = (entry["super_epoch"], entry["epoch"])
+        if coord != (-1, -1):
+            epoch_of[unit.unit_id] = coord
     return ExecutionPlan(
         units=units,
         stream_of={int(k): v for k, v in data["stream_of"].items()},
+        epoch_of=epoch_of,
         barriers_after=frozenset(data["barriers_after"]),
         profile=data["profile"],
         label=data["label"],

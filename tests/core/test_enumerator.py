@@ -1,8 +1,10 @@
 """Tests for the enumerator: update trees and plan instantiation."""
 
+import copy
+
 import pytest
 
-from repro.core import AstraFeatures, Enumerator
+from repro.core import AstraFeatures, Enumerator, partition_epochs
 from repro.gpu import P100
 from repro.runtime import Dispatcher
 
@@ -184,3 +186,49 @@ class TestStreamPhase:
         built.plan.validate_covering()
         lowered = Dispatcher(tiny_sublstm.graph).lower(built.plan)
         assert built.plan.num_streams >= 1
+
+
+class TestTemplateImmutability:
+    """Cached unit templates are shared by every plan built from them;
+    plan-specific coordinates live in each plan's own ``epoch_of``."""
+
+    def test_two_partitions_share_one_unchanged_template(self, tiny_sublstm):
+        enum = Enumerator(tiny_sublstm.graph, P100, AstraFeatures.preset("FKS"))
+        strategy = enum.strategies[0]
+        fk = enum.build_fk_tree(strategy).assignment()
+        template = enum.build_plan(strategy, fk).plan.units
+        # every attribute, so a coordinate written onto a unit shows up
+        snapshot = copy.deepcopy([vars(u) for u in template])
+
+        deps = Dispatcher(tiny_sublstm.graph).unit_dependencies(
+            enum.build_plan(strategy, fk).plan
+        )
+        coarse = partition_epochs(template, deps, P100, num_streams=2)
+        fine = partition_epochs(template, deps, P100, num_streams=2, target_us=50.0)
+        assert coarse.coordinates != fine.coordinates
+
+        plans = []
+        for partition in (coarse, fine):
+            options = {
+                ordinal: epoch.options[-1]
+                for ordinal, epoch in enumerate(partition.epochs)
+            }
+            plans.append(enum.build_plan(
+                strategy, fk, stream_options=options, partition=partition
+            ).plan)
+        first, second = plans
+
+        # copy-free: both plans hold the cached unit objects themselves ...
+        for plan in plans:
+            assert all(a is b for a, b in zip(plan.units, template))
+        # ... and building them changed none of those units
+        assert [vars(u) for u in template] == snapshot
+        # each plan reads its own partition's coordinates
+        assert first.epoch_of == coarse.coordinates
+        assert second.epoch_of == fine.coordinates
+        assert first.epoch_of is not second.epoch_of
+        for unit in template:
+            assert first.epoch(unit.unit_id) == coarse.coordinates[unit.unit_id]
+            assert second.epoch(unit.unit_id) == fine.coordinates[unit.unit_id]
+        # a plan built without a partition has no coordinates at all
+        assert enum.build_plan(strategy, fk).plan.epoch_of == {}

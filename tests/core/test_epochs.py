@@ -35,10 +35,19 @@ class TestPartition:
             for uid in epoch.unit_ids:
                 assert not (deps[uid] & set(epoch.unit_ids))
 
-    def test_coordinates_written_to_units(self, partitioned):
-        units, _deps, partition = partitioned
+    def test_coordinates_stay_off_units(self, tiny_sublstm):
+        """Partitioning assigns every unit a coordinate and writes none
+        onto the (template-shared) units: a plan reads them from its
+        ``epoch_of`` side table."""
+        units = build_units(tiny_sublstm.graph)
+        before = [dict(vars(u)) for u in units]
+        deps = Dispatcher(tiny_sublstm.graph).unit_dependencies(ExecutionPlan(units=units))
+        partition = partition_epochs(units, deps, P100, num_streams=2)
+        assert [vars(u) for u in units] == before
+        plan = ExecutionPlan(units=units, epoch_of=dict(partition.coordinates))
         for unit in units:
-            assert (unit.super_epoch, unit.epoch) == partition.coordinates[unit.unit_id]
+            assert plan.epoch(unit.unit_id) == partition.coordinates[unit.unit_id]
+            assert min(plan.epoch(unit.unit_id)) >= 0
 
     def test_dependencies_flow_forward(self, partitioned):
         """A unit's dependencies live in earlier (or equal) coordinates."""

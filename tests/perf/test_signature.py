@@ -46,14 +46,13 @@ def _mutate(plan, kind: str, idx: int):
     """Apply one guaranteed-structural mutation; returns the mutant."""
     units = list(plan.units)
     unit = units[idx % len(units)]
-    if kind == "epoch":
-        units[idx % len(units)] = dataclasses.replace(unit, epoch=unit.epoch + 1)
-        return dataclasses.replace(plan, units=units)
-    if kind == "super_epoch":
-        units[idx % len(units)] = dataclasses.replace(
-            unit, super_epoch=unit.super_epoch + 1
+    if kind in ("epoch", "super_epoch"):
+        super_epoch, epoch = plan.epoch(unit.unit_id)
+        epoch_of = dict(plan.epoch_of)
+        epoch_of[unit.unit_id] = (
+            (super_epoch, epoch + 1) if kind == "epoch" else (super_epoch + 1, epoch)
         )
-        return dataclasses.replace(plan, units=units)
+        return dataclasses.replace(plan, epoch_of=epoch_of)
     if kind == "unit_label":
         units[idx % len(units)] = dataclasses.replace(
             unit, label=unit.label + "~mutated"

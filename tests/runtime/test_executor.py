@@ -60,9 +60,8 @@ class TestEpochMetrics:
         graph, yid, zid = chain_graph
         u0 = Unit(0, GemmLaunch(32, 64, 64, "cublas"), (yid,))
         u1 = Unit(1, GemmLaunch(32, 64, 64, "cublas"), (zid,))
-        u0.super_epoch, u0.epoch = 0, 0
-        u1.super_epoch, u1.epoch = 0, 1
-        result = Executor(graph, P100).run(ExecutionPlan(units=[u0, u1]))
+        plan = ExecutionPlan(units=[u0, u1], epoch_of={0: (0, 0), 1: (0, 1)})
+        result = Executor(graph, P100).run(plan)
         m0 = result.epoch_metrics[(0, 0)]
         m1 = result.epoch_metrics[(0, 1)]
         assert m1 > m0 > 0
@@ -144,16 +143,15 @@ class TestMeasurementEdgeCases:
         graph, yid, zid = chain_graph
         u0 = Unit(0, GemmLaunch(32, 64, 64, "cublas"), (yid,))
         u1 = Unit(1, GemmLaunch(32, 64, 64, "cublas"), (zid,))
-        u0.super_epoch, u0.epoch = -1, 0   # pre-assignment sentinel
-        u1.super_epoch, u1.epoch = 0, 0
-        result = Executor(graph, P100).run(ExecutionPlan(units=[u0, u1]))
+        # unit 0 carries the pre-assignment sentinel
+        plan = ExecutionPlan(units=[u0, u1], epoch_of={0: (-1, 0), 1: (0, 0)})
+        result = Executor(graph, P100).run(plan)
         assert set(result.epoch_metrics) == {(0, 0)}
 
     def test_all_negative_super_epochs_yield_empty_metrics(self, chain_graph):
         graph, yid, zid = chain_graph
         u0 = Unit(0, GemmLaunch(32, 64, 64, "cublas"), (yid,))
         u1 = Unit(1, GemmLaunch(32, 64, 64, "cublas"), (zid,))
-        u0.super_epoch, u0.epoch = -1, -1
-        u1.super_epoch, u1.epoch = -1, -1
-        result = Executor(graph, P100).run(ExecutionPlan(units=[u0, u1]))
+        plan = ExecutionPlan(units=[u0, u1], epoch_of={0: (-1, -1), 1: (-1, -1)})
+        result = Executor(graph, P100).run(plan)
         assert result.epoch_metrics == {}

@@ -22,8 +22,8 @@ class TestUnit:
             Unit(0, GemmLaunch(2, 2, 2, "cublas"), ())
 
     def test_default_epoch_unassigned(self):
-        u = unit(0)
-        assert u.epoch == -1 and u.super_epoch == -1
+        plan = ExecutionPlan(units=[unit(0)])
+        assert plan.epoch(0) == (-1, -1)
 
 
 class TestExecutionPlan:

@@ -20,7 +20,7 @@ The load-bearing claims, each pinned here:
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.distributed.interconnect import NVLINK, PCIE
 from repro.faults.plan import FaultPlan
@@ -134,6 +134,9 @@ def test_balanced_shards_partition_the_batch(batch, world):
     batch=st.integers(4, 512),
     speeds=st.lists(st.floats(10.0, 1000.0), min_size=2, max_size=4),
 )
+# the one-sample floor lifts the slow replica to 1; it must not then also
+# take the leftover sample ahead of the fast ones
+@example(batch=5, speeds=[10.0, 10.0, 10.0, 14.0])
 def test_weighted_shards_partition_and_favor_fast_devices(batch, speeds):
     placement = tuple(f"cls{i}" for i in range(len(speeds)))
     speed_us = dict(zip(placement, speeds))
