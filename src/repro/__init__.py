@@ -16,32 +16,22 @@ Layers (bottom-up):
 * :mod:`repro.check` -- schedule-correctness validation: static
   race/liveness/layout checking of lowered schedules, the oracle behind
   ``Executor(validate=True)`` and ``repro check``.
+
+The names re-exported here resolve lazily (:mod:`repro._lazy`), so
+``import repro`` imports no submodule until one of them is used.
 """
 
-from .check import ScheduleValidationError, ValidationReport, validate_schedule
-from .core.enumerator import AstraFeatures
-from .core.measurement import ROBUST, TRUSTING, MeasurementPolicy
-from .core.session import AstraSession, SessionReport
-from .faults import ExplorationCheckpoint, FaultPlan, FaultSpec, FaultWindow
-from .gpu.device import P100, V100, GPUSpec
+from ._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "core.enumerator": ("AstraFeatures",),
+    "core.session": ("AstraSession", "SessionReport"),
+    "gpu.device": ("P100", "V100", "GPUSpec"),
+    "check.violations": ("ScheduleValidationError", "ValidationReport"),
+    "check.validate": ("validate_schedule",),
+    "core.measurement": ("MeasurementPolicy", "TRUSTING", "ROBUST"),
+    "faults.plan": ("FaultPlan", "FaultSpec", "FaultWindow"),
+    "faults.checkpoint": ("ExplorationCheckpoint",),
+})
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AstraFeatures",
-    "AstraSession",
-    "SessionReport",
-    "P100",
-    "V100",
-    "GPUSpec",
-    "ScheduleValidationError",
-    "ValidationReport",
-    "validate_schedule",
-    "MeasurementPolicy",
-    "TRUSTING",
-    "ROBUST",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultWindow",
-    "ExplorationCheckpoint",
-]

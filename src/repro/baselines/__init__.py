@@ -1,14 +1,10 @@
 """Baselines the paper compares against: native frameworks, cuDNN-style
 compound kernels, and an XLA-style static compiler."""
 
-from .native import native_plan, run_native
+from .._lazy import lazy_exports
 
-__all__ = ["native_plan", "run_native"]
-
-from .cudnn import cudnn_applicable, cudnn_plan, detect_lstm_steps, run_cudnn
-from .xla import run_xla, xla_plan
-
-__all__ += [
-    "cudnn_applicable", "cudnn_plan", "detect_lstm_steps", "run_cudnn",
-    "run_xla", "xla_plan",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "native": ("native_plan", "run_native"),
+    "cudnn": ("cudnn_applicable", "cudnn_plan", "detect_lstm_steps", "run_cudnn"),
+    "xla": ("run_xla", "xla_plan"),
+})

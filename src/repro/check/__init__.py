@@ -14,57 +14,19 @@ lowered schedule, ``Executor(validate=True)`` for validated execution,
 and the ``repro check <model>`` CLI command.  See ``docs/validation.md``.
 """
 
-from .hb import HappensBefore
-from .memory import (
-    FreeEvent,
-    check_arena_layout,
-    check_frees,
-    check_reuse_plan,
-    derive_frees,
-    schedule_node_order,
-    tensor_accessors,
-)
-from .races import check_races, dependency_edges, unit_item_spans
-from .validate import assert_valid, validate_schedule
-from .violations import (
-    ALL_KINDS,
-    DEADLOCK,
-    DOUBLE_FREE,
-    GROUP_BROKEN,
-    GROUP_OVERLAP,
-    MISSING_EVENT,
-    RAW_RACE,
-    USE_WHILE_FREED,
-    WAR_RACE,
-    ScheduleValidationError,
-    ValidationReport,
-    Violation,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_KINDS",
-    "DEADLOCK",
-    "DOUBLE_FREE",
-    "GROUP_BROKEN",
-    "GROUP_OVERLAP",
-    "MISSING_EVENT",
-    "RAW_RACE",
-    "USE_WHILE_FREED",
-    "WAR_RACE",
-    "FreeEvent",
-    "HappensBefore",
-    "ScheduleValidationError",
-    "ValidationReport",
-    "Violation",
-    "assert_valid",
-    "check_arena_layout",
-    "check_frees",
-    "check_races",
-    "check_reuse_plan",
-    "dependency_edges",
-    "derive_frees",
-    "schedule_node_order",
-    "tensor_accessors",
-    "unit_item_spans",
-    "validate_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "violations": (
+        "ALL_KINDS", "DEADLOCK", "DOUBLE_FREE", "GROUP_BROKEN", "GROUP_OVERLAP",
+        "MISSING_EVENT", "RAW_RACE", "USE_WHILE_FREED", "WAR_RACE",
+        "ScheduleValidationError", "ValidationReport", "Violation",
+    ),
+    "hb": ("HappensBefore",),
+    "memory": (
+        "FreeEvent", "check_arena_layout", "check_frees", "check_reuse_plan",
+        "derive_frees", "schedule_node_order", "tensor_accessors",
+    ),
+    "races": ("check_races", "dependency_edges", "unit_item_spans"),
+    "validate": ("assert_valid", "validate_schedule"),
+})

@@ -54,15 +54,9 @@ import argparse
 import json
 import sys
 
-from . import AstraSession
-from .baselines import cudnn_applicable, run_cudnn, run_native, run_xla
-from .baselines.native import native_plan
-from .core import AstraFeatures, Enumerator, count_configurations
-from .gpu import DEVICES, P100
+from .gpu import DEVICES
 from .models import MODEL_BUILDERS
 from .obs import MetricsRegistry, RunReporter
-from .obs.trace import PID_GPU, validate_chrome_trace, write_chrome_trace
-from .runtime.executor import Executor
 
 _CONFIG_MODULES = {
     "scrnn": "repro.models.scrnn",
@@ -99,6 +93,7 @@ def _write_obs_outputs(args, metrics, reporter) -> None:
 
 
 def cmd_optimize(args) -> int:
+    from . import AstraSession
     from .core.measurement import ROBUST
     from .faults import FaultPlan, PreemptionError
     from .perf import FastPath
@@ -215,6 +210,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import AstraSession
+
     device = DEVICES[args.device]
     batches = [int(b) for b in args.batches.split(",")]
     rows: list[dict] = []
@@ -259,6 +256,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_baselines(args) -> int:
+    from . import AstraSession
+    from .baselines import cudnn_applicable, run_cudnn, run_native, run_xla
+
     model = _build(args)
     device = DEVICES[args.device]
     native = run_native(model.graph, device).total_time_us
@@ -279,6 +279,8 @@ def cmd_baselines(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    from .core import AstraFeatures, Enumerator, count_configurations
+
     model = _build(args)
     device = DEVICES[args.device]
     features = AstraFeatures.preset(args.features)
@@ -311,7 +313,12 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from .obs.trace import Tracer, chrome_trace, merge_host_trace
+    from . import AstraSession
+    from .baselines.native import native_plan
+    from .obs.trace import (
+        PID_GPU, Tracer, chrome_trace, merge_host_trace, validate_chrome_trace,
+    )
+    from .runtime.executor import Executor
 
     model = _build(args)
     device = DEVICES[args.device]
@@ -401,6 +408,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    from . import AstraSession
     from .obs.provenance import ProvenanceLog
 
     model = _build(args)
@@ -439,7 +447,10 @@ def cmd_explain(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import AstraSession
+    from .baselines.native import native_plan
     from .check import ScheduleValidationError, validate_schedule
+    from .runtime.executor import Executor
 
     model = _build(args)
     device = DEVICES[args.device]
@@ -685,7 +696,7 @@ def _render_fleet_report(report, fleet, verify: dict | None) -> str:
 def cmd_fleet(args) -> int:
     from .faults import FaultPlan
     from .fleet import get_fleet, run_fleet_search
-    from .obs.trace import fleet_trace
+    from .obs.trace import fleet_trace, validate_chrome_trace
 
     batch = args.batch if args.batch is not None else (64 if args.quick else 256)
 

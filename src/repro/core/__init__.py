@@ -5,77 +5,30 @@ custom-wirer (one configuration per training mini-batch, fine-grained
 profiling, profile-index-driven pruning), and the public AstraSession API.
 """
 
-from .adaptive import (
-    AdaptiveVariable,
-    MODE_EXHAUSTIVE,
-    MODE_PARALLEL,
-    MODE_PREFIX,
-    UpdateNode,
-    count_configurations,
-)
-from .allocation import AllocationStrategy, enumerate_strategies, build_arena_plan
-from .enumerator import AstraFeatures, BuiltPlan, Enumerator
-from .epochs import Epoch, EpochPartition, partition_epochs
-from .fusion import (
-    FusionAnalysis,
-    FusionGroup,
-    FusionMember,
-    Requirement,
-    analyse_fusion,
-    detect_ladders,
-    provenance,
-)
-from .profile_index import ProfileIndex, mangle
-from .session import AstraSession, SessionReport
-from .wirer import AstraReport, CustomWirer, PhaseStats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveVariable", "MODE_EXHAUSTIVE", "MODE_PARALLEL", "MODE_PREFIX",
-    "UpdateNode", "count_configurations",
-    "AllocationStrategy", "enumerate_strategies", "build_arena_plan",
-    "AstraFeatures", "BuiltPlan", "Enumerator",
-    "Epoch", "EpochPartition", "partition_epochs",
-    "FusionAnalysis", "FusionGroup", "FusionMember", "Requirement",
-    "analyse_fusion", "detect_ladders", "provenance",
-    "ProfileIndex", "mangle",
-    "AstraSession", "SessionReport",
-    "AstraReport", "CustomWirer", "PhaseStats",
-]
-
-from .bucketing import BucketedReport, run_bucketed
-
-__all__ += ["BucketedReport", "run_bucketed"]
-
-from .recompute import (
-    BatchDecision,
-    RecomputePlan,
-    RecomputePlanner,
-    Segment,
-    best_batch_under_budget,
-    estimate_memory,
-)
-
-__all__ += [
-    "BatchDecision", "RecomputePlan", "RecomputePlanner", "Segment",
-    "best_batch_under_budget", "estimate_memory",
-]
-
-from .wirer import Amortization
-
-__all__ += ["Amortization"]
-
-from .measurement import (
-    QUARANTINED_US,
-    ROBUST,
-    TRUSTING,
-    MeasurementPolicy,
-    mad,
-    median,
-    reject_outliers,
-    robust_min,
-)
-
-__all__ += [
-    "MeasurementPolicy", "TRUSTING", "ROBUST", "QUARANTINED_US",
-    "median", "mad", "reject_outliers", "robust_min",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "adaptive": (
+        "AdaptiveVariable", "MODE_EXHAUSTIVE", "MODE_PARALLEL", "MODE_PREFIX",
+        "UpdateNode", "count_configurations",
+    ),
+    "allocation": ("AllocationStrategy", "enumerate_strategies", "build_arena_plan"),
+    "enumerator": ("AstraFeatures", "BuiltPlan", "Enumerator"),
+    "epochs": ("Epoch", "EpochPartition", "partition_epochs"),
+    "fusion": (
+        "FusionAnalysis", "FusionGroup", "FusionMember", "Requirement",
+        "analyse_fusion", "detect_ladders", "provenance",
+    ),
+    "profile_index": ("ProfileIndex", "mangle"),
+    "session": ("AstraSession", "SessionReport"),
+    "wirer": ("AstraReport", "CustomWirer", "PhaseStats", "Amortization"),
+    "bucketing": ("BucketedReport", "run_bucketed"),
+    "recompute": (
+        "BatchDecision", "RecomputePlan", "RecomputePlanner", "Segment",
+        "best_batch_under_budget", "estimate_memory",
+    ),
+    "measurement": (
+        "MeasurementPolicy", "TRUSTING", "ROBUST", "QUARANTINED_US",
+        "median", "mad", "reject_outliers", "robust_min",
+    ),
+})

@@ -29,7 +29,6 @@ import os
 from dataclasses import dataclass
 
 from ..baselines.native import native_plan
-from ..faults.checkpoint import ExplorationCheckpoint
 from ..gpu.device import GPUSpec, P100
 from ..ir.graph import Graph
 from ..models.cells import TracedModel
@@ -123,6 +122,8 @@ class AstraSession:
         # rerunning the same command after a preemption continues the
         # exploration instead of restarting it
         if checkpoint_path and os.path.exists(checkpoint_path):
+            from ..faults.checkpoint import ExplorationCheckpoint
+
             self.wirer.restore(ExplorationCheckpoint.load(checkpoint_path))
         self._job_digest: str | None = None
         self._warm_done = False

@@ -28,8 +28,8 @@ of re-exploring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..faults.checkpoint import ExplorationCheckpoint
 from ..faults.events import DeviceOOMError, PreemptionError
 from ..gpu.device import GPUSpec
 from ..ir.graph import Graph
@@ -58,6 +58,9 @@ from .enumerator import AstraFeatures, BuiltPlan, Enumerator
 from .epochs import EpochPartition
 from .measurement import QUARANTINED_US, TRUSTING, MeasurementPolicy, robust_min
 from .profile_index import ProfileIndex, mangle
+
+if TYPE_CHECKING:
+    from ..faults.checkpoint import ExplorationCheckpoint
 
 #: sentinel distinguishing "variable never assigned" from any real choice
 _UNSET = object()
@@ -347,6 +350,8 @@ class CustomWirer:
         self, preempted_at: int | None = None, completed: bool = False
     ) -> ExplorationCheckpoint:
         import json as _json
+
+        from ..faults.checkpoint import ExplorationCheckpoint
 
         best = self._best_so_far
         return ExplorationCheckpoint(

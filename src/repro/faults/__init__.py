@@ -21,45 +21,21 @@ half survives it:
 See ``docs/robustness.md`` for the taxonomy and the recovery policies.
 """
 
-from .events import (
-    FAULT_BIT_FLIP,
-    FAULT_DAEMON_CRASH,
-    FAULT_EVENT_CORRUPT,
-    FAULT_EVENT_DROP,
-    FAULT_JOB_TIMEOUT,
-    FAULT_KINDS,
-    FAULT_LAUNCH,
-    FAULT_OOM,
-    FAULT_PREEMPT,
-    FAULT_SLOWDOWN,
-    FAULT_THROTTLE,
-    FAULT_TORN_WRITE,
-    SERVE_FAULT_KINDS,
-    DeviceOOMError,
-    FaultError,
-    FaultEvent,
-    FaultRecord,
-    JobTimeoutError,
-    KernelLaunchError,
-    MinibatchFaultLog,
-    PreemptionError,
-)
-from .plan import FaultPlan, FaultSpec, FaultWindow
-from .injector import FaultInjector
-from .checkpoint import ExplorationCheckpoint
-from .chaos import ChaosCell, ChaosReport, default_matrix, run_chaos
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS", "SERVE_FAULT_KINDS",
-    "FAULT_SLOWDOWN", "FAULT_THROTTLE", "FAULT_LAUNCH",
-    "FAULT_EVENT_DROP", "FAULT_EVENT_CORRUPT", "FAULT_OOM", "FAULT_PREEMPT",
-    "FAULT_JOB_TIMEOUT", "FAULT_DAEMON_CRASH", "FAULT_TORN_WRITE",
-    "FAULT_BIT_FLIP",
-    "FaultError", "FaultEvent", "FaultRecord", "MinibatchFaultLog",
-    "KernelLaunchError", "DeviceOOMError", "PreemptionError",
-    "JobTimeoutError",
-    "FaultPlan", "FaultSpec", "FaultWindow",
-    "FaultInjector",
-    "ExplorationCheckpoint",
-    "ChaosCell", "ChaosReport", "default_matrix", "run_chaos",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "events": (
+        "FAULT_KINDS", "SERVE_FAULT_KINDS",
+        "FAULT_SLOWDOWN", "FAULT_THROTTLE", "FAULT_LAUNCH",
+        "FAULT_EVENT_DROP", "FAULT_EVENT_CORRUPT", "FAULT_OOM", "FAULT_PREEMPT",
+        "FAULT_JOB_TIMEOUT", "FAULT_DAEMON_CRASH", "FAULT_TORN_WRITE",
+        "FAULT_BIT_FLIP",
+        "FaultError", "FaultEvent", "FaultRecord", "MinibatchFaultLog",
+        "KernelLaunchError", "DeviceOOMError", "PreemptionError",
+        "JobTimeoutError",
+    ),
+    "plan": ("FaultPlan", "FaultSpec", "FaultWindow"),
+    "injector": ("FaultInjector",),
+    "checkpoint": ("ExplorationCheckpoint",),
+    "chaos": ("ChaosCell", "ChaosReport", "default_matrix", "run_chaos"),
+})

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 from ..core.adaptive import MODE_PARALLEL, AdaptiveVariable, UpdateNode
 from ..distributed.data_parallel import OVERLAP_FRACTION
+from ..learn.features import fleet_strategy_features
 from ..obs.metrics import NULL_REGISTRY
 from ..parallel.engine import HIT, STATUS_EXHAUSTED, ParallelEngine, plan_wave
 from ..parallel.pool import make_pool
@@ -343,8 +344,6 @@ def metrics_safe_count(measurer: FleetMeasurer, strategies: list[Strategy]) -> i
 
 def _feature_rows(measurer, strategies, bounds, fleet) -> list[list[float]]:
     """Analytic feature vectors for the learned fleet ranker -- free."""
-    from ..learn.features import fleet_strategy_features
-
     rows = []
     for strategy, bound in zip(strategies, bounds):
         if strategy.kind == "data":

@@ -6,50 +6,23 @@ processor sharing, cudaEvent timestamps, GEMM kernel libraries with
 shape-dependent winners, and an arena allocator with contiguity queries.
 """
 
-from .device import CLOCK_AUTOBOOST, CLOCK_BASE, DEVICES, GPUSpec, P100, V100
-from .events import EventId, EventNamespace, ProfileRange
-from .kernels import (
-    CompoundLaunch,
-    CopyLaunch,
-    ElementwiseLaunch,
-    GemmLaunch,
-    HostTransfer,
-    Kernel,
-)
-from .libraries import DEFAULT_LIBRARY, GEMM_LIBRARIES, GemmKernel, best_library
-from .memory import AllocationPlan, ContiguityGroup
-from .streams import (
-    DispatchItem,
-    ExecutionResult,
-    HostComputeItem,
-    HostSyncItem,
-    KernelRecord,
-    LaunchItem,
-    RecordEventItem,
-    StreamSimulator,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CLOCK_AUTOBOOST", "CLOCK_BASE", "DEVICES", "GPUSpec", "P100", "V100",
-    "EventId", "EventNamespace", "ProfileRange",
-    "CompoundLaunch", "CopyLaunch", "ElementwiseLaunch", "GemmLaunch",
-    "HostTransfer", "Kernel",
-    "DEFAULT_LIBRARY", "GEMM_LIBRARIES", "GemmKernel", "best_library",
-    "AllocationPlan", "ContiguityGroup",
-    "DispatchItem", "ExecutionResult", "HostComputeItem", "HostSyncItem",
-    "KernelRecord", "LaunchItem", "RecordEventItem", "StreamSimulator",
-]
-
-from .cost_model import (
-    Roofline,
-    achieved_fraction,
-    device_utilization,
-    gemm_roofline,
-    launch_bound_fraction,
-    roofline,
-)
-
-__all__ += [
-    "Roofline", "achieved_fraction", "device_utilization",
-    "gemm_roofline", "launch_bound_fraction", "roofline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "device": ("CLOCK_AUTOBOOST", "CLOCK_BASE", "DEVICES", "GPUSpec", "P100", "V100"),
+    "events": ("EventId", "EventNamespace", "ProfileRange"),
+    "kernels": (
+        "CompoundLaunch", "CopyLaunch", "ElementwiseLaunch", "GemmLaunch",
+        "HostTransfer", "Kernel",
+    ),
+    "libraries": ("DEFAULT_LIBRARY", "GEMM_LIBRARIES", "GemmKernel", "best_library"),
+    "memory": ("AllocationPlan", "ContiguityGroup"),
+    "streams": (
+        "DispatchItem", "ExecutionResult", "HostComputeItem", "HostSyncItem",
+        "KernelRecord", "LaunchItem", "RecordEventItem", "StreamSimulator",
+    ),
+    "cost_model": (
+        "Roofline", "achieved_fraction", "device_utilization",
+        "gemm_roofline", "launch_bound_fraction", "roofline",
+    ),
+})

@@ -26,8 +26,6 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .device import CLOCK_AUTOBOOST, GPUSpec
 from .events import EventId
 from .kernels import Kernel
@@ -180,7 +178,10 @@ class StreamSimulator:
 
     def __init__(self, device: GPUSpec, seed: int = 0, injector=None):
         self.device = device
-        self._rng = np.random.default_rng(seed)
+        #: the jitter RNG is built from ``_seed`` on the first autoboost
+        #: draw; at base clock nothing is drawn, so numpy is never loaded
+        self._seed = seed
+        self._rng = None
         self.injector = injector
 
     def reseed(self, seed_key) -> None:
@@ -190,14 +191,18 @@ class StreamSimulator:
         keyed by the candidate's global mini-batch ordinal, so autoboost
         jitter is a function of *which* candidate runs -- never of which
         worker runs it or what ran before.  At base clock no draws happen
-        at all, so the (comparatively costly) reseed is skipped.
+        at all, so the reseed is skipped.
         """
         if self.device.clock_mode == CLOCK_AUTOBOOST:
-            self._rng = np.random.default_rng(seed_key)
+            self._seed, self._rng = seed_key, None
 
     def _jitter(self) -> float:
         if self.device.clock_mode != CLOCK_AUTOBOOST:
             return 1.0
+        if self._rng is None:
+            import numpy as np
+
+            self._rng = np.random.default_rng(self._seed)
         gain = 1.0 + self.device.autoboost_gain
         half = self.device.autoboost_jitter
         return max(0.05, gain * (1.0 + self._rng.uniform(-half, half)))

@@ -6,7 +6,9 @@ Every operator knows three things:
 * a cost summary (``flops`` and ``bytes_accessed``) consumed by the GPU
   simulator's cost model, and
 * a numpy reference implementation (``evaluate``) used by the interpreter
-  to validate graph construction and automatic differentiation.
+  to validate graph construction and automatic differentiation; numpy is
+  imported inside ``evaluate``, so building and scheduling graphs never
+  loads it.
 
 Operators carry a ``kind`` tag that downstream layers dispatch on:
 ``gemm`` ops are fusion/kernel-selection candidates, ``elementwise`` ops are
@@ -17,11 +19,12 @@ in :mod:`repro.baselines.xla`, and ``movement`` ops are memory-bound.
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .tensor import TensorSpec, broadcast_result, matmul_flops, matmul_result
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: operator kind tags (see module docstring)
 KIND_GEMM = "gemm"
@@ -174,6 +177,8 @@ class Sigmoid(_Unary):
         return 4 * out.num_elements  # exp + add + div + neg
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return 1.0 / (1.0 + np.exp(-x))
 
 
@@ -184,6 +189,8 @@ class Tanh(_Unary):
         return 4 * out.num_elements
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.tanh(x)
 
 
@@ -191,6 +198,8 @@ class Relu(_Unary):
     name = "relu"
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.maximum(x, 0.0)
 
 
@@ -210,6 +219,8 @@ class Log(_Unary):
         return 4 * out.num_elements
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.log(x)
 
 
@@ -220,6 +231,8 @@ class Exp(_Unary):
         return 4 * out.num_elements
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.exp(x)
 
 
@@ -288,6 +301,8 @@ class ReduceSum(Op):
         return inputs[0].num_elements
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         if self.axis is None:
             result = x.sum(keepdims=self.keepdims)
             return result if self.keepdims else np.reshape(result, (1,))
@@ -311,6 +326,8 @@ class Softmax(Op):
         return 6 * out.num_elements
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         shifted = x - x.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=-1, keepdims=True)
@@ -349,6 +366,8 @@ class Embedding(Op):
         return 2 * out.size_bytes + inputs[1].size_bytes
 
     def evaluate(self, table: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return table[indices.astype(np.int64)]
 
 
@@ -379,6 +398,8 @@ class EmbeddingGrad(Op):
         return inputs[1].num_elements  # one add per scattered element
 
     def evaluate(self, indices: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         table = np.zeros((self.vocab_size, grad.shape[1]), dtype=grad.dtype)
         np.add.at(table, indices.astype(np.int64), grad)
         return table
@@ -420,6 +441,8 @@ class Concat(Op):
         return 0
 
     def evaluate(self, *arrays: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.concatenate(arrays, axis=self.axis)
 
     def signature(self) -> tuple:
@@ -489,6 +512,8 @@ class PadZero(Op):
         return 0
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         axis = self.axis % x.ndim
         shape = list(x.shape)
         shape[axis] = self.total
@@ -566,6 +591,8 @@ class Fill(Op):
         return 0
 
     def evaluate(self) -> np.ndarray:
+        import numpy as np
+
         return np.full(self.spec.shape, self.value, dtype=np.float32)
 
     def signature(self) -> tuple:

@@ -15,45 +15,18 @@ Two model families share the machinery: the per-choice fk model
 :class:`FleetStrategyRanker` -- see ``docs/distributed.md``).
 """
 
-from .features import (
-    FEATURE_NAMES,
-    FLEET_FEATURE_NAMES,
-    choice_features,
-    feature_digest,
-    fleet_feature_digest,
-    fleet_strategy_features,
-)
-from .harvest import TrainingRecord, harvest_fleet, harvest_index, harvest_run
-from .model import (
-    ARTIFACT_VERSION,
-    FLEET_ARTIFACT_KIND,
-    FleetStrategyModel,
-    LearnedCostModel,
-    ModelArtifactError,
-    StaleModelError,
-    artifact_fingerprint,
-)
-from .ranker import FleetStrategyRanker, LearnedGate, LearnedRanker
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ARTIFACT_VERSION",
-    "FEATURE_NAMES",
-    "FLEET_ARTIFACT_KIND",
-    "FLEET_FEATURE_NAMES",
-    "FleetStrategyModel",
-    "FleetStrategyRanker",
-    "LearnedCostModel",
-    "LearnedGate",
-    "LearnedRanker",
-    "ModelArtifactError",
-    "StaleModelError",
-    "TrainingRecord",
-    "artifact_fingerprint",
-    "choice_features",
-    "feature_digest",
-    "fleet_feature_digest",
-    "fleet_strategy_features",
-    "harvest_fleet",
-    "harvest_index",
-    "harvest_run",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "features": (
+        "FEATURE_NAMES", "FLEET_FEATURE_NAMES", "choice_features",
+        "feature_digest", "fleet_feature_digest", "fleet_strategy_features",
+    ),
+    "harvest": ("TrainingRecord", "harvest_fleet", "harvest_index", "harvest_run"),
+    "model": (
+        "ARTIFACT_VERSION", "FLEET_ARTIFACT_KIND", "FleetStrategyModel",
+        "LearnedCostModel", "ModelArtifactError", "StaleModelError",
+        "artifact_fingerprint",
+    ),
+    "ranker": ("FleetStrategyRanker", "LearnedGate", "LearnedRanker"),
+})

@@ -10,8 +10,10 @@ and obtained bucket boundaries of 13, 18, 24, 30 and 83 tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: the bucket boundaries the paper reports for PTB with 5 buckets
 PAPER_PTB_BUCKETS = (13, 18, 24, 30, 83)
@@ -28,6 +30,8 @@ class LengthDistribution:
     max_len: int
 
     def sample(self, count: int, seed: int = 0) -> np.ndarray:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         lengths = np.exp(rng.normal(self.mean_log, self.sigma_log, size=count))
         return np.clip(np.round(lengths), self.min_len, self.max_len).astype(int)
@@ -51,6 +55,8 @@ def compute_buckets(lengths: np.ndarray, num_buckets: int = 5) -> tuple[int, ...
     """
     if num_buckets < 1:
         raise ValueError("need at least one bucket")
+    import numpy as np
+
     sorted_lengths = np.sort(lengths)
     bounds = []
     for i in range(1, num_buckets):

@@ -16,69 +16,30 @@ already produces -- enabling observability never changes what gets
 dispatched to the (simulated) GPU.
 """
 
-from .analysis import (
-    AnalysisReport,
-    TimelineGraph,
-    analyze,
-    analyze_execution,
-    analyze_trace,
-)
-from .metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    Series,
-)
-from .provenance import (
-    NULL_PROVENANCE,
-    ProvenanceLog,
-    VariableDecision,
-)
-from .report import (
-    KIND_COMPARE,
-    KIND_EXPLORE,
-    KIND_FAULT,
-    KIND_PRODUCTION,
-    KIND_VIOLATION,
-    NULL_REPORTER,
-    MiniBatchRecord,
-    NullReporter,
-    RunReporter,
-)
-from .trace import (
-    NULL_TRACER,
-    Tracer,
-    chrome_trace,
-    kernel_args,
-    merge_host_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from .whatif import (
-    Projection,
-    WhatIfChange,
-    project,
-    remove_kernel,
-    scale_kernel,
-    swap_libraries,
-    swap_library,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AnalysisReport", "TimelineGraph",
-    "analyze", "analyze_execution", "analyze_trace",
-    "Counter", "Gauge", "Histogram", "Series",
-    "MetricsRegistry", "NullRegistry", "NULL_REGISTRY",
-    "MiniBatchRecord", "RunReporter", "NullReporter", "NULL_REPORTER",
-    "KIND_EXPLORE", "KIND_COMPARE", "KIND_PRODUCTION",
-    "KIND_VIOLATION", "KIND_FAULT",
-    "ProvenanceLog", "VariableDecision", "NULL_PROVENANCE",
-    "Projection", "WhatIfChange",
-    "project", "remove_kernel", "scale_kernel", "swap_libraries", "swap_library",
-    "Tracer", "NULL_TRACER",
-    "chrome_trace", "kernel_args", "merge_host_trace",
-    "validate_chrome_trace", "write_chrome_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "analysis": (
+        "AnalysisReport", "TimelineGraph",
+        "analyze", "analyze_execution", "analyze_trace",
+    ),
+    "metrics": (
+        "Counter", "Gauge", "Histogram", "Series",
+        "MetricsRegistry", "NullRegistry", "NULL_REGISTRY",
+    ),
+    "report": (
+        "MiniBatchRecord", "RunReporter", "NullReporter", "NULL_REPORTER",
+        "KIND_EXPLORE", "KIND_COMPARE", "KIND_PRODUCTION",
+        "KIND_VIOLATION", "KIND_FAULT",
+    ),
+    "provenance": ("ProvenanceLog", "VariableDecision", "NULL_PROVENANCE"),
+    "whatif": (
+        "Projection", "WhatIfChange",
+        "project", "remove_kernel", "scale_kernel", "swap_libraries", "swap_library",
+    ),
+    "trace": (
+        "Tracer", "NULL_TRACER",
+        "chrome_trace", "kernel_args", "merge_host_trace",
+        "validate_chrome_trace", "write_chrome_trace",
+    ),
+})

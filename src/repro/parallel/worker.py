@@ -23,6 +23,9 @@ import os
 import pickle
 import time
 
+from ..check.violations import ScheduleValidationError
+from ..faults.events import FaultError, PreemptionError
+from ..obs.metrics import Counter, MetricsRegistry
 from .wire import CandidateOutcome, CandidateTask, SampleRecord, WorkerSpec, slim_result
 
 #: domain-separation tag for per-candidate simulator jitter substreams
@@ -138,11 +141,6 @@ def measure_plan(
     for per-candidate ones and restored on the way out, so the result
     depends only on (spec, plan, ``base_minibatch``).
     """
-    from ..check import ScheduleValidationError
-    from ..faults.events import FaultError, PreemptionError
-    from ..faults.injector import FaultInjector
-    from ..obs.metrics import Counter, MetricsRegistry
-
     out = CandidateOutcome(
         ordinal=ordinal, var_units=var_units, worker_pid=os.getpid()
     )
@@ -151,12 +149,14 @@ def measure_plan(
     registry = MetricsRegistry()
     injector = None
     if spec.fault_plan is not None and spec.fault_plan.specs:
+        from ..faults.injector import FaultInjector
+
         injector = FaultInjector.for_candidate(
             spec.fault_plan, base_minibatch, preempted=preempted
         )
     simulator = executor._simulator
     saved = (executor.metrics, executor.injector, simulator.injector,
-             simulator._rng)
+             simulator._seed, simulator._rng)
     executor.metrics = registry
     executor.injector = simulator.injector = injector
     simulator.reseed((spec.seed, SIM_STREAM_TAG, base_minibatch))
@@ -210,7 +210,7 @@ def measure_plan(
         out.error, out.error_repr = _encode_error(exc)
     finally:
         (executor.metrics, executor.injector, simulator.injector,
-         simulator._rng) = saved
+         simulator._seed, simulator._rng) = saved
     if injector is not None:
         out.injector_records = list(injector.ledger)
         out.injector_minibatch = injector.minibatch

@@ -1,22 +1,15 @@
 """Runtime layer: execution plans, the dispatcher Astra interposes on, and
 the executor that runs plans on the simulated GPU (paper Figure 3)."""
 
-from .dispatcher import Dispatcher, LoweredSchedule
-from .executor import Executor, MiniBatchResult
-from .lowering import (
-    build_units,
-    elementwise_chains,
-    fused_elementwise_kernel,
-    kernel_for_node,
-)
-from .plan import ExecutionPlan, Unit
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Dispatcher", "LoweredSchedule", "Executor", "MiniBatchResult",
-    "build_units", "elementwise_chains", "fused_elementwise_kernel",
-    "kernel_for_node", "ExecutionPlan", "Unit",
-]
-
-from .timeline import TimelineOptions, overlap_fraction, render_timeline, utilization
-
-__all__ += ["TimelineOptions", "overlap_fraction", "render_timeline", "utilization"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "dispatcher": ("Dispatcher", "LoweredSchedule"),
+    "executor": ("Executor", "MiniBatchResult"),
+    "lowering": (
+        "build_units", "elementwise_chains", "fused_elementwise_kernel",
+        "kernel_for_node",
+    ),
+    "plan": ("ExecutionPlan", "Unit"),
+    "timeline": ("TimelineOptions", "overlap_fraction", "render_timeline", "utilization"),
+})

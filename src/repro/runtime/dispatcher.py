@@ -9,6 +9,7 @@ only in the :class:`~repro.runtime.plan.ExecutionPlan` handed in.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from ..gpu.events import EventId, EventNamespace
@@ -44,8 +45,6 @@ class LoweredSchedule:
 def topological_units(units: list[Unit], deps: dict[int, set[int]]) -> list[Unit]:
     """Deterministic Kahn toposort of units; ties broken by smallest
     covered node id so the order tracks data-flow order."""
-    import heapq
-
     by_id = {u.unit_id: u for u in units}
     indegree = {u.unit_id: len(deps.get(u.unit_id, ())) for u in units}
     dependents: dict[int, list[int]] = {}

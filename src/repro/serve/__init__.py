@@ -15,48 +15,19 @@ See ``docs/serving.md``.  The pieces:
   (``repro chaos-serve``).
 """
 
-from .client import (
-    CircuitOpenError,
-    ServeClient,
-    ServeConnectionError,
-    ServeError,
-    ServeResponseError,
-    ServeTransportError,
-)
-from .jobs import (
-    IdempotencyConflictError,
-    Job,
-    JobQueue,
-    JobSpec,
-    JobSpecError,
-    QueueClosedError,
-    QueueFullError,
-    run_job,
-)
-from .journal import JobJournal, JournalState
-from .keys import job_digest, store_schema_version
-from .server import AstraServer
-from .store import ProfileStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AstraServer",
-    "CircuitOpenError",
-    "IdempotencyConflictError",
-    "Job",
-    "JobJournal",
-    "JobQueue",
-    "JobSpec",
-    "JobSpecError",
-    "JournalState",
-    "ProfileStore",
-    "QueueClosedError",
-    "QueueFullError",
-    "ServeClient",
-    "ServeConnectionError",
-    "ServeError",
-    "ServeResponseError",
-    "ServeTransportError",
-    "job_digest",
-    "run_job",
-    "store_schema_version",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "server": ("AstraServer",),
+    "client": (
+        "CircuitOpenError", "ServeClient", "ServeConnectionError", "ServeError",
+        "ServeResponseError", "ServeTransportError",
+    ),
+    "jobs": (
+        "IdempotencyConflictError", "Job", "JobQueue", "JobSpec", "JobSpecError",
+        "QueueClosedError", "QueueFullError", "run_job",
+    ),
+    "journal": ("JobJournal", "JournalState"),
+    "store": ("ProfileStore",),
+    "keys": ("job_digest", "store_schema_version"),
+})

@@ -27,9 +27,9 @@ Two kinds of identity gate what measurements may be shared:
 from __future__ import annotations
 
 import hashlib
-import importlib
-import inspect
+import importlib.util
 import json
+import tokenize
 
 #: layout version of the job-digest document itself
 JOB_KEY_VERSION = 1
@@ -61,9 +61,11 @@ def store_schema_version() -> str:
     if _SCHEMA_CACHE is None:
         digest = hashlib.sha256()
         for name in SCHEMA_MODULES:
-            module = importlib.import_module(name)
+            # the source is read, not imported: a digest runs no module
+            with tokenize.open(importlib.util.find_spec(name).origin) as fh:
+                source = fh.read()
             digest.update(name.encode("utf-8"))
-            digest.update(inspect.getsource(module).encode("utf-8"))
+            digest.update(source.encode("utf-8"))
         _SCHEMA_CACHE = digest.hexdigest()[:16]
     return _SCHEMA_CACHE
 

@@ -1,0 +1,105 @@
+"""The autoboost RNG is built on first draw, from the seed it would have
+been built from eagerly, so every draw is the one an eagerly built RNG
+makes -- with or without ``reseed``, and across the save/restore that
+``measure_plan`` wraps around each candidate."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.baselines.native import native_plan
+from repro.core.measurement import TRUSTING
+from repro.gpu.device import CLOCK_AUTOBOOST, P100
+from repro.gpu.events import EventNamespace
+from repro.gpu.kernels import GemmLaunch
+from repro.gpu.streams import HostSyncItem, LaunchItem, StreamSimulator
+from repro.parallel.wire import WorkerSpec
+from repro.parallel.worker import SIM_STREAM_TAG, measure_plan
+from repro.perf.ranker import FastPath
+from repro.runtime.dispatcher import Dispatcher
+from repro.runtime.executor import Executor
+
+AUTOBOOST = P100.with_clock(CLOCK_AUTOBOOST)
+SEEDS = (0, 1, 7, 2024)
+
+
+class EagerSimulator(StreamSimulator):
+    """The simulator with its RNG built at construction and on reseed."""
+
+    def __init__(self, device, seed=0, injector=None):
+        super().__init__(device, seed=seed, injector=injector)
+        self._rng = np.random.default_rng(seed)
+
+    def reseed(self, seed_key) -> None:
+        if self.device.clock_mode == CLOCK_AUTOBOOST:
+            self._rng = np.random.default_rng(seed_key)
+
+
+def timings(result) -> list:
+    return [result.total_time_us] + [
+        (r.start_time, r.end_time) for r in result.records
+    ]
+
+
+@pytest.fixture(scope="module")
+def items(tiny_scrnn):
+    return Dispatcher(tiny_scrnn.graph).lower(native_plan(tiny_scrnn.graph)).items
+
+
+def two_streams() -> list:
+    """A concurrent schedule: the event-driven engine draws per start."""
+    events = EventNamespace()
+    gate = events.new_event()
+    return [
+        LaunchItem(GemmLaunch(256, 1024, 1024, "cublas"), 0, record=gate),
+        LaunchItem(GemmLaunch(64, 256, 256, "cublas"), 1),
+        LaunchItem(GemmLaunch(64, 256, 256, "cublas"), 1, waits=(gate,)),
+        HostSyncItem(),
+    ]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("reseed", [False, True], ids=["no-reseed", "reseed"])
+@pytest.mark.parametrize("schedule", ["native", "two-streams"])
+def test_draws_equal_an_eagerly_built_rng(items, seed, reseed, schedule):
+    if schedule == "two-streams":
+        items = two_streams()
+    lazy = StreamSimulator(AUTOBOOST, seed=seed)
+    eager = EagerSimulator(AUTOBOOST, seed=seed)
+    assert lazy._rng is None
+    for run in range(3):
+        if reseed:
+            key = (seed, SIM_STREAM_TAG, run)
+            lazy.reseed(key)
+            eager.reseed(key)
+        assert timings(lazy.run(items)) == timings(eager.run(items))
+
+
+def test_base_clock_never_builds_the_rng(items):
+    simulator = StreamSimulator(P100, seed=3)
+    simulator.reseed((3, SIM_STREAM_TAG, 0))
+    simulator.run(items)
+    assert simulator._rng is None and simulator._seed == 3
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_measure_plan_restores_an_rng_not_yet_built(tiny_scrnn, items, seed):
+    """A candidate measured before the executor's own first draw leaves
+    that first draw where an eager RNG would have it."""
+    graph = tiny_scrnn.graph
+    plan = native_plan(graph)
+    spec = WorkerSpec(
+        graph=graph, device=AUTOBOOST, features="F", seed=seed,
+        validate=False, policy=TRUSTING, fast=FastPath(),
+    )
+    lazy = Executor(graph, AUTOBOOST, seed=seed)
+    eager = Executor(graph, AUTOBOOST, seed=seed)
+    eager._simulator = EagerSimulator(AUTOBOOST, seed=seed)
+    measured = []
+    for executor in (lazy, eager):
+        outcome = measure_plan(executor, spec, plan, {}, base_minibatch=5)
+        measured.append([s.result.total_time_us for s in outcome.samples])
+    assert measured[0] == measured[1]
+    assert lazy._simulator._rng is None and lazy._simulator._seed == seed
+    assert timings(lazy._simulator.run(items)) == timings(eager._simulator.run(items))
