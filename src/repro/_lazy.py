@@ -6,14 +6,14 @@ imports the package.  Instead it declares which submodule provides each
 name, and the name is imported on first access::
 
     __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-        "store": ("ProfileStore",),
-        "server": ("AstraServer",),
+        "metrics": ("MetricsRegistry",),
+        "analysis": ("analyze",),
     })
 
-so ``from repro.serve.store import ProfileStore`` never loads the HTTP
-daemon, while ``from repro.serve import AstraServer`` still works.  A
-resolved name is stored on the package, so later lookups are plain
-attribute reads.
+so ``from repro.obs.metrics import MetricsRegistry`` never loads the
+critical-path analysis, while ``from repro.obs import analyze`` still
+works.  A resolved name is stored on the package, so later lookups are
+plain attribute reads.
 """
 
 from __future__ import annotations

@@ -117,7 +117,6 @@ def cmd_optimize(args) -> int:
         fast=fast,
         workers=getattr(args, "workers", None),
         store=getattr(args, "store", None),
-        server=getattr(args, "server", None),
         learned=getattr(args, "learned", None),
     )
     try:
@@ -812,52 +811,6 @@ def cmd_fleet(args) -> int:
     return 0 if not failures else 1
 
 
-def cmd_serve(args) -> int:
-    from .serve import AstraServer
-
-    server = AstraServer(
-        args.store, host=args.host, port=args.port,
-        queue_size=args.queue_size, job_workers=args.job_workers,
-        quiet=not args.verbose,
-        max_attempts=args.max_attempts, deadline_s=args.deadline,
-    )
-    stats = server.store.stats()
-    queue_stats = server.queue.stats()
-    # flush=True: supervising harnesses (repro chaos-serve) parse the URL
-    # from a pipe, so it must leave the process before any job runs
-    print(f"serving on {server.url}", flush=True)
-    print(f"store: {stats['root']}  schema {stats['schema']}  "
-          f"{stats['jobs']} jobs, {stats['segments']} segments", flush=True)
-    print(f"queue: capacity {args.queue_size}, {args.job_workers} worker(s), "
-          f"{queue_stats['recovered_jobs']} recovered job(s)", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\ndraining job queue ...")
-        server.queue.close(drain=True)
-    return 0
-
-
-def cmd_chaos_serve(args) -> int:
-    from .serve.chaos import run_serve_chaos
-
-    report = run_serve_chaos(
-        model=args.model,
-        batch=args.batch,
-        seq_len=args.seq_len,
-        device=args.device,
-        features=args.features,
-        seed=args.seed,
-        budget=args.budget,
-        quick=args.quick,
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -915,10 +868,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="persistent profile-index store: warm-start this "
                         "job from matching prior runs and publish its "
                         "measurements back (see docs/serving.md)")
-    p.add_argument("--server", default=None, metavar="URL",
-                   help="a `repro serve` daemon to warm-start from and "
-                        "publish to; unreachable daemon degrades to a "
-                        "cold run")
     p.add_argument("--learned", default=None, metavar="PATH",
                    help="learned cost-model artifact from `repro train` "
                         "('store' loads the one published in --store): "
@@ -1133,57 +1082,6 @@ def make_parser() -> argparse.ArgumentParser:
                         "change or a >20%% strategies/sec-multiple "
                         "regression")
     p.set_defaults(fn=cmd_fleet)
-
-    p = sub.add_parser(
-        "serve",
-        help="run the optimization-as-a-service daemon "
-             "(see docs/serving.md)",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
-                   help="port to bind (default 0: pick an ephemeral port "
-                        "and print it)")
-    p.add_argument("--store", default=".astra-store", metavar="PATH",
-                   help="profile-store directory shared by all jobs "
-                        "(default: .astra-store)")
-    p.add_argument("--queue-size", type=int, default=16, metavar="N",
-                   help="bounded job-queue capacity; full queue => 503")
-    p.add_argument("--job-workers", type=int, default=1, metavar="N",
-                   help="concurrent job-executor threads (default 1: "
-                        "strictly serial, deterministic store growth)")
-    p.add_argument("--verbose", action="store_true",
-                   help="log every HTTP request")
-    p.add_argument("--max-attempts", type=int, default=3, metavar="N",
-                   help="attempts before a transiently-failing job is "
-                        "dead-lettered (default 3)")
-    p.add_argument("--deadline", type=float, default=None, metavar="SEC",
-                   help="per-attempt deadline; a wedged attempt is "
-                        "abandoned and retried (default: none)")
-    p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "chaos-serve",
-        help="daemon-level chaos: SIGKILL/restart the real daemon, tear "
-             "and flip store segments, gate on zero lost work "
-             "(see docs/serving.md)",
-    )
-    p.add_argument("--model", choices=sorted(MODEL_BUILDERS),
-                   default="scrnn")
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--seq-len", type=int, default=3, dest="seq_len")
-    p.add_argument("--device", choices=sorted(DEVICES), default="P100")
-    p.add_argument("--features", choices=["F", "FK", "FKS", "all"],
-                   default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=400,
-                   help="exploration budget per job (default 400: small "
-                        "enough for CI, large enough to publish segments)")
-    p.add_argument("--quick", action="store_true",
-                   help="kill/recover + bit-flip cells only: the CI smoke "
-                        "configuration")
-    p.add_argument("--json", action="store_true",
-                   help="print a machine-readable chaos report")
-    p.set_defaults(fn=cmd_chaos_serve)
     return parser
 
 

@@ -87,7 +87,6 @@ class AstraSession:
         workers: int = 1,
         provenance=None,
         store=None,
-        server=None,
         learned=None,
     ):
         self.graph = model.graph if isinstance(model, TracedModel) else model
@@ -98,13 +97,12 @@ class AstraSession:
             features = AstraFeatures.preset(features)
         self.features = features
         self.checkpoint_path = checkpoint_path
-        # cross-job warm start (docs/serving.md): a local ProfileStore
-        # path/instance and/or a serve-daemon URL/client whose indexes
-        # seed this job's exploration and receive its measurements back.
-        # Bound before the wirer so ``learned="store"`` can resolve the
-        # store's published cost-model artifact (docs/learning.md)
+        # cross-job warm start (docs/serving.md): a ProfileStore
+        # path/instance whose index seeds this job's exploration and
+        # receives its measurements back.  Bound before the wirer so
+        # ``learned="store"`` can resolve the store's published
+        # cost-model artifact (docs/learning.md)
         self._store = store
-        self._server = server
         if learned == "store":
             binding = self._store_binding()
             learned = binding.load_model() if binding is not None else None
@@ -136,9 +134,9 @@ class AstraSession:
     # -- cross-job warm start (docs/serving.md) -----------------------------
 
     def job_digest(self) -> str | None:
-        """This job's measurement-space identity, or None when neither a
-        store nor a server is configured (no sharing requested)."""
-        if self._store is None and self._server is None:
+        """This job's measurement-space identity, or None when no store
+        is configured (no sharing requested)."""
+        if self._store is None:
             return None
         if self._job_digest is None:
             from ..serve.keys import job_digest
@@ -157,22 +155,14 @@ class AstraSession:
             self._store = ProfileStore(self._store)
         return self._store
 
-    def _server_binding(self):
-        """Materialize a URL argument into a live ServeClient once."""
-        if isinstance(self._server, str):
-            from ..serve.client import ServeClient
-
-            self._server = ServeClient(self._server)
-        return self._server
-
     def _warm_start(self) -> None:
-        """Seed the wirer's index from every configured warm source.
+        """Seed the wirer's index from the store.
 
-        Runs once, before the first exploration mini-batch.  Sources
-        merge first-writer-wins in a fixed order (store, then server),
-        so two sessions with the same sources seed identically.  A
-        source with nothing for this job is a recorded miss, not an
-        error -- the run simply starts cold and publishes afterwards.
+        Runs once, before the first exploration mini-batch.  Seeding is
+        first-writer-wins: entries already present (a restored
+        checkpoint) keep their values.  A store with nothing for this job
+        is a recorded miss, not an error -- the run simply starts cold and
+        publishes afterwards.
         """
         if self._warm_done:
             return
@@ -180,29 +170,17 @@ class AstraSession:
         digest = self.job_digest()
         if digest is None:
             return
-        store = self._store_binding()
-        if store is not None:
-            index = store.load(digest)
-            self.wirer.warm_start(
-                index.snapshot() if index is not None else (),
-                source="store", digest=digest,
-            )
-        client = self._server_binding()
-        if client is not None:
-            try:
-                entries = client.get_index(digest)
-            except OSError:
-                entries = None  # daemon unreachable: degrade to cold
-                self.wirer.metrics.counter("warm.server_unreachable").inc()
-            self.wirer.warm_start(
-                entries or (), source="server", digest=digest
-            )
+        index = self._store_binding().load(digest)
+        self.wirer.warm_start(
+            index.snapshot() if index is not None else (),
+            source="store", digest=digest,
+        )
         # everything present after seeding (including checkpoint-restored
         # entries) is someone else's work: publish only this run's delta
         self._published_keys = set(self.wirer.index.snapshot())
 
     def _publish(self) -> None:
-        """Push this run's fresh measurements back to the warm sources."""
+        """Push this run's fresh measurements back to the store."""
         digest = self.job_digest()
         if digest is None:
             return
@@ -213,19 +191,8 @@ class AstraSession:
         ]
         if not delta:
             return
-        store = self._store_binding()
-        if store is not None:
-            store.put(digest, delta)
-            self.wirer.metrics.counter("warm.published_entries").inc(len(delta))
-        client = self._server_binding()
-        if client is not None:
-            try:
-                client.put_index(digest, delta)
-                self.wirer.metrics.counter("warm.published_entries").inc(
-                    len(delta)
-                )
-            except OSError:
-                self.wirer.metrics.counter("warm.server_unreachable").inc()
+        self._store_binding().put(digest, delta)
+        self.wirer.metrics.counter("warm.published_entries").inc(len(delta))
         self._published_keys.update(key for key, _value in delta)
 
     def __enter__(self) -> "AstraSession":

@@ -110,8 +110,8 @@ class AstraReport:
     #: fast-path accounting: compilation-cache stats, pruning counts
     #: (see docs/performance.md)
     fast_path: dict = field(default_factory=dict)
-    #: warm-start accounting: entries seeded from a ProfileStore or a
-    #: serve daemon before exploration began (see docs/serving.md)
+    #: warm-start accounting: entries seeded from a ProfileStore before
+    #: exploration began (see docs/serving.md)
     warm: dict = field(default_factory=dict)
     #: exploration decision history (candidates, decisive measurements,
     #: prune verdicts, quarantines); NULL_PROVENANCE unless requested

@@ -25,14 +25,11 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "events": (
-        "FAULT_KINDS", "SERVE_FAULT_KINDS",
+        "FAULT_KINDS",
         "FAULT_SLOWDOWN", "FAULT_THROTTLE", "FAULT_LAUNCH",
         "FAULT_EVENT_DROP", "FAULT_EVENT_CORRUPT", "FAULT_OOM", "FAULT_PREEMPT",
-        "FAULT_JOB_TIMEOUT", "FAULT_DAEMON_CRASH", "FAULT_TORN_WRITE",
-        "FAULT_BIT_FLIP",
         "FaultError", "FaultEvent", "FaultRecord", "MinibatchFaultLog",
         "KernelLaunchError", "DeviceOOMError", "PreemptionError",
-        "JobTimeoutError",
     ),
     "plan": ("FaultPlan", "FaultSpec", "FaultWindow"),
     "injector": ("FaultInjector",),

@@ -48,24 +48,6 @@ FAULT_KINDS = (
     FAULT_PREEMPT,
 )
 
-#: serving-layer fault classes (see docs/serving.md "Failure modes and
-#: recovery"): these hit the daemon around the measurements rather than
-#: the measurements themselves, so they are injected by the
-#: ``repro chaos-serve`` harness (real SIGKILLs, torn files, flipped
-#: bytes) instead of the in-process ``FaultInjector``
-FAULT_JOB_TIMEOUT = "job_timeout"    # a served job exceeded its deadline
-FAULT_DAEMON_CRASH = "daemon_crash"  # the serve daemon died mid-job
-FAULT_TORN_WRITE = "torn_write"      # a store segment was cut short
-FAULT_BIT_FLIP = "bit_flip"          # a committed segment byte flipped
-
-SERVE_FAULT_KINDS = (
-    FAULT_JOB_TIMEOUT,
-    FAULT_DAEMON_CRASH,
-    FAULT_TORN_WRITE,
-    FAULT_BIT_FLIP,
-)
-
-
 @dataclass(frozen=True)
 class FaultRecord:
     """One injected fault, as logged in the injector's ledger."""
@@ -136,28 +118,6 @@ class DeviceOOMError(FaultError):
             DeviceOOMError,
             (self.arena_bytes, self.capacity_bytes, self.minibatch),
         )
-
-
-class JobTimeoutError(FaultError):
-    """A served optimization job exceeded its per-job deadline.
-
-    Raised by the daemon's job supervisor (not the injector): the worker
-    abandons the wedged attempt and either retries with backoff or
-    dead-letters the job.  Transient -- a deadline miss is usually load,
-    not poison, so a bounded number of retries is worth it."""
-
-    kind = FAULT_JOB_TIMEOUT
-    transient = True
-
-    def __init__(self, job_id: str, deadline_s: float, minibatch: int = -1):
-        super().__init__(
-            f"job {job_id} exceeded its {deadline_s:g}s deadline", minibatch
-        )
-        self.job_id = job_id
-        self.deadline_s = deadline_s
-
-    def __reduce__(self):
-        return (JobTimeoutError, (self.job_id, self.deadline_s, self.minibatch))
 
 
 class PreemptionError(FaultError):

@@ -162,8 +162,8 @@ class ProvenanceLog:
 
     def warm_seeded(self, source: str, entries: int,
                     digest: str | None = None) -> None:
-        """Profile-index entries seeded from a store / serve daemon
-        before exploration began (see docs/serving.md).  Recorded ahead
+        """Profile-index entries seeded from a profile store before
+        exploration began (see docs/serving.md).  Recorded ahead
         of every exploration event, so warm and cold runs of the same
         job stay distinguishable in the log."""
         self.events.append({"event": "warm", "source": source,

@@ -418,13 +418,6 @@ class ProfileStore:
             )
         return index if seen_any else None
 
-    def available(self) -> bool:
-        """Can the store currently accept a segment?  (``/readyz``)"""
-        return (
-            os.path.isdir(self._index_root())
-            and os.access(self._index_root(), os.W_OK)
-        )
-
     def jobs(self) -> list[str]:
         """Digests with at least one segment directory, sorted."""
         try:
@@ -451,14 +444,7 @@ class ProfileStore:
             "corrupt_segments": self.corrupt_segments,
             "quarantined_segments": self.quarantined_segments,
             "quarantine_dir_entries": len(self.quarantined()),
-            "available": self.available(),
         }
-
-    def observe_into(self, registry) -> None:
-        stats = self.stats()
-        for name in ("jobs", "segments", "evicted_segments",
-                     "corrupt_segments", "quarantined_segments"):
-            registry.gauge(f"store.{name}").set(stats[name])
 
 
 def _normalize_body(body: dict):

@@ -4,15 +4,18 @@ A cold run populates a store; a warm rerun of the identical job must
 converge to a *bit-identical* winner while measuring at most half the
 configurations (in practice: zero -- every profile-index probe hits).
 Also pinned: provenance attribution of warm-seeded entries, digest
-sensitivity (a different job must not inherit), and the store/report
-accounting the CLI and ``repro bench`` surface.
+sensitivity (a different job must not inherit), the store/report
+accounting the CLI and ``repro bench`` surface, and graceful degradation
+when a committed segment is corrupted on disk.
 """
 
+import glob
 import os
 
 import pytest
 
 from repro.core.session import AstraSession
+from repro.models import build_scrnn, scrnn
 from repro.serve.keys import job_digest
 from repro.serve.store import ProfileStore
 
@@ -161,3 +164,32 @@ class TestPublishDelta:
         segments = [n for n in os.listdir(job_dir) if n.endswith(".json")]
         assert len(segments) == 1
         assert segments[0].startswith("seg-")
+
+
+class TestCorruptStoreDegrades:
+    def test_bit_flip_quarantines_and_reruns_to_reference_winner(
+        self, tmp_path
+    ):
+        """One flipped byte in the only committed segment: the warm rerun
+        detects it by checksum, quarantines and counts it, runs cold, and
+        still lands on the reference winner."""
+        model = build_scrnn(scrnn.DEFAULT_CONFIG.scaled(batch_size=4, seq_len=3))
+        root = str(tmp_path / "store")
+        reference, _ = _run(model, ProfileStore(root))
+        (victim,) = glob.glob(os.path.join(root, "index", "*", "seg-*.json"))
+        with open(victim, "rb") as fh:
+            raw = bytearray(fh.read())
+        raw[len(raw) // 2] ^= 0xFF
+        with open(victim, "wb") as fh:
+            fh.write(raw)
+
+        store = ProfileStore(root)
+        rerun, _ = _run(model, store)
+        assert store.corrupt_segments == 1
+        assert store.quarantined_segments == 1
+        assert len(store.quarantined()) == 1
+        assert not os.path.exists(victim)
+        assert rerun.warm["seeded_entries"] == 0
+        assert rerun.configs_explored > 0
+        assert _assignment(rerun) == _assignment(reference)
+        assert rerun.best_time_us == reference.best_time_us
