@@ -16,8 +16,13 @@ the paper's optimizations exploit (sections 2.3 and 3.3):
   reproducing the variance the paper had to disable via nvidia-smi
   (section 7).
 
-The engine returns per-kernel and per-event timestamps, from which the
-profiler computes the fine-grained measurements that drive adaptation.
+The engine runs a :class:`StreamProgram` -- flat ops whose events are
+integer slots, over a table of the launched kernels and their costs --
+and returns per-kernel and per-event timestamps, from which the profiler
+computes the fine-grained measurements that drive adaptation.  The
+dispatcher binds a program per candidate onto a structure it compiled
+once; a hand-built dispatch-item list is compiled by
+:func:`compile_items`.
 """
 
 from __future__ import annotations
@@ -111,16 +116,215 @@ class KernelRecord:
         return self.kernel.kind
 
 
-@dataclass
-class ExecutionResult:
-    """Everything the profiler can observe about one mini-batch execution."""
+# -- the engine's input: flat ops over a kernel table ------------------------
 
-    total_time_us: float
-    cpu_time_us: float
-    records: list[KernelRecord]
-    event_times: dict[EventId, float]
-    #: CPU microseconds spent on event marking (profiling overhead metric)
-    profiling_overhead_us: float = 0.0
+#: op codes of a :class:`StreamProgram`.  Ops are plain tuples:
+#: ``(OP_LAUNCH, stream, waits, record, profiling)`` launches the next
+#: kernel of the table (``waits`` a tuple of event slots, ``record`` a slot
+#: or -1); ``(OP_RECORD, stream, slot)``; ``(OP_SYNC, slot)`` with -1 for
+#: all work; ``(OP_HOST, duration_us, label, unit)``, ``unit`` being the
+#: owning unit id or None.
+OP_LAUNCH, OP_RECORD, OP_SYNC, OP_HOST = range(4)
+
+
+class KernelTable:
+    """The kernels a schedule launches, in record order, with their costs
+    on one device computed once: base-clock duration, SM cap and kind."""
+
+    __slots__ = ("kernels", "_device", "_costs")
+
+    def __init__(self, kernels: list[Kernel]):
+        self.kernels = kernels
+        self._device = None
+        self._costs = None
+
+    def costs(self, device: GPUSpec) -> tuple[list, list, list]:
+        if device is not self._device:
+            self._costs = (
+                [kernel.duration_us(device) for kernel in self.kernels],
+                [kernel.parallelism(device) for kernel in self.kernels],
+                [kernel.kind for kernel in self.kernels],
+            )
+            self._device = device
+        return self._costs
+
+
+class StreamProgram:
+    """A dispatch list in the form the engine runs: flat ops whose events
+    are integer slots, over a :class:`KernelTable`.
+
+    ``events`` maps each slot back to its :class:`EventId`; it may be given
+    as a callable that builds the list, called on first read.
+    ``sequential`` is True when every launch shares one stream and none
+    waits, which the single-stream fast path executes exactly.
+    ``len()`` is the number of dispatch items.
+    """
+
+    __slots__ = ("table", "ops", "num_events", "sequential", "_events")
+
+    def __init__(self, table: KernelTable, ops: list[tuple], num_events: int,
+                 events, sequential: bool):
+        self.table = table
+        self.ops = ops
+        self.num_events = num_events
+        self.sequential = sequential
+        self._events = events
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    @property
+    def events(self) -> list[EventId]:
+        if callable(self._events):
+            self._events = self._events()
+        return self._events
+
+    def to_items(self) -> list[DispatchItem]:
+        """The dispatch items these ops encode."""
+        kernels = self.table.kernels
+        events = self.events
+        items: list[DispatchItem] = []
+        record = 0
+        for op in self.ops:
+            code = op[0]
+            if code == OP_LAUNCH:
+                _, stream, waits, slot, profiling = op
+                items.append(LaunchItem(
+                    kernels[record], stream,
+                    waits=tuple(events[s] for s in waits),
+                    record=events[slot] if slot >= 0 else None,
+                    record_is_profiling=profiling,
+                ))
+                record += 1
+            elif code == OP_SYNC:
+                items.append(HostSyncItem(events[op[1]] if op[1] >= 0 else None))
+            elif code == OP_HOST:
+                items.append(HostComputeItem(op[1], label=op[2]))
+            else:
+                items.append(RecordEventItem(op[1], events[op[2]]))
+        return items
+
+
+def compile_items(items: list[DispatchItem]) -> StreamProgram:
+    """Compile a hand-built dispatch list for the engine."""
+    slots: dict[EventId, int] = {}
+    events: list[EventId] = []
+
+    def slot(event: EventId) -> int:
+        index = slots.get(event)
+        if index is None:
+            index = slots[event] = len(events)
+            events.append(event)
+        return index
+
+    kernels: list[Kernel] = []
+    ops: list[tuple] = []
+    stream = None
+    sequential = True
+    for item in items:
+        if isinstance(item, LaunchItem):
+            waits = tuple(slot(ev) for ev in item.waits)
+            if waits:
+                sequential = False
+            if stream is None:
+                stream = item.stream
+            elif item.stream != stream:
+                sequential = False
+            kernels.append(item.kernel)
+            record = slot(item.record) if item.record is not None else -1
+            ops.append((OP_LAUNCH, item.stream, waits, record, item.record_is_profiling))
+        elif isinstance(item, RecordEventItem):
+            if stream is not None and item.stream != stream:
+                sequential = False
+            ops.append((OP_RECORD, item.stream, slot(item.event)))
+        elif isinstance(item, HostSyncItem):
+            ops.append((OP_SYNC, slot(item.event) if item.event is not None else -1))
+        elif isinstance(item, HostComputeItem):
+            ops.append((OP_HOST, item.duration_us, item.label, None))
+        else:
+            raise TypeError(f"unknown dispatch item {item!r}")
+    return StreamProgram(KernelTable(kernels), ops, len(events), events, sequential)
+
+
+class ExecutionResult:
+    """Everything the profiler can observe about one mini-batch execution.
+
+    The engine fills flat per-record lists (``start_times``,
+    ``end_times``); ``records`` and ``event_times`` are built from them on
+    first read.
+    """
+
+    def __init__(
+        self,
+        total_time_us: float,
+        cpu_time_us: float,
+        records: list[KernelRecord],
+        event_times: dict[EventId, float],
+        profiling_overhead_us: float = 0.0,
+    ):
+        self.total_time_us = total_time_us
+        self.cpu_time_us = cpu_time_us
+        #: CPU microseconds spent on event marking (profiling overhead metric)
+        self.profiling_overhead_us = profiling_overhead_us
+        self.start_times = [r.start_time for r in records]
+        self.end_times = [r.end_time for r in records]
+        self._records = records
+        self._event_times = event_times
+        self._run = None
+
+    @classmethod
+    def of_run(cls, program: StreamProgram, total_time_us: float, cpu_time_us: float,
+               profiling_overhead_us: float, issue_times: list[float],
+               start_times: list[float], end_times: list[float], streams: list[int],
+               event_slot_times: list, stamped: list[int]) -> "ExecutionResult":
+        """A result over the engine's flat lists; ``stamped`` lists event
+        slots in the order they were first recorded."""
+        self = cls.__new__(cls)
+        self.total_time_us = total_time_us
+        self.cpu_time_us = cpu_time_us
+        self.profiling_overhead_us = profiling_overhead_us
+        self.start_times = start_times
+        self.end_times = end_times
+        self._records = None
+        self._event_times = None
+        self._run = (program, issue_times, streams, event_slot_times, stamped)
+        return self
+
+    @property
+    def records(self) -> list[KernelRecord]:
+        if self._records is None:
+            program, issue, streams, _times, _stamped = self._run
+            kernels = program.table.kernels
+            self._records = [
+                KernelRecord(kernels[i], streams[i], issue[i], start, end)
+                for i, (start, end) in enumerate(zip(self.start_times, self.end_times))
+            ]
+        return self._records
+
+    @property
+    def event_times(self) -> dict[EventId, float]:
+        if self._event_times is None:
+            program, _issue, _streams, times, stamped = self._run
+            events = program.events
+            self._event_times = {events[slot]: times[slot] for slot in stamped}
+        return self._event_times
+
+    def _fields(self) -> tuple:
+        return (self.total_time_us, self.cpu_time_us, self.records,
+                self.event_times, self.profiling_overhead_us)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        names = ("total_time_us", "cpu_time_us", "records", "event_times",
+                 "profiling_overhead_us")
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields()))
+        return f"ExecutionResult({body})"
 
     def elapsed_us(self, start: EventId, end: EventId) -> float:
         """cudaEventElapsedTime analog."""
@@ -144,10 +348,11 @@ class ExecutionResult:
 class _Running:
     """A kernel currently executing, tracked in slot-microseconds."""
 
-    __slots__ = ("record", "cap", "work_left", "rate", "uses_sms")
+    __slots__ = ("record", "stream", "cap", "work_left", "rate", "uses_sms")
 
-    def __init__(self, record: KernelRecord, cap: int, work: float, uses_sms: bool):
+    def __init__(self, record: int, stream: int, cap: int, work: float, uses_sms: bool):
         self.record = record
+        self.stream = stream
         self.cap = max(1, cap)
         self.work_left = work
         # copy-engine work never shares the SM array: it runs at unit rate
@@ -157,6 +362,12 @@ class _Running:
 
 def _cap(running: _Running) -> int:
     return running.cap
+
+
+def _launch_error(kind: str, injector):
+    from ..faults.events import KernelLaunchError
+
+    return KernelLaunchError(kind, injector.minibatch)
 
 
 class StreamSimulator:
@@ -207,100 +418,91 @@ class StreamSimulator:
         half = self.device.autoboost_jitter
         return max(0.05, gain * (1.0 + self._rng.uniform(-half, half)))
 
-    def _duration(self, kernel: Kernel) -> float:
-        """Execution time of one kernel instance: model time, autoboost
-        jitter, then any injected straggler/throttle multiplier."""
-        duration = kernel.duration_us(self.device) * self._jitter()
-        if self.injector is not None:
-            duration *= self.injector.kernel_multiplier(kernel.kind)
-        return duration
+    def run(self, schedule: StreamProgram | list[DispatchItem]) -> ExecutionResult:
+        """Execute a compiled program, or a dispatch list compiled here."""
+        program = schedule if isinstance(schedule, StreamProgram) else compile_items(schedule)
+        if program.sequential:
+            return self._run_sequential(program)
+        return self._run_concurrent(program)
 
-    def _check_launch(self, item: LaunchItem) -> None:
-        if self.injector is not None and self.injector.launch_fails(item.kernel.kind):
-            from ..faults.events import KernelLaunchError
-
-            raise KernelLaunchError(item.kernel.kind, self.injector.minibatch)
-
-    def _mark_profiled_record(self, record_index: int) -> None:
-        """Give the injector a chance to drop/corrupt the timestamp pair
-        backing this profiled kernel record."""
-        if self.injector is not None:
-            self.injector.event_fault(record_index)
-
-    def run(self, items: list[DispatchItem]) -> ExecutionResult:
-        if self._is_sequential(items):
-            return self._run_sequential(items)
-        return self._run_concurrent(items)
-
-    @staticmethod
-    def _is_sequential(items: list[DispatchItem]) -> bool:
-        """True when the schedule uses a single stream and no cross-stream
-        waits -- the common case for native and fusion-phase plans, which a
-        much cheaper pipeline model executes exactly."""
-        stream = None
-        for item in items:
-            if isinstance(item, LaunchItem):
-                if item.waits:
-                    return False
-                if stream is None:
-                    stream = item.stream
-                elif item.stream != stream:
-                    return False
-            elif isinstance(item, RecordEventItem):
-                if stream is not None and item.stream != stream:
-                    return False
-        return True
-
-    def _run_sequential(self, items: list[DispatchItem]) -> ExecutionResult:
+    def _run_sequential(self, program: StreamProgram) -> ExecutionResult:
         """O(n) execution of a single-stream schedule: each kernel starts at
         max(its launch time, previous kernel's completion)."""
         device = self.device
+        launch_us = device.launch_overhead_us
+        event_us = device.event_overhead_us
+        barrier_us = device.barrier_overhead_us
+        durations, _caps, kinds = program.table.costs(device)
+        injector = self.injector
+        boost = device.clock_mode == CLOCK_AUTOBOOST
+        n = len(durations)
+        issue_times = [0.0] * n
+        start_times = [-1.0] * n
+        end_times = [-1.0] * n
+        streams = [0] * n
+        times = [None] * program.num_events
+        stamped: list[int] = []
         cpu_time = 0.0
         last_end = 0.0
-        records: list[KernelRecord] = []
-        event_times: dict[EventId, float] = {}
         profiling_overhead = 0.0
-        for item in items:
-            if isinstance(item, LaunchItem):
-                cpu_time += device.launch_overhead_us
-                self._check_launch(item)
-                if item.record is not None:
-                    cpu_time += device.event_overhead_us
-                    if item.record_is_profiling:
-                        profiling_overhead += device.event_overhead_us
-                        self._mark_profiled_record(len(records))
+        rec = 0
+        for op in program.ops:
+            code = op[0]
+            if code == OP_LAUNCH:
+                _, stream, _waits, slot, profiling = op
+                cpu_time += launch_us
+                if injector is not None and injector.launch_fails(kinds[rec]):
+                    raise _launch_error(kinds[rec], injector)
+                if slot >= 0:
+                    cpu_time += event_us
+                    if profiling:
+                        profiling_overhead += event_us
+                        if injector is not None:
+                            injector.event_fault(rec)
                 start = max(cpu_time, last_end)
-                duration = self._duration(item.kernel)
+                duration = durations[rec]
+                if boost:
+                    duration = duration * self._jitter()
+                if injector is not None:
+                    duration *= injector.kernel_multiplier(kinds[rec])
                 end = start + duration
-                records.append(
-                    KernelRecord(item.kernel, item.stream, cpu_time, start, end)
-                )
+                issue_times[rec] = cpu_time
+                start_times[rec] = start
+                end_times[rec] = end
+                streams[rec] = stream
+                rec += 1
                 last_end = end
-                if item.record is not None:
-                    event_times[item.record] = end
-            elif isinstance(item, RecordEventItem):
-                cpu_time += device.event_overhead_us
-                profiling_overhead += device.event_overhead_us
-                event_times[item.event] = max(cpu_time, last_end) if records else cpu_time
-            elif isinstance(item, HostComputeItem):
-                cpu_time += item.duration_us
-            elif isinstance(item, HostSyncItem):
-                if item.event is not None and item.event not in event_times:
-                    raise RuntimeError(f"sync on unrecorded event {item.event}")
-                target = event_times[item.event] if item.event is not None else last_end
-                cpu_time = max(cpu_time, target) + device.barrier_overhead_us
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown dispatch item {item!r}")
+                if slot >= 0:
+                    if times[slot] is None:
+                        stamped.append(slot)
+                    times[slot] = end
+            elif code == OP_RECORD:
+                slot = op[2]
+                cpu_time += event_us
+                profiling_overhead += event_us
+                if times[slot] is None:
+                    stamped.append(slot)
+                times[slot] = max(cpu_time, last_end) if rec else cpu_time
+            elif code == OP_HOST:
+                cpu_time += op[1]
+            else:
+                slot = op[1]
+                if slot < 0:
+                    target = last_end
+                else:
+                    target = times[slot]
+                    if target is None:
+                        raise RuntimeError(
+                            f"sync on unrecorded event {program.events[slot]}"
+                        )
+                cpu_time = max(cpu_time, target) + barrier_us
         total = max(cpu_time, last_end)
-        return ExecutionResult(
-            total_time_us=total,
-            cpu_time_us=cpu_time,
-            records=records,
-            event_times=event_times,
-            profiling_overhead_us=profiling_overhead,
+        return ExecutionResult.of_run(
+            program, total, cpu_time, profiling_overhead,
+            issue_times, start_times, end_times, streams, times, stamped,
         )
 
-    def _run_concurrent(self, items: list[DispatchItem]) -> ExecutionResult:
+    def _run_concurrent(self, program: StreamProgram) -> ExecutionResult:
         """Event-driven execution of a multi-stream schedule.
 
         Each step advances simulated time to the earlier of the next
@@ -311,13 +513,28 @@ class StreamSimulator:
         empty queue, or a stamped event touched; ``sharers`` keeps the
         SM-sharing kernels sorted by ``(cap, start order)``, so the
         max-min fair water-fill is one linear pass, redone only when the
-        running set changes.
+        running set changes.  Records and events are integer indices
+        into flat lists.
         """
         device = self.device
         slots = float(device.sm_slots)
+        launch_us = device.launch_overhead_us
+        event_us = device.event_overhead_us
+        barrier_us = device.barrier_overhead_us
+        durations, caps, kinds = program.table.costs(device)
+        injector = self.injector
+        boost = device.clock_mode == CLOCK_AUTOBOOST
+        ops = program.ops
+        num_ops = len(ops)
+        n = len(durations)
+        issue_times = [0.0] * n
+        start_times = [-1.0] * n
+        end_times = [-1.0] * n
+        streams = [0] * n
 
-        event_times: dict[EventId, float] = {}
-        records: list[KernelRecord] = []
+        # event slot -> completion time (None until recorded)
+        times: list = [None] * program.num_events
+        stamped: list[int] = []  # event slots in first-recorded order
         # stream id -> (record, waits, events to stamp) not yet finished
         queues: dict[int, deque] = {}
         # stream id -> rank of its first launch; breaks start-time ties
@@ -325,9 +542,9 @@ class StreamSimulator:
         # stream id -> completion time of its last finished kernel
         last_done: dict[int, float] = {}
         # stream id -> (start, stream order, record) of a startable head
-        ready: dict[int, tuple[float, int, KernelRecord]] = {}
-        # event -> streams whose head waited on it when last refreshed
-        waiters: dict[EventId, list[int]] = {}
+        ready: dict[int, tuple[float, int, int]] = {}
+        # event slot -> streams whose head waited on it when last refreshed
+        waiters: dict[int, list[int]] = {}
         running: list[_Running] = []  # in start order
         sharers: list[_Running] = []  # SM users, sorted by (cap, start order)
         rates_stale = False
@@ -335,6 +552,7 @@ class StreamSimulator:
 
         cpu_time = 0.0
         idx = 0
+        issued = 0  # records issued so far
         sim_time = 0.0
         in_flight = 0  # launched but unfinished kernels
 
@@ -345,76 +563,84 @@ class StreamSimulator:
             if not queue:
                 return
             rec, waits, _events = queue[0]
-            if rec.start_time >= 0.0:
+            if start_times[rec] >= 0.0:
                 return  # already running
-            # every wait, stamped or not: re-recording an event moves it
-            for ev in waits:
-                waiters.setdefault(ev, []).append(stream)
-            if any(ev not in event_times for ev in waits):
-                return
-            start = rec.issue_time
-            for ev in waits:
-                start = max(start, event_times[ev])
+            start = issue_times[rec]
+            if waits:
+                # every wait, stamped or not: re-recording an event moves it
+                for ev in waits:
+                    waiters.setdefault(ev, []).append(stream)
+                for ev in waits:
+                    if times[ev] is None:
+                        return
+                for ev in waits:
+                    start = max(start, times[ev])
             start = max(start, last_done.get(stream, 0.0))
             ready[stream] = (start, stream_order[stream], rec)
 
-        def stamp(event: EventId, time: float) -> None:
-            event_times[event] = time
-            for stream in waiters.pop(event, ()):
+        def stamp(slot: int, time: float) -> None:
+            if times[slot] is None:
+                stamped.append(slot)
+            times[slot] = time
+            for stream in waiters.pop(slot, ()):
                 refresh(stream)
 
         def issue() -> None:
-            """Issue dispatch items until the host blocks on a sync."""
-            nonlocal cpu_time, idx, in_flight, profiling_overhead
-            while idx < len(items):
-                item = items[idx]
-                if isinstance(item, LaunchItem):
-                    cpu_time += device.launch_overhead_us
-                    self._check_launch(item)
-                    rec = KernelRecord(item.kernel, item.stream, issue_time=cpu_time)
-                    events = []
-                    if item.record is not None:
-                        cpu_time += device.event_overhead_us
-                        if item.record_is_profiling:
-                            profiling_overhead += device.event_overhead_us
-                            self._mark_profiled_record(len(records))
-                        events.append(item.record)
-                    queue = queues.get(item.stream)
+            """Issue ops until the host blocks on a sync."""
+            nonlocal cpu_time, idx, issued, in_flight, profiling_overhead
+            while idx < num_ops:
+                op = ops[idx]
+                code = op[0]
+                if code == OP_LAUNCH:
+                    _, stream, waits, slot, profiling = op
+                    rec = issued
+                    cpu_time += launch_us
+                    if injector is not None and injector.launch_fails(kinds[rec]):
+                        raise _launch_error(kinds[rec], injector)
+                    issue_times[rec] = cpu_time
+                    streams[rec] = stream
+                    if slot >= 0:
+                        cpu_time += event_us
+                        if profiling:
+                            profiling_overhead += event_us
+                            if injector is not None:
+                                injector.event_fault(rec)
+                        events = (slot,)
+                    else:
+                        events = ()
+                    queue = queues.get(stream)
                     if queue is None:
-                        stream_order[item.stream] = len(queues)
-                        queue = queues[item.stream] = deque()
-                    queue.append((rec, tuple(item.waits), tuple(events)))
+                        stream_order[stream] = len(queues)
+                        queue = queues[stream] = deque()
+                    queue.append((rec, waits, events))
                     if len(queue) == 1:
-                        refresh(item.stream)
-                    records.append(rec)
+                        refresh(stream)
+                    issued += 1
                     in_flight += 1
-                elif isinstance(item, RecordEventItem):
-                    cpu_time += device.event_overhead_us
-                    profiling_overhead += device.event_overhead_us
-                    queue = queues.get(item.stream)
+                elif code == OP_SYNC:
+                    slot = op[1]
+                    if slot < 0:
+                        if in_flight > 0:
+                            return
+                        cpu_time = max(cpu_time, sim_time) + barrier_us
+                    else:
+                        if times[slot] is None:
+                            return
+                        cpu_time = max(cpu_time, times[slot]) + barrier_us
+                elif code == OP_HOST:
+                    cpu_time += op[1]
+                else:
+                    _, stream, slot = op
+                    cpu_time += event_us
+                    profiling_overhead += event_us
+                    queue = queues.get(stream)
                     if queue:
                         # piggyback on the last launched kernel in the stream
                         rec, waits, events = queue[-1]
-                        queue[-1] = (rec, waits, events + (item.event,))
+                        queue[-1] = (rec, waits, events + (slot,))
                     else:
                         # stream idle: event completes immediately at CPU time
-                        stamp(item.event, max(cpu_time, last_done.get(item.stream, 0.0)))
-                elif isinstance(item, HostComputeItem):
-                    cpu_time += item.duration_us
-                elif isinstance(item, HostSyncItem):
-                    if item.event is None:
-                        if in_flight > 0:
-                            return
-                        cpu_time = max(cpu_time, sim_time) + device.barrier_overhead_us
-                    else:
-                        if item.event not in event_times:
-                            return
-                        cpu_time = (
-                            max(cpu_time, event_times[item.event])
-                            + device.barrier_overhead_us
-                        )
-                else:  # pragma: no cover - defensive
-                    raise TypeError(f"unknown dispatch item {item!r}")
+                        stamp(slot, max(cpu_time, last_done.get(stream, 0.0)))
                 idx += 1
 
         issue()
@@ -466,12 +692,13 @@ class StreamSimulator:
 
             # completions first (frees stream heads and events)
             if finished:
-                running = [r for r in running if r.work_left > _EPS]
-                sharers = [r for r in sharers if r.work_left > _EPS]
                 rates_stale = True
                 for r in finished:
-                    r.record.end_time = sim_time
-                    stream = r.record.stream
+                    running.remove(r)
+                    if r.uses_sms:
+                        sharers.remove(r)
+                    end_times[r.record] = sim_time
+                    stream = r.stream
                     entry = queues[stream].popleft()
                     last_done[stream] = sim_time
                     refresh(stream)
@@ -490,14 +717,20 @@ class StreamSimulator:
             else:
                 due = sorted(c for c in ready.values() if c[0] <= sim_time + _EPS)
             for _start, _order, rec in due:
-                del ready[rec.stream]
-                rec.start_time = sim_time
-                kernel = rec.kernel
-                cap = kernel.parallelism(device)
+                stream = streams[rec]
+                del ready[stream]
+                start_times[rec] = sim_time
+                cap = caps[rec]
                 uses_sms = cap > 0
-                base = self._duration(kernel)
+                # model time, autoboost jitter, then any injected
+                # straggler/throttle multiplier
+                base = durations[rec]
+                if boost:
+                    base = base * self._jitter()
+                if injector is not None:
+                    base *= injector.kernel_multiplier(kinds[rec])
                 work = base * (max(1, cap) if uses_sms else 1.0)
-                r = _Running(rec, cap, work, uses_sms)
+                r = _Running(rec, stream, cap, work, uses_sms)
                 running.append(r)
                 if uses_sms:
                     # insort_right: equal caps stay in start order
@@ -506,11 +739,12 @@ class StreamSimulator:
             if not due and next_completion is None:
                 raise RuntimeError("simulation stalled without progress")
 
-        total = max([cpu_time] + [r.end_time for r in records] + [sim_time])
-        return ExecutionResult(
-            total_time_us=total,
-            cpu_time_us=cpu_time,
-            records=records,
-            event_times=event_times,
-            profiling_overhead_us=profiling_overhead,
+        if issued < n:
+            # the host blocked on an event that is never recorded
+            del issue_times[issued:], start_times[issued:], end_times[issued:]
+            del streams[issued:]
+        total = max([cpu_time] + end_times + [sim_time])
+        return ExecutionResult.of_run(
+            program, total, cpu_time, profiling_overhead,
+            issue_times, start_times, end_times, streams, times, stamped,
         )

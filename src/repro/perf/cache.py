@@ -1,12 +1,16 @@
 """The plan-structure compilation cache.
 
-Memoizes the structural half of
-:meth:`repro.runtime.dispatcher.Dispatcher.lower`:
-:func:`~repro.perf.signature.structure_key` -> (unit dependencies, issue
-order).  It hits whenever only kernel parameters, stream maps, barriers
-or the profiling set changed -- i.e. on almost every exploration round --
-and skips the dependency recursion and toposort while the dispatcher
-still emits fresh items.
+Memoizes the structural half of lowering:
+:func:`~repro.perf.signature.structure_key` ->
+:class:`~repro.runtime.dispatcher.CompiledSchedule` (dependencies, issue
+order, kernel table, record and readback layout).  It hits whenever only
+kernel parameters, stream maps, barriers or the profiling set changed --
+i.e. on almost every exploration round -- and the dispatcher then only
+binds the candidate's streams, events and barriers.  A hit whose units
+are not the entry's unit objects (a kernel-library change, say) keeps
+the entry's dependencies and issue order and recompiles the rest,
+covering check included.  A plan that fails the compile checks (a node
+covered twice, a dispatch order that breaks a dependency) stores nothing.
 
 The cache is LRU-bounded.  Hit/miss/eviction counters are published to
 the metrics registry under ``perf.cache.*`` and mirrored in
@@ -26,12 +30,12 @@ from .signature import structure_key
 
 
 class LoweringCache:
-    """LRU memo of plan structure for lowering."""
+    """LRU memo of compiled plan structure for lowering."""
 
     def __init__(self, capacity: int = 256, metrics=None):
         self.capacity = capacity
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._structures: OrderedDict[tuple, tuple] = OrderedDict()
+        self._structures: OrderedDict[tuple, object] = OrderedDict()
         self._counts = {
             "structure_hits": 0, "structure_misses": 0, "evictions": 0,
         }
@@ -46,21 +50,24 @@ class LoweringCache:
         entry = self._structures.get(skey)
         if entry is None:
             self._count("structure_misses")
-            deps = dispatcher.unit_dependencies(plan)
-            order = dispatcher.order_units(plan, deps)
-            self._structures[skey] = (deps, [u.unit_id for u in order])
-            while len(self._structures) > self.capacity:
-                self._structures.popitem(last=False)
-                self._count("evictions")
-            return dispatcher.lower(plan, deps=deps, order=order)
+            compiled = self._compile(dispatcher, plan, skey)
+        else:
+            self._structures.move_to_end(skey)
+            self._count("structure_hits")
+            compiled = entry
+            if not entry.fits(plan):
+                compiled = self._compile(dispatcher, plan, skey, entry)
+        return dispatcher.lower(plan, compiled)
 
-        self._structures.move_to_end(skey)
-        self._count("structure_hits")
-        deps, order_ids = entry
-        by_id = {u.unit_id: u for u in plan.units}
-        return dispatcher.lower(
-            plan, deps=deps, order=[by_id[uid] for uid in order_ids]
-        )
+    def _compile(self, dispatcher, plan, skey, entry=None):
+        """Compile ``plan`` into the slot for ``skey``, reusing ``entry``'s
+        dependencies and issue order when there is one."""
+        compiled = dispatcher.compile(plan, like=entry)
+        self._structures[skey] = compiled
+        while len(self._structures) > self.capacity:
+            self._structures.popitem(last=False)
+            self._count("evictions")
+        return compiled
 
     @property
     def hit_rate(self) -> float:

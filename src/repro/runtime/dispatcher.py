@@ -5,41 +5,370 @@ assignment, event insertion for cross-stream dependencies, barrier
 placement at super-epoch boundaries, and profiling-event placement.  The
 same dispatcher executes native, cuDNN, XLA and Astra plans -- they differ
 only in the :class:`~repro.runtime.plan.ExecutionPlan` handed in.
+
+Lowering is two steps.  :meth:`Dispatcher.compile` does everything the
+plan's units and dispatch order fix -- dependencies, issue order, the
+kernel table and the record layout -- into a :class:`CompiledSchedule`,
+which the compilation cache keeps per structure.
+:meth:`CompiledSchedule.bind` then resolves only what a candidate
+changes -- its stream map, profiling set and barriers -- into the
+engine's flat :class:`~repro.gpu.streams.StreamProgram`.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from functools import partial
+from operator import is_
 
-from ..gpu.events import EventId, EventNamespace
+from ..gpu.events import EventId
 from ..gpu.streams import (
+    OP_HOST,
+    OP_LAUNCH,
+    OP_SYNC,
     DispatchItem,
-    HostComputeItem,
-    HostSyncItem,
-    LaunchItem,
+    KernelTable,
+    StreamProgram,
+    compile_items,
 )
 from ..ir.graph import Graph
 from .plan import ExecutionPlan, Unit
 
+_SYNC_ALL = (OP_SYNC, -1)
 
-@dataclass
+
+def _event_ids(completions: int, owners: list[int]) -> list[EventId]:
+    """Slot -> event of a bound program: the completion events first (in
+    the order the dispatcher allocates them), then the profiling events."""
+    return [
+        EventId(slot, f"u{uid}" if slot < completions else f"p{uid}")
+        for slot, uid in enumerate(owners)
+    ]
+
+
+class Readback:
+    """Where each unit's measurements sit in a run's record list.
+
+    Per unit with a kernel, in plan order: ``uids``, ``mains`` (its main
+    record) and ``backs`` (its pre-copy records).  ``epoch_groups`` holds,
+    per super-epoch in first-seen order, the units with epoch coordinates
+    and their first records, and per epoch in sorted order its key, units
+    and main records: ``(uids, firsts, [((se, epoch), uids, mains), ...])``.
+    """
+
+    def __init__(self, units: list[Unit], epoch_of: dict[int, tuple[int, int]],
+                 unit_record_index: dict[int, int]):
+        self.uids: list[int] = []
+        self.mains: list[int] = []
+        self.backs: list[tuple[int, ...]] = []
+        groups: dict[int, tuple[list[int], list[int], dict]] = {}
+        for unit in units:
+            uid = unit.unit_id
+            idx = unit_record_index.get(uid)
+            if idx is None:
+                continue
+            copies = len(unit.pre_copies)
+            self.uids.append(uid)
+            self.mains.append(idx)
+            # a hand-built schedule may map a unit near the head of the
+            # record list; never charge a record before index 0
+            self.backs.append(
+                tuple(idx - b for b in range(1, copies + 1) if idx - b >= 0)
+            )
+            se, epoch = epoch_of.get(uid, (-1, -1))
+            if se < 0 or epoch < 0:
+                continue
+            group_uids, firsts, epochs = groups.setdefault(se, ([], [], {}))
+            group_uids.append(uid)
+            firsts.append(max(0, idx - copies))
+            epoch_uids, mains = epochs.setdefault(epoch, ([], []))
+            epoch_uids.append(uid)
+            mains.append(idx)
+        self.epoch_groups = [
+            (group_uids, firsts, [((se, e), *epochs[e]) for e in sorted(epochs)])
+            for se, (group_uids, firsts, epochs) in groups.items()
+        ]
+
+
+class CompiledSchedule:
+    """The part of lowering that only the plan's units, epoch coordinates
+    and dispatch order decide, computed once per structure.
+
+    Per issue position: ``order_ids`` and ``step_deps`` (each unit's
+    sorted dependencies) and ``copies`` (its pre-copy count, -1 for a
+    unit without a kernel); ``host_work`` maps host-work units to
+    ``(host_us, label)``.  ``edge_uids``/``edge_deps`` list every
+    dependency on a kernel unit -- only those can record an event -- in
+    the order the event set is built.  These four depend on the
+    structure alone and are shared by every schedule compiled
+    :meth:`like` this one.  The rest depends on the units: the kernel
+    table (pre-copies and main kernels in record order),
+    ``record_units`` and the :class:`Readback` layout.  Units are
+    shared, never-mutated templates, so :meth:`fits` recognizes a plan
+    over the same unit objects.
+    """
+
+    def __init__(self, plan: ExecutionPlan, order_ids: list[int],
+                 step_deps: list[tuple[int, ...]], edge_uids: list[int],
+                 edge_deps: list[int]):
+        self.units = tuple(plan.units)
+        self.epoch_of = dict(plan.epoch_of)
+        self.order_ids = order_ids
+        self.step_deps = step_deps
+        self.edge_uids = edge_uids
+        self.edge_deps = edge_deps
+        by_id = {u.unit_id: u for u in plan.units}
+        self.host_work = {
+            uid: (u.host_us, u.label or "host")
+            for uid, u in by_id.items() if u.host_us > 0.0
+        }
+        self.copies: list[int] = []
+        kernels = []
+        self.record_units: list[int] = []
+        for uid in order_ids:
+            unit = by_id[uid]
+            if unit.kernel is None:
+                self.copies.append(-1)
+                continue
+            self.copies.append(len(unit.pre_copies))
+            kernels.extend(unit.pre_copies)
+            kernels.append(unit.kernel)
+            self.record_units.extend([uid] * (1 + len(unit.pre_copies)))
+        self.table = KernelTable(kernels)
+        self._readback = None
+
+    @classmethod
+    def from_dependencies(cls, plan: ExecutionPlan, deps: dict[int, set[int]],
+                          order: list[Unit]) -> "CompiledSchedule":
+        kernel_units = {u.unit_id for u in plan.units if u.kernel is not None}
+        edge_uids, edge_deps = [], []
+        for uid, dep_ids in deps.items():
+            for dep in dep_ids:
+                if dep in kernel_units:
+                    edge_uids.append(uid)
+                    edge_deps.append(dep)
+        order_ids = [u.unit_id for u in order]
+        step_deps = [tuple(sorted(deps[uid])) for uid in order_ids]
+        return cls(plan, order_ids, step_deps, edge_uids, edge_deps)
+
+    def like(self, plan: ExecutionPlan) -> "CompiledSchedule":
+        """Compile ``plan``, of this schedule's structure, reusing its
+        dependencies and issue order."""
+        return CompiledSchedule(
+            plan, self.order_ids, self.step_deps, self.edge_uids, self.edge_deps
+        )
+
+    def fits(self, plan: ExecutionPlan) -> bool:
+        """True when ``plan`` has exactly this schedule's units and epochs."""
+        units = plan.units
+        return (
+            len(units) == len(self.units)
+            and all(map(is_, units, self.units))
+            and plan.epoch_of == self.epoch_of
+        )
+
+    @property
+    def unit_record_index(self) -> dict[int, int]:
+        """unit id -> index of its main kernel (the last of its records)."""
+        return {uid: index for index, uid in enumerate(self.record_units)}
+
+    @property
+    def readback(self) -> Readback:
+        if self._readback is None:
+            self._readback = Readback(self.units, self.epoch_of, self.unit_record_index)
+        return self._readback
+
+    def bind(self, plan: ExecutionPlan) -> StreamProgram:
+        """The engine ops for ``plan``'s streams, profiling set and barriers."""
+        stream_of = plan.stream_of.get
+        streams = {uid: stream_of(uid, 0) for uid in self.order_ids}
+        host_work = self.host_work
+        # which units need a completion event: any unit consumed from a
+        # different stream (cross-stream dependency -> wait-event), or any
+        # unit feeding host-side work (the dispatch thread must block on
+        # it).  Only kernel units record one (the edges): a host-only
+        # producer is ordered by the dispatch thread itself, so an event
+        # for it would never be recorded and every waiter would deadlock.
+        consumers = {
+            dep for uid, dep in zip(self.edge_uids, self.edge_deps)
+            if uid in host_work or streams[dep] != streams[uid]
+        }
+        owners = list(consumers)
+        completion = {uid: slot for slot, uid in enumerate(owners)}
+        barriers = plan.barriers_after
+        profile = plan.profile
+        profiled = plan.profile_unit_ids
+        ops: list[tuple] = []
+        append = ops.append
+        first_stream = None
+        sequential = True
+        for uid, deps, copies in zip(self.order_ids, self.step_deps, self.copies):
+            on = streams[uid]
+            if uid in host_work:
+                # host work stalls dispatch; any device deps must be complete
+                for dep in deps:
+                    slot = completion.get(dep)
+                    if slot is not None:
+                        append((OP_SYNC, slot))
+                host_us, label = host_work[uid]
+                append((OP_HOST, host_us, label, uid))
+            if copies >= 0:
+                waits = ()
+                if deps and completion:
+                    # kernel-less deps have no event; the dispatch thread
+                    # serializes them (host work stalls dispatch)
+                    waits = tuple([
+                        completion[dep] for dep in deps
+                        if dep in completion and streams[dep] != on
+                    ])
+                    if waits:
+                        sequential = False
+                if first_stream is None:
+                    first_stream = on
+                elif on != first_stream:
+                    sequential = False
+                if copies:
+                    append((OP_LAUNCH, on, waits, -1, True))
+                    # same-stream FIFO carries the dependency on
+                    waits = ()
+                    for _ in range(copies - 1):
+                        append((OP_LAUNCH, on, waits, -1, True))
+                record = completion.get(uid, -1)
+                wants_profile = profile and (profiled is None or uid in profiled)
+                if record < 0 and wants_profile:
+                    record = len(owners)
+                    owners.append(uid)
+                append((OP_LAUNCH, on, waits, record, wants_profile))
+            if uid in barriers:
+                append(_SYNC_ALL)
+        append(_SYNC_ALL)
+        return StreamProgram(
+            self.table, ops, len(owners), partial(_event_ids, len(completion), owners),
+            sequential,
+        )
+
+    def item_units(self, program: StreamProgram) -> dict[int, int]:
+        """Work-item index -> owning unit, for a program bound here."""
+        out: dict[int, int] = {}
+        record = 0
+        for index, op in enumerate(program.ops):
+            if op[0] == OP_LAUNCH:
+                out[index] = self.record_units[record]
+                record += 1
+            elif op[0] == OP_HOST:
+                out[index] = op[3]
+        return out
+
+
 class LoweredSchedule:
-    """Dispatch items plus the bookkeeping needed to read measurements back."""
+    """Dispatch items plus the bookkeeping needed to read measurements back.
 
-    items: list[DispatchItem]
-    #: unit id -> index of its main kernel in the simulator's record list
-    unit_record_index: dict[int, int]
-    #: unit id -> stream it was dispatched to
-    unit_stream: dict[int, int]
-    plan: ExecutionPlan
-    graph: Graph
-    #: unit id of every launched kernel, in record order (pre-copies carry
-    #: their owning unit's id); consumed by the Chrome-trace exporter
-    record_units: list[int] = field(default_factory=list)
-    #: index of every *work* item (LaunchItem / HostComputeItem) -> the unit
-    #: that emitted it; consumed by the schedule validator (repro.check)
-    item_units: dict[int, int] = field(default_factory=dict)
+    Built by hand from an item list, or by :meth:`Dispatcher.lower` as a
+    compiled structure plus a bound program.  In the second form
+    ``items``, ``item_units``, ``unit_stream``, ``unit_record_index`` and
+    ``record_units`` are built on first read; once ``items`` has been
+    read (and perhaps edited), the engine runs those items.
+    """
+
+    def __init__(
+        self,
+        items: list[DispatchItem],
+        unit_record_index: dict[int, int],
+        unit_stream: dict[int, int],
+        plan: ExecutionPlan,
+        graph: Graph,
+        record_units: list[int] | None = None,
+        item_units: dict[int, int] | None = None,
+    ):
+        self.plan = plan
+        self.graph = graph
+        self.compiled = None
+        self._program = None
+        self._items = items
+        #: unit id -> index of its main kernel in the simulator's record list
+        self._unit_record_index = unit_record_index
+        #: unit id -> stream it was dispatched to
+        self._unit_stream = unit_stream
+        #: unit id of every launched kernel, in record order (pre-copies
+        #: carry their owning unit's id); consumed by the Chrome-trace
+        #: exporter
+        self._record_units = record_units if record_units is not None else []
+        #: index of every *work* item (LaunchItem / HostComputeItem) -> the
+        #: unit that emitted it; consumed by the schedule validator
+        self._item_units = item_units if item_units is not None else {}
+
+    @classmethod
+    def bound(cls, compiled: CompiledSchedule, program: StreamProgram,
+              plan: ExecutionPlan, graph: Graph) -> "LoweredSchedule":
+        self = cls.__new__(cls)
+        self.plan = plan
+        self.graph = graph
+        self.compiled = compiled
+        self._program = program
+        self._items = self._unit_record_index = self._unit_stream = None
+        self._record_units = self._item_units = None
+        return self
+
+    def _fields(self) -> tuple:
+        return (self.items, self.unit_record_index, self.unit_stream, self.plan,
+                self.graph, self.record_units, self.item_units)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        names = ("items", "unit_record_index", "unit_stream", "plan", "graph",
+                 "record_units", "item_units")
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields()))
+        return f"LoweredSchedule({body})"
+
+    @property
+    def items(self) -> list[DispatchItem]:
+        if self._items is None:
+            self._items = self._program.to_items()
+        return self._items
+
+    @property
+    def program(self) -> StreamProgram:
+        """What the engine runs."""
+        if self._items is not None:
+            return compile_items(self._items)
+        return self._program
+
+    @property
+    def readback(self) -> Readback:
+        if self.compiled is not None:
+            return self.compiled.readback
+        return Readback(self.plan.units, self.plan.epoch_of, self._unit_record_index)
+
+    @property
+    def unit_record_index(self) -> dict[int, int]:
+        if self._unit_record_index is None:
+            self._unit_record_index = self.compiled.unit_record_index
+        return self._unit_record_index
+
+    @property
+    def record_units(self) -> list[int]:
+        if self._record_units is None:
+            self._record_units = list(self.compiled.record_units)
+        return self._record_units
+
+    @property
+    def item_units(self) -> dict[int, int]:
+        if self._item_units is None:
+            self._item_units = self.compiled.item_units(self._program)
+        return self._item_units
+
+    @property
+    def unit_stream(self) -> dict[int, int]:
+        if self._unit_stream is None:
+            stream = self.plan.stream
+            self._unit_stream = {uid: stream(uid) for uid in self.compiled.order_ids}
+        return self._unit_stream
 
 
 def topological_units(units: list[Unit], deps: dict[int, set[int]]) -> list[Unit]:
@@ -74,7 +403,6 @@ class Dispatcher:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self._producer_cache: dict[int, set[int]] = {}
 
     # -- dependency analysis -------------------------------------------------
 
@@ -89,33 +417,36 @@ class Dispatcher:
             for nid in unit.node_ids:
                 node_unit[nid] = unit.unit_id
 
-        self._producer_cache.clear()
-
-        def producing_units(node_id: int) -> set[int]:
-            if node_id in self._producer_cache:
-                return self._producer_cache[node_id]
-            node = self.graph.node(node_id)
-            if node_id in node_unit:
-                result = {node_unit[node_id]}
-            elif node.is_leaf:
-                result = set()
-            else:
-                result = set()
-                for inp in node.input_ids:
-                    result |= producing_units(inp)
-            self._producer_cache[node_id] = result
-            return result
-
+        producers: dict[int, set[int]] = {}
         deps: dict[int, set[int]] = {}
         for unit in plan.units:
             found: set[int] = set()
             for nid in unit.node_ids:
                 for inp in self.graph.node(nid).input_ids:
-                    for producer in producing_units(inp):
+                    for producer in self._producing_units(inp, node_unit, producers):
                         if producer != unit.unit_id:
                             found.add(producer)
             deps[unit.unit_id] = found
         return deps
+
+    def _producing_units(
+        self, node_id: int, node_unit: dict[int, int], producers: dict[int, set[int]]
+    ) -> set[int]:
+        """Units whose output reaches ``node_id`` through uncovered nodes;
+        ``producers`` memoizes the answer per node for one plan."""
+        if node_id in producers:
+            return producers[node_id]
+        node = self.graph.node(node_id)
+        if node_id in node_unit:
+            result = {node_unit[node_id]}
+        elif node.is_leaf:
+            result = set()
+        else:
+            result = set()
+            for inp in node.input_ids:
+                result |= self._producing_units(inp, node_unit, producers)
+        producers[node_id] = result
+        return result
 
     def _order_units(self, plan: ExecutionPlan, deps: dict[int, set[int]]) -> list[Unit]:
         """Dispatch order: the plan's explicit order, topologically checked,
@@ -137,121 +468,27 @@ class Dispatcher:
             return order
         return topological_units(plan.units, deps)
 
-    def order_units(self, plan: ExecutionPlan, deps: dict[int, set[int]]) -> list[Unit]:
-        """Public issue-order computation (consumed by the compilation
-        cache, which memoizes it across structurally identical plans)."""
-        return self._order_units(plan, deps)
-
     # -- lowering -------------------------------------------------------------
 
-    def lower(
-        self,
-        plan: ExecutionPlan,
-        deps: dict[int, set[int]] | None = None,
-        order: list[Unit] | None = None,
-    ) -> LoweredSchedule:
-        """Lower a plan to dispatch items.
+    def compile(
+        self, plan: ExecutionPlan, like: CompiledSchedule | None = None
+    ) -> CompiledSchedule:
+        """Check and compile the structural half of lowering ``plan``.
 
-        ``deps``/``order`` may be supplied by the compilation cache when
-        the dependency analysis was already done for a structurally
-        identical plan; they must be exactly what
-        :meth:`unit_dependencies` / :meth:`order_units` would compute
-        (the cache guarantees this by keying on the unit structure).
+        ``like`` may be supplied by the compilation cache: a schedule
+        compiled from a structurally identical plan, whose dependencies and
+        issue order are exactly what this plan's would be (the cache
+        guarantees this by keying on the unit structure).
         """
         plan.validate_covering()
-        if deps is None:
-            deps = self.unit_dependencies(plan)
-        if order is None:
-            order = self._order_units(plan, deps)
+        if like is not None:
+            return like.like(plan)
+        deps = self.unit_dependencies(plan)
+        return CompiledSchedule.from_dependencies(plan, deps, self._order_units(plan, deps))
 
-        namespace = EventNamespace()
-        items: list[DispatchItem] = []
-        unit_record_index: dict[int, int] = {}
-        unit_stream: dict[int, int] = {}
-        record_units: list[int] = []
-        item_units: dict[int, int] = {}
-        record_counter = 0
-
-        # which units need a completion event: any unit consumed from a
-        # different stream (cross-stream dependency -> wait-event), or any
-        # unit feeding host-side work (the dispatch thread must block on it).
-        # Only units that launch a kernel can record one -- a host-only
-        # producer is ordered by the dispatch thread itself (HostComputeItem
-        # stalls dispatch), so an event for it would never be recorded and
-        # every waiter would deadlock.
-        consumers_cross_stream: set[int] = set()
-        host_units = {u.unit_id for u in plan.units if u.host_us > 0.0}
-        kernel_units = {u.unit_id for u in plan.units if u.kernel is not None}
-        for uid, dep_ids in deps.items():
-            for dep in dep_ids:
-                if dep not in kernel_units:
-                    continue
-                if plan.stream(dep) != plan.stream(uid) or uid in host_units:
-                    consumers_cross_stream.add(dep)
-
-        completion_events: dict[int, EventId] = {
-            uid: namespace.new_event(f"u{uid}") for uid in consumers_cross_stream
-        }
-        barrier_pending = set(plan.barriers_after)
-        issued: set[int] = set()
-
-        for unit in order:
-            uid = unit.unit_id
-            stream = plan.stream(uid)
-            unit_stream[uid] = stream
-
-            waits: list[EventId] = []
-            for dep in sorted(deps[uid]):
-                # kernel-less deps have no event; the dispatch thread
-                # serializes them (HostComputeItem stalls dispatch)
-                if plan.stream(dep) != stream and dep in completion_events:
-                    waits.append(completion_events[dep])
-
-            if unit.host_us > 0.0:
-                # host work stalls dispatch; any device deps must be complete
-                for dep in sorted(deps[uid]):
-                    if dep in completion_events:
-                        items.append(HostSyncItem(completion_events[dep]))
-                item_units[len(items)] = uid
-                items.append(HostComputeItem(unit.host_us, label=unit.label or "host"))
-
-            if unit.kernel is not None:
-                for copy_kernel in unit.pre_copies:
-                    item_units[len(items)] = uid
-                    items.append(
-                        LaunchItem(copy_kernel, stream, waits=tuple(waits))
-                    )
-                    waits = []  # same-stream FIFO carries the dependency on
-                record = completion_events.get(uid)
-                wants_profile = plan.profile and (
-                    plan.profile_unit_ids is None or uid in plan.profile_unit_ids
-                )
-                is_profiling = wants_profile
-                if record is None and wants_profile:
-                    record = namespace.new_event(f"p{uid}")
-                item_units[len(items)] = uid
-                items.append(
-                    LaunchItem(
-                        unit.kernel, stream, waits=tuple(waits), record=record,
-                        record_is_profiling=is_profiling,
-                    )
-                )
-                unit_record_index[uid] = record_counter + len(unit.pre_copies)
-                record_counter += 1 + len(unit.pre_copies)
-                record_units.extend([uid] * (1 + len(unit.pre_copies)))
-
-            issued.add(uid)
-            if uid in barrier_pending:
-                items.append(HostSyncItem(None))
-                barrier_pending.discard(uid)
-
-        items.append(HostSyncItem(None))
-        return LoweredSchedule(
-            items=items,
-            unit_record_index=unit_record_index,
-            unit_stream=unit_stream,
-            plan=plan,
-            graph=self.graph,
-            record_units=record_units,
-            item_units=item_units,
-        )
+    def lower(self, plan: ExecutionPlan, compiled: CompiledSchedule | None = None) -> LoweredSchedule:
+        """Lower a plan: compile it (unless the compilation cache passes
+        the plan's ``compiled`` structure) and bind its streams."""
+        if compiled is None:
+            compiled = self.compile(plan)
+        return LoweredSchedule.bound(compiled, compiled.bind(plan), plan, self.graph)

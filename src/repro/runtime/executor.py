@@ -26,7 +26,7 @@ from ..gpu.device import GPUSpec
 from ..gpu.streams import ExecutionResult, StreamSimulator
 from ..obs.metrics import NULL_REGISTRY
 from ..perf.timers import NULL_CLOCK
-from .dispatcher import Dispatcher, LoweredSchedule
+from .dispatcher import Dispatcher, LoweredSchedule, Readback
 from .plan import ExecutionPlan
 
 
@@ -165,15 +165,14 @@ class Executor:
         self._check_memory(lowered.plan)
         try:
             with self.clock.phase("simulate"):
-                result = self._simulator.run(lowered.items)
+                result = self._simulator.run(lowered.program)
         except KernelLaunchError:
             self.metrics.counter("fault.launch_fail").inc()
             self.metrics.counter("fault.minibatches_lost").inc()
             raise
-        unit_times, faults, tainted_units = self._unit_times(
-            lowered, result, fault_log
-        )
-        epoch_metrics = self._epoch_metrics(lowered, result, tainted_units)
+        readback = lowered.readback
+        unit_times, faults, tainted_units = self._unit_times(readback, result, fault_log)
+        epoch_metrics = self._epoch_metrics(readback, result, tainted_units)
         return MiniBatchResult(
             total_time_us=result.total_time_us,
             cpu_time_us=result.cpu_time_us,
@@ -186,33 +185,30 @@ class Executor:
 
     def _unit_times(
         self,
-        lowered: LoweredSchedule,
+        readback: Readback,
         result: ExecutionResult,
         fault_log=None,
     ) -> tuple[dict[int, float], list, set[int]]:
-        from ..faults.events import FAULT_EVENT_CORRUPT, FAULT_EVENT_DROP, FaultEvent
-
+        starts = result.start_times
+        ends = result.end_times
         times: dict[int, float] = {}
         faults: list = []
         tainted: set[int] = set()
         dropped = fault_log.dropped_records if fault_log is not None else ()
         corrupted = fault_log.corrupted_records if fault_log is not None else {}
-        for unit in lowered.plan.units:
-            idx = lowered.unit_record_index.get(unit.unit_id)
-            if idx is None:
-                continue
+        for uid, idx, backs in zip(readback.uids, readback.mains, readback.backs):
             if idx in dropped:
+                from ..faults.events import FAULT_EVENT_DROP, FaultEvent
+
                 # the timestamp pair backing this measurement was lost:
                 # surface the fault and withhold the number entirely
                 faults.append(FaultEvent(
-                    FAULT_EVENT_DROP, f"unit {unit.unit_id} timestamp lost",
-                    unit_id=unit.unit_id,
+                    FAULT_EVENT_DROP, f"unit {uid} timestamp lost", unit_id=uid,
                 ))
                 self.metrics.counter("fault.event_drop").inc()
-                tainted.add(unit.unit_id)
+                tainted.add(uid)
                 continue
-            record = result.records[idx]
-            elapsed = record.duration
+            elapsed = ends[idx] - starts[idx]
             if idx in corrupted:
                 elapsed *= corrupted[idx]
                 # plausibility check: a corrupted elapsed time that falls
@@ -220,64 +216,51 @@ class Executor:
                 # withheld; one inside the envelope survives as a
                 # plausible-but-wrong sample for min-of-k/MAD to reject
                 if elapsed <= 0.0 or elapsed > result.total_time_us:
+                    from ..faults.events import FAULT_EVENT_CORRUPT, FaultEvent
+
                     faults.append(FaultEvent(
-                        FAULT_EVENT_CORRUPT,
-                        f"unit {unit.unit_id} timestamp implausible",
-                        unit_id=unit.unit_id,
+                        FAULT_EVENT_CORRUPT, f"unit {uid} timestamp implausible",
+                        unit_id=uid,
                     ))
                     self.metrics.counter("fault.event_corrupt_detected").inc()
-                    tainted.add(unit.unit_id)
+                    tainted.add(uid)
                     continue
-            # charge the unit for its gather copies: they exist only because
-            # of this unit's fusion/allocation choice.  A hand-built schedule
-            # may map a unit near the head of the record list; never walk
-            # past index 0 (a negative index would silently charge the
-            # wrong record from the tail).
-            for back in range(1, len(unit.pre_copies) + 1):
-                if idx - back < 0:
-                    break
-                elapsed += result.records[idx - back].duration
-            times[unit.unit_id] = elapsed
+            # charge the unit for its gather copies: they exist only
+            # because of this unit's fusion/allocation choice
+            for back in backs:
+                elapsed += ends[back] - starts[back]
+            times[uid] = elapsed
         return times, faults, tainted
 
     def _epoch_metrics(
         self,
-        lowered: LoweredSchedule,
+        readback: Readback,
         result: ExecutionResult,
         tainted_units: set[int] | None = None,
     ) -> dict[tuple[int, int], float]:
-        plan = lowered.plan
-        tainted_units = tainted_units or set()
-        # group unit completion times by (super_epoch, epoch); epochs that
-        # contain a unit with a lost/implausible timestamp are withheld --
-        # their stream metric would be built on the missing measurement
-        tainted_epochs: set[tuple[int, int]] = set()
-        starts: dict[int, float] = {}
-        ends: dict[tuple[int, int], float] = {}
-        for unit in plan.units:
-            se, epoch = plan.epoch(unit.unit_id)
-            if se < 0 or epoch < 0:
-                continue
-            if unit.unit_id in tainted_units:
-                tainted_epochs.add((se, epoch))
-                continue
-            idx = lowered.unit_record_index.get(unit.unit_id)
-            if idx is None:
-                continue
-            record = result.records[idx]
-            first = max(0, idx - len(unit.pre_copies))
-            start = result.records[first].start_time
-            starts[se] = min(starts.get(se, float("inf")), start)
-            key = (se, epoch)
-            ends[key] = max(ends.get(key, 0.0), record.end_time)
-
+        starts = result.start_times
+        ends = result.end_times
+        tainted = tainted_units or set()
+        # per super-epoch, an epoch's stream metric is its running end
+        # minus the super-epoch's first start.  Units with a lost or
+        # implausible timestamp are left out, and an epoch that contains
+        # one is withheld -- its metric would be built on the missing
+        # measurement -- though its other units still advance the end
         metrics: dict[tuple[int, int], float] = {}
-        for se in starts:
-            epochs = sorted(e for (s, e) in ends if s == se)
-            running_end = 0.0
-            for epoch in epochs:
-                running_end = max(running_end, ends[(se, epoch)])
-                if (se, epoch) in tainted_epochs:
+        for uids, firsts, epochs in readback.epoch_groups:
+            if tainted:
+                firsts = [f for u, f in zip(uids, firsts) if u not in tainted]
+                if not firsts:
                     continue
-                metrics[(se, epoch)] = running_end - starts[se]
+            start = min([starts[i] for i in firsts])
+            running_end = 0.0
+            for key, members, mains in epochs:
+                withheld = bool(tainted) and not tainted.isdisjoint(members)
+                if withheld:
+                    mains = [i for u, i in zip(members, mains) if u not in tainted]
+                    if not mains:
+                        continue
+                running_end = max(running_end, max([ends[i] for i in mains]))
+                if not withheld:
+                    metrics[key] = running_end - start
         return metrics

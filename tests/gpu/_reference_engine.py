@@ -1,11 +1,14 @@
-"""The stream engine's event loop as it stood before the event-driven
-rewrite, kept verbatim as a test oracle.
+"""The stream engine as it stood before the event-driven rewrite and
+compiled schedules, kept verbatim as a test oracle.
 
-``ReferenceSimulator`` is a :class:`~repro.gpu.streams.StreamSimulator`
-whose concurrent path rescans every stream head per event and re-sorts
-the SM sharers on every step.  ``test_engine_equivalence.py`` runs it
-beside the production engine and demands bit-identical results; nothing
-outside the tests imports it.
+``ReferenceSimulator`` runs dispatch-item lists directly, with
+per-kernel ``duration_us``/``parallelism`` calls and ``KernelRecord``
+objects: its concurrent path rescans every stream head per event and
+re-sorts the SM sharers on every step, and its sequential path is the
+single-stream pipeline model.  Only the jitter draw and reseeding are
+inherited from :class:`~repro.gpu.streams.StreamSimulator`.
+``test_engine_equivalence.py`` runs it beside the production engine and
+demands bit-identical results; nothing outside the tests imports it.
 """
 
 from __future__ import annotations
@@ -59,7 +62,100 @@ def _waterfill(running: list[_Running], slots: int) -> None:
 
 
 class ReferenceSimulator(StreamSimulator):
-    """Production simulator with the pre-rewrite concurrent engine."""
+    """The pre-rewrite engines over dispatch-item lists."""
+
+    def run(self, items: list[DispatchItem]) -> ExecutionResult:
+        if self._is_sequential(items):
+            return self._run_sequential(items)
+        return self._run_concurrent(items)
+
+    def _duration(self, kernel) -> float:
+        """Execution time of one kernel instance: model time, autoboost
+        jitter, then any injected straggler/throttle multiplier."""
+        duration = kernel.duration_us(self.device) * self._jitter()
+        if self.injector is not None:
+            duration *= self.injector.kernel_multiplier(kernel.kind)
+        return duration
+
+    def _check_launch(self, item: LaunchItem) -> None:
+        if self.injector is not None and self.injector.launch_fails(item.kernel.kind):
+            from repro.faults.events import KernelLaunchError
+
+            raise KernelLaunchError(item.kernel.kind, self.injector.minibatch)
+
+    def _mark_profiled_record(self, record_index: int) -> None:
+        """Give the injector a chance to drop/corrupt the timestamp pair
+        backing this profiled kernel record."""
+        if self.injector is not None:
+            self.injector.event_fault(record_index)
+
+    @staticmethod
+    def _is_sequential(items: list[DispatchItem]) -> bool:
+        """True when the schedule uses a single stream and no cross-stream
+        waits -- the common case for native and fusion-phase plans, which a
+        much cheaper pipeline model executes exactly."""
+        stream = None
+        for item in items:
+            if isinstance(item, LaunchItem):
+                if item.waits:
+                    return False
+                if stream is None:
+                    stream = item.stream
+                elif item.stream != stream:
+                    return False
+            elif isinstance(item, RecordEventItem):
+                if stream is not None and item.stream != stream:
+                    return False
+        return True
+
+    def _run_sequential(self, items: list[DispatchItem]) -> ExecutionResult:
+        """O(n) execution of a single-stream schedule: each kernel starts at
+        max(its launch time, previous kernel's completion)."""
+        device = self.device
+        cpu_time = 0.0
+        last_end = 0.0
+        records: list[KernelRecord] = []
+        event_times: dict[EventId, float] = {}
+        profiling_overhead = 0.0
+        for item in items:
+            if isinstance(item, LaunchItem):
+                cpu_time += device.launch_overhead_us
+                self._check_launch(item)
+                if item.record is not None:
+                    cpu_time += device.event_overhead_us
+                    if item.record_is_profiling:
+                        profiling_overhead += device.event_overhead_us
+                        self._mark_profiled_record(len(records))
+                start = max(cpu_time, last_end)
+                duration = self._duration(item.kernel)
+                end = start + duration
+                records.append(
+                    KernelRecord(item.kernel, item.stream, cpu_time, start, end)
+                )
+                last_end = end
+                if item.record is not None:
+                    event_times[item.record] = end
+            elif isinstance(item, RecordEventItem):
+                cpu_time += device.event_overhead_us
+                profiling_overhead += device.event_overhead_us
+                event_times[item.event] = max(cpu_time, last_end) if records else cpu_time
+            elif isinstance(item, HostComputeItem):
+                cpu_time += item.duration_us
+            elif isinstance(item, HostSyncItem):
+                if item.event is not None and item.event not in event_times:
+                    raise RuntimeError(f"sync on unrecorded event {item.event}")
+                target = event_times[item.event] if item.event is not None else last_end
+                cpu_time = max(cpu_time, target) + device.barrier_overhead_us
+            else:  # pragma: no cover - defensive
+                raise TypeError(f"unknown dispatch item {item!r}")
+        total = max(cpu_time, last_end)
+        return ExecutionResult(
+            total_time_us=total,
+            cpu_time_us=cpu_time,
+            records=records,
+            event_times=event_times,
+            profiling_overhead_us=profiling_overhead,
+        )
 
     def _run_concurrent(self, items: list[DispatchItem]) -> ExecutionResult:
         device = self.device

@@ -1,19 +1,31 @@
-"""Differential test: the event-driven stream engine against the engine it
-replaced.
+"""Differential test: the production stream engine against the engine as
+it stood before the event-driven rewrite and compiled schedules.
 
-``ReferenceSimulator`` (``_reference_engine.py``) is the previous
-concurrent engine, verbatim: it rescans every stream head and re-sorts the
-SM sharers on every event.  The production engine keeps incremental ready
-and sharer tables instead, and must stay *bit-identical*.  Every
-comparison is exact ``==`` on everything the profiler can observe: the
-run's total, CPU and profiling-overhead times, each kernel record's
-(stream, issue, start, end), and the event times in recording order.
+``ReferenceSimulator`` (``_reference_engine.py``) runs dispatch-item
+lists directly: it rescans every stream head and re-sorts the SM sharers
+on every event, and builds a ``KernelRecord`` per kernel.  Production
+compiles a plan once per structure, binds each candidate's streams and
+events into flat ops, and runs those; it must stay *bit-identical*.
+Every comparison is exact ``==`` on everything the profiler can observe:
+the run's total, CPU and profiling-overhead times, each kernel record's
+(stream, issue, start, end), and the event times in recording order --
+plus, under fault injection, which launch fails and which records the
+injector drops or corrupts.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import AstraSession
+from repro.faults import FaultPlan
+from repro.faults.events import (
+    FAULT_EVENT_CORRUPT,
+    FAULT_EVENT_DROP,
+    FAULT_LAUNCH,
+    FAULT_SLOWDOWN,
+    KernelLaunchError,
+)
+from repro.faults.plan import FaultSpec
 from repro.gpu import (
     CLOCK_AUTOBOOST,
     EventNamespace,
@@ -27,6 +39,7 @@ from repro.gpu import (
     V100,
 )
 from repro.gpu.kernels import CopyLaunch, ElementwiseLaunch, HostTransfer
+from repro.gpu.streams import StreamProgram, compile_items
 
 from ._reference_engine import ReferenceSimulator
 
@@ -42,40 +55,52 @@ def observed(result) -> tuple:
 
 
 def both(items, device=P100, seed=0) -> tuple[tuple, tuple]:
-    """(production, reference) observations of one concurrent run."""
-    production = StreamSimulator(device, seed=seed)._run_concurrent(items)
+    """(production, reference) observations of one run of ``items``,
+    through each simulator's own choice of engine."""
+    production = StreamSimulator(device, seed=seed).run(items)
+    reference = ReferenceSimulator(device, seed=seed).run(items)
+    return observed(production), observed(reference)
+
+
+def both_concurrent(items, device=P100, seed=0) -> tuple[tuple, tuple]:
+    """The same, forced through the concurrent engines."""
+    production = StreamSimulator(device, seed=seed)._run_concurrent(compile_items(items))
     reference = ReferenceSimulator(device, seed=seed)._run_concurrent(items)
     return observed(production), observed(reference)
 
 
-def explored_schedules(monkeypatch, model, device) -> list[tuple[list, tuple]]:
-    """Every dispatch list a full ``all``-features exploration of ``model``
-    sends to the concurrent engine, with the production engine's
-    observation of it, taken as the run returned."""
-    production = StreamSimulator._run_concurrent
-    schedules: list[tuple[list, tuple]] = []
+def explored_programs(monkeypatch, model, device) -> list[tuple[StreamProgram, tuple]]:
+    """Every program a full ``all``-features exploration of ``model`` sends
+    to the engine (compiled once per structure, bound per candidate), with
+    the production engine's observation of it, taken as the run returned."""
+    production = StreamSimulator.run
+    programs: list[tuple[StreamProgram, tuple]] = []
 
-    def capture(sim, items):
-        result = production(sim, items)
-        schedules.append((list(items), observed(result)))
+    def capture(sim, program):
+        assert isinstance(program, StreamProgram)
+        result = production(sim, program)
+        programs.append((program, observed(result)))
         return result
 
-    monkeypatch.setattr(StreamSimulator, "_run_concurrent", capture)
+    monkeypatch.setattr(StreamSimulator, "run", capture)
     AstraSession(model, device=device, features="all").optimize()
     monkeypatch.undo()
-    return schedules
+    return programs
 
 
 @pytest.mark.parametrize("device", [P100, V100], ids=lambda d: d.name)
 @pytest.mark.parametrize("model", ["tiny_scrnn", "tiny_milstm"])
 def test_every_explored_schedule_is_bit_identical(request, monkeypatch, model, device):
-    schedules = explored_schedules(monkeypatch, request.getfixturevalue(model), device)
-    assert schedules, "the stream phase explored no concurrent schedule"
+    programs = explored_programs(monkeypatch, request.getfixturevalue(model), device)
+    assert any(not p.sequential for p, _ in programs), (
+        "the stream phase explored no concurrent schedule"
+    )
+    assert any(p.sequential for p, _ in programs)
     mismatched = [
-        i for i, (items, production) in enumerate(schedules)
-        if production != observed(ReferenceSimulator(device)._run_concurrent(items))
+        i for i, (program, production) in enumerate(programs)
+        if production != observed(ReferenceSimulator(device).run(program.to_items()))
     ]
-    assert mismatched == [], f"{len(mismatched)} of {len(schedules)} schedules differ"
+    assert mismatched == [], f"{len(mismatched)} of {len(programs)} schedules differ"
 
 
 def test_autoboost_draws_match_from_one_rng_state(tiny_scrnn, monkeypatch):
@@ -83,14 +108,57 @@ def test_autoboost_draws_match_from_one_rng_state(tiny_scrnn, monkeypatch):
     order.  One simulator of each engine, seeded alike, runs the explored
     schedules back to back: the RNG state carries from run to run, so a
     single out-of-order start would shift every later duration."""
-    schedules = explored_schedules(monkeypatch, tiny_scrnn, P100)
+    programs = explored_programs(monkeypatch, tiny_scrnn, P100)
     device = P100.with_clock(CLOCK_AUTOBOOST)
     production = StreamSimulator(device, seed=7)
     reference = ReferenceSimulator(device, seed=7)
-    for items, _base_clock in schedules:
-        assert observed(production._run_concurrent(items)) == observed(
-            reference._run_concurrent(items)
+    for program, _base_clock in programs:
+        assert observed(production.run(program)) == observed(
+            reference.run(program.to_items())
         )
+
+
+ARMED = FaultPlan(specs=(
+    FaultSpec(FAULT_LAUNCH, rate=0.002),
+    FaultSpec(FAULT_EVENT_DROP, rate=0.05),
+    FaultSpec(FAULT_EVENT_CORRUPT, rate=0.05, factor=3.0),
+    FaultSpec(FAULT_SLOWDOWN, rate=0.05, factor=4.0),
+), seed=11)
+
+
+def faulted(simulator, schedule) -> tuple:
+    """One mini-batch under the simulator's injector: the observation or
+    the launch failure, and what the injector logged."""
+    injector = simulator.injector
+    log = injector.begin_minibatch()
+    try:
+        outcome = observed(simulator.run(schedule))
+    except KernelLaunchError as exc:
+        outcome = ("launch failed", exc.kind, exc.minibatch)
+    return (
+        outcome, sorted(log.dropped_records), sorted(log.corrupted_records.items()),
+        log.slowdowns, [(r.kind, r.minibatch, r.detail) for r in injector.ledger],
+    )
+
+
+@pytest.mark.parametrize("clock", ["base", "autoboost"])
+def test_armed_injector_hits_the_same_kernels_and_records(tiny_milstm, monkeypatch, clock):
+    """An armed :class:`FaultInjector` is consulted in issue and start
+    order, so both engines must fail the same launch and drop or corrupt
+    the same record indices, run after run, from one injector state."""
+    programs = explored_programs(monkeypatch, tiny_milstm, P100)
+    device = P100 if clock == "base" else P100.with_clock(CLOCK_AUTOBOOST)
+    production = StreamSimulator(device, seed=5, injector=ARMED.injector())
+    reference = ReferenceSimulator(device, seed=5, injector=ARMED.injector())
+    outcomes = []
+    for program, _base_clock in programs:
+        outcome = faulted(production, program)
+        assert outcome == faulted(reference, program.to_items())
+        outcomes.append(outcome)
+    failed = [o for o in outcomes if o[0][0] == "launch failed"]
+    assert failed and len(failed) < len(outcomes)
+    assert any(o[1] for o in outcomes) and any(o[2] for o in outcomes)
+    assert any(o[3] for o in outcomes)
 
 
 def test_start_ties_follow_first_seen_stream_order():
@@ -109,7 +177,9 @@ def test_start_ties_follow_first_seen_stream_order():
     for device in (P100, P100.with_clock(CLOCK_AUTOBOOST)):
         production, reference = both(items, device, seed=3)
         assert production == reference
-    result = StreamSimulator(P100)._run_concurrent(items)
+        production, reference = both_concurrent(items, device, seed=3)
+        assert production == reference
+    result = StreamSimulator(P100).run(items)
     _gate, on_one, on_zero = result.records
     assert on_one.start_time == on_zero.start_time
     assert list(result.event_times) == [gate, first, second]
@@ -169,3 +239,6 @@ def test_random_schedules_are_bit_identical(items, autoboost, seed):
     device = P100.with_clock(CLOCK_AUTOBOOST) if autoboost else P100
     production, reference = both(items, device, seed)
     assert production == reference
+    production, reference = both_concurrent(items, device, seed)
+    assert production == reference
+    assert compile_items(items).to_items() == items

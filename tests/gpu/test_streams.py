@@ -15,6 +15,7 @@ from repro.gpu import (
     StreamSimulator,
 )
 from repro.gpu.kernels import ElementwiseLaunch
+from repro.gpu.streams import compile_items
 
 
 def gemm(m=256, k=1024, n=1024, lib="cublas"):
@@ -185,8 +186,9 @@ class TestFastPathEquivalence:
             HostSyncItem(),
         ]
         sim = StreamSimulator(P100)
-        fast = sim._run_sequential(items)
-        slow = sim._run_concurrent(items)
+        program = compile_items(items)
+        fast = sim._run_sequential(program)
+        slow = sim._run_concurrent(program)
         assert fast.total_time_us == pytest.approx(slow.total_time_us, rel=1e-9)
         for fr, sr in zip(fast.records, slow.records):
             assert fr.start_time == pytest.approx(sr.start_time, rel=1e-9)
@@ -194,11 +196,11 @@ class TestFastPathEquivalence:
 
     def test_fast_path_taken_for_single_stream(self):
         items = [LaunchItem(gemm(), 0), HostSyncItem()]
-        assert StreamSimulator._is_sequential(items)
+        assert compile_items(items).sequential
 
     def test_fast_path_rejected_for_two_streams(self):
         items = [LaunchItem(gemm(), 0), LaunchItem(gemm(), 1), HostSyncItem()]
-        assert not StreamSimulator._is_sequential(items)
+        assert not compile_items(items).sequential
 
 
 @settings(max_examples=30, deadline=None)
