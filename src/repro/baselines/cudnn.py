@@ -27,7 +27,7 @@ from ..gpu.device import GPUSpec
 from ..gpu.kernels import CompoundLaunch
 from ..ir.graph import Graph
 from ..runtime.executor import Executor, MiniBatchResult
-from ..runtime.lowering import kernel_for_node
+from ..runtime.lowering import graph_lowering
 from ..runtime.plan import ExecutionPlan, Unit
 from ..core.fusion import analyse_fusion
 
@@ -190,13 +190,9 @@ def cudnn_plan(graph: Graph) -> ExecutionPlan:
         )
         units.append(Unit(next(counter), kernel, node_ids, label=kernel.label))
 
-    for node in graph.nodes:
-        if node.is_leaf or node.node_id in coverage.covered_nodes:
-            continue
-        kernel = kernel_for_node(graph, node)
-        if kernel is None:
-            continue
-        units.append(Unit(next(counter), kernel, (node.node_id,), label=kernel.name))
+    lowering = graph_lowering(graph)
+    for kernel in lowering.sweep(lowering.compute_ids - coverage.covered_nodes, fuse=False):
+        units.append(Unit(next(counter), kernel, kernel.node_ids, label=kernel.name))
 
     return ExecutionPlan(units=units, profile=False, label="cudnn")
 

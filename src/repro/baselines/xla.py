@@ -26,11 +26,7 @@ from ..gpu.kernels import HostTransfer
 from ..ir import ops
 from ..ir.graph import Graph
 from ..runtime.executor import Executor, MiniBatchResult
-from ..runtime.lowering import (
-    elementwise_chains,
-    fused_elementwise_kernel,
-    kernel_for_node,
-)
+from ..runtime.lowering import graph_lowering
 from ..runtime.plan import ExecutionPlan, Unit
 
 #: host-side gather/scatter throughput, bytes per microsecond (a single
@@ -47,6 +43,7 @@ def host_embedding_cost_us(graph: Graph, node_id: int, device: GPUSpec) -> float
 def xla_plan(graph: Graph, device: GPUSpec) -> ExecutionPlan:
     """Statically compiled plan: fused elementwise clusters, stock GEMMs,
     and the host round-trip for every embedding op."""
+    lowering = graph_lowering(graph)
     units: list[Unit] = []
     counter = itertools.count()
     covered: set[int] = set()
@@ -75,23 +72,13 @@ def xla_plan(graph: Graph, device: GPUSpec) -> ExecutionPlan:
         )
         covered.add(node.node_id)
 
-    # aggressive static elementwise fusion
-    remaining = {n.node_id for n in graph.nodes if not n.is_leaf} - covered
-    for chain in elementwise_chains(graph, remaining):
-        if len(chain) < 2:
-            continue
-        kernel = fused_elementwise_kernel(graph, chain)
-        units.append(Unit(next(counter), kernel, chain, label="xla_" + kernel.label))
-        covered.update(chain)
-
-    # everything else: stock per-node kernels, single stream
-    for node in graph.nodes:
-        if node.is_leaf or node.node_id in covered:
-            continue
-        kernel = kernel_for_node(graph, node)
-        if kernel is None:
-            continue
-        units.append(Unit(next(counter), kernel, (node.node_id,), label=kernel.name))
+    # aggressive static elementwise fusion, then stock per-node kernels
+    # for everything else, single stream
+    remaining = lowering.compute_ids - covered
+    for kernel in lowering.sweep(remaining):
+        chain = len(kernel.node_ids) > 1
+        label = "xla_" + kernel.label if chain else kernel.name
+        units.append(Unit(next(counter), kernel, kernel.node_ids, label=label))
 
     return ExecutionPlan(units=units, profile=False, label="xla")
 

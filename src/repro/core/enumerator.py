@@ -25,11 +25,7 @@ from ..gpu.libraries import DEFAULT_LIBRARY, GEMM_LIBRARIES
 from ..ir.graph import Graph
 from ..obs.metrics import NULL_REGISTRY
 from ..runtime.dispatcher import Dispatcher
-from ..runtime.lowering import (
-    cached_elementwise_chains,
-    fused_elementwise_kernel,
-    kernel_for_node,
-)
+from ..runtime.lowering import graph_lowering
 from ..runtime.plan import ExecutionPlan, Unit
 from .adaptive import (
     AdaptiveVariable,
@@ -176,14 +172,12 @@ class _UnitBuilder:
                 var_name,
             )
         else:
+            lowering = graph_lowering(graph)
             for mm_id in member.mm_ids:
-                node = graph.node(mm_id)
-                m, k, n = _node_dims(graph, mm_id)
-                key = (provenance(node.scope), node.pass_tag, m, k, n)
-                kernel = GemmLaunch(m, k, n, lib_override or self.library_for(key),
-                                    node_ids=(mm_id,))
+                key = self.enum._gemm_key(mm_id)
+                kernel = lowering.kernel(mm_id, lib_override or self.library_for(key))
                 self.add_unit(
-                    Unit(next(self.counter), kernel, (mm_id,), label=kernel.name),
+                    Unit(next(self.counter), kernel, kernel.node_ids, label=kernel.name),
                     var_override or self.kernel_var_name(key),
                 )
             # absorbed adds of an unfused ladder run as elementwise ops;
@@ -244,9 +238,12 @@ class Enumerator:
     With ``cache_units`` (the default) the assignment-determined unit
     list of every ``(strategy, fk assignment)`` is memoized: stream-phase
     rounds, compare-phase rebuilds and resumed runs reuse the template
-    instead of re-walking the graph.  Cached templates are copied on
-    every return (plan building mutates epoch coordinates in place), so
-    built plans stay bit-identical to uncached builds.
+    instead of re-walking the graph.  Cached units are shared, never
+    copied: a plan keeps its streams and epoch coordinates in its own
+    side tables and never writes to a unit.  Below the templates, every
+    build shares the graph's kernels (:func:`~repro.runtime.lowering.graph_lowering`),
+    and the enumerator keeps each GEMM node's shape key and, per
+    strategy, which singleton members each ``kernel:*`` variable sets.
     """
 
     def __init__(
@@ -264,7 +261,8 @@ class Enumerator:
         self.cache_units = cache_units
         self._template_cache: OrderedDict[tuple, tuple] = OrderedDict()
         self._template_capacity = 64
-        self._chain_cache: dict[frozenset, list[tuple[int, ...]]] = {}
+        self._gemm_keys: dict[int, tuple] = {}
+        self._shape_index: dict[int, dict[str, list[FusionMember]]] = {}
         if features.fusion:
             self.analysis = resolve_static_conflicts(analyse_fusion(graph))
         else:
@@ -362,12 +360,32 @@ class Enumerator:
         when executed outside any group (fused ladder, or raw GEMMs)."""
         if member.is_ladder and strategy.supports(member.ladder_requirement()):
             return [(provenance(member.scope), member.pass_tag, member.m, member.k_total, member.n)]
-        keys = []
-        for mm_id in member.mm_ids:
-            node = self.graph.node(mm_id)
-            m, k, n = _node_dims(self.graph, mm_id)
-            keys.append((provenance(node.scope), node.pass_tag, m, k, n))
-        return keys
+        return [self._gemm_key(mm_id) for mm_id in member.mm_ids]
+
+    def _gemm_key(self, node_id: int) -> tuple:
+        """Profile key of one GEMM node launched on its own."""
+        key = self._gemm_keys.get(node_id)
+        if key is None:
+            node = self.graph.node(node_id)
+            m, k, n = _node_dims(self.graph, node_id)
+            key = self._gemm_keys[node_id] = (provenance(node.scope), node.pass_tag, m, k, n)
+        return key
+
+    def _kernel_var_members(self, strategy: AllocationStrategy) -> dict[str, list[FusionMember]]:
+        """The shape index: ``kernel:*`` variable name -> the singleton
+        members whose launches it sets, in singleton order."""
+        index = self._shape_index.get(strategy.strategy_id)
+        if index is None:
+            index = self._shape_index[strategy.strategy_id] = {}
+            for member in self.analysis.singletons:
+                if member.is_ladder and not strategy.supports(member.ladder_requirement()):
+                    continue  # owned by a ladder variable
+                names = dict.fromkeys(
+                    f"kernel:{key}" for key in self._member_shape_keys(member, strategy)
+                )
+                for name in names:
+                    index.setdefault(name, []).append(member)
+        return index
 
     def _tensors_are_params(self, tensors) -> bool:
         return all(self.graph.node(t).role == "param" for t in tensors)
@@ -415,47 +433,28 @@ class Enumerator:
                 builder.emit_member(member)
 
         # 2b. with fusion analysis disabled, GEMMs were never members
+        lowering = graph_lowering(self.graph)
         if not self.features.fusion:
             for node in self.graph.gemm_nodes():
                 if node.node_id in builder.covered:
                     continue
-                m, k, n = _node_dims(self.graph, node.node_id)
-                key = (provenance(node.scope), node.pass_tag, m, k, n)
-                kernel = GemmLaunch(m, k, n, library_for(key), node_ids=(node.node_id,))
+                key = self._gemm_key(node.node_id)
+                kernel = lowering.kernel(node.node_id, library_for(key))
                 builder.add_unit(
                     Unit(next(builder.counter), kernel, (node.node_id,),
                          label=kernel.name),
                     builder.kernel_var_name(key),
                 )
 
-        # 3. elementwise / reduction chains over everything not yet covered
-        remaining = {
-            n.node_id for n in self.graph.nodes
-            if not n.is_leaf and n.node_id not in builder.covered
-        }
-        if self.features.elementwise_fusion:
-            for chain in cached_elementwise_chains(self.graph, remaining,
-                                                   self._chain_cache):
-                if len(chain) < 2:
-                    continue
-                kernel = fused_elementwise_kernel(self.graph, chain)
-                builder.add_unit(
-                    Unit(next(builder.counter), kernel, chain, label=kernel.label),
-                    None,
-                )
-                remaining -= set(chain)
-
-        for node in self.graph.nodes:
-            if node.node_id not in remaining:
-                continue
-            kernel = kernel_for_node(self.graph, node)
-            if kernel is None:
-                continue
-            builder.add_unit(
-                Unit(next(builder.counter), kernel, (node.node_id,),
-                     label=kernel.name),
-                None,
-            )
+        # 3. elementwise / reduction chains over everything not yet
+        # covered; nothing reads ``covered`` after this, so the units go
+        # straight onto the list
+        remaining = lowering.compute_ids - builder.covered
+        units = builder.units
+        for kernel in lowering.sweep(remaining, self.features.elementwise_fusion):
+            chain = len(kernel.node_ids) > 1
+            label = kernel.label if chain else kernel.name
+            units.append(Unit(next(builder.counter), kernel, kernel.node_ids, label=label))
         return builder
 
     def _built_units(
@@ -527,23 +526,16 @@ class Enumerator:
                 self, strategy,
                 lambda key: choice if f"kernel:{key}" == name else DEFAULT_LIBRARY,
             )
-            for member in self.analysis.singletons:
-                if member.is_ladder and not strategy.supports(member.ladder_requirement()):
-                    continue  # owned by a ladder variable, not this one
-                if all(
-                    f"kernel:{key}" != name
-                    for key in self._member_shape_keys(member, strategy)
-                ):
-                    continue  # emits nothing owned by this variable
+            for member in self._kernel_var_members(strategy).get(name, ()):
                 builder.emit_member(member)
             if not self.features.fusion:
+                lowering = graph_lowering(self.graph)
                 for node in self.graph.gemm_nodes():
                     if node.node_id in builder.covered:
                         continue
-                    m, k, n = _node_dims(self.graph, node.node_id)
-                    key = (provenance(node.scope), node.pass_tag, m, k, n)
+                    key = self._gemm_key(node.node_id)
                     lib = choice if f"kernel:{key}" == name else DEFAULT_LIBRARY
-                    kernel = GemmLaunch(m, k, n, lib, node_ids=(node.node_id,))
+                    kernel = lowering.kernel(node.node_id, lib)
                     builder.add_unit(
                         Unit(next(builder.counter), kernel, (node.node_id,),
                              label=kernel.name),
@@ -561,12 +553,7 @@ class Enumerator:
         under that variable's concurrent choice -- the pre-ranker must not
         prune it, because its analytic estimate assumes the default
         library."""
-        names = set()
-        for mm_id in member.mm_ids:
-            node = self.graph.node(mm_id)
-            m, k, n = _node_dims(self.graph, mm_id)
-            names.add(f"kernel:{(provenance(node.scope), node.pass_tag, m, k, n)}")
-        return names
+        return {f"kernel:{self._gemm_key(mm_id)}" for mm_id in member.mm_ids}
 
     def build_plan(
         self,

@@ -234,12 +234,15 @@ class AstraSession:
         measures the baseline on demand before enforcing it.
         """
         self._warm_start()
-        native_time = self.measure_native() if measure_native else None
-        report = self.wirer.optimize(max_minibatches=max_minibatches)
-        if self.wirer.injector is not None and not report.degraded:
-            if native_time is None:
-                native_time = self.measure_native()
-            report = self._enforce_degradation(report, native_time)
+        # the native baseline and the exploration lower one graph: they
+        # share its kernels, costs and producer closure, built on first use
+        with self.graph.memoized():
+            native_time = self.measure_native() if measure_native else None
+            report = self.wirer.optimize(max_minibatches=max_minibatches)
+            if self.wirer.injector is not None and not report.degraded:
+                if native_time is None:
+                    native_time = self.measure_native()
+                report = self._enforce_degradation(report, native_time)
         self._publish()
         if native_time is None:
             return SessionReport(

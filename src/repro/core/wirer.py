@@ -804,7 +804,7 @@ class CustomWirer:
         self._spent_this_run = 0
         self._all_phases: list[PhaseStats] = []
         try:
-            with self.clock.phase("explore"):
+            with self.clock.phase("explore"), self.graph.memoized():
                 report = self._optimize(max_minibatches)
         except PreemptionError as exc:
             self._preempted_at = exc.minibatch

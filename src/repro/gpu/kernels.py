@@ -11,7 +11,9 @@ answers two questions for the discrete-event engine:
 
 Costs are pure functions of shapes and the device spec -- never of tensor
 values -- which is the predictability property Astra's online profiling
-relies on (section 4.1).
+relies on (section 4.1).  ``cost_key()`` names exactly the fields those
+functions read, so equal keys cost the same on every device and a cost
+can be computed once per key.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ class Kernel:
 
     def parallelism(self, device: GPUSpec) -> int:
         return device.sm_slots
+
+    def cost_key(self) -> tuple | None:
+        """What ``duration_us`` and ``parallelism`` read, or None when the
+        cost must be computed every time.  A subclass that changes what
+        its cost reads overrides this."""
+        return None
 
     def flops(self) -> int:
         return 0
@@ -72,6 +80,9 @@ class GemmLaunch(Kernel):
 
     def parallelism(self, device: GPUSpec) -> int:
         return self.impl.max_parallel_blocks(self.m, self.n, device, k=self.k)
+
+    def cost_key(self) -> tuple:
+        return (type(self), self.m, self.k, self.n, self.library)
 
     def flops(self) -> int:
         return 2 * self.m * self.k * self.n
@@ -112,6 +123,10 @@ class ElementwiseLaunch(Kernel):
         blocks = max(1, self.num_elements // 1024)
         return min(blocks, device.sm_slots)
 
+    def cost_key(self) -> tuple:
+        return (type(self), self.num_elements, self.fused_ops,
+                self.flops_per_element, self.bytes_per_element)
+
     def flops(self) -> int:
         return int(self.num_elements * self.flops_per_element * self.fused_ops)
 
@@ -135,6 +150,9 @@ class CopyLaunch(Kernel):
     def parallelism(self, device: GPUSpec) -> int:
         blocks = max(1, self.bytes_moved // 4096)
         return min(blocks, device.sm_slots)
+
+    def cost_key(self) -> tuple:
+        return (type(self), self.bytes_moved)
 
 
 @dataclass
@@ -170,6 +188,10 @@ class CompoundLaunch(Kernel):
             device.peak_flops_per_us * self._effective_efficiency()
         )
 
+    def cost_key(self) -> tuple:
+        return (type(self), self.total_flops, self.efficiency, self.rows,
+                self.saturation_rows, self.saturation_exp)
+
     def flops(self) -> int:
         return self.total_flops
 
@@ -194,3 +216,6 @@ class HostTransfer(Kernel):
 
     def parallelism(self, device: GPUSpec) -> int:
         return 0  # uses the copy engine, not SMs
+
+    def cost_key(self) -> tuple:
+        return (type(self), self.bytes_moved, self.direction)

@@ -84,18 +84,22 @@ class GemmKernel:
         and the fast-path pre-ranker hit this on their hot paths).
         """
         # key on the exact physics inputs the computation reads, so a
-        # modified device spec (tests build them freely) never aliases
+        # modified device spec (tests build them freely) never aliases.
+        # The library is keyed by name -- hashing the frozen dataclass
+        # would walk its variant tuple on every call -- and each entry
+        # holds the library it was planned by, so a test-built library
+        # of the same name never reads another's plan
         memo_key = (
-            self, m, k, n,
+            self.library, m, k, n,
             device.sm_slots, device.peak_flops_per_us, device.mem_bw_bytes_per_us,
         )
         cached = _PLAN_MEMO.get(memo_key)
-        if cached is not None:
-            return cached
+        if cached is not None and cached[0] is self:
+            return cached[1]
         plan = self._plan_uncached(m, k, n, device)
         if len(_PLAN_MEMO) >= _PLAN_MEMO_CAP:
             _PLAN_MEMO.clear()  # unbounded shape churn is not a real workload
-        _PLAN_MEMO[memo_key] = plan
+        _PLAN_MEMO[memo_key] = (self, plan)
         return plan
 
     def _plan_uncached(self, m: int, k: int, n: int, device: GPUSpec) -> GemmPlan:
@@ -188,9 +192,10 @@ GEMM_LIBRARIES: dict[str, GemmKernel] = {
     kernel.library: kernel for kernel in (CUBLAS, OAI_1, OAI_2)
 }
 
-#: process-wide GemmPlan memo (see :meth:`GemmKernel.plan`); bounded by a
-#: flush-on-full cap because real jobs reuse a few dozen shapes
-_PLAN_MEMO: dict[tuple, GemmPlan] = {}
+#: process-wide GemmPlan memo (see :meth:`GemmKernel.plan`), values
+#: ``(library, plan)``; bounded by a flush-on-full cap because real jobs
+#: reuse a few dozen shapes
+_PLAN_MEMO: dict[tuple, tuple] = {}
 _PLAN_MEMO_CAP = 4096
 
 #: the library the native (unadapted) baseline always uses

@@ -129,22 +129,37 @@ OP_LAUNCH, OP_RECORD, OP_SYNC, OP_HOST = range(4)
 
 class KernelTable:
     """The kernels a schedule launches, in record order, with their costs
-    on one device computed once: base-clock duration, SM cap and kind."""
+    on one device computed once: base-clock duration, SM cap and kind.
 
-    __slots__ = ("kernels", "_device", "_costs")
+    ``known`` holds the costs per device, a dict from
+    :meth:`~repro.gpu.kernels.Kernel.cost_key` to ``(duration, cap,
+    kind)``; tables may share it.  A graph's schedules share one, so a
+    candidate costs only the kernels no earlier schedule launched.
+    """
 
-    def __init__(self, kernels: list[Kernel]):
+    __slots__ = ("kernels", "known", "_device", "_costs")
+
+    def __init__(self, kernels: list[Kernel], known: dict | None = None):
         self.kernels = kernels
+        self.known = {} if known is None else known
         self._device = None
         self._costs = None
 
     def costs(self, device: GPUSpec) -> tuple[list, list, list]:
         if device is not self._device:
-            self._costs = (
-                [kernel.duration_us(device) for kernel in self.kernels],
-                [kernel.parallelism(device) for kernel in self.kernels],
-                [kernel.kind for kernel in self.kernels],
-            )
+            known = self.known.setdefault(device, {})
+            rows = []
+            for kernel in self.kernels:
+                key = kernel.cost_key()
+                row = known.get(key)
+                if row is None:
+                    row = (kernel.duration_us(device), kernel.parallelism(device),
+                           kernel.kind)
+                    if key is not None:
+                        known[key] = row
+                rows.append(row)
+            durations, caps, kinds = zip(*rows) if rows else ((), (), ())
+            self._costs = (list(durations), list(caps), list(kinds))
             self._device = device
         return self._costs
 

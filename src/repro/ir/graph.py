@@ -15,6 +15,7 @@ Each node carries *provenance* metadata that Astra's enumerator consumes:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -61,7 +62,9 @@ class Graph:
 
     The node list is always a valid topological order.  ``consumers`` is
     maintained incrementally so dependence queries used throughout the
-    enumerator are O(1).
+    enumerator are O(1).  :meth:`memo` shares structures derived from the
+    nodes (lowering's kernels and producer closure) for the length of a
+    :meth:`memoized` block; they are never pickled.
     """
 
     def __init__(self, name: str = "graph"):
@@ -69,6 +72,38 @@ class Graph:
         self.nodes: list[Node] = []
         self._consumers: dict[int, list[int]] = {}
         self.outputs: list[int] = []
+        self._memos: dict[str, object] = {}
+        self._memo_holds = 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_memos"] = {}
+        state["_memo_holds"] = 0
+        return state
+
+    def memo(self, name: str, build):
+        """The structure ``build(graph)`` derives from this graph.  Inside
+        a :meth:`memoized` block it is built on the first call for
+        ``name`` and shared by every later one; outside, each call builds
+        its own."""
+        value = self._memos.get(name)
+        if value is None:
+            value = build(self)
+            if self._memo_holds:
+                self._memos[name] = value
+        return value
+
+    @contextmanager
+    def memoized(self):
+        """Share :meth:`memo` structures until the outermost block ends,
+        then drop them: a graph kept for later holds none."""
+        self._memo_holds += 1
+        try:
+            yield self
+        finally:
+            self._memo_holds -= 1
+            if not self._memo_holds:
+                self._memos.clear()
 
     # -- construction -------------------------------------------------------
 
@@ -76,6 +111,8 @@ class Graph:
         if role not in (ROLE_INPUT, ROLE_PARAM):
             raise ValueError(f"leaf role must be input or param, got {role!r}")
         node = Node(len(self.nodes), None, (), spec, role=role, label=label)
+        if self._memos:
+            self._memos.clear()
         self.nodes.append(node)
         self._consumers[node.node_id] = []
         return node
@@ -107,6 +144,8 @@ class Graph:
             pass_tag=pass_tag,
             label=label,
         )
+        if self._memos:  # they read the nodes and their consumers
+            self._memos.clear()
         self.nodes.append(node)
         self._consumers[node.node_id] = []
         for inp in input_nodes:

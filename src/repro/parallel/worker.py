@@ -82,14 +82,15 @@ def run_estimates(state: WorkerState, strategy_id: int, names: list) -> list:
 
     strategy = state.strategies[strategy_id]
     out = []
-    for name in names:
-        var = state._vars_for(strategy_id)[name]
-        out.append([
-            estimate_choice_us(
-                state.enumerator, strategy, var, choice, state.spec.device
-            )
-            for choice in var.choices
-        ])
+    with state.spec.graph.memoized():
+        for name in names:
+            var = state._vars_for(strategy_id)[name]
+            out.append([
+                estimate_choice_us(
+                    state.enumerator, strategy, var, choice, state.spec.device
+                )
+                for choice in var.choices
+            ])
     return out
 
 
@@ -100,10 +101,11 @@ def run_shard(state: WorkerState, tasks: list) -> list:
     candidates would be discarded unread.
     """
     outcomes = []
-    for task in tasks:
-        outcomes.append(measure_candidate(state, task))
-        if outcomes[-1].halts_merge:
-            break
+    with state.spec.graph.memoized():
+        for task in tasks:
+            outcomes.append(measure_candidate(state, task))
+            if outcomes[-1].halts_merge:
+                break
     return outcomes
 
 

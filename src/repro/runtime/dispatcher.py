@@ -32,6 +32,7 @@ from ..gpu.streams import (
     compile_items,
 )
 from ..ir.graph import Graph
+from .lowering import graph_lowering
 from .plan import ExecutionPlan, Unit
 
 _SYNC_ALL = (OP_SYNC, -1)
@@ -110,7 +111,7 @@ class CompiledSchedule:
 
     def __init__(self, plan: ExecutionPlan, order_ids: list[int],
                  step_deps: list[tuple[int, ...]], edge_uids: list[int],
-                 edge_deps: list[int]):
+                 edge_deps: list[int], known_costs: dict | None = None):
         self.units = tuple(plan.units)
         self.epoch_of = dict(plan.epoch_of)
         self.order_ids = order_ids
@@ -134,12 +135,13 @@ class CompiledSchedule:
             kernels.extend(unit.pre_copies)
             kernels.append(unit.kernel)
             self.record_units.extend([uid] * (1 + len(unit.pre_copies)))
-        self.table = KernelTable(kernels)
+        self.table = KernelTable(kernels, known_costs)
         self._readback = None
 
     @classmethod
     def from_dependencies(cls, plan: ExecutionPlan, deps: dict[int, set[int]],
-                          order: list[Unit]) -> "CompiledSchedule":
+                          order: list[Unit],
+                          known_costs: dict | None = None) -> "CompiledSchedule":
         kernel_units = {u.unit_id for u in plan.units if u.kernel is not None}
         edge_uids, edge_deps = [], []
         for uid, dep_ids in deps.items():
@@ -149,13 +151,14 @@ class CompiledSchedule:
                     edge_deps.append(dep)
         order_ids = [u.unit_id for u in order]
         step_deps = [tuple(sorted(deps[uid])) for uid in order_ids]
-        return cls(plan, order_ids, step_deps, edge_uids, edge_deps)
+        return cls(plan, order_ids, step_deps, edge_uids, edge_deps, known_costs)
 
     def like(self, plan: ExecutionPlan) -> "CompiledSchedule":
         """Compile ``plan``, of this schedule's structure, reusing its
         dependencies and issue order."""
         return CompiledSchedule(
-            plan, self.order_ids, self.step_deps, self.edge_uids, self.edge_deps
+            plan, self.order_ids, self.step_deps, self.edge_uids, self.edge_deps,
+            self.table.known,
         )
 
     def fits(self, plan: ExecutionPlan) -> bool:
@@ -410,23 +413,45 @@ class Dispatcher:
         """unit id -> set of unit ids it consumes tensors from.
 
         Nodes not covered by any unit (reshapes, fills) are transparent:
-        dependencies flow through them to their producers.
+        dependencies flow through them to their producers.  The graph's
+        producer closure (:class:`~repro.runtime.lowering.GraphLowering`)
+        resolves each input in one lookup; a plan covering a normally free
+        node, and any input whose source the plan leaves uncovered, walk
+        the graph instead.  Each set is filled in the same order either
+        way, so its iteration order -- which numbers the events -- is the
+        same.
         """
         node_unit: dict[int, int] = {}
         for unit in plan.units:
             for nid in unit.node_ids:
                 node_unit[nid] = unit.unit_id
 
+        closure, free, ends = graph_lowering(self.graph).producers
+        walk_all = not free.isdisjoint(node_unit)
+        nodes = self.graph.nodes
         producers: dict[int, set[int]] = {}
         deps: dict[int, set[int]] = {}
         for unit in plan.units:
+            uid = unit.unit_id
             found: set[int] = set()
             for nid in unit.node_ids:
-                for inp in self.graph.node(nid).input_ids:
-                    for producer in self._producing_units(inp, node_unit, producers):
-                        if producer != unit.unit_id:
+                if not walk_all:
+                    for source in closure[nid]:
+                        producer = node_unit.get(source)
+                        if producer is None:
+                            if source in ends:
+                                continue
+                            break  # an uncovered source, or a fork: walk
+                        if producer != uid:
                             found.add(producer)
-            deps[unit.unit_id] = found
+                    else:
+                        continue
+                # re-adding what the closure found changes nothing
+                for inp in nodes[nid].input_ids:
+                    for producer in self._producing_units(inp, node_unit, producers):
+                        if producer != uid:
+                            found.add(producer)
+            deps[uid] = found
         return deps
 
     def _producing_units(
@@ -484,7 +509,9 @@ class Dispatcher:
         if like is not None:
             return like.like(plan)
         deps = self.unit_dependencies(plan)
-        return CompiledSchedule.from_dependencies(plan, deps, self._order_units(plan, deps))
+        return CompiledSchedule.from_dependencies(
+            plan, deps, self._order_units(plan, deps), graph_lowering(self.graph).costs
+        )
 
     def lower(self, plan: ExecutionPlan, compiled: CompiledSchedule | None = None) -> LoweredSchedule:
         """Lower a plan: compile it (unless the compilation cache passes

@@ -6,11 +6,16 @@ Maps DFG nodes onto simulator kernels: GEMM nodes become
 movement becomes copies, and reshape/fill are free.  The native baseline
 uses these units verbatim; Astra's enumerator replaces the GEMM units with
 fused groups and re-streams everything.
+
+Every plan of a graph lowers the same nodes the same way, so
+:func:`graph_lowering` keeps what lowering derives from the graph alone
+-- kernels, elementwise chains, kernel costs and the producer closure --
+for the length of an ``optimize`` call, each built on first use.
 """
 
 from __future__ import annotations
 
-import itertools
+from functools import cached_property
 
 from ..gpu.kernels import CopyLaunch, ElementwiseLaunch, GemmLaunch, Kernel
 from ..gpu.libraries import DEFAULT_LIBRARY
@@ -20,6 +25,8 @@ from .plan import Unit
 
 #: op kinds lowered into a single (possibly fused) elementwise launch
 _FUSABLE_KINDS = {ops.KIND_ELEMENTWISE, ops.KIND_REDUCTION}
+#: ops no kernel executes: metadata changes and constant fills
+_FREE_OPS = (ops.Reshape, ops.Fill)
 
 
 def kernel_for_node(graph: Graph, node: Node, library: str = DEFAULT_LIBRARY) -> Kernel | None:
@@ -27,7 +34,7 @@ def kernel_for_node(graph: Graph, node: Node, library: str = DEFAULT_LIBRARY) ->
     if node.is_leaf or node.op is None:
         return None
     op = node.op
-    if isinstance(op, (ops.Reshape, ops.Fill)):
+    if isinstance(op, _FREE_OPS):
         return None
     in_specs = [graph.node(i).spec for i in node.input_ids]
     if node.kind == ops.KIND_GEMM:
@@ -75,11 +82,12 @@ def fused_elementwise_kernel(graph: Graph, node_ids: tuple[int, ...]) -> Element
         in_specs = [graph.node(i).spec for i in node.input_ids]
         total_flops += node.op.flops(in_specs, node.spec)  # type: ignore[union-attr]
     # fused chain streams external inputs once and writes one output
+    members = set(node_ids)
     external_inputs = {
         inp
         for node in nodes
         for inp in node.input_ids
-        if inp not in set(node_ids)
+        if inp not in members
     }
     traffic = out.spec.size_bytes + sum(graph.node(i).spec.size_bytes for i in external_inputs)
     return ElementwiseLaunch(
@@ -129,26 +137,6 @@ def elementwise_chains(graph: Graph, node_ids: set[int] | None = None) -> list[t
     return [tuple(chain) for chain in chains if chain]
 
 
-def cached_elementwise_chains(
-    graph: Graph, node_ids: set[int], cache: dict
-) -> list[tuple[int, ...]]:
-    """Memoized :func:`elementwise_chains` keyed by the uncovered-node set.
-
-    Chain detection walks the whole graph but depends only on which nodes
-    are left uncovered -- which is invariant across exploration
-    configurations (fusion choices only re-cover GEMM nodes) -- so the
-    enumerator pays for it once per distinct remainder instead of once
-    per plan build.  ``cache`` is caller-owned (one per enumerator);
-    entries are immutable tuples and safe to share.
-    """
-    key = frozenset(node_ids)
-    chains = cache.get(key)
-    if chains is None:
-        chains = elementwise_chains(graph, node_ids)
-        cache[key] = chains
-    return chains
-
-
 def build_units(
     graph: Graph,
     gemm_library: str = DEFAULT_LIBRARY,
@@ -157,23 +145,130 @@ def build_units(
     """Per-node units (the native execution model), with optional
     elementwise chain fusion.  GEMMs stay one unit per node here; fused
     GEMM units are built by the enumerator."""
-    units: list[Unit] = []
-    counter = itertools.count()
-    covered: set[int] = set()
+    lowering = graph_lowering(graph)
+    launches = lowering.sweep(lowering.compute_ids, fuse_elementwise, gemm_library)
+    return [
+        Unit(uid, kernel, kernel.node_ids,
+             label=kernel.label if len(kernel.node_ids) > 1 else kernel.name)
+        for uid, kernel in enumerate(launches)
+    ]
 
-    if fuse_elementwise:
-        for chain in elementwise_chains(graph):
-            if len(chain) < 2:
+
+#: producer-closure sources that are not nodes: the path ends at a free
+#: node without inputs (no producer), or forks at one (walk it per plan)
+NO_SOURCE, FORKS = -1, -2
+
+
+class GraphLowering:
+    """What lowering derives from one graph alone, shared by every plan
+    built over it: the enumerator's sweep, the native, XLA and cuDNN
+    baselines and the dispatcher.  Get it with :func:`graph_lowering`:
+    inside :meth:`Graph.memoized <repro.ir.graph.Graph.memoized>` (an
+    ``optimize`` call) every caller shares one, built piece by piece on
+    first use; the graph drops it when the block ends or a node is
+    added.
+
+    * :meth:`kernel`: one kernel per node and GEMM library.  Kernels are
+      construct-once values, so units over the same nodes share one.
+    * :meth:`sweep`: the elementwise sweep -- a fused kernel per chain,
+      kept per chain, then the lone nodes' kernels -- per uncovered-node
+      set.  Plans of one exploration leave a few distinct remainders (an
+      unfused ladder leaves its absorbed adds uncovered, a fused one does
+      not), and each is swept once.
+    * ``costs``: the :class:`~repro.gpu.streams.KernelTable` memo, per
+      device and kernel cost key.
+    * :attr:`producers`: the producer closure.  Per node, the source of
+      each input: the first node at or above the input that a unit
+      normally covers or that is a leaf, walking up through free nodes
+      (reshapes, fills), or :data:`NO_SOURCE` / :data:`FORKS`.  A plan
+      that covers those sources and no free node finds each unit's
+      producers without walking the graph.
+    """
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.costs: dict = {}
+        self._kernels: dict[str, dict[int, Kernel | None]] = {}
+        self._chain_kernels: dict[tuple[int, ...], ElementwiseLaunch] = {}
+        self._sweeps: dict[tuple, list[Kernel]] = {}
+
+    @cached_property
+    def compute_ids(self) -> frozenset[int]:
+        """Every non-leaf node: what a plan's units may cover."""
+        return frozenset(n.node_id for n in self.graph.nodes if not n.is_leaf)
+
+    def kernel(self, node_id: int, library: str = DEFAULT_LIBRARY) -> Kernel | None:
+        """:func:`kernel_for_node`, memoized."""
+        kernels = self._kernels.get(library)
+        if kernels is None:
+            kernels = self._kernels[library] = {}
+        try:
+            return kernels[node_id]
+        except KeyError:
+            kernel = kernels[node_id] = kernel_for_node(
+                self.graph, self.graph.nodes[node_id], library
+            )
+            return kernel
+
+    def sweep(
+        self, uncovered: set[int], fuse: bool = True, library: str = DEFAULT_LIBRARY
+    ) -> list[Kernel]:
+        """The kernels that run the ``uncovered`` compute nodes, each
+        covering its ``node_ids``, memoized per set: with ``fuse``, one
+        fused kernel per elementwise chain of two or more nodes (JIT
+        fusion, 5.3), in chain order; then each remaining node's own
+        kernel, in node order.  Free nodes launch nothing."""
+        key = (frozenset(uncovered), fuse, library)
+        launches = self._sweeps.get(key)
+        if launches is None:
+            launches = self._sweeps[key] = []
+            rest = set(uncovered)
+            if fuse:
+                for chain in elementwise_chains(self.graph, rest):
+                    if len(chain) < 2:
+                        continue
+                    kernel = self._chain_kernels.get(chain)
+                    if kernel is None:
+                        kernel = self._chain_kernels[chain] = fused_elementwise_kernel(
+                            self.graph, chain
+                        )
+                    launches.append(kernel)
+                    rest.difference_update(chain)
+            for nid in sorted(rest):  # node ids are node positions
+                kernel = self.kernel(nid, library)
+                if kernel is not None:
+                    launches.append(kernel)
+        return launches
+
+    @cached_property
+    def producers(self) -> tuple[list[tuple], frozenset[int], frozenset[int]]:
+        """``(closure, free, ends)``: per node id the source of each input
+        (the node's own ``input_ids`` when every input is its source), the
+        normally free nodes, and the sources that yield no producer unless
+        a unit covers them (leaves and :data:`NO_SOURCE`)."""
+        nodes = self.graph.nodes
+        source = [NO_SOURCE] * len(nodes)
+        free = set()
+        for node in nodes:
+            nid = node.node_id
+            if node.is_leaf or not (node.op is None or isinstance(node.op, _FREE_OPS)):
+                source[nid] = nid
                 continue
-            kernel = fused_elementwise_kernel(graph, chain)
-            units.append(Unit(next(counter), kernel, chain, label=kernel.label))
-            covered.update(chain)
+            free.add(nid)
+            inputs = node.input_ids
+            if len(inputs) == 1:
+                source[nid] = source[inputs[0]]
+            elif inputs:
+                source[nid] = FORKS
+        closure = []
+        for node in nodes:
+            sources = tuple(source[inp] for inp in node.input_ids)
+            closure.append(node.input_ids if sources == node.input_ids else sources)
+        ends = frozenset(n.node_id for n in nodes if n.is_leaf) | {NO_SOURCE}
+        return closure, frozenset(free), ends
 
-    for node in graph.nodes:
-        if node.node_id in covered:
-            continue
-        kernel = kernel_for_node(graph, node, library=gemm_library)
-        if kernel is None:
-            continue
-        units.append(Unit(next(counter), kernel, (node.node_id,), label=kernel.name))
-    return units
+
+def graph_lowering(graph: Graph) -> GraphLowering:
+    """The graph's :class:`GraphLowering`: shared inside a
+    :meth:`~repro.ir.graph.Graph.memoized` block, a fresh one outside."""
+    return graph.memo("lowering", GraphLowering)

@@ -1,0 +1,42 @@
+"""The front-end microbench (``benchmarks/micro/frontend.py``) in
+correctness mode: every candidate's units, dependencies, compiled
+indices, kernel costs and every pre-ranker estimate equal the pre-memo
+reference code's."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "micro" / "frontend.py"
+SMALL = ["--model", "milstm", "--batch", "4", "--seq-len", "2", "--reps", "1", "--check"]
+
+
+def test_replay_equals_the_reference():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), *SMALL],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    doc = json.loads(out.stdout.splitlines()[-1])
+    assert doc["check"] == "ok"
+    assert doc["reps"] == 1 and doc["candidates"] == len(doc["per_candidate_median_s"]) > 0
+    for layer in ("build", "compile", "costs", "estimates"):
+        stats = doc[f"{layer}_s"]
+        assert 0 < stats["q1"] <= stats["median"] <= stats["q3"]
+
+
+def test_check_fails_when_a_cost_differs(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("frontend_microbench", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    reference = bench.reference_kernel_costs
+
+    def off_by_one(kernels, device):
+        durations, caps, kinds = reference(kernels, device)
+        return [durations[0] + 1.0, *durations[1:]], caps, kinds
+
+    monkeypatch.setattr(bench, "reference_kernel_costs", off_by_one)
+    assert bench.main(SMALL) == 1
+    assert "costs" in json.loads(capsys.readouterr().out.splitlines()[-1])["check"]

@@ -1,24 +1,54 @@
-"""Plan lowering as it stood before compiled schedules, kept verbatim as
-a test oracle.
+"""Lowering and plan building as they stood before the per-graph memos,
+kept verbatim as test oracles; nothing outside the tests and the
+front-end microbench imports them.
 
-``reference_lower`` emits the dispatch-item list in one pass per plan,
-allocating events from an :class:`EventNamespace` as it goes.
-``test_compiled.py`` lowers every plan an exploration measures both
-ways and demands identical schedules; nothing outside the tests imports
-it.
+* ``reference_lower`` emits the dispatch-item list in one pass per plan,
+  allocating events from an :class:`EventNamespace` as it goes, as
+  lowering did before compiled schedules.
+* :class:`ReferenceDispatcher` finds each unit's producers by walking the
+  graph recursively for every plan, with no producer closure.
+* ``reference_kernel_costs`` costs every kernel of a table, unmemoized.
+* ``reference_build_units`` and ``reference_units_for_choice`` are the
+  enumerator's emission with a fresh kernel per launch, uncached
+  elementwise chains and, for ``kernel:*`` variables, a linear scan of
+  the singleton members; ``reference_native_plan``,
+  ``reference_xla_plan`` and ``reference_cudnn_plan`` build the baselines
+  the same way.
 """
 
 from __future__ import annotations
 
+import itertools
+
+from repro.baselines.cudnn import CUDNN_EFFICIENCY, detect_lstm_steps
+from repro.baselines.xla import host_embedding_cost_us
+from repro.core.adaptive import AdaptiveVariable
+from repro.core.allocation import AllocationStrategy
+from repro.core.enumerator import Enumerator
+from repro.core.fusion import FusionMember, provenance
+from repro.gpu.device import GPUSpec
 from repro.gpu.events import EventId, EventNamespace
+from repro.gpu.kernels import (
+    CompoundLaunch,
+    CopyLaunch,
+    ElementwiseLaunch,
+    GemmLaunch,
+    HostTransfer,
+    Kernel,
+)
+from repro.gpu.libraries import DEFAULT_LIBRARY
 from repro.gpu.streams import DispatchItem, HostComputeItem, HostSyncItem, LaunchItem
+from repro.ir import ops
+from repro.ir.graph import Graph
 from repro.runtime.dispatcher import Dispatcher, LoweredSchedule
-from repro.runtime.plan import ExecutionPlan
+from repro.runtime.lowering import elementwise_chains, kernel_for_node
+from repro.runtime.plan import ExecutionPlan, Unit
 
 
 def reference_lower(dispatcher: Dispatcher, plan: ExecutionPlan) -> LoweredSchedule:
     """Lower a plan to dispatch items."""
     plan.validate_covering()
+    dispatcher = ReferenceDispatcher(dispatcher.graph)
     deps = dispatcher.unit_dependencies(plan)
     order = dispatcher._order_units(plan, deps)
 
@@ -113,3 +143,522 @@ def reference_lower(dispatcher: Dispatcher, plan: ExecutionPlan) -> LoweredSched
         record_units=record_units,
         item_units=item_units,
     )
+
+
+class ReferenceDispatcher(Dispatcher):
+    """A dispatcher whose dependency analysis walks the graph per plan."""
+
+    def unit_dependencies(self, plan: ExecutionPlan) -> dict[int, set[int]]:
+        """unit id -> set of unit ids it consumes tensors from.
+
+        Nodes not covered by any unit (reshapes, fills) are transparent:
+        dependencies flow through them to their producers.
+        """
+        node_unit: dict[int, int] = {}
+        for unit in plan.units:
+            for nid in unit.node_ids:
+                node_unit[nid] = unit.unit_id
+
+        producers: dict[int, set[int]] = {}
+        deps: dict[int, set[int]] = {}
+        for unit in plan.units:
+            found: set[int] = set()
+            for nid in unit.node_ids:
+                for inp in self.graph.node(nid).input_ids:
+                    for producer in self._producing_units(inp, node_unit, producers):
+                        if producer != unit.unit_id:
+                            found.add(producer)
+            deps[unit.unit_id] = found
+        return deps
+
+    def _producing_units(
+        self, node_id: int, node_unit: dict[int, int], producers: dict[int, set[int]]
+    ) -> set[int]:
+        """Units whose output reaches ``node_id`` through uncovered nodes;
+        ``producers`` memoizes the answer per node for one plan."""
+        if node_id in producers:
+            return producers[node_id]
+        node = self.graph.node(node_id)
+        if node_id in node_unit:
+            result = {node_unit[node_id]}
+        elif node.is_leaf:
+            result = set()
+        else:
+            result = set()
+            for inp in node.input_ids:
+                result |= self._producing_units(inp, node_unit, producers)
+        producers[node_id] = result
+        return result
+
+
+def reference_kernel_costs(kernels: list[Kernel], device: GPUSpec) -> tuple[list, list, list]:
+    """Base-clock duration, SM cap and kind of every kernel."""
+    return (
+        [kernel.duration_us(device) for kernel in kernels],
+        [kernel.parallelism(device) for kernel in kernels],
+        [kernel.kind for kernel in kernels],
+    )
+
+
+def reference_fused_elementwise_kernel(graph: Graph, node_ids: tuple[int, ...]) -> ElementwiseLaunch:
+    """One launch computing a chain of elementwise ops (JIT fusion, 5.3)."""
+    nodes = [graph.node(nid) for nid in node_ids]
+    out = nodes[-1]
+    elems = out.spec.num_elements
+    total_flops = 0
+    for node in nodes:
+        in_specs = [graph.node(i).spec for i in node.input_ids]
+        total_flops += node.op.flops(in_specs, node.spec)  # type: ignore[union-attr]
+    # fused chain streams external inputs once and writes one output
+    external_inputs = {
+        inp
+        for node in nodes
+        for inp in node.input_ids
+        if inp not in set(node_ids)
+    }
+    traffic = out.spec.size_bytes + sum(graph.node(i).spec.size_bytes for i in external_inputs)
+    return ElementwiseLaunch(
+        num_elements=elems,
+        fused_ops=len(nodes),
+        flops_per_element=total_flops / (elems * len(nodes)),
+        bytes_per_element=traffic / (elems * len(nodes)),
+        node_ids=tuple(node_ids),
+        label="fused_" + nodes[-1].op.name,  # type: ignore[union-attr]
+    )
+
+
+def reference_build_native_units(
+    graph: Graph,
+    gemm_library: str = DEFAULT_LIBRARY,
+    fuse_elementwise: bool = False,
+) -> list[Unit]:
+    """Per-node units (the native execution model), with optional
+    elementwise chain fusion.  GEMMs stay one unit per node here; fused
+    GEMM units are built by the enumerator."""
+    units: list[Unit] = []
+    counter = itertools.count()
+    covered: set[int] = set()
+
+    if fuse_elementwise:
+        for chain in elementwise_chains(graph):
+            if len(chain) < 2:
+                continue
+            kernel = reference_fused_elementwise_kernel(graph, chain)
+            units.append(Unit(next(counter), kernel, chain, label=kernel.label))
+            covered.update(chain)
+
+    for node in graph.nodes:
+        if node.node_id in covered:
+            continue
+        kernel = kernel_for_node(graph, node, library=gemm_library)
+        if kernel is None:
+            continue
+        units.append(Unit(next(counter), kernel, (node.node_id,), label=kernel.name))
+    return units
+
+
+def reference_native_plan(graph: Graph, fuse_elementwise: bool = False) -> ExecutionPlan:
+    units = reference_build_native_units(
+        graph, gemm_library=DEFAULT_LIBRARY, fuse_elementwise=fuse_elementwise
+    )
+    return ExecutionPlan(units=units, profile=False, label="native")
+
+
+def reference_xla_plan(graph: Graph, device: GPUSpec) -> ExecutionPlan:
+    """Statically compiled plan: fused elementwise clusters, stock GEMMs,
+    and the host round-trip for every embedding op."""
+    units: list[Unit] = []
+    counter = itertools.count()
+    covered: set[int] = set()
+
+    # embeddings: lowered through the host
+    for node in graph.nodes:
+        if node.kind != ops.KIND_EMBEDDING:
+            continue
+        in_specs = [graph.node(i).spec for i in node.input_ids]
+        if isinstance(node.op, ops.Embedding):
+            down_bytes = in_specs[1].size_bytes  # indices to host
+        else:  # EmbeddingGrad: gradient rows to host
+            down_bytes = in_specs[1].size_bytes
+        up_bytes = node.spec.size_bytes
+        host_us = host_embedding_cost_us(graph, node.node_id, device)
+        # one unit: d2h copy, then host gather stalls dispatch, then h2d
+        units.append(
+            Unit(
+                next(counter),
+                HostTransfer(up_bytes, direction="h2d", node_ids=(node.node_id,)),
+                (node.node_id,),
+                label=f"xla_host_{node.op.name}",
+                pre_copies=(HostTransfer(down_bytes, direction="d2h"),),
+                host_us=host_us + 2 * device.pcie_latency_us,
+            )
+        )
+        covered.add(node.node_id)
+
+    # aggressive static elementwise fusion
+    remaining = {n.node_id for n in graph.nodes if not n.is_leaf} - covered
+    for chain in elementwise_chains(graph, remaining):
+        if len(chain) < 2:
+            continue
+        kernel = reference_fused_elementwise_kernel(graph, chain)
+        units.append(Unit(next(counter), kernel, chain, label="xla_" + kernel.label))
+        covered.update(chain)
+
+    # everything else: stock per-node kernels, single stream
+    for node in graph.nodes:
+        if node.is_leaf or node.node_id in covered:
+            continue
+        kernel = kernel_for_node(graph, node)
+        if kernel is None:
+            continue
+        units.append(Unit(next(counter), kernel, (node.node_id,), label=kernel.name))
+
+    return ExecutionPlan(units=units, profile=False, label="xla")
+
+
+def reference_cudnn_plan(graph: Graph) -> ExecutionPlan:
+    """Native execution with covered steps replaced by compound kernels."""
+    coverage = detect_lstm_steps(graph)
+    units: list[Unit] = []
+    counter = itertools.count()
+
+    for scope_key, node_ids in sorted(coverage.covered_scopes.items()):
+        flops = 0
+        rows = None
+        for nid in node_ids:
+            node = graph.node(nid)
+            in_specs = [graph.node(i).spec for i in node.input_ids]
+            flops += node.op.flops(in_specs, node.spec)  # type: ignore[union-attr]
+            if node.kind == "gemm":
+                m = node.op.gemm_dims(in_specs)[0]  # type: ignore[union-attr]
+                rows = m if rows is None else min(rows, m)  # batch dim
+        kernel = CompoundLaunch(
+            total_flops=flops, efficiency=CUDNN_EFFICIENCY, rows=rows or 64,
+            label=f"cudnn@{scope_key}", node_ids=node_ids,
+        )
+        units.append(Unit(next(counter), kernel, node_ids, label=kernel.label))
+
+    for node in graph.nodes:
+        if node.is_leaf or node.node_id in coverage.covered_nodes:
+            continue
+        kernel = kernel_for_node(graph, node)
+        if kernel is None:
+            continue
+        units.append(Unit(next(counter), kernel, (node.node_id,), label=kernel.name))
+
+    return ExecutionPlan(units=units, profile=False, label="cudnn")
+
+
+class ReferenceUnitBuilder:
+    """Shared unit-emission engine.
+
+    :meth:`Enumerator.build_plan` drives it over the whole graph;
+    :meth:`Enumerator.units_for_choice` drives it over a single adaptive
+    variable's emission so the fast-path pre-ranker can score a choice in
+    isolation.  One code path means the scored units are the measured
+    units by construction.
+    """
+
+    def __init__(self, enum: Enumerator, strategy: AllocationStrategy, library_for):
+        self.enum = enum
+        self.strategy = strategy
+        #: profile-key -> GEMM library (the ``kernel:*`` assignment view)
+        self.library_for = library_for
+        self.units: list[Unit] = []
+        self.var_units: dict[str, list[int]] = {}
+        self.covered: set[int] = set()
+        self.counter = itertools.count()
+
+    def add_unit(self, unit: Unit, var_name: str | None) -> None:
+        self.units.append(unit)
+        self.covered.update(unit.node_ids)
+        if var_name is not None:
+            self.var_units.setdefault(var_name, []).append(unit.unit_id)
+
+    def kernel_var_name(self, key: tuple) -> str | None:
+        name = f"kernel:{key}"
+        return name if len(self.enum._libraries) > 1 else None
+
+    def weight_pack_prologue(self, var_name: str | None, tensors: tuple[int, ...], tag: str) -> None:
+        """Weights are constant within a mini-batch, so an unsatisfied
+        weight layout is gathered once up front (section 4.5.2's
+        alternative to restriction, priced by measurement).  The pack is
+        charged 2x traffic each way: the optimizer updates the canonical
+        layout every mini-batch, so the pack is gathered and the
+        gradient contribution scattered back."""
+        graph = self.enum.graph
+        total = 4 * sum(graph.node(t).spec.size_bytes for t in set(tensors))
+        kernel = CopyLaunch(total, label=f"pack_{tag}")
+        self.add_unit(
+            Unit(next(self.counter), kernel, tuple(dict.fromkeys(tensors)),
+                 label=f"pack_{tag}"),
+            var_name,
+        )
+
+    def emit_member(
+        self,
+        member: FusionMember,
+        force_fuse: bool | None = None,
+        var_override: str | None = None,
+        lib_override: str | None = None,
+    ) -> None:
+        """Emit one member outside group fusion.
+
+        ``var_override`` attributes every emitted unit (including
+        gathers) to a specific adaptive variable so its measurement
+        covers exactly what its choice caused.
+        """
+        graph = self.enum.graph
+        supported = (
+            self.strategy.supports(member.ladder_requirement())
+            and not self.enum.features.tf_mode
+        )
+        fuse = member.is_ladder and (supported if force_fuse is None else force_fuse)
+        if fuse:
+            key = (provenance(member.scope), member.pass_tag,
+                   member.m, member.k_total, member.n)
+            lib = lib_override or self.library_for(key)
+            kernel = GemmLaunch(member.m, member.k_total, member.n, lib,
+                                node_ids=member.node_ids)
+            pre = []
+            if member.a_gather_bytes:
+                pre.append(CopyLaunch(member.a_gather_bytes, label="gather_a"))
+            var_name = var_override or (self.kernel_var_name(key) if supported else None)
+            if not supported:
+                if self.enum._tensors_are_params(member.b_nodes):
+                    self.weight_pack_prologue(var_name, member.b_nodes, "ladder")
+                else:
+                    pre.append(CopyLaunch(
+                        2 * sum(graph.node(b).spec.size_bytes for b in member.b_nodes),
+                        label="gather_b",
+                    ))
+            self.add_unit(
+                Unit(next(self.counter), kernel, member.node_ids,
+                     label=f"ladder@{member.scope}", pre_copies=tuple(pre)),
+                var_name,
+            )
+        else:
+            for mm_id in member.mm_ids:
+                node = graph.node(mm_id)
+                m, k, n = _node_dims(graph, mm_id)
+                key = (provenance(node.scope), node.pass_tag, m, k, n)
+                kernel = GemmLaunch(m, k, n, lib_override or self.library_for(key),
+                                    node_ids=(mm_id,))
+                self.add_unit(
+                    Unit(next(self.counter), kernel, (mm_id,), label=kernel.name),
+                    var_override or self.kernel_var_name(key),
+                )
+            # absorbed adds of an unfused ladder run as elementwise ops;
+            # leave them uncovered so the elementwise sweep picks them up
+
+    def emit_group(self, group, chunk: int, lib: str, var_name: str) -> None:
+        """Emit one fusion group at a chunk granularity > 1."""
+        graph = self.enum.graph
+        members = group.members
+        supported = self.strategy.supports(group.requirement)
+        if self.enum.features.tf_mode:
+            supported = False  # contiguity never free in the TF runtime
+        gather_tensors: list[int] = []
+        if not supported and group.axis == "n":
+            flat = [b for mb in members for b in mb.b_nodes]
+            if self.enum._tensors_are_params(flat):
+                self.weight_pack_prologue(var_name, tuple(flat), "group")
+                gather_tensors = []  # packed once, launches copy-free
+            else:
+                gather_tensors = flat  # gathered per launch below
+        for start in range(0, len(members), chunk):
+            chunk_members = members[start: start + chunk]
+            if len(chunk_members) == 1:
+                self.emit_member(chunk_members[0], var_override=var_name,
+                                 lib_override=lib)
+                continue
+            m, k, n = group.launch_dims(chunk_members)
+            node_ids = tuple(nid for mb in chunk_members for nid in mb.node_ids)
+            lead = chunk_members[0]
+            pre = []
+            if group.axis == "n" and lead.a_gather_bytes:
+                pre.append(CopyLaunch(lead.a_gather_bytes, label="gather_a"))
+            if not supported:
+                if group.axis == "m":
+                    a_bytes = 2 * sum(
+                        graph.node(mb.a_signature[0][0]).spec.size_bytes
+                        for mb in chunk_members
+                    )
+                    pre.append(CopyLaunch(a_bytes, label="gather_a"))
+                elif gather_tensors:
+                    b_bytes = 2 * sum(
+                        graph.node(b).spec.size_bytes
+                        for mb in chunk_members
+                        for b in mb.b_nodes
+                    )
+                    pre.append(CopyLaunch(b_bytes, label="gather_b"))
+            kernel = GemmLaunch(m, k, n, lib, node_ids=node_ids)
+            self.add_unit(
+                Unit(next(self.counter), kernel, node_ids,
+                     label=f"fused@{group.group_id}", pre_copies=tuple(pre)),
+                var_name,
+            )
+
+
+def reference_member_shape_keys(
+    enum: Enumerator, member: FusionMember, strategy: AllocationStrategy
+) -> list[tuple]:
+    """Profile-key identities of the GEMM launches a member lowers to
+    when executed outside any group (fused ladder, or raw GEMMs)."""
+    if member.is_ladder and strategy.supports(member.ladder_requirement()):
+        return [(provenance(member.scope), member.pass_tag, member.m, member.k_total, member.n)]
+    keys = []
+    for mm_id in member.mm_ids:
+        node = enum.graph.node(mm_id)
+        m, k, n = _node_dims(enum.graph, mm_id)
+        keys.append((provenance(node.scope), node.pass_tag, m, k, n))
+    return keys
+
+
+def reference_build_units(
+    enum: Enumerator, strategy: AllocationStrategy, assignment: dict[str, object]
+) -> ReferenceUnitBuilder:
+    """Emit the assignment-determined unit list (no streams/profile)."""
+
+    def library_for(key: tuple) -> str:
+        value = assignment.get(f"kernel:{key}", DEFAULT_LIBRARY)
+        return value  # type: ignore[return-value]
+
+    builder = ReferenceUnitBuilder(enum, strategy, library_for)
+
+    # 1. fusion groups
+    if enum.features.fusion:
+        for group in enum.analysis.groups:
+            var_name = f"fusion:{group.group_id}"
+            chunk, lib = assignment.get(var_name, (1, DEFAULT_LIBRARY))
+            if chunk == 1:
+                # members execute individually (for unsupported groups
+                # this is the paper's "restrict the adaptation"
+                # fallback); the group variable owns the member units so
+                # the measurement can compare chunk=1 against real fusion
+                for member in group.members:
+                    builder.emit_member(member, var_override=var_name,
+                                        lib_override=lib)
+            else:
+                builder.emit_group(group, chunk, lib, var_name)
+
+    # 2. singleton members (plain GEMMs and lone ladders)
+    for member in enum.analysis.singletons:
+        if member.is_ladder and not strategy.supports(member.ladder_requirement()):
+            lvar = f"ladder:{member.mm_ids[0]}"
+            choice = assignment.get(lvar, (False, DEFAULT_LIBRARY))
+            fuse, lib = bool(choice[0]), choice[1]
+            builder.emit_member(member, force_fuse=fuse, var_override=lvar,
+                                lib_override=lib if fuse else None)
+        else:
+            builder.emit_member(member)
+
+    # 2b. with fusion analysis disabled, GEMMs were never members
+    if not enum.features.fusion:
+        for node in enum.graph.gemm_nodes():
+            if node.node_id in builder.covered:
+                continue
+            m, k, n = _node_dims(enum.graph, node.node_id)
+            key = (provenance(node.scope), node.pass_tag, m, k, n)
+            kernel = GemmLaunch(m, k, n, library_for(key), node_ids=(node.node_id,))
+            builder.add_unit(
+                Unit(next(builder.counter), kernel, (node.node_id,),
+                     label=kernel.name),
+                builder.kernel_var_name(key),
+            )
+
+    # 3. elementwise / reduction chains over everything not yet covered
+    remaining = {
+        n.node_id for n in enum.graph.nodes
+        if not n.is_leaf and n.node_id not in builder.covered
+    }
+    if enum.features.elementwise_fusion:
+        for chain in elementwise_chains(enum.graph, remaining):
+            if len(chain) < 2:
+                continue
+            kernel = reference_fused_elementwise_kernel(enum.graph, chain)
+            builder.add_unit(
+                Unit(next(builder.counter), kernel, chain, label=kernel.label),
+                None,
+            )
+            remaining -= set(chain)
+
+    for node in enum.graph.nodes:
+        if node.node_id not in remaining:
+            continue
+        kernel = kernel_for_node(enum.graph, node)
+        if kernel is None:
+            continue
+        builder.add_unit(
+            Unit(next(builder.counter), kernel, (node.node_id,),
+                 label=kernel.name),
+            None,
+        )
+    return builder
+
+
+def reference_units_for_choice(
+    enum: Enumerator, strategy: AllocationStrategy, var: AdaptiveVariable, choice
+) -> list[Unit]:
+    """The units one variable's choice emits, in isolation.
+
+    Drives the same emission engine as :meth:`build_plan` over a
+    single variable, so the returned units are exactly the units the
+    variable's ``"units"`` measurement would cover in a full plan --
+    the property the fast-path pre-ranker's exactness rests on.
+    """
+    builder = ReferenceUnitBuilder(enum, strategy, lambda key: DEFAULT_LIBRARY)
+    name = var.name
+    if name.startswith("fusion:"):
+        group = var.payload
+        chunk, lib = choice
+        if chunk == 1:
+            for member in group.members:
+                builder.emit_member(member, var_override=name, lib_override=lib)
+        else:
+            builder.emit_group(group, chunk, lib, name)
+    elif name.startswith("ladder:"):
+        member = var.payload
+        fuse, lib = bool(choice[0]), choice[1]
+        builder.emit_member(member, force_fuse=fuse, var_override=name,
+                            lib_override=lib if fuse else None)
+    elif name.startswith("kernel:"):
+        # a kernel variable owns every singleton-emitted launch of its
+        # shape key; replay the singleton sweep with the candidate
+        # library bound to this key only
+        builder = ReferenceUnitBuilder(
+            enum, strategy,
+            lambda key: choice if f"kernel:{key}" == name else DEFAULT_LIBRARY,
+        )
+        for member in enum.analysis.singletons:
+            if member.is_ladder and not strategy.supports(member.ladder_requirement()):
+                continue  # owned by a ladder variable, not this one
+            if all(
+                f"kernel:{key}" != name
+                for key in reference_member_shape_keys(enum, member, strategy)
+            ):
+                continue  # emits nothing owned by this variable
+            builder.emit_member(member)
+        if not enum.features.fusion:
+            for node in enum.graph.gemm_nodes():
+                if node.node_id in builder.covered:
+                    continue
+                m, k, n = _node_dims(enum.graph, node.node_id)
+                key = (provenance(node.scope), node.pass_tag, m, k, n)
+                lib = choice if f"kernel:{key}" == name else DEFAULT_LIBRARY
+                kernel = GemmLaunch(m, k, n, lib, node_ids=(node.node_id,))
+                builder.add_unit(
+                    Unit(next(builder.counter), kernel, (node.node_id,),
+                         label=kernel.name),
+                    builder.kernel_var_name(key),
+                )
+    else:
+        raise ValueError(f"no unit emission for variable {name!r}")
+    owned = set(builder.var_units.get(name, ()))
+    return [u for u in builder.units if u.unit_id in owned]
+
+
+def _node_dims(graph: Graph, node_id: int) -> tuple[int, int, int]:
+    node = graph.node(node_id)
+    op = node.op
+    return op.gemm_dims([graph.node(i).spec for i in node.input_ids])  # type: ignore[union-attr]
