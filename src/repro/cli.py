@@ -28,11 +28,7 @@ Commands:
   winner or the cache never hits (see ``docs/performance.md``);
   ``--compare`` diffs the fresh document against a committed baseline
   and exits non-zero on a winner change or a relative-throughput
-  regression; ``--learned`` adds the learned-top-k leg
-  (see ``docs/learning.md``)
-* ``train``     — harvest exhaustive-exploration corpora and fit the
-  learned cost model, writing a versioned artifact that ``optimize
-  --learned`` / ``bench --learned`` consume (see ``docs/learning.md``)
+  regression
 * ``analyze``   — critical-path analysis of a ``.trace.json`` produced by
   ``repro trace``: per-kernel critical-path contribution, per-stream
   busy/stall attribution, dependency slack; ``--scale`` / ``--swap``
@@ -117,7 +113,6 @@ def cmd_optimize(args) -> int:
         fast=fast,
         workers=getattr(args, "workers", None),
         store=getattr(args, "store", None),
-        learned=getattr(args, "learned", None),
     )
     try:
         report = session.optimize(max_minibatches=args.budget)
@@ -167,20 +162,6 @@ def cmd_optimize(args) -> int:
             print(f"parallel: {par['workers']} workers ({par['pool']} pool)  "
                   f"{par['candidates']} candidates in {par['rounds']} rounds  "
                   f"worker busy {par['worker_busy_s']:.2f}s")
-        learned = fast_path.get("learned")
-        if learned:
-            if learned.get("rejected"):
-                print(f"learned: artifact rejected ({learned['rejected']}); "
-                      f"fell back to full measurement")
-            else:
-                whatif = learned.get("whatif", {})
-                print(f"learned: model {learned.get('fingerprint', '?')[:12]} "
-                      f"({learned.get('records', 0)} records)  "
-                      f"cut {learned.get('choices_pruned', 0)} choices over "
-                      f"{learned.get('vars_ranked', 0)} variables  "
-                      f"what-if {whatif.get('checked', 0)} checks "
-                      f"(max {whatif.get('max_rel_error', 0.0) * 100:.1f}%"
-                      f"{', ok' if whatif.get('ok') else ', REJECTED'})")
     warm = astra.warm
     if warm:
         sources = ", ".join(
@@ -539,7 +520,6 @@ def cmd_bench(args) -> int:
         variants=variants,
         quick=args.quick,
         workers=args.workers,
-        learned=args.learned,
     )
     out = args.output or f"BENCH_{args.model}.json"
     with open(out, "w") as fh:
@@ -561,74 +541,6 @@ def cmd_bench(args) -> int:
     return 0 if doc["ok"] and compare_ok else 1
 
 
-def cmd_train(args) -> int:
-    from .learn import LearnedCostModel, harvest_run
-
-    model_names = [m.strip() for m in args.models.split(",") if m.strip()]
-    device_names = [d.strip() for d in args.devices.split(",") if d.strip()]
-    for name in model_names:
-        if name not in MODEL_BUILDERS:
-            raise SystemExit(
-                f"unknown model {name!r}; have {sorted(MODEL_BUILDERS)}"
-            )
-    for name in device_names:
-        if name not in DEVICES:
-            raise SystemExit(f"unknown device {name!r}; have {sorted(DEVICES)}")
-    records = []
-    jobs = []
-    for name in model_names:
-        module = __import__(_CONFIG_MODULES[name],
-                            fromlist=["DEFAULT_CONFIG"])
-        config = module.DEFAULT_CONFIG.scaled(
-            batch_size=args.batch, seq_len=args.seq_len,
-        )
-        for device_name in device_names:
-            job_records = harvest_run(
-                MODEL_BUILDERS[name](config), DEVICES[device_name],
-                args.features, seed=args.seed, budget=args.budget,
-            )
-            jobs.append({"model": name, "device": device_name,
-                         "records": len(job_records)})
-            records.extend(job_records)
-    if not records:
-        raise SystemExit("harvest produced 0 training records")
-    model = LearnedCostModel.fit(records, seed=args.seed)
-    text = model.dumps()
-    with open(args.output, "w") as fh:
-        fh.write(text)
-    if args.store:
-        from .serve.store import ProfileStore
-
-        ProfileStore(args.store).put_model(text)
-    doc = {
-        "version": 1,
-        "artifact": args.output,
-        "fingerprint": model.fingerprint,
-        "records": model.records,
-        "confident": model.confident(),
-        "quantiles": model.quantiles,
-        "calibration": model.calibration,
-        "schema": model.schema,
-        "devices": sorted(model.devices),
-        "jobs": jobs,
-        "store": args.store,
-    }
-    if args.json:
-        print(json.dumps(doc, indent=2))
-        return 0
-    print(f"trained {model.fingerprint} on {model.records} records "
-          f"({model.calibration} calibration)")
-    for job in jobs:
-        print(f"  {job['model']:>12} @ {job['device']}: "
-              f"{job['records']} records")
-    print(f"uncertainty: q95 {model.quantiles.get('q95', 0.0) * 100:.2f}%  "
-          f"q99 {model.quantiles.get('q99', 0.0) * 100:.2f}%  "
-          f"confident={model.confident()}")
-    print(f"wrote {args.output}"
-          + (f" (also published to {args.store})" if args.store else ""))
-    return 0
-
-
 def _render_fleet_report(report, fleet, verify: dict | None) -> str:
     lines = [
         f"fleet search: {report.model}  batch={report.batch_size}  "
@@ -640,10 +552,8 @@ def _render_fleet_report(report, fleet, verify: dict | None) -> str:
     for row in report.table:
         if row["per_sample_us"] is not None:
             status = f"{row['per_sample_us']:10.3f}"
-        elif row["pruned"]:
-            status = "    pruned"
         else:
-            status = "       cut"
+            status = "    pruned"
         lines.append(
             f"  {row['label']:<48} bound {row['bound_us']:10.3f}  {status}"
         )
@@ -658,12 +568,9 @@ def _render_fleet_report(report, fleet, verify: dict | None) -> str:
         f"search: measured {report.strategies_measured} of "
         f"{report.strategies_total} strategies "
         f"({report.measured_fraction * 100:.0f}%), "
-        f"{report.strategies_pruned} pruned by bound, "
-        f"{report.strategies_cut_learned} cut by model"
+        f"{report.strategies_pruned} pruned by bound"
         + (f"  [pruning stood down: {report.standdown}]"
            if report.standdown else "")
-        + (f"  [learned stood down: {report.learned_standdown}]"
-           if report.learned_standdown else "")
     )
     if report.best_homogeneous_us is not None:
         kind = "measured" if report.best_homogeneous_measured else "bound"
@@ -738,25 +645,12 @@ def cmd_fleet(args) -> int:
     if args.faults:
         with open(args.faults) as fh:
             faults = FaultPlan.loads(fh.read())
-    learned = None
-    learned_rejected = None
-    if args.learned:
-        from .learn import FleetStrategyModel, ModelArtifactError, StaleModelError
-
-        # same contract as optimize --learned: a missing, corrupt or stale
-        # artifact never fails the run -- it falls back to the measured path
-        try:
-            learned = FleetStrategyModel.load_path(args.learned)
-        except (ModelArtifactError, StaleModelError) as exc:
-            learned_rejected = str(exc)
-            print(f"learned: artifact rejected ({exc}); "
-                  "continuing without the model cut")
     metrics = MetricsRegistry() if (args.json or args.metrics_out) else None
 
     report = run_fleet_search(
         builder, config, fleet, model_name=args.model,
         workers=args.workers, exhaustive=args.exhaustive,
-        use_astra=args.astra, learned=learned, faults=faults,
+        use_astra=args.astra, faults=faults,
         seed=args.seed, microbatches=args.microbatches, metrics=metrics,
     )
 
@@ -801,8 +695,6 @@ def cmd_fleet(args) -> int:
         doc["verify"] = verify
         doc["failures"] = failures
         doc["ok"] = not failures
-        if learned_rejected:
-            doc["learned_rejected"] = learned_rejected
         print(json.dumps(doc, indent=2))
     else:
         print(_render_fleet_report(report, fleet, verify))
@@ -868,12 +760,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="persistent profile-index store: warm-start this "
                         "job from matching prior runs and publish its "
                         "measurements back (see docs/serving.md)")
-    p.add_argument("--learned", default=None, metavar="PATH",
-                   help="learned cost-model artifact from `repro train` "
-                        "('store' loads the one published in --store): "
-                        "rank choices and measure only the top-k band; "
-                        "stale/unconfident artifacts fall back to full "
-                        "measurement (see docs/learning.md)")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_optimize)
 
@@ -984,41 +870,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="diff against a committed BENCH_*.json: exit "
                         "non-zero on a winner change or a >20%% relative-"
                         "throughput regression")
-    p.add_argument("--learned", default=None, metavar="PATH",
-                   help="cost-model artifact from `repro train`: add the "
-                        "learned-top-k leg and gate it on winner identity, "
-                        "<=50%% of exhaustive measurements, a non-zero "
-                        "model hit rate and the what-if cross-check")
     p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser(
-        "train",
-        help="fit the learned cost model from exhaustive exploration "
-             "corpora (see docs/learning.md)",
-    )
-    p.add_argument("--models", default="scrnn,milstm", metavar="M1,M2",
-                   help="models whose exhaustive runs feed the corpus "
-                        "(default: scrnn,milstm)")
-    p.add_argument("--devices", default="P100,V100", metavar="D1,D2",
-                   help="devices to harvest on (default: P100,V100)")
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--seq-len", type=int, default=3, dest="seq_len")
-    p.add_argument("--features", choices=["F", "FK", "FKS", "all"],
-                   default="FK")
-    p.add_argument("--seed", type=int, default=0,
-                   help="harvest and fit seed (training is deterministic "
-                        "in it)")
-    p.add_argument("--budget", type=int, default=400,
-                   help="exploration budget per harvest job (default 400)")
-    p.add_argument("-o", "--output", default="astra-model.json",
-                   metavar="PATH",
-                   help="artifact path (default: astra-model.json)")
-    p.add_argument("--store", default=None, metavar="PATH",
-                   help="also publish the artifact into this profile store "
-                        "(verified against the store schema first)")
-    p.add_argument("--json", action="store_true",
-                   help="print a machine-readable training summary")
-    p.set_defaults(fn=cmd_train)
 
     from .fleet.spec import FLEETS
 
@@ -1045,7 +897,7 @@ def make_parser() -> argparse.ArgumentParser:
                         "strategies (default 4)")
     p.add_argument("--exhaustive", action="store_true",
                    help="measure every enumerated strategy: no bound "
-                        "pruning, no learned cut")
+                        "pruning")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the pruned-vs-exhaustive winner-identity "
                         "verification sweep (verification is the default)")
@@ -1054,10 +906,6 @@ def make_parser() -> argparse.ArgumentParser:
                         "Astra optimization instead of the native plan "
                         "(bound pruning stands down: stream overlap breaks "
                         "its admissibility)")
-    p.add_argument("--learned", default=None, metavar="PATH",
-                   help="FleetStrategyModel artifact: cut bound survivors "
-                        "to the predicted top-k band (stale/unconfident "
-                        "artifacts stand down; see docs/learning.md)")
     p.add_argument("--faults", default=None, metavar="PATH",
                    help="JSON FaultPlan to inject into every primitive "
                         "measurement (bound pruning stands down; see "

@@ -87,7 +87,6 @@ class AstraSession:
         workers: int = 1,
         provenance=None,
         store=None,
-        learned=None,
     ):
         self.graph = model.graph if isinstance(model, TracedModel) else model
         self.model = model if isinstance(model, TracedModel) else None
@@ -99,21 +98,14 @@ class AstraSession:
         self.checkpoint_path = checkpoint_path
         # cross-job warm start (docs/serving.md): a ProfileStore
         # path/instance whose index seeds this job's exploration and
-        # receives its measurements back.  Bound before the wirer so
-        # ``learned="store"`` can resolve the store's published
-        # cost-model artifact (docs/learning.md)
+        # receives its measurements back
         self._store = store
-        if learned == "store":
-            binding = self._store_binding()
-            learned = binding.load_model() if binding is not None else None
-            if learned is None and metrics is not None:
-                metrics.counter("learn.artifact_missing").inc()
         self.wirer = CustomWirer(
             self.graph, device, features, seed=seed, context=context, index=index,
             metrics=metrics, reporter=reporter, tracer=tracer, validate=validate,
             policy=policy, faults=faults, checkpoint_path=checkpoint_path,
             fast=fast, clock=clock, workers=workers,
-            provenance=provenance, learned=learned,
+            provenance=provenance,
         )
         # resume-on-restart: an existing checkpoint for the same
         # (graph, device, features, seed) is adopted automatically, so

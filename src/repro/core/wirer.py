@@ -174,7 +174,6 @@ class CustomWirer:
         clock=None,
         workers: int = 1,
         provenance=None,
-        learned=None,
     ):
         self.graph = graph
         self.device = device
@@ -193,26 +192,6 @@ class CustomWirer:
         # pruning is opt-in at this layer, the CLI flips it on
         self.fast = fast if fast is not None else FastPath()
         self.clock = clock if clock is not None else NULL_CLOCK
-        # learned fast path (docs/learning.md): a trained cost-model
-        # artifact (path, JSON text, model, or pre-bound ranker) prunes
-        # the fk space down to its top-k + uncertainty band.  A corrupt
-        # or stale artifact is refused here -- counted, recorded in the
-        # report, and the run falls back to the exact paths above
-        self.learned = None
-        self._learned_rejected: str | None = None
-        if learned is not None:
-            from ..learn.model import ModelArtifactError, StaleModelError
-            from ..learn.ranker import LearnedRanker
-
-            try:
-                self.learned = LearnedRanker.bind(learned, metrics=self.metrics)
-            except StaleModelError as exc:
-                self._learned_rejected = str(exc)
-                self.metrics.counter("learn.artifact_stale").inc()
-                self.metrics.counter("learn.artifact_rejected").inc()
-            except ModelArtifactError as exc:
-                self._learned_rejected = str(exc)
-                self.metrics.counter("learn.artifact_rejected").inc()
         # validated execution: every explored configuration is statically
         # checked (repro.check) before it runs; violations surface as
         # metrics counters and run-report records, then abort the run
@@ -334,13 +313,6 @@ class CustomWirer:
             # pruned run must not resume into an exhaustive one (or vice
             # versa) -- the tree indices would mean different choices
             "fast": repr(self.fast),
-            # same argument for the learned ranker: present only when a
-            # model is bound, so learned and unlearned checkpoints never
-            # resume each other, and neither do two different artifacts
-            **(
-                {"learned": self.learned.model.fingerprint}
-                if self.learned is not None else {}
-            ),
             # worker count is deliberately absent: every width runs the
             # same loop and draws the same per-candidate substreams, so a
             # checkpoint taken at any width resumes at any other
@@ -945,17 +917,6 @@ class CustomWirer:
             self._choices_pruned += pruned
             if self.provenance.enabled and pruned:
                 self._record_prune_provenance(strategy, fk_tree, pre_prune, context)
-        if self.learned is not None:
-            # learned top-k pruning runs after (and composes with) the FK
-            # pre-ranker; it applies its own admissibility and what-if
-            # gates and declines rather than risk the winner
-            with self.clock.phase("prerank"):
-                model_pruned = self.learned.apply(
-                    self.enumerator, strategy, fk_tree, self.device,
-                    graph=self.graph, seed=self.seed, context=context,
-                    injector=self.injector, provenance=self.provenance,
-                )
-            self._choices_pruned += model_pruned
         if self.provenance.enabled:
             for var in fk_tree.variables():
                 self.provenance.candidates(context, var.name, var.choices)
@@ -1184,12 +1145,6 @@ class CustomWirer:
             "choices_total": self._choices_total,
             "choices_pruned": self._choices_pruned,
             "parallel": self.engine.summary() if self.workers > 1 else None,
-            "learned": (
-                self.learned.summary() if self.learned is not None
-                else {"rejected": self._learned_rejected}
-                if self._learned_rejected is not None
-                else None
-            ),
         }
         self.metrics.gauge("perf.choices_total").set(self._choices_total)
         self.metrics.gauge("perf.choices_pruned").set(self._choices_pruned)

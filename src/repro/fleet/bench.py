@@ -3,7 +3,7 @@
 The same model is searched twice over the same fleet with the same seed:
 
 * **exhaustive** -- every enumerated strategy measured, no bound
-  pruning, no learned cut: the ground-truth sweep;
+  pruning: the ground-truth sweep;
 * **pruned** -- the production path: admissible-bound pruning against
   the measured seed strategy (``docs/distributed.md``).
 

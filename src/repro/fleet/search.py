@@ -7,23 +7,16 @@ choices are :meth:`Strategy.key` values, explored by the same
 :func:`~repro.parallel.engine.plan_wave` machinery that drives fk
 exploration, against the same shared profile index.
 
-Tractability comes in two gated layers before any strategy mini-batch is
-spent:
-
-1. the **admissible analytic bound** (``perf/ranker.py``): strategies
-   whose closed-form lower bound exceeds the seed strategy's *measured*
-   per-sample time are pruned -- provably winner-preserving, and stood
-   down entirely whenever the bound's exactness preconditions fail
-   (fault injector, autoboost clocks, inner-Astra compute);
-2. an optional **learned top-k cut** (``learn/ranker.py``): a calibrated
-   :class:`~repro.learn.model.FleetStrategyModel` keeps only the top-k
-   predicted survivors plus the uncertainty band, standing down when
-   unconfident, untrained for this fleet, or when layer 1 already stood
-   down.
+Tractability comes from the **admissible analytic bound**
+(``perf/ranker.py``), applied before any strategy mini-batch is spent:
+strategies whose closed-form lower bound exceeds the seed strategy's
+*measured* per-sample time are pruned -- provably winner-preserving, and
+stood down entirely whenever the bound's exactness preconditions fail
+(fault injector, autoboost clocks, inner-Astra compute).
 
 The seed strategy (best analytic bound) is measured first and is always
 a survivor, so the search measures ``1 + |survivors|`` strategies out of
-the full space; ``repro fleet --exhaustive`` disables both layers and
+the full space; ``repro fleet --exhaustive`` disables the pruning and
 the equivalence tests pin bit-identical winners between the two paths.
 """
 
@@ -33,7 +26,6 @@ from dataclasses import dataclass, field
 
 from ..core.adaptive import MODE_PARALLEL, AdaptiveVariable, UpdateNode
 from ..distributed.data_parallel import OVERLAP_FRACTION
-from ..learn.features import fleet_strategy_features
 from ..obs.metrics import NULL_REGISTRY
 from ..parallel.engine import HIT, STATUS_EXHAUSTED, ParallelEngine, plan_wave
 from ..parallel.pool import make_pool
@@ -58,11 +50,9 @@ class FleetSearchReport:
     strategies_total: int
     strategies_measured: int
     strategies_pruned: int
-    strategies_cut_learned: int
     measured_fraction: float
     #: why bound pruning stood down (None = it ran)
     standdown: str | None
-    learned_standdown: str | None
     hetero_winner: bool
     best_homogeneous_us: float | None
     best_homogeneous_label: str | None
@@ -93,21 +83,16 @@ class FleetSearchReport:
                 "total": self.strategies_total,
                 "measured": self.strategies_measured,
                 "pruned": self.strategies_pruned,
-                "cut_learned": self.strategies_cut_learned,
                 "measured_fraction": self.measured_fraction,
             },
             "standdown": self.standdown,
-            "learned_standdown": self.learned_standdown,
             "best_homogeneous": {
                 "label": self.best_homogeneous_label,
                 "per_sample_us": self.best_homogeneous_us,
                 "measured": self.best_homogeneous_measured,
             },
             "calibration": dict(self.calibration),
-            "table": [
-                {k: v for k, v in row.items() if k != "features"}
-                for row in self.table
-            ],
+            "table": [dict(row) for row in self.table],
             "engine": dict(self.engine),
             "workers": self.workers,
             "use_astra": self.use_astra,
@@ -128,7 +113,6 @@ def run_fleet_search(
     workers: int = 1,
     exhaustive: bool = False,
     use_astra: bool = False,
-    learned=None,
     faults=None,
     seed: int = 0,
     microbatches: int = 4,
@@ -189,24 +173,6 @@ def run_fleet_search(
             clock_modes=fleet.clock_modes(), use_astra=use_astra,
         )
         pruned = len(strategies) - len(survivors)
-
-    feature_rows = _feature_rows(measurer, strategies, bounds, fleet)
-
-    learned_standdown = None
-    cut_learned = 0
-    if learned is not None and not exhaustive:
-        ranker = _bind_fleet_ranker(learned, metrics)
-        local_rows = [feature_rows[i] for i in survivors]
-        kept_local, learned_standdown = ranker.cut(
-            local_rows, fleet_name=fleet.name, exact=standdown is None,
-        )
-        kept = [survivors[j] for j in kept_local]
-        if seed_idx not in kept:
-            # the seed is already measured: keeping it is free and makes
-            # the cut line's own strategy un-droppable
-            kept = sorted(set(kept) | {seed_idx})
-        cut_learned = len(survivors) - len(kept)
-        survivors = kept
 
     # -- the wave: one adaptive variable over the surviving keys ------------
     engine_summary: dict = {}
@@ -272,7 +238,6 @@ def run_fleet_search(
             "bound_us": bounds[i],
             "per_sample_us": value,
             "pruned": i not in survivors and value is None,
-            "features": feature_rows[i],
         })
 
     homo_label = homo_us = None
@@ -291,7 +256,6 @@ def run_fleet_search(
     metrics.gauge("fleet.strategies.total").set(len(strategies))
     metrics.gauge("fleet.strategies.measured").set(measured)
     metrics.gauge("fleet.strategies.pruned").set(pruned)
-    metrics.gauge("fleet.strategies.cut_learned").set(cut_learned)
     metrics.gauge("fleet.search.winner_hetero").set(
         1 if winner.heterogeneous else 0
     )
@@ -317,10 +281,8 @@ def run_fleet_search(
         strategies_total=len(strategies),
         strategies_measured=measured,
         strategies_pruned=pruned,
-        strategies_cut_learned=cut_learned,
         measured_fraction=measured / len(strategies) if strategies else 0.0,
         standdown=standdown,
-        learned_standdown=learned_standdown,
         hetero_winner=winner.heterogeneous,
         best_homogeneous_us=homo_us,
         best_homogeneous_label=homo_label,
@@ -339,73 +301,4 @@ def metrics_safe_count(measurer: FleetMeasurer, strategies: list[Strategy]) -> i
     return sum(
         1 for s in strategies
         if strategy_profile_key(measurer.context, s) in measurer.index
-    )
-
-
-def _feature_rows(measurer, strategies, bounds, fleet) -> list[list[float]]:
-    """Analytic feature vectors for the learned fleet ranker -- free."""
-    rows = []
-    for strategy, bound in zip(strategies, bounds):
-        if strategy.kind == "data":
-            world = strategy.world
-            comm_bytes = (
-                measurer.grad_bytes * 2.0 * (world - 1) / world
-                if world > 1 else 0.0
-            )
-            exposed_lo = (
-                fleet.interconnect.allreduce_us(measurer.grad_bytes, world)
-                * (1.0 - OVERLAP_FRACTION) if world > 1 else 0.0
-            )
-            boundary = 0.0
-            shares = [
-                measurer.analytic_compute_lo(cls, shard)
-                for cls, shard in zip(strategy.placement, strategy.shards)
-            ]
-        else:
-            micro = max(1, measurer.config.batch_size // strategy.microbatches)
-            boundary = micro * measurer.config.hidden_size * 4
-            comm_bytes = boundary * (len(strategy.cuts) - 1)
-            exposed_lo = fleet.interconnect.contended_us(int(boundary), 1)
-            shares = []
-            start = 0
-            for cls, width in zip(strategy.placement, strategy.cuts):
-                sheet = measurer.analytic_stage_lo(cls, micro)
-                shares.append(sum(
-                    sheet.get(s, 0.0)
-                    for s in measurer.scopes[start:start + width]
-                ))
-                start += width
-        rows.append(fleet_strategy_features(
-            strategy,
-            bound_us=bound,
-            exposed_lo_us=exposed_lo,
-            comm_bytes=comm_bytes,
-            boundary_bytes=boundary,
-            stage_shares=shares,
-            class_specs=measurer.class_specs,
-        ))
-    return rows
-
-
-def _bind_fleet_ranker(learned, metrics):
-    """Materialize whatever the caller configured into a ranker."""
-    from ..learn.model import FleetStrategyModel
-    from ..learn.ranker import FleetStrategyRanker
-
-    if isinstance(learned, FleetStrategyRanker):
-        learned.metrics = metrics
-        return learned
-    if isinstance(learned, FleetStrategyModel):
-        return FleetStrategyRanker(learned, metrics=metrics)
-    if isinstance(learned, str):
-        text = learned.lstrip()
-        if text.startswith("{"):
-            return FleetStrategyRanker(
-                FleetStrategyModel.loads(learned), metrics=metrics
-            )
-        return FleetStrategyRanker(
-            FleetStrategyModel.load_path(learned), metrics=metrics
-        )
-    raise TypeError(
-        f"cannot bind a fleet ranker from {type(learned).__name__}"
     )

@@ -94,18 +94,26 @@ def weighted_shards(
     to ``1/speed``.  Deterministic largest-remainder rounding with a
     one-sample floor per replica; sums to ``batch_size`` exactly.
     """
-    inv = [1.0 / max(speed_us[cls], 1e-9) for cls in placement]
+    speeds = [speed_us[cls] for cls in placement]
+    inv = [1.0 / max(speed, 1e-9) for speed in speeds]
     total = sum(inv)
     raw = [batch_size * w / total for w in inv]
     shards = [max(1, int(r)) for r in raw]
     remainder = batch_size - sum(shards)
-    # hand leftovers (or claw back overshoot) in largest-fraction order,
-    # index-ordered on ties -- fully deterministic.  The fraction is taken
-    # against the shard itself, so a replica the floor already lifted
-    # above its raw share is served last.
-    order = sorted(
-        range(len(raw)), key=lambda i: (-(raw[i] - shards[i]), i)
-    )
+    # the fraction is taken against the shard itself, so a replica the
+    # floor lifted above its raw share has a negative one.  Leftovers go
+    # out largest fraction first; an overshoot from the floor is clawed
+    # back smallest fraction first (the replica most over its raw share),
+    # never below the floor.  Exact ties favour the faster device, then
+    # the lower index, in both directions -- fully deterministic, and a
+    # faster replica never ends up with fewer samples than a slower one.
+    if remainder >= 0:
+        def key(i):
+            return (-(raw[i] - shards[i]), speeds[i], i)
+    else:
+        def key(i):
+            return (raw[i] - shards[i], -speeds[i], -i)
+    order = sorted(range(len(raw)), key=key)
     i = 0
     while remainder != 0 and i < 10 * len(shards):
         pos = order[i % len(order)]

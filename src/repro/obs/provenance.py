@@ -41,8 +41,6 @@ class VariableDecision:
     measurements: dict = field(default_factory=dict)
     #: (choice, cost-model estimate) pairs removed by FK pruning
     pruned: list = field(default_factory=list)
-    #: (choice, predicted us) pairs removed by the learned ranker
-    model_pruned: list = field(default_factory=list)
     #: choices written as quarantined sentinels
     quarantined: list = field(default_factory=list)
 
@@ -136,17 +134,6 @@ class ProvenanceLog:
                             "name": name, "choice": choice,
                             "estimate_us": estimate_us})
 
-    def model_pruned(self, context: tuple, name: str, choice,
-                     predicted_us: float | None = None) -> None:
-        """A candidate removed by the learned ranker (docs/learning.md),
-        with the model prediction that justified the cut."""
-        self._decision(context, name).model_pruned.append(
-            (choice, predicted_us)
-        )
-        self.events.append({"event": "model_prune", "context": context,
-                            "name": name, "choice": choice,
-                            "predicted_us": predicted_us})
-
     def quarantined(self, context: tuple, name: str, choice) -> None:
         decision = self._decision(context, name)
         decision.quarantined.append(choice)
@@ -224,9 +211,6 @@ class ProvenanceLog:
             elif ev == "prune":
                 log.pruned(ctx, raw["name"], untuple(raw["choice"]),
                            raw.get("estimate_us"))
-            elif ev == "model_prune":
-                log.model_pruned(ctx, raw["name"], untuple(raw["choice"]),
-                                 raw.get("predicted_us"))
             elif ev == "quarantine":
                 log.quarantined(ctx, raw["name"], untuple(raw["choice"]))
             elif ev == "compare":
@@ -275,10 +259,6 @@ class ProvenanceLog:
             for choice, estimate in decision.pruned:
                 est = f" (est {estimate:.2f} us)" if estimate is not None else ""
                 lines.append(f"    pruned    {_fmt_choice(choice):<28}{est}")
-            for choice, predicted in decision.model_pruned:
-                est = (f" (model {predicted:.2f} us)"
-                       if predicted is not None else "")
-                lines.append(f"    model-cut {_fmt_choice(choice):<28}{est}")
         comps = self.compares()
         if comps:
             lines.append("strategy compare (end-to-end):")
@@ -307,9 +287,6 @@ class _NullProvenance:
         pass
 
     def pruned(self, context, name, choice, estimate_us=None) -> None:
-        pass
-
-    def model_pruned(self, context, name, choice, predicted_us=None) -> None:
         pass
 
     def quarantined(self, context, name, choice) -> None:

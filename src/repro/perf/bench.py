@@ -76,15 +76,6 @@ DEFAULT_WORKERS = 4
 #: deterministic on the simulator, so it applies on every host
 WARM_CONFIGS_TARGET = 0.5
 
-#: maximum fraction of the exhaustive baseline's measured configurations
-#: the learned-top-k leg may measure (docs/learning.md); deterministic,
-#: applies on every host
-LEARNED_CONFIGS_TARGET = 0.5
-
-#: maximum |model - what-if| relative disagreement the learned leg's
-#: cross-check may report (mirrors ``LearnedGate.whatif_rel_gate``)
-LEARNED_WHATIF_GATE = 0.05
-
 BASELINE_FAST_PATH = FastPath(cache=False, prune=False)
 FAST_FAST_PATH = FastPath(cache=True, prune=True)
 
@@ -129,7 +120,6 @@ class BenchRun:
             "cache": fast_path.get("cache"),
             "engine": fast_path.get("parallel"),
             "warm": dict(self.report.warm),
-            "learned": fast_path.get("learned"),
         }
 
 
@@ -143,7 +133,6 @@ def timed_session_run(
     fast: FastPath | None = None,
     workers: int | None = None,
     store=None,
-    learned=None,
 ) -> BenchRun:
     """Optimize ``model`` once under a phase clock, from a cold start.
 
@@ -165,7 +154,7 @@ def timed_session_run(
         session = AstraSession(
             model, device=device, features=features, seed=seed,
             metrics=metrics, fast=fast, clock=clock, workers=workers,
-            store=store, learned=learned,
+            store=store,
         )
         try:
             report = session.optimize(max_minibatches=budget)
@@ -219,7 +208,6 @@ def bench_model(
     variants: tuple[str, ...] = DEFAULT_VARIANTS,
     quick: bool = False,
     workers: int = DEFAULT_WORKERS,
-    learned=None,
 ) -> dict:
     """Run the baseline / fast / parallel comparison and assemble the doc.
 
@@ -248,14 +236,6 @@ def bench_model(
     at most :data:`WARM_CONFIGS_TARGET` of the cold measurements,
     non-zero seeding -- are deterministic and apply always; see
     :func:`_warm_leg`.
-
-    The **learned** leg (primary variant only, when ``learned`` names a
-    cost-model artifact) reruns the fast configuration with the learned
-    top-k ranker armed (docs/learning.md).  Its gates -- winner and
-    epoch time identical to the exhaustive baseline, at most
-    :data:`LEARNED_CONFIGS_TARGET` of the baseline's measurements, a
-    non-zero model hit rate, and a passing what-if cross-check -- are
-    deterministic and apply always; see :func:`_learned_leg`.
     """
     if name not in MODEL_BUILDERS:
         raise ValueError(f"unknown model {name!r}; have {sorted(MODEL_BUILDERS)}")
@@ -272,7 +252,6 @@ def bench_model(
         _bench_variants(
             model, variants, device, seed, budget, quick, workers,
             host_cpus, warm_dir.name, failures, variant_docs,
-            learned=learned,
         )
     finally:
         warm_dir.cleanup()
@@ -311,7 +290,7 @@ def bench_model(
 
 def _bench_variants(
     model, variants, device, seed, budget, quick, workers,
-    host_cpus, warm_root, failures, variant_docs, learned=None,
+    host_cpus, warm_root, failures, variant_docs,
 ) -> None:
     for variant in variants:
         base = timed_session_run(
@@ -378,14 +357,6 @@ def _bench_variants(
             variant_docs[variant].update(
                 _warm_leg(fast, warm, failures)
             )
-        if variant == PRIMARY_VARIANT and learned is not None:
-            lrn = timed_session_run(
-                model, features=variant, device=device, seed=seed,
-                budget=budget, fast=FAST_FAST_PATH, learned=learned,
-            )
-            variant_docs[variant].update(
-                _learned_leg(base, lrn, failures)
-            )
 
 
 def _warm_leg(fast: BenchRun, warm: BenchRun, failures: list[str]) -> dict:
@@ -445,91 +416,6 @@ def _warm_leg(fast: BenchRun, warm: BenchRun, failures: list[str]) -> dict:
         "warm_gate": (
             f"<= {WARM_CONFIGS_TARGET * 100:.0f}% of cold configs, "
             f"identical winner"
-        ),
-    }
-
-
-def _learned_leg(base: BenchRun, lrn: BenchRun, failures: list[str]) -> dict:
-    """Record and gate the learned-top-k leg against the exhaustive baseline.
-
-    The learned ranker claims it can retire most of the search space
-    without moving the answer (docs/learning.md).  All gates are
-    deterministic (the simulator is noise-free) and apply on every host,
-    quick runs included:
-
-    * the learned run's winning assignment and final epoch time must
-      equal the **exhaustive baseline's** exactly -- not merely the fast
-      leg's: the model rides on top of the FK pre-ranker, and the claim
-      is against ground truth;
-    * the learned run must measure at most
-      :data:`LEARNED_CONFIGS_TARGET` (50%) of the configurations the
-      exhaustive baseline measured;
-    * the model must actually have pruned choices -- a leg whose model
-      was rejected or declined everywhere would otherwise pass the
-      identity gates vacuously (the "non-zero hit rate" guard);
-    * the what-if cross-check must have run (non-zero checks) and agree
-      within :data:`LEARNED_WHATIF_GATE` on the critical kernels.
-    """
-    match = _winner_match(base, lrn)
-    base_rec, lrn_rec = base.record(), lrn.record()
-    summary = lrn_rec.get("learned") or {}
-    whatif = summary.get("whatif") or {}
-    fraction = (
-        lrn_rec["configs_explored"] / base_rec["configs_explored"]
-        if base_rec["configs_explored"] > 0 else 0.0
-    )
-    if summary.get("rejected"):
-        failures.append(
-            f"learned: model artifact rejected ({summary['rejected']})"
-        )
-    if not match["assignment_match"]:
-        failures.append("learned: winner diverged from exhaustive winner")
-    if not match["best_time_match"]:
-        failures.append(
-            f"learned: final epoch time diverged "
-            f"(exhaustive {base_rec['best_time_us']} us, "
-            f"learned {lrn_rec['best_time_us']} us)"
-        )
-    if fraction > LEARNED_CONFIGS_TARGET:
-        failures.append(
-            f"learned: measured {lrn_rec['configs_explored']} of "
-            f"{base_rec['configs_explored']} exhaustive configurations "
-            f"({fraction * 100:.0f}%; target <= "
-            f"{LEARNED_CONFIGS_TARGET * 100:.0f}%)"
-        )
-    if summary.get("choices_pruned", 0) <= 0:
-        failures.append(
-            "learned: model pruned 0 choices (hit rate is zero; skips: "
-            f"{summary.get('skips', {})})"
-        )
-    if whatif.get("checked", 0) <= 0:
-        failures.append("learned: what-if cross-check ran 0 checks")
-    elif not whatif.get("ok", False) or (
-        whatif.get("max_rel_error", 0.0) > LEARNED_WHATIF_GATE
-    ):
-        failures.append(
-            f"learned: what-if disagreement "
-            f"{whatif.get('max_rel_error', 0.0) * 100:.1f}% above the "
-            f"{LEARNED_WHATIF_GATE * 100:.0f}% gate"
-        )
-    return {
-        "learned": lrn_rec,
-        "learned_speedup": (
-            base_rec["wall_s"] / lrn_rec["wall_s"]
-            if lrn_rec["wall_s"] > 0 else 0.0
-        ),
-        "learned_configs_fraction": fraction,
-        "learned_winner_match": (
-            match["assignment_match"] and match["best_time_match"]
-        ),
-        "learned_choices_pruned": summary.get("choices_pruned", 0),
-        "learned_whatif_checked": whatif.get("checked", 0),
-        "learned_whatif_max_rel_error": whatif.get("max_rel_error", 0.0),
-        "learned_model_fingerprint": summary.get("fingerprint"),
-        "learned_gate": (
-            f"<= {LEARNED_CONFIGS_TARGET * 100:.0f}% of exhaustive "
-            f"configs, identical winner, what-if within "
-            f"{LEARNED_WHATIF_GATE * 100:.0f}%"
         ),
     }
 
@@ -602,12 +488,12 @@ REGRESSION_THRESHOLD = 0.20
 #: (gate skipped: committed old baselines stay loadable forever) from
 #: "this document *should* carry the leg but does not" (gate reports the
 #: missing leg explicitly) -- and to refuse documents that carry a leg
-#: their declared version cannot: without the explicit check, a learned
-#: leg diffed against a v2/v3 baseline would silently pass vacuously.
-LEG_VERSIONS = {"warm": 3, "learned": 4}
+#: their declared version cannot: without the explicit check, a warm
+#: leg diffed against a v2 baseline would silently pass vacuously.
+LEG_VERSIONS = {"warm": 3}
 
 #: human label per leg for failure messages
-_LEG_LABELS = {"warm": "warm-start", "learned": "learned-top-k"}
+_LEG_LABELS = {"warm": "warm-start"}
 
 
 def compare_bench(current: dict, baseline: dict) -> dict:
@@ -623,17 +509,17 @@ def compare_bench(current: dict, baseline: dict) -> dict:
       more than :data:`REGRESSION_THRESHOLD` (20%) in any shared variant
       fails the comparison.
 
-    * **optional legs** (warm-start, learned-top-k) -- when *both*
+    * **optional legs** (warm-start) -- when *both*
       documents carry the leg, its ``<leg>_speedup`` ratio (which
       divides out the host's absolute speed) must not drop by more than
       the same threshold, and the leg's winner identity must hold.
       Each leg has an explicit schema version (:data:`LEG_VERSIONS`): a
       baseline whose declared version predates the leg skips the gate
-      (committed v2/v3 documents stay loadable forever), a document
+      (committed v2 documents stay loadable forever), a document
       that carries a leg its declared version cannot **fails** the
       comparison, and a document new enough to carry the leg but
-      missing it reports a distinct skip reason -- the learned gate can
-      never silently pass against a pre-learned baseline.
+      missing it reports a distinct skip reason -- the warm gate can
+      never silently pass against a pre-warm baseline.
 
     Absolute configs/sec and cache hit rates are reported as
     informational deltas only -- they track the machine as much as the
@@ -842,24 +728,6 @@ def render_bench(doc: dict) -> str:
             f"seeded {vdoc['warm_seeded_entries']}  "
             f"{'match' if vdoc['warm_winner_match'] else 'DIVERGED'}  "
             f"gate: {vdoc['warm_gate']}"
-        )
-    for variant, vdoc in doc["variants"].items():
-        lrn = vdoc.get("learned")
-        if lrn is None:
-            continue
-        fingerprint = vdoc.get("learned_model_fingerprint") or "?"
-        lines.append(
-            f"{variant:>8}  learned (model {fingerprint[:12]}): "
-            f"{lrn['wall_s']:.3f}s  "
-            f"{vdoc['learned_speedup']:.2f}x vs exhaustive  "
-            f"measured {lrn['configs_explored']} of "
-            f"{vdoc['baseline']['configs_explored']} configs "
-            f"({vdoc['learned_configs_fraction'] * 100:.0f}%)  "
-            f"cut {vdoc['learned_choices_pruned']}  "
-            f"what-if {vdoc['learned_whatif_checked']} checks "
-            f"(max {vdoc['learned_whatif_max_rel_error'] * 100:.1f}%)  "
-            f"{'match' if vdoc['learned_winner_match'] else 'DIVERGED'}  "
-            f"gate: {vdoc['learned_gate']}"
         )
     for variant, vdoc in doc["variants"].items():
         phases = vdoc["fast"]["phases_s"]

@@ -56,7 +56,6 @@ STORE_VERSION = 2
 _META = "META.json"
 _INDEX_DIR = "index"
 _QUARANTINE_DIR = "quarantine"
-_MODELS_DIR = "models"
 
 #: segment classification outcomes (see :meth:`ProfileStore._classify`)
 SEG_OK = "ok"
@@ -97,8 +96,6 @@ class ProfileStore:
         self.corrupt_segments = 0
         #: corrupt segments successfully moved to ``quarantine/``
         self.quarantined_segments = 0
-        #: learned-cost-model artifacts dropped on schema change
-        self.evicted_models = 0
         self._seq = 0
         self._open()
 
@@ -166,103 +163,6 @@ class ProfileStore:
                     removed += 1
                 except OSError:
                     pass
-        self.evicted_models += self._sweep_models()
-        return removed
-
-    # -- learned-cost-model artifacts (docs/learning.md) ---------------------
-
-    def _models_root(self) -> str:
-        return os.path.join(self.root, _MODELS_DIR)
-
-    def model_path(self, name: str = "cost-model") -> str:
-        if not name or "/" in name or name.startswith("."):
-            raise ValueError(f"malformed model name {name!r}")
-        return os.path.join(self._models_root(), f"{name}.json")
-
-    def models(self) -> list[str]:
-        """Names of the artifacts currently stored, sorted."""
-        try:
-            names = os.listdir(self._models_root())
-        except OSError:
-            return []
-        return sorted(n[:-5] for n in names if n.endswith(".json"))
-
-    def put_model(self, artifact, name: str = "cost-model") -> str:
-        """Persist one trained cost-model artifact, atomically.
-
-        ``artifact`` is a :class:`~repro.learn.model.LearnedCostModel`
-        or its serialized JSON text.  The artifact is verified against
-        this store's schema *before* it is accepted -- a stale or
-        corrupt artifact raises instead of poisoning readers."""
-        from ..learn.model import LearnedCostModel
-
-        if isinstance(artifact, LearnedCostModel):
-            artifact = artifact.dumps()
-        LearnedCostModel.loads(artifact, schema=self.schema)
-        path = self.model_path(name)
-        os.makedirs(self._models_root(), exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(artifact)
-        os.replace(tmp, path)
-        if self._metrics is not None:
-            self._metrics.counter("serve.store.models_stored").inc()
-        return path
-
-    def load_model(self, name: str = "cost-model") -> str | None:
-        """One verified artifact's JSON text, or None.
-
-        Mirrors segment handling: a corrupt artifact is quarantined, a
-        stale one (trained against a different simulator schema) is
-        evicted; both return None so callers fall back to exhaustive
-        exploration."""
-        from ..learn.model import (
-            LearnedCostModel, ModelArtifactError, StaleModelError,
-        )
-
-        path = self.model_path(name)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError:
-            return None
-        try:
-            LearnedCostModel.loads(text, schema=self.schema)
-        except StaleModelError:
-            self.evicted_models += 1
-            if self._metrics is not None:
-                self._metrics.counter("serve.store.models_evicted").inc()
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
-        except ModelArtifactError:
-            self._quarantine(path, _MODELS_DIR)
-            return None
-        return text
-
-    def _sweep_models(self) -> int:
-        """Drop artifacts that no longer verify; returns evictions."""
-        from ..learn.model import (
-            LearnedCostModel, ModelArtifactError, StaleModelError,
-        )
-
-        removed = 0
-        for name in self.models():
-            path = self.model_path(name)
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    text = fh.read()
-                LearnedCostModel.loads(text, schema=self.schema)
-            except StaleModelError:
-                try:
-                    os.unlink(path)
-                    removed += 1
-                except OSError:
-                    pass
-            except (OSError, ModelArtifactError):
-                self._quarantine(path, _MODELS_DIR)
         return removed
 
     # -- writing ------------------------------------------------------------
@@ -438,8 +338,6 @@ class ProfileStore:
             "schema": self.schema,
             "jobs": len(jobs),
             "segments": segments,
-            "models": len(self.models()),
-            "evicted_models": self.evicted_models,
             "evicted_segments": self.evicted_segments,
             "corrupt_segments": self.corrupt_segments,
             "quarantined_segments": self.quarantined_segments,

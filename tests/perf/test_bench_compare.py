@@ -12,9 +12,8 @@ RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 
 def _doc(model="scrnn", ratio=2.0, winner="plan-a", cfg_s=1000.0, hit=0.5,
-         warm=None, warm_match=True, learned=None, learned_match=True):
-    """A version-2 document; pass ``warm`` (a warm_speedup) for version 3,
-    ``learned`` (a learned_speedup) for version 4."""
+         warm=None, warm_match=True):
+    """A version-2 document; pass ``warm`` (a warm_speedup) for version 3."""
     doc = {
         "version": 2,
         "model": model,
@@ -33,11 +32,6 @@ def _doc(model="scrnn", ratio=2.0, winner="plan-a", cfg_s=1000.0, hit=0.5,
         doc["variants"]["FK"]["warm_speedup"] = warm
         doc["variants"]["FK"]["warm_winner_match"] = warm_match
         doc["variants"]["FK"]["warm_configs_fraction"] = 0.0
-    if learned is not None:
-        doc["version"] = 4
-        doc["variants"]["FK"]["learned_speedup"] = learned
-        doc["variants"]["FK"]["learned_winner_match"] = learned_match
-        doc["variants"]["FK"]["learned_configs_fraction"] = 0.2
     return doc
 
 
@@ -135,6 +129,30 @@ class TestWarmLegCompare:
         assert diff["ok"], diff["failures"]
         assert diff["variants"]["FK"]["warm_gate"].startswith("skipped")
 
+    def test_v3_without_leg_reports_not_run(self):
+        current = _doc(warm=5.0)
+        baseline = _doc(warm=5.0)
+        del baseline["variants"]["FK"]["warm_speedup"]
+        diff = compare_bench(current, baseline)
+        assert diff["ok"], diff["failures"]
+        assert "did not run the warm leg" in \
+            diff["variants"]["FK"]["warm_gate"]
+
+    def test_mislabelled_version_is_a_failure(self):
+        """A v2-declared document carrying a warm leg is the silent
+        pass this schema field exists to prevent: hard failure."""
+        mislabelled = _doc()
+        mislabelled["variants"]["FK"]["warm_speedup"] = 5.0
+        mislabelled["variants"]["FK"]["warm_winner_match"] = True
+        for current, baseline in ((mislabelled, _doc(warm=5.0)),
+                                  (_doc(warm=5.0), mislabelled)):
+            diff = compare_bench(current, baseline)
+            assert not diff["ok"]
+            assert any("declares version 2 but carries a warm leg" in m
+                       for m in diff["failures"])
+            assert diff["variants"]["FK"]["warm_gate"] == \
+                "failed: version/leg mismatch"
+
     def test_render_skipped_and_compared(self):
         skipped = render_compare(compare_bench(_doc(warm=5.0), _doc()))
         assert "warm: skipped" in skipped
@@ -142,81 +160,6 @@ class TestWarmLegCompare:
             compare_bench(_doc(warm=4.0), _doc(warm=5.0))
         )
         assert "4.00x" in compared and "5.00x" in compared
-
-
-class TestLearnedLegCompare:
-    """The v4 learned-leg gate: explicit schema versioning means the
-    learned leg can never be silently judged against a v2/v3 baseline,
-    and a document cannot smuggle a leg its declared version predates."""
-
-    def test_both_learned_docs_compared(self):
-        diff = compare_bench(_doc(learned=4.0), _doc(learned=4.0))
-        assert diff["ok"], diff["failures"]
-        assert diff["variants"]["FK"]["learned_gate"] == "compared"
-        assert diff["variants"]["FK"]["learned_speedup_drop"] == \
-            pytest.approx(0.0)
-
-    def test_learned_speedup_regression_fails(self):
-        current = _doc(learned=4.0 * (1 - REGRESSION_THRESHOLD) * 0.95)
-        diff = compare_bench(current, _doc(learned=4.0))
-        assert not diff["ok"]
-        assert any("learned-top-k speedup regressed" in m
-                   for m in diff["failures"])
-
-    def test_learned_speedup_drop_within_threshold_passes(self):
-        current = _doc(learned=4.0 * (1 - REGRESSION_THRESHOLD) * 1.05)
-        assert compare_bench(current, _doc(learned=4.0))["ok"]
-
-    def test_learned_winner_divergence_fails(self):
-        diff = compare_bench(_doc(learned=4.0, learned_match=False),
-                             _doc(learned=4.0))
-        assert not diff["ok"]
-        assert any("learned leg's winner diverged" in m
-                   for m in diff["failures"])
-
-    def test_old_baselines_skip_the_learned_gate(self):
-        """v2 and v3 baselines predate the learned leg: the gate skips
-        with the version called out, instead of failing or -- worse --
-        comparing against a leg that was never run."""
-        for baseline in (_doc(), _doc(warm=5.0)):
-            diff = compare_bench(_doc(learned=4.0), baseline)
-            assert diff["ok"], diff["failures"]
-            gate = diff["variants"]["FK"]["learned_gate"]
-            assert gate.startswith("skipped")
-            assert "predates the learned leg" in gate
-            assert diff["variants"]["FK"]["learned_speedup_baseline"] is None
-
-    def test_v4_without_leg_reports_not_run(self):
-        current = _doc(learned=4.0)
-        baseline = _doc(learned=4.0)
-        del baseline["variants"]["FK"]["learned_speedup"]
-        diff = compare_bench(current, baseline)
-        assert diff["ok"], diff["failures"]
-        assert "did not run the learned leg" in \
-            diff["variants"]["FK"]["learned_gate"]
-
-    def test_mislabelled_version_is_a_failure(self):
-        """A v2-declared document carrying a learned leg is the silent
-        pass this schema field exists to prevent: hard failure."""
-        mislabelled = _doc()
-        mislabelled["variants"]["FK"]["learned_speedup"] = 4.0
-        mislabelled["variants"]["FK"]["learned_winner_match"] = True
-        for current, baseline in ((mislabelled, _doc(learned=4.0)),
-                                  (_doc(learned=4.0), mislabelled)):
-            diff = compare_bench(current, baseline)
-            assert not diff["ok"]
-            assert any("declares version 2 but carries a learned leg" in m
-                       for m in diff["failures"])
-            assert diff["variants"]["FK"]["learned_gate"] == \
-                "failed: version/leg mismatch"
-
-    def test_render_skipped_and_compared(self):
-        skipped = render_compare(compare_bench(_doc(learned=4.0), _doc()))
-        assert "learned: skipped" in skipped
-        compared = render_compare(
-            compare_bench(_doc(learned=3.0), _doc(learned=4.0))
-        )
-        assert "3.00x" in compared and "4.00x" in compared
 
 
 class TestCommittedBaselines:
@@ -248,19 +191,15 @@ class TestCommittedBaselines:
 
     @pytest.mark.parametrize("name", ["BENCH_scrnn.json", "BENCH_milstm.json"])
     def test_committed_v2_baseline_loads_against_v4(self, name):
-        """A fresh v4 document (warm + learned legs) against the
-        committed v2 baselines: both leg gates skip, nothing fails."""
+        """A fresh v4 document (the current version) against the
+        committed v2 baselines: the warm gate skips, nothing fails."""
         baseline = json.loads((RESULTS / name).read_text())
         current = copy.deepcopy(baseline)
         current["version"] = 4
         for vdoc in current["variants"].values():
             vdoc["warm_speedup"] = 5.0
             vdoc["warm_winner_match"] = True
-            vdoc["learned_speedup"] = 4.0
-            vdoc["learned_winner_match"] = True
-            vdoc["learned_configs_fraction"] = 0.2
         diff = compare_bench(current, baseline)
         assert diff["ok"], diff["failures"]
         for vdoc in diff["variants"].values():
             assert vdoc["warm_gate"].startswith("skipped")
-            assert vdoc["learned_gate"].startswith("skipped")

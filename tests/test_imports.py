@@ -27,7 +27,6 @@ NOT_AT_SETUP = (
     "repro.faults.chaos",
     "repro.obs.analysis",
     "repro.serve.server",
-    "repro.learn.model",
 )
 
 TINY_SESSION = """

@@ -23,7 +23,6 @@ LAZY_PACKAGES = (
     "repro.faults",
     "repro.gpu",
     "repro.ir",
-    "repro.learn",
     "repro.obs",
     "repro.runtime",
     "repro.serve",
