@@ -22,13 +22,6 @@ Commands:
   dropped/corrupted timestamps, device OOM, preemption), assert the
   degradation invariant and the fault accounting, and print a resilience
   report; exits non-zero if any cell fails (see ``docs/robustness.md``)
-* ``bench``     — time the exploration itself: baseline (no cache, no
-  pruning) vs fast path, per phase, writing ``BENCH_<model>.json``;
-  exits non-zero if the fast path's winner diverges from the exhaustive
-  winner or the cache never hits (see ``docs/performance.md``);
-  ``--compare`` diffs the fresh document against a committed baseline
-  and exits non-zero on a winner change or a relative-throughput
-  regression
 * ``analyze``   — critical-path analysis of a ``.trace.json`` produced by
   ``repro trace``: per-kernel critical-path contribution, per-stream
   busy/stall attribution, dependency slack; ``--scale`` / ``--swap``
@@ -40,8 +33,8 @@ Commands:
 * ``fleet``     — heterogeneous fleet strategy search: data-parallel
   degree, pipeline stage cuts and per-stage device placement explored as
   adaptive variables over a mixed P100/V100 fleet, with admissible-bound
-  pruning verified against the exhaustive sweep; ``--bench`` writes
-  ``BENCH_fleet_<model>.json`` (see ``docs/distributed.md``)
+  pruning verified against the exhaustive sweep (see
+  ``docs/distributed.md``)
 """
 
 from __future__ import annotations
@@ -503,44 +496,6 @@ def cmd_chaos(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_bench(args) -> int:
-    from .perf.bench import DEFAULT_VARIANTS, bench_model, render_bench
-
-    variants = (
-        tuple(v.strip() for v in args.variants.split(",") if v.strip())
-        if args.variants else DEFAULT_VARIANTS
-    )
-    doc = bench_model(
-        args.model,
-        batch=args.batch,
-        seq_len=args.seq_len,
-        device_name=args.device,
-        seed=args.seed,
-        budget=args.budget,
-        variants=variants,
-        quick=args.quick,
-        workers=args.workers,
-    )
-    out = args.output or f"BENCH_{args.model}.json"
-    with open(out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(render_bench(doc))
-        print(f"wrote {out}")
-    compare_ok = True
-    if args.compare:
-        from .perf.bench import compare_bench, render_compare
-
-        with open(args.compare) as fh:
-            baseline = json.load(fh)
-        diff = compare_bench(doc, baseline)
-        print(render_compare(diff))
-        compare_ok = diff["ok"]
-    return 0 if doc["ok"] and compare_ok else 1
-
-
 def _render_fleet_report(report, fleet, verify: dict | None) -> str:
     lines = [
         f"fleet search: {report.model}  batch={report.batch_size}  "
@@ -604,39 +559,10 @@ def cmd_fleet(args) -> int:
     from .fleet import get_fleet, run_fleet_search
     from .obs.trace import fleet_trace, validate_chrome_trace
 
-    batch = args.batch if args.batch is not None else (64 if args.quick else 256)
-
-    if args.bench:
-        from .fleet import bench_fleet, render_fleet_bench
-
-        doc = bench_fleet(
-            args.model, batch=batch, seq_len=args.seq_len,
-            fleet_name=args.fleet, seed=args.seed, workers=args.workers,
-            microbatches=args.microbatches, quick=args.quick,
-        )
-        out = args.output or f"BENCH_fleet_{args.model}.json"
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-        if args.json:
-            print(json.dumps(doc, indent=2))
-        else:
-            print(render_fleet_bench(doc))
-            print(f"wrote {out}")
-        compare_ok = True
-        if args.compare:
-            from .fleet import compare_fleet_bench, render_fleet_compare
-
-            with open(args.compare) as fh:
-                baseline = json.load(fh)
-            diff = compare_fleet_bench(doc, baseline)
-            print(render_fleet_compare(diff))
-            compare_ok = diff["ok"]
-        return 0 if doc["ok"] and compare_ok else 1
-
     module = __import__(_CONFIG_MODULES[args.model],
                         fromlist=["DEFAULT_CONFIG"])
     config = module.DEFAULT_CONFIG.scaled(
-        batch_size=batch, seq_len=args.seq_len,
+        batch_size=args.batch, seq_len=args.seq_len,
         use_embedding=not args.no_embedding,
     )
     builder = MODEL_BUILDERS[args.model]
@@ -849,29 +775,6 @@ def make_parser() -> argparse.ArgumentParser:
                         "temporary directory, removed afterwards)")
     p.set_defaults(fn=cmd_chaos)
 
-    p = sub.add_parser(
-        "bench",
-        help="time the exploration itself: baseline vs fast path, per phase",
-    )
-    common(p, positional_model=True)
-    p.add_argument("--variants", default=None, metavar="V1,V2",
-                   help="comma-separated feature variants to bench "
-                        "(default: FK,all)")
-    p.add_argument("--quick", action="store_true",
-                   help="primary variant only, no timing gate: the CI smoke "
-                        "configuration")
-    p.add_argument("--workers", type=int, default=4, metavar="N",
-                   help="worker processes for the parallel leg (default 4)")
-    p.add_argument("-o", "--output", default=None, metavar="PATH",
-                   help="output path (default: BENCH_<model>.json)")
-    p.add_argument("--json", action="store_true",
-                   help="print the full bench document instead of the table")
-    p.add_argument("--compare", default=None, metavar="PATH",
-                   help="diff against a committed BENCH_*.json: exit "
-                        "non-zero on a winner change or a >20%% relative-"
-                        "throughput regression")
-    p.set_defaults(fn=cmd_bench)
-
     from .fleet.spec import FLEETS
 
     p = sub.add_parser(
@@ -884,9 +787,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--fleet", choices=sorted(FLEETS), default="hetero",
                    help="fleet description to search over (default: hetero, "
                         "2xP100+2xV100 over NVLink)")
-    p.add_argument("--batch", type=int, default=None,
+    p.add_argument("--batch", type=int, default=256,
                    help="global batch size (default 256, where parallelism "
-                        "pays; 64 with --quick)")
+                        "pays)")
     p.add_argument("--seq-len", type=int, default=5, dest="seq_len")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1, metavar="N",
@@ -910,25 +813,11 @@ def make_parser() -> argparse.ArgumentParser:
                    help="JSON FaultPlan to inject into every primitive "
                         "measurement (bound pruning stands down; see "
                         "docs/robustness.md)")
-    p.add_argument("--quick", action="store_true",
-                   help="batch 64 instead of 256: the CI smoke "
-                        "configuration (all gates still apply)")
     p.add_argument("--no-embedding", action="store_true")
     obs_flags(p)
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="write the winner's per-device fleet timeline as a "
                         "Chrome trace-event document")
-    p.add_argument("--bench", action="store_true",
-                   help="time exhaustive vs pruned search and write "
-                        "BENCH_fleet_<model>.json (see docs/distributed.md)")
-    p.add_argument("-o", "--output", default=None, metavar="PATH",
-                   help="bench output path (default: "
-                        "BENCH_fleet_<model>.json)")
-    p.add_argument("--compare", default=None, metavar="PATH",
-                   help="diff the fresh bench document against a committed "
-                        "BENCH_fleet_*.json: exit non-zero on a winner "
-                        "change or a >20%% strategies/sec-multiple "
-                        "regression")
     p.set_defaults(fn=cmd_fleet)
     return parser
 

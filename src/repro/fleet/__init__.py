@@ -15,13 +15,6 @@ from .spec import DEFAULT_FLEET, FLEETS, FleetDevice, FleetSpec, get_fleet, with
 from .strategy import Strategy, enumerate_strategies, resolve_weighted_shards
 from .measure import STRATEGY_VAR, FleetMeasurer, StrategyOutcome, strategy_profile_key
 from .search import FleetSearchReport, run_fleet_search
-from .bench import (
-    FLEET_BENCH_VERSION,
-    bench_fleet,
-    compare_fleet_bench,
-    render_fleet_bench,
-    render_fleet_compare,
-)
 
 __all__ = [
     "DEFAULT_FLEET", "FLEETS", "FleetDevice", "FleetSpec",
@@ -29,6 +22,4 @@ __all__ = [
     "Strategy", "enumerate_strategies", "resolve_weighted_shards",
     "STRATEGY_VAR", "FleetMeasurer", "StrategyOutcome", "strategy_profile_key",
     "FleetSearchReport", "run_fleet_search",
-    "FLEET_BENCH_VERSION", "bench_fleet", "compare_fleet_bench",
-    "render_fleet_bench", "render_fleet_compare",
 ]

@@ -16,12 +16,10 @@ identical while removing the redundant work:
   mini-batch is spent on them (``--no-prune`` restores exhaustive
   search; an equivalence test pins that both converge identically);
 * :mod:`repro.perf.timers` -- exclusive per-phase wall-clock accounting
-  (enumerate / lower / simulate / explore) with a null-object default;
-* :mod:`repro.perf.bench` -- the ``repro bench`` harness that records
-  baseline-vs-fast numbers into ``BENCH_<model>.json``.
+  (enumerate / lower / simulate / explore) with a null-object default.
 
-See ``docs/performance.md`` for the cache key, the pruning invariant and
-how to read the bench output.
+See ``docs/performance.md`` for the cache key and the pruning invariant,
+and ``benchmarks/perf/README.md`` for how the optimizer itself is timed.
 """
 
 from .cache import LoweringCache

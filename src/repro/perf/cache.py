@@ -14,7 +14,7 @@ covered twice, a dispatch order that breaks a dependency) stores nothing.
 
 The cache is LRU-bounded.  Hit/miss/eviction counters are published to
 the metrics registry under ``perf.cache.*`` and mirrored in
-:meth:`stats` for the bench harness.
+:meth:`stats` for the report's ``fast_path["cache"]``.
 
 Correctness contract (pinned by the differential test): a cache-served
 schedule serializes bit-identically to a fresh ``Dispatcher.lower`` of

@@ -5,8 +5,8 @@ A :class:`PhaseClock` splits a run's wall time into named phases
 nest, and the accounting is *exclusive*: entering a nested phase pauses
 the enclosing one, so a slow inner phase can never be attributed to the
 phase that happened to wrap it.  The sum of all phase times therefore
-equals the total timed wall clock (up to timer-read overhead), which is
-what the bench harness asserts.
+equals the total timed wall clock (up to timer-read overhead), which
+``tests/perf/test_timers.py`` asserts.
 
 Instrumented code holds a clock reference and calls it unconditionally;
 :data:`NULL_CLOCK` is the do-nothing default (the same null-object idiom

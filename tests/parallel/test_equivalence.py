@@ -14,14 +14,15 @@ import pytest
 
 from repro.core.session import AstraSession
 from repro.gpu import DEVICES
-from repro.perf.bench import _clear_process_memos
 from repro.perf.ranker import FastPath
+
+from ._memos import clear_process_memos
 
 FAST = FastPath(cache=True, prune=True)
 
 
 def run_once(model, device_name="P100", workers=None, features="FK", budget=400):
-    _clear_process_memos()
+    clear_process_memos()
     width = {} if workers is None else {"workers": workers}
     session = AstraSession(
         model, device=DEVICES[device_name], features=features, seed=1,

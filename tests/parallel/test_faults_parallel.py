@@ -22,8 +22,9 @@ from repro.faults import (
     PreemptionError,
 )
 from repro.gpu import DEVICES
-from repro.perf.bench import _clear_process_memos
 from repro.perf.ranker import FastPath
+
+from ._memos import clear_process_memos
 
 FAST = FastPath(cache=True, prune=True)
 CHAOS = FaultPlan(
@@ -41,7 +42,7 @@ def _width(workers) -> dict:
 
 
 def run_chaos(model, workers, features="FK", budget=400):
-    _clear_process_memos()
+    clear_process_memos()
     session = AstraSession(
         model, device=DEVICES["P100"], features=features, seed=1, fast=FAST,
         faults=CHAOS, policy=POLICY, **_width(workers),
@@ -77,7 +78,7 @@ class TestFaultEquivalence:
 
 class TestCheckpointResume:
     def _preempt_then_resume(self, model, path, first_workers, resume_workers):
-        _clear_process_memos()
+        clear_process_memos()
         faults = FaultPlan(
             specs=CHAOS.specs + (FaultSpec(kind=FAULT_PREEMPT, at=5),),
             seed=7,

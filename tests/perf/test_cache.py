@@ -136,3 +136,6 @@ def test_disabled_cache_absent_from_wirer(tiny_scrnn):
     report = session.optimize(max_minibatches=40)
     assert report.astra.fast_path["cache"] is None
     assert report.astra.fast_path["cache_enabled"] is False
+    # pruning off: the whole space is counted and none of it retired
+    assert report.astra.fast_path["choices_total"] > 0
+    assert report.astra.fast_path["choices_pruned"] == 0

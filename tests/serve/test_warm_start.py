@@ -1,12 +1,12 @@
-"""Cross-job warm start: the ISSUE's acceptance gate, pinned as tests.
+"""Cross-job warm start: its acceptance gate, pinned as tests.
 
 A cold run populates a store; a warm rerun of the identical job must
 converge to a *bit-identical* winner while measuring at most half the
 configurations (in practice: zero -- every profile-index probe hits).
 Also pinned: provenance attribution of warm-seeded entries, digest
 sensitivity (a different job must not inherit), the store/report
-accounting the CLI and ``repro bench`` surface, and graceful degradation
-when a committed segment is corrupted on disk.
+accounting the CLI surfaces, and graceful degradation when a committed
+segment is corrupted on disk.
 """
 
 import glob

@@ -263,43 +263,3 @@ class TestExplainCommand:
     def test_explain_requires_model(self):
         with pytest.raises(SystemExit):
             make_parser().parse_args(["explain"])
-
-
-class TestBenchCompare:
-    ARGS = ["bench", "sublstm", "--batch", "4", "--seq-len", "2",
-            "--budget", "60", "--quick", "--workers", "2"]
-
-    def test_compare_pass_and_fail(self, capsys, tmp_path, monkeypatch):
-        import copy
-        import json
-
-        monkeypatch.chdir(tmp_path)
-        doc_path = tmp_path / "doc.json"
-        assert main([*self.ARGS, "-o", str(doc_path)]) == 0
-        capsys.readouterr()
-        doc = json.loads(doc_path.read_text())
-
-        # identical winner, tiny baseline ratios: improvement, must pass
-        # (the wall-clock leg speedups get the same treatment as the
-        # throughput ratio -- two timed runs of a 60-budget job on a
-        # loaded host can differ by far more than the 20% gate)
-        good = copy.deepcopy(doc)
-        for variant in good["variants"].values():
-            variant["configs_per_sec_ratio"] = 1e-6
-            if variant.get("warm_speedup") is not None:
-                variant["warm_speedup"] = 1e-6
-        good_path = tmp_path / "good.json"
-        good_path.write_text(json.dumps(good))
-        assert main([*self.ARGS, "-o", str(doc_path),
-                     "--compare", str(good_path)]) == 0
-        assert "bench compare" in capsys.readouterr().out
-
-        # a changed winner must fail the gate
-        bad = copy.deepcopy(good)
-        for variant in bad["variants"].values():
-            variant["winning_assignment"] = "something-else"
-        bad_path = tmp_path / "bad.json"
-        bad_path.write_text(json.dumps(bad))
-        assert main([*self.ARGS, "-o", str(doc_path),
-                     "--compare", str(bad_path)]) == 1
-        assert "winning assignment changed" in capsys.readouterr().out
