@@ -15,9 +15,13 @@ interleaved rep by rep so drift in the host's speed hits all three alike:
 * readback: the executor's per-unit times and per-epoch stream metrics.
 
 It prints each layer's median and quartiles over the reps (seconds per
-pass over all plans) and the simulator's items/s, then one JSON object
-as its last line.  ``--check`` exits 1 unless every replayed total, unit
-time and epoch metric equals the recorded one.
+pass over all plans), the simulator's items/s and the share of kernels in
+multi-stream programs that overlapped no other kernel (the share the
+engine's dispatch-bound fast path can finish in one step), then one JSON
+object as its last line.  ``--check`` exits 1 unless the replay repeats
+everything the profiler observes: each run's total, CPU and profiling
+overhead times, every kernel record's (stream, issue, start, end), the
+event times in recording order, the unit times and the epoch metrics.
 """
 
 from __future__ import annotations
@@ -39,16 +43,39 @@ from repro.perf import FastPath, LoweringCache  # noqa: E402
 from repro.runtime import Dispatcher, Executor  # noqa: E402
 
 
+def observed(result) -> tuple:
+    """Everything the profiler can observe about one engine run."""
+    return (
+        result.total_time_us,
+        result.cpu_time_us,
+        result.profiling_overhead_us,
+        [(r.stream, r.issue_time, r.start_time, r.end_time) for r in result.records],
+        list(result.event_times.items()),
+    )
+
+
+def lone_kernels(records: list[tuple]) -> int:
+    """How many of an observation's kernel records overlapped no other."""
+    spans = sorted((start, end) for _stream, _issue, start, end in records)
+    alone = 0
+    reach = float("-inf")  # latest end among kernels started so far
+    for i, (start, end) in enumerate(spans):
+        if start >= reach and (i + 1 == len(spans) or end <= spans[i + 1][0]):
+            alone += 1
+        reach = max(reach, end)
+    return alone
+
+
 def record_exploration(model, features: str, budget: int) -> list[tuple]:
-    """(plan, total, unit times, epoch metrics) of every ``Executor.run``
-    call one exploration makes."""
+    """(plan, engine observation, unit times, epoch metrics) of every
+    ``Executor.run`` call one exploration makes."""
     recorded: list[tuple] = []
     run = Executor.run
 
     def recording(self, plan, validate=None):
         result = run(self, plan, validate=validate)
         recorded.append(
-            (plan, result.total_time_us, result.unit_times, result.epoch_metrics)
+            (plan, observed(result.raw), result.unit_times, result.epoch_metrics)
         )
         return result
 
@@ -91,7 +118,7 @@ def replay(graph, plans: list) -> tuple[dict[str, float], list[tuple]]:
     seconds["readback"] = time.perf_counter() - start
 
     replayed = [
-        (result.total_time_us, unit_times, epoch_metrics)
+        (observed(result), unit_times, epoch_metrics)
         for result, (unit_times, epoch_metrics) in zip(results, readback)
     ]
     seconds["items"] = sum(len(schedule.program) for schedule in lowered)
@@ -147,6 +174,14 @@ def main(argv=None) -> int:
         "reps": len(per_layer["lower"]),
         **{f"{layer}_s": summarize(values) for layer, values in per_layer.items()},
     }
+    # kernel records of the runs that used more than one stream
+    concurrent = [records for (_t, _c, _p, records, _e), *_ in replayed
+                  if len({stream for stream, *_ in records}) > 1]
+    kernels = sum(len(records) for records in concurrent)
+    doc["concurrent_kernels"] = kernels
+    doc["lone_kernel_share"] = (
+        sum(lone_kernels(records) for records in concurrent) / kernels if kernels else 0.0
+    )
     simulate = doc["simulate_s"]["median"]
     doc["simulator_items_per_s"] = items / simulate if simulate else 0.0
     print(f"{doc['workload']}: {len(plans)} plans, {items} dispatch items, "
@@ -156,6 +191,8 @@ def main(argv=None) -> int:
         print(f"  {layer:<9} median {stats['median'] * 1e3:8.2f} ms  "
               f"quartiles {stats['q1'] * 1e3:.2f}-{stats['q3'] * 1e3:.2f} ms")
     print(f"  simulator {doc['simulator_items_per_s']:,.0f} items/s")
+    print(f"  {doc['lone_kernel_share']:.1%} of {kernels} kernels in "
+          f"{len(concurrent)} multi-stream programs overlapped no other kernel")
     if args.check:
         doc["check"] = "ok" if not mismatched else f"{mismatched} plans differ"
         print(f"  check: {doc['check']}")

@@ -583,7 +583,7 @@ class Enumerator:
         if stream_options is not None and partition is not None:
             for epoch_ordinal, option in stream_options.items():
                 stream_of.update(option)
-            barriers = frozenset(partition.barrier_units())
+            barriers = partition.barrier_units()
             coordinates = partition.coordinates
             epoch_of = {
                 unit.unit_id: coordinates[unit.unit_id]

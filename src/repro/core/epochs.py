@@ -16,7 +16,7 @@ Section 4.5.3/4.5.4: stream scheduling is history-sensitive, so Astra
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from ..gpu.device import GPUSpec
@@ -57,15 +57,21 @@ class EpochPartition:
     #: unit id -> (super_epoch, epoch index)
     coordinates: dict[int, tuple[int, int]]
     num_super_epochs: int
+    _barriers: frozenset[int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def barrier_units(self) -> set[int]:
-        """Last unit of each super-epoch except the final one."""
-        last: dict[int, int] = {}
-        for epoch in self.epochs:
-            for uid in epoch.unit_ids:
-                last[epoch.super_epoch] = max(last.get(epoch.super_epoch, -1), uid)
-        super_ids = sorted(last)
-        return {last[se] for se in super_ids[:-1]}
+    def barrier_units(self) -> frozenset[int]:
+        """Last unit of each super-epoch except the final one, computed on
+        first call: every stream candidate of a partition shares them."""
+        if self._barriers is None:
+            last: dict[int, int] = {}
+            for epoch in self.epochs:
+                for uid in epoch.unit_ids:
+                    last[epoch.super_epoch] = max(last.get(epoch.super_epoch, -1), uid)
+            super_ids = sorted(last)
+            self._barriers = frozenset(last[se] for se in super_ids[:-1])
+        return self._barriers
 
 
 def _unit_levels(units: list[Unit], deps: dict[int, set[int]]) -> dict[int, int]:

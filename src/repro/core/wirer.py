@@ -1186,8 +1186,9 @@ class CustomWirer:
         stream_tree: UpdateNode,
         profile_vars: set[str] | None = None,
     ) -> BuiltPlan:
+        variables = list(stream_tree.variables())
         options: dict[int, dict[int, int]] = {}
-        for var in stream_tree.variables():
+        for var in variables:
             ordinal, epoch = var.payload  # type: ignore[misc]
             choice = stream_assignment.get(var.name, var.value)
             options[ordinal] = epoch.options[choice]
@@ -1203,7 +1204,7 @@ class CustomWirer:
         # metric needs an event on the epoch's last unit, and only live
         # epochs pay for it (regions of interest, section 5.2)
         extra_profile: set[int] = set()
-        for var in stream_tree.variables():
+        for var in variables:
             _ordinal, epoch = var.payload  # type: ignore[misc]
             built.var_units.setdefault(var.name, list(epoch.unit_ids))
             if profile_vars is None or var.name in profile_vars:

@@ -530,6 +530,11 @@ class StreamSimulator:
         max-min fair water-fill is one linear pass, redone only when the
         running set changes.  Records and events are integer indices
         into flat lists.
+
+        Dispatch-bound schedules mostly run one kernel at a time, so a
+        kernel that starts with nothing running and no other head due
+        also completes in the step that starts it, unless another head
+        becomes ready first (see ``docs/simulator.md``).
         """
         device = self.device
         slots = float(device.sm_slots)
@@ -586,11 +591,14 @@ class StreamSimulator:
                 for ev in waits:
                     waiters.setdefault(ev, []).append(stream)
                 for ev in waits:
-                    if times[ev] is None:
+                    done = times[ev]
+                    if done is None:
                         return
-                for ev in waits:
-                    start = max(start, times[ev])
-            start = max(start, last_done.get(stream, 0.0))
+                    if done > start:
+                        start = done
+            done = last_done.get(stream, 0.0)
+            if done > start:
+                start = done
             ready[stream] = (start, stream_order[stream], rec)
 
         def stamp(slot: int, time: float) -> None:
@@ -662,6 +670,75 @@ class StreamSimulator:
 
         # Main event loop.
         while True:
+            if not running and ready:
+                # Dispatch-bound fast path: with nothing running and one
+                # head due, that kernel runs alone.  It starts and, unless
+                # another head is ready before it would finish, completes
+                # in this step, with the float operations the general
+                # steps would use; otherwise it is handed to them running.
+                if len(ready) == 1:
+                    head = next(iter(ready.values()))
+                    after = None
+                else:
+                    head, after = sorted(ready.values())[:2]
+                t = head[0]
+                if after is None or after[0] > t + _EPS:
+                    rec = head[2]
+                    stream = streams[rec]
+                    del ready[stream]
+                    sim_time = t
+                    start_times[rec] = t
+                    cap = caps[rec]
+                    base = durations[rec]
+                    if boost:
+                        base = base * self._jitter()
+                    if injector is not None:
+                        base *= injector.kernel_multiplier(kinds[rec])
+                    if cap <= 0:
+                        running.append(_Running(rec, stream, cap, base, False))
+                    else:
+                        # max(1, cap) and min(float(c), slots / 1), written
+                        # as comparisons: the same floats, no builtin calls
+                        c = cap if cap > 1 else 1
+                        work = base * c
+                        rate = float(c)
+                        if rate > slots:
+                            rate = slots
+                        finish = t + work / rate
+                        if ((after is not None and after[0] < finish)
+                                or work - rate * (finish - t) > _EPS):
+                            r = _Running(rec, stream, cap, work, True)
+                            running.append(r)
+                            sharers.append(r)
+                            rates_stale = True
+                        else:
+                            sim_time = finish
+                            end_times[rec] = finish
+                            queue = queues[stream]
+                            entry = queue.popleft()
+                            last_done[stream] = finish
+                            if queue:
+                                rec = queue[0][0]
+                                if queue[0][1]:
+                                    refresh(stream)
+                                else:  # refresh(stream) for a head without waits
+                                    start = issue_times[rec]
+                                    ready[stream] = (start if start >= finish else finish,
+                                                     stream_order[stream], rec)
+                            for ev in entry[2]:
+                                stamp(ev, finish)
+                            in_flight -= 1
+                            # issue() stops only at a sync; resume it only
+                            # when that sync can now pass
+                            if idx < num_ops:
+                                op = ops[idx]
+                                if op[0] != OP_SYNC or (
+                                    in_flight <= 0 if op[1] < 0 else times[op[1]] is not None
+                                ):
+                                    issue()
+                            continue
+                    # the general steps take the running kernel from here
+
             next_start = min(ready.values()) if ready else None
 
             if rates_stale:

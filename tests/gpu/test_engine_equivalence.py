@@ -13,6 +13,8 @@ plus, under fault injection, which launch fails and which records the
 injector drops or corrupts.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +40,7 @@ from repro.gpu import (
     StreamSimulator,
     V100,
 )
+from repro.gpu import streams
 from repro.gpu.kernels import CopyLaunch, ElementwiseLaunch, HostTransfer
 from repro.gpu.streams import StreamProgram, compile_items
 
@@ -183,6 +186,176 @@ def test_start_ties_follow_first_seen_stream_order():
     _gate, on_one, on_zero = result.records
     assert on_one.start_time == on_zero.start_time
     assert list(result.event_times) == [gate, first, second]
+
+
+# -- the dispatch-bound fast path's edge cases ---------------------------------
+#
+# A kernel that starts with nothing running, and no other head due within
+# ``_EPS``, is started and completed in one engine step.  The cases below
+# sit on the boundaries of that path; each is built at base clock and
+# also run at autoboost and under an armed injector, where its timings
+# shift but both engines must still agree.
+
+LONE = GemmLaunch(64, 256, 256, "cublas")  # ~6.1 us, 32 of P100's 56 slots
+LONG = GemmLaunch(256, 1024, 1024, "cublas")  # ~126 us
+SHORT = ElementwiseLaunch(num_elements=2048)  # ~1 us: dispatch-bound
+
+
+def gap_to(cpu: float, target: float, device=P100) -> float:
+    """The host-compute duration after which, from CPU time ``cpu``, the
+    next launch is issued at exactly ``target`` (the engine adds the gap,
+    then the launch overhead)."""
+    launch = device.launch_overhead_us
+    gap = target - launch - cpu
+    for _ in range(64):
+        issued = cpu + gap + launch
+        if issued == target:
+            return gap
+        gap = math.nextafter(gap, math.inf if issued < target else -math.inf)
+    raise AssertionError(f"no host gap issues a launch at {target!r}")
+
+
+def head_at_offset(offset: float):
+    """Stream 1's head is issued ``offset`` us after the lone kernel on
+    stream 0 finishes (negative: before it finishes)."""
+    events = EventNamespace()
+    done = events.new_event()
+
+    def items_with(gap: float) -> list:
+        return [LaunchItem(LONE, 0, record=done), HostComputeItem(gap),
+                LaunchItem(SHORT, 1), HostSyncItem()]
+
+    alone = StreamSimulator(P100).run(items_with(100.0)).records[0]
+    cpu = alone.issue_time + P100.event_overhead_us
+    target = alone.end_time + offset
+    items = items_with(gap_to(cpu, target))
+
+    def holds(result) -> bool:
+        return result.records[1].issue_time == target
+
+    return items, holds
+
+
+def heads_apart(spacing: float):
+    """When LONG completes, stream 0's next head is ready at its end and
+    stream 1's head ``spacing`` us later: two heads due within ``_EPS``."""
+    def items_with(gap: float) -> list:
+        return [LaunchItem(LONG, 0), LaunchItem(SHORT, 0), HostComputeItem(gap),
+                LaunchItem(SHORT, 1), HostSyncItem()]
+
+    finish = StreamSimulator(P100).run(items_with(1000.0)).records[0].end_time
+    cpu = 2 * P100.launch_overhead_us
+    items = items_with(gap_to(cpu, finish + spacing))
+
+    def holds(result) -> bool:
+        first, second, third = result.records
+        return (second.start_time == first.end_time == third.start_time
+                and third.issue_time == finish + spacing)
+
+    return items, holds
+
+
+def transfer_alone():
+    """A copy-engine kernel (no SMs) starts with nothing running, then two
+    GEMMs that together want more than the SM array start while it runs:
+    the transfer must not take a share of the SMs."""
+    items = [
+        LaunchItem(SHORT, 0),
+        LaunchItem(HostTransfer(bytes_moved=1 << 12, direction="h2d"), 1),
+        LaunchItem(LONG, 0),
+        LaunchItem(LONG, 2),
+        LaunchItem(SHORT, 1),
+        HostSyncItem(),
+    ]
+
+    def holds(result) -> bool:
+        short, transfer, first, second, _last = result.records
+        return (short.end_time < transfer.start_time < first.start_time
+                < second.start_time < transfer.end_time)
+
+    return items, holds
+
+
+def sync_on_lone_record():
+    """The host blocks on an event a lone kernel records, then launches
+    into another stream and waits on that event there."""
+    events = EventNamespace()
+    done = events.new_event()
+    items = [
+        LaunchItem(LONE, 0, record=done),
+        HostSyncItem(done),
+        LaunchItem(SHORT, 1),
+        LaunchItem(SHORT, 0, waits=(done,)),
+        HostSyncItem(),
+    ]
+
+    def holds(result) -> bool:
+        lone, after_sync, _waiter = result.records
+        return after_sync.issue_time > result.event_times[done] == lone.end_time
+
+    return items, holds
+
+
+def chain_then_sync_all():
+    """A chain of lone kernels across two streams, a sync on all work,
+    then host work and one more launch."""
+    items = [LaunchItem(SHORT, i % 2) for i in range(6)]
+    items += [HostSyncItem(), HostComputeItem(3.0), LaunchItem(SHORT, 1), HostSyncItem()]
+
+    def holds(result) -> bool:
+        ends = [r.end_time for r in result.records]
+        starts = [r.start_time for r in result.records]
+        return all(end < start for end, start in zip(ends, starts[1:]))
+
+    return items, holds
+
+
+FAST_PATH_CASES = {
+    "head-at-finish": lambda: head_at_offset(0.0),
+    "head-just-before-finish": lambda: head_at_offset(-1e-12),
+    "head-just-after-finish": lambda: head_at_offset(1e-12),
+    "head-mid-kernel": lambda: head_at_offset(-0.5),
+    "heads-tied": lambda: heads_apart(0.0),
+    "heads-within-eps": lambda: heads_apart(0.5e-9),
+    "transfer-alone": transfer_alone,
+    "sync-on-lone-record": sync_on_lone_record,
+    "sync-all-after-chain": chain_then_sync_all,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAST_PATH_CASES))
+def test_fast_path_edges_match_the_reference(case):
+    items, holds = FAST_PATH_CASES[case]()
+    assert holds(StreamSimulator(P100).run(items)), "the case is not built as described"
+    for device in (P100, P100.with_clock(CLOCK_AUTOBOOST)):
+        production, reference = both(items, device, seed=3)
+        assert production == reference
+        production, reference = both_concurrent(items, device, seed=3)
+        assert production == reference
+        assert faulted(StreamSimulator(device, seed=5, injector=ARMED.injector()), items) \
+            == faulted(ReferenceSimulator(device, seed=5, injector=ARMED.injector()), items)
+
+
+def test_lone_kernels_take_the_fast_path(tiny_milstm, monkeypatch):
+    """Tiny milstm's stream schedules are dispatch-bound: most kernels run
+    alone, so most must finish without a ``_Running`` entry."""
+    programs = [p for p, _ in explored_programs(monkeypatch, tiny_milstm, P100)
+                if not p.sequential]
+    started: list[int] = []
+
+    class Counted(streams._Running):
+        __slots__ = ()
+
+        def __init__(self, record, *args):
+            started.append(record)
+            super().__init__(record, *args)
+
+    monkeypatch.setattr(streams, "_Running", Counted)
+    simulator = StreamSimulator(P100)
+    for program in programs:
+        simulator.run(program)
+    kernels = sum(len(p.table.kernels) for p in programs)
+    assert kernels > 0 and len(started) < kernels / 2
 
 
 PALETTE = (
