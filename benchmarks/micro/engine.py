@@ -132,6 +132,14 @@ def summarize(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def positive(text: str) -> int:
+    """An integer of at least 1, for ``--reps``."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--model", default="milstm", choices=sorted(MODEL_BUILDERS))
@@ -139,7 +147,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seq-len", type=int, default=1)
     parser.add_argument("--features", default="all")
     parser.add_argument("--budget", type=int, default=3000)
-    parser.add_argument("--reps", type=int, default=10)
+    parser.add_argument("--reps", type=positive, default=10)
     parser.add_argument("--check", action="store_true",
                         help="fail unless the replay reproduces every recorded number")
     args = parser.parse_args(argv)

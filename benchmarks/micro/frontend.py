@@ -17,14 +17,18 @@ cold.  Per candidate it times four layers:
 
 and once per rep, before the candidates as in ``optimize``:
 
-* estimates: ``estimate_choice_us`` for every choice of the unpruned FK
-  tree of each strategy.
+* estimates: ``estimate_choices_us`` for every variable of the unpruned
+  FK tree of each strategy.
 
 It prints each layer's median and quartiles over the reps (seconds per
 pass), then one JSON object as its last line, which also holds the
-per-candidate medians.  ``--check`` exits 1 unless every unit, unit
-dependency (in iteration order), compiled index, kernel cost and
-estimate equals the pre-memo code kept in
+per-candidate medians and the size of each candidate's delta:
+``fresh_units`` (units its build emitted that no earlier emission had),
+``rechained_nodes`` (remainder nodes its elementwise sweep re-chained)
+and ``fresh_unit_sources`` (units whose producer sources and issue key
+its compile derived; the others are looked up).  ``--check`` exits 1
+unless every unit, unit dependency (in iteration order), compiled index,
+kernel cost and estimate equals the pre-memo code kept in
 ``tests/runtime/_reference_lowering.py``.
 """
 
@@ -48,17 +52,20 @@ from repro.gpu import P100  # noqa: E402
 from repro.gpu.cost_model import units_cost_us  # noqa: E402
 from repro.models import MODEL_BUILDERS  # noqa: E402
 from repro.perf import FastPath  # noqa: E402
-from repro.perf.ranker import estimate_choice_us  # noqa: E402
+from repro.perf.ranker import estimate_choices_us  # noqa: E402
 from repro.runtime import Dispatcher  # noqa: E402
-from repro.runtime.dispatcher import CompiledSchedule  # noqa: E402
+from repro.runtime.lowering import graph_lowering  # noqa: E402
 from tests.runtime._reference_lowering import (  # noqa: E402
-    ReferenceDispatcher,
     reference_build_units,
+    reference_compile,
     reference_kernel_costs,
     reference_units_for_choice,
 )
 
 LAYERS = ("build", "compile", "costs", "estimates")
+#: per-candidate delta sizes: units emitted fresh, remainder nodes
+#: re-chained, units whose sources and issue key were derived fresh
+COUNTS = ("fresh_units", "rechained_nodes", "fresh_unit_sources")
 
 
 def record_builds(model, features: str, budget: int) -> list[tuple]:
@@ -82,28 +89,30 @@ def record_builds(model, features: str, budget: int) -> list[tuple]:
     return recorded
 
 
-def replay(graph, features, builds: list) -> tuple[dict, list, list]:
+def replay(graph, features, builds: list) -> tuple[dict, list, list, tuple]:
     """One timed pass: the estimates, then each candidate's layers."""
     per_candidate = []
+    counts = []
     outputs = []
     with graph.memoized():
         enum = Enumerator(graph, P100, features)
         dispatcher = Dispatcher(graph)
+        lowering = graph_lowering(graph)
         strategies = {s.strategy_id: s for s in enum.strategies}
 
         start = time.perf_counter()
         estimates = []
         for strategy in enum.strategies:
+            gemm_us: dict = {}  # shared per strategy, as the pre-ranker shares it
             for var in enum.build_fk_tree(strategy).variables():
-                for choice in var.choices:
-                    estimates.append((
-                        strategy, var, choice,
-                        estimate_choice_us(enum, strategy, var, choice, P100),
-                    ))
+                estimates.append((strategy, var, estimate_choices_us(
+                    enum, strategy, var, P100, gemm_us=gemm_us,
+                )))
         estimate_s = time.perf_counter() - start
 
         for strategy_id, assignment, kwargs in builds:
             seconds = {}
+            before = (enum.fresh_units, lowering.rechained, lowering.fresh_sources)
             start = time.perf_counter()
             built = enum.build_plan(strategies[strategy_id], assignment, **kwargs)
             seconds["build"] = time.perf_counter() - start
@@ -115,37 +124,38 @@ def replay(graph, features, builds: list) -> tuple[dict, list, list]:
             start = time.perf_counter()
             costs = compiled.table.costs(P100)
             seconds["costs"] = time.perf_counter() - start
+            after = (enum.fresh_units, lowering.rechained, lowering.fresh_sources)
             per_candidate.append(seconds)
+            counts.append(dict(zip(COUNTS, (b - a for a, b in zip(before, after)))))
             outputs.append((strategies[strategy_id], assignment, built, compiled, costs))
     totals = {layer: sum(c[layer] for c in per_candidate) for layer in LAYERS[:3]}
     totals["estimates"] = estimate_s
-    return totals, per_candidate, (enum, estimates, outputs)
+    return totals, per_candidate, counts, (enum, estimates, outputs)
 
 
 def mismatches(graph, replayed) -> list[str]:
     """Where the replay differs from the pre-memo reference code."""
     enum, estimates, outputs = replayed
     found = []
-    for strategy, var, choice, estimate in estimates:
-        reference = units_cost_us(
-            reference_units_for_choice(enum, strategy, var, choice), P100
-        )
-        if estimate != reference:
-            found.append(f"estimate {var.name}={choice!r}")
+    for strategy, var, var_estimates in estimates:
+        for choice, estimate in zip(var.choices, var_estimates):
+            reference = units_cost_us(
+                reference_units_for_choice(enum, strategy, var, choice), P100
+            )
+            if estimate != reference:
+                found.append(f"estimate {var.name}={choice!r}")
     for index, (strategy, assignment, built, compiled, costs) in enumerate(outputs):
         reference = reference_build_units(enum, strategy, assignment)
         if built.plan.units != reference.units:
             found.append(f"candidate {index}: units")
-        reference_deps = ReferenceDispatcher(graph).unit_dependencies(built.plan)
+        if built.var_units != reference.var_units:
+            found.append(f"candidate {index}: var_units")
+        reference_deps, expected = reference_compile(graph, built.plan)
         deps = Dispatcher(graph).unit_dependencies(built.plan)
         if [(u, list(d)) for u, d in deps.items()] != [
             (u, list(d)) for u, d in reference_deps.items()
         ]:
             found.append(f"candidate {index}: dependencies")
-        expected = CompiledSchedule.from_dependencies(
-            built.plan, reference_deps,
-            ReferenceDispatcher(graph)._order_units(built.plan, reference_deps),
-        )
         for field in ("order_ids", "step_deps", "edge_uids", "edge_deps",
                       "copies", "record_units"):
             if getattr(compiled, field) != getattr(expected, field):
@@ -162,6 +172,14 @@ def summarize(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def positive(text: str) -> int:
+    """An integer of at least 1, for ``--reps``."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--model", default="gnmt", choices=sorted(MODEL_BUILDERS))
@@ -169,7 +187,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seq-len", type=int, default=6)
     parser.add_argument("--features", default="FK")
     parser.add_argument("--budget", type=int, default=3000)
-    parser.add_argument("--reps", type=int, default=10)
+    parser.add_argument("--reps", type=positive, default=10)
     parser.add_argument("--check", action="store_true",
                         help="fail unless every layer's output equals the reference code's")
     args = parser.parse_args(argv)
@@ -188,7 +206,7 @@ def main(argv=None) -> int:
     ]
     failures: list[str] = []
     for _ in range(args.reps):
-        totals, candidates, replayed = replay(model.graph, features, builds)
+        totals, candidates, counts, replayed = replay(model.graph, features, builds)
         for layer, value in totals.items():
             per_layer[layer].append(value)
         for sink, seconds in zip(per_candidate, candidates):
@@ -208,12 +226,17 @@ def main(argv=None) -> int:
             {layer: statistics.median(values) for layer, values in sink.items()}
             for sink in per_candidate
         ],
+        # every rep starts cold, so each counts the same
+        "per_candidate_counts": counts,
     }
     print(f"{doc['workload']}: {len(builds)} candidates, {doc['reps']} reps")
     for layer in LAYERS:
         stats = doc[f"{layer}_s"]
         print(f"  {layer:<9} median {stats['median'] * 1e3:8.2f} ms  "
               f"quartiles {stats['q1'] * 1e3:.2f}-{stats['q3'] * 1e3:.2f} ms")
+    for name in COUNTS:
+        print(f"  {name:<18} first candidate {counts[0][name]:>6}, "
+              f"the {len(counts) - 1} others {sum(c[name] for c in counts[1:]):>6}")
     if args.check:
         doc["check"] = "ok" if not failures else "; ".join(failures[:10])
         print(f"  check: {doc['check']}")

@@ -15,7 +15,6 @@ the custom-wirer's job, by measurement.
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -83,37 +82,58 @@ class BuiltPlan:
     var_units: dict[str, list[int]]
 
 
-class _UnitBuilder:
-    """Shared unit-emission engine.
+class _Slot:
+    """One unit of an emission, before it is numbered.
 
-    :meth:`Enumerator.build_plan` drives it over the whole graph;
-    :meth:`Enumerator.units_for_choice` drives it over a single adaptive
-    variable's emission so the fast-path pre-ranker can score a choice in
-    isolation.  One code path means the scored units are the measured
-    units by construction.
+    A slot with a ``kernel`` launches it (a weight pack).  Any other slot
+    is a GEMM whose library is bound where the slot is placed: the
+    emitting choice's library when ``lib_var`` is None, else the value of
+    the ``kernel:*`` variable ``lib_var`` names.  That GEMM is node
+    ``mm_id`` launched alone, or a fused launch of ``dims`` over
+    ``node_ids``.  ``owner`` is the variable whose ``"units"`` measurement
+    covers the unit; a ``label`` of None means the kernel's name.
     """
 
-    def __init__(self, enum: "Enumerator", strategy: AllocationStrategy, library_for):
+    __slots__ = ("node_ids", "label", "owner", "pre_copies", "kernel", "lib_var",
+                 "mm_id", "dims", "_fused")
+
+    def __init__(self, node_ids, label, owner, *, pre_copies=(), kernel=None,
+                 lib_var=None, mm_id=None, dims=None):
+        self.node_ids = node_ids
+        self.label = label
+        self.owner = owner
+        self.pre_copies = pre_copies
+        self.kernel = kernel
+        self.lib_var = lib_var
+        self.mm_id = mm_id
+        self.dims = dims
+        self._fused: dict[str, GemmLaunch] = {}
+
+    def launch(self, lowering, lib: str):
+        """The kernel this slot launches when its GEMM runs ``lib``."""
+        if self.kernel is not None:
+            return self.kernel
+        if self.mm_id is not None:
+            return lowering.kernel(self.mm_id, lib)
+        kernel = self._fused.get(lib)
+        if kernel is None:
+            m, k, n = self.dims
+            kernel = self._fused[lib] = GemmLaunch(m, k, n, lib, node_ids=self.node_ids)
+        return kernel
+
+
+class _Emitter:
+    """Emits the slots of one choice of one variable (or of a singleton
+    member no variable owns).  :meth:`Enumerator._emission` keeps each
+    emission, so the pre-ranker's estimates and every plan built share it.
+    """
+
+    def __init__(self, enum: "Enumerator", strategy: AllocationStrategy):
         self.enum = enum
         self.strategy = strategy
-        #: profile-key -> GEMM library (the ``kernel:*`` assignment view)
-        self.library_for = library_for
-        self.units: list[Unit] = []
-        self.var_units: dict[str, list[int]] = {}
-        self.covered: set[int] = set()
-        self.counter = itertools.count()
+        self.slots: list[_Slot] = []
 
-    def add_unit(self, unit: Unit, var_name: str | None) -> None:
-        self.units.append(unit)
-        self.covered.update(unit.node_ids)
-        if var_name is not None:
-            self.var_units.setdefault(var_name, []).append(unit.unit_id)
-
-    def kernel_var_name(self, key: tuple) -> str | None:
-        name = f"kernel:{key}"
-        return name if len(self.enum._libraries) > 1 else None
-
-    def weight_pack_prologue(self, var_name: str | None, tensors: tuple[int, ...], tag: str) -> None:
+    def weight_pack_prologue(self, owner: str | None, tensors: tuple[int, ...], tag: str) -> None:
         """Weights are constant within a mini-batch, so an unsatisfied
         weight layout is gathered once up front (section 4.5.2's
         alternative to restriction, priced by measurement).  The pack is
@@ -122,89 +142,92 @@ class _UnitBuilder:
         gradient contribution scattered back."""
         graph = self.enum.graph
         total = 4 * sum(graph.node(t).spec.size_bytes for t in set(tensors))
-        kernel = CopyLaunch(total, label=f"pack_{tag}")
-        self.add_unit(
-            Unit(next(self.counter), kernel, tuple(dict.fromkeys(tensors)),
-                 label=f"pack_{tag}"),
-            var_name,
-        )
+        self.slots.append(_Slot(
+            tuple(dict.fromkeys(tensors)), f"pack_{tag}", owner,
+            kernel=CopyLaunch(total, label=f"pack_{tag}"),
+        ))
 
     def emit_member(
         self,
         member: FusionMember,
         force_fuse: bool | None = None,
-        var_override: str | None = None,
-        lib_override: str | None = None,
+        owner: str | None = None,
+        choice_lib: bool = False,
     ) -> None:
         """Emit one member outside group fusion.
 
-        ``var_override`` attributes every emitted unit (including
-        gathers) to a specific adaptive variable so its measurement
-        covers exactly what its choice caused.
+        ``owner`` attributes every emitted unit (including gathers) to a
+        specific adaptive variable so its measurement covers exactly what
+        its choice caused.  With ``choice_lib`` that variable's library
+        runs the member's GEMMs; otherwise each GEMM's shape key's
+        ``kernel:*`` variable picks it.
         """
-        graph = self.enum.graph
+        enum = self.enum
+        graph = enum.graph
         supported = (
             self.strategy.supports(member.ladder_requirement())
-            and not self.enum.features.tf_mode
+            and not enum.features.tf_mode
         )
         fuse = member.is_ladder and (supported if force_fuse is None else force_fuse)
         if fuse:
             key = (provenance(member.scope), member.pass_tag,
                    member.m, member.k_total, member.n)
-            lib = lib_override or self.library_for(key)
-            kernel = GemmLaunch(member.m, member.k_total, member.n, lib,
-                                node_ids=member.node_ids)
+            var = f"kernel:{key}"
             pre = []
             if member.a_gather_bytes:
                 pre.append(CopyLaunch(member.a_gather_bytes, label="gather_a"))
-            var_name = var_override or (self.kernel_var_name(key) if supported else None)
+            var_name = owner or (
+                var if supported and len(enum._libraries) > 1 else None
+            )
             if not supported:
-                if self.enum._tensors_are_params(member.b_nodes):
+                if enum._tensors_are_params(member.b_nodes):
                     self.weight_pack_prologue(var_name, member.b_nodes, "ladder")
                 else:
                     pre.append(CopyLaunch(
                         2 * sum(graph.node(b).spec.size_bytes for b in member.b_nodes),
                         label="gather_b",
                     ))
-            self.add_unit(
-                Unit(next(self.counter), kernel, member.node_ids,
-                     label=f"ladder@{member.scope}", pre_copies=tuple(pre)),
-                var_name,
-            )
+            self.slots.append(_Slot(
+                member.node_ids, f"ladder@{member.scope}", var_name,
+                pre_copies=tuple(pre), lib_var=None if choice_lib else var,
+                dims=(member.m, member.k_total, member.n),
+            ))
         else:
-            lowering = graph_lowering(graph)
             for mm_id in member.mm_ids:
-                key = self.enum._gemm_key(mm_id)
-                kernel = lowering.kernel(mm_id, lib_override or self.library_for(key))
-                self.add_unit(
-                    Unit(next(self.counter), kernel, kernel.node_ids, label=kernel.name),
-                    var_override or self.kernel_var_name(key),
-                )
+                self.emit_gemm(mm_id, owner, choice_lib)
             # absorbed adds of an unfused ladder run as elementwise ops;
             # leave them uncovered so the elementwise sweep picks them up
 
-    def emit_group(self, group, chunk: int, lib: str, var_name: str) -> None:
+    def emit_gemm(self, mm_id: int, owner: str | None = None, choice_lib: bool = False) -> None:
+        """Emit one GEMM node launched on its own."""
+        var = self.enum._gemm_var(mm_id)
+        if owner is None and len(self.enum._libraries) > 1:
+            owner = var
+        self.slots.append(_Slot(
+            (mm_id,), None, owner, lib_var=None if choice_lib else var, mm_id=mm_id,
+        ))
+
+    def emit_group(self, group, chunk: int, owner: str) -> None:
         """Emit one fusion group at a chunk granularity > 1."""
-        graph = self.enum.graph
+        enum = self.enum
+        graph = enum.graph
         members = group.members
         supported = self.strategy.supports(group.requirement)
-        if self.enum.features.tf_mode:
+        if enum.features.tf_mode:
             supported = False  # contiguity never free in the TF runtime
         gather_tensors: list[int] = []
         if not supported and group.axis == "n":
             flat = [b for mb in members for b in mb.b_nodes]
-            if self.enum._tensors_are_params(flat):
-                self.weight_pack_prologue(var_name, tuple(flat), "group")
+            if enum._tensors_are_params(flat):
+                self.weight_pack_prologue(owner, tuple(flat), "group")
                 gather_tensors = []  # packed once, launches copy-free
             else:
                 gather_tensors = flat  # gathered per launch below
         for start in range(0, len(members), chunk):
             chunk_members = members[start: start + chunk]
             if len(chunk_members) == 1:
-                self.emit_member(chunk_members[0], var_override=var_name,
-                                 lib_override=lib)
+                self.emit_member(chunk_members[0], owner=owner, choice_lib=True)
                 continue
-            m, k, n = group.launch_dims(chunk_members)
             node_ids = tuple(nid for mb in chunk_members for nid in mb.node_ids)
             lead = chunk_members[0]
             pre = []
@@ -224,24 +247,33 @@ class _UnitBuilder:
                         for b in mb.b_nodes
                     )
                     pre.append(CopyLaunch(b_bytes, label="gather_b"))
-            kernel = GemmLaunch(m, k, n, lib, node_ids=node_ids)
-            self.add_unit(
-                Unit(next(self.counter), kernel, node_ids,
-                     label=f"fused@{group.group_id}", pre_copies=tuple(pre)),
-                var_name,
-            )
+            self.slots.append(_Slot(
+                node_ids, f"fused@{group.group_id}", owner,
+                pre_copies=tuple(pre), dims=group.launch_dims(chunk_members),
+            ))
+
+
+def _default_library(lib_var: str, default: str) -> str:
+    return default
 
 
 class Enumerator:
     """Static-analysis half of Astra for one traced graph.
 
-    With ``cache_units`` (the default) the assignment-determined unit
-    list of every ``(strategy, fk assignment)`` is memoized: stream-phase
-    rounds, compare-phase rebuilds and resumed runs reuse the template
-    instead of re-walking the graph.  Cached units are shared, never
-    copied: a plan keeps its streams and epoch coordinates in its own
-    side tables and never writes to a unit.  Below the templates, every
-    build shares the graph's kernels (:func:`~repro.runtime.lowering.graph_lowering`),
+    Each choice's units are emitted once: an *emission* is the id-less
+    unit list one emitter (a fusion group at one chunking, a ladder fused
+    or not, a singleton member) produces, with GEMM libraries left open.
+    The pre-ranker prices a variable's library alternatives from one
+    emission, and :meth:`build_plan` numbers the emissions an assignment
+    selects into its unit list.  Emissions live in the graph's memo, so
+    they are shared for the length of an ``optimize`` call and dropped
+    with it.  With ``cache_units`` (the default) the unit list of every
+    ``(strategy, fk assignment)`` is memoized as well: stream-phase
+    rounds, compare-phase rebuilds and resumed runs reuse it.  Cached
+    units are shared, never copied: a plan keeps its streams and epoch
+    coordinates in its own side tables and never writes to a unit.
+    Below the emissions, every build shares the graph's kernels and
+    elementwise sweeps (:func:`~repro.runtime.lowering.graph_lowering`),
     and the enumerator keeps each GEMM node's shape key and, per
     strategy, which singleton members each ``kernel:*`` variable sets.
     """
@@ -262,6 +294,7 @@ class Enumerator:
         self._template_cache: OrderedDict[tuple, tuple] = OrderedDict()
         self._template_capacity = 64
         self._gemm_keys: dict[int, tuple] = {}
+        self._gemm_vars: dict[int, str] = {}
         self._shape_index: dict[int, dict[str, list[FusionMember]]] = {}
         if features.fusion:
             self.analysis = resolve_static_conflicts(analyse_fusion(graph))
@@ -282,6 +315,8 @@ class Enumerator:
         # every plan of that strategy so the schedule validator can check
         # contiguity-group layout during exploration
         self._arena_plans: dict[int, "AllocationPlan"] = {}
+        #: slots emitted so far (each emission once per ``optimize``)
+        self.fresh_units = 0
 
     def arena_plan(self, strategy: AllocationStrategy) -> "AllocationPlan":
         plan = self._arena_plans.get(strategy.strategy_id)
@@ -367,9 +402,18 @@ class Enumerator:
         key = self._gemm_keys.get(node_id)
         if key is None:
             node = self.graph.node(node_id)
-            m, k, n = _node_dims(self.graph, node_id)
-            key = self._gemm_keys[node_id] = (provenance(node.scope), node.pass_tag, m, k, n)
+            kernel = graph_lowering(self.graph).kernel(node_id)
+            key = self._gemm_keys[node_id] = (
+                provenance(node.scope), node.pass_tag, kernel.m, kernel.k, kernel.n
+            )
         return key
+
+    def _gemm_var(self, node_id: int) -> str:
+        """The ``kernel:*`` variable name of one GEMM node's shape key."""
+        name = self._gemm_vars.get(node_id)
+        if name is None:
+            name = self._gemm_vars[node_id] = f"kernel:{self._gemm_key(node_id)}"
+        return name
 
     def _kernel_var_members(self, strategy: AllocationStrategy) -> dict[str, list[FusionMember]]:
         """The shape index: ``kernel:*`` variable name -> the singleton
@@ -391,71 +435,117 @@ class Enumerator:
         return all(self.graph.node(t).role == "param" for t in tensors)
 
     # ------------------------------------------------------------------
-    # Plan building
+    # Emissions and plan building
     # ------------------------------------------------------------------
 
-    def _build_units(
-        self, strategy: AllocationStrategy, assignment: dict[str, object]
-    ) -> _UnitBuilder:
-        """Emit the assignment-determined unit list (no streams/profile)."""
+    def _emissions(self) -> dict:
+        """This enumerator's emissions and layouts, kept in the graph's
+        memo: shared inside a :meth:`Graph.memoized
+        <repro.ir.graph.Graph.memoized>` block (an ``optimize`` call) and
+        dropped with it, a fresh dict outside one."""
+        return self.graph.memo("emissions", lambda graph: {}).setdefault(self, {})
 
-        def library_for(key: tuple) -> str:
-            value = assignment.get(f"kernel:{key}", DEFAULT_LIBRARY)
-            return value  # type: ignore[return-value]
+    def _layout(self, strategy: AllocationStrategy) -> list[tuple]:
+        """``(kind, name, payload)`` of every emitter in emission order:
+        the fusion groups, then the singleton members (a ladder variable's,
+        or ``member:*`` for a member no variable owns), then, with fusion
+        analysis disabled, ``gemms`` for every GEMM launched alone."""
+        memo = self._emissions()
+        layout = memo.get(strategy.strategy_id)
+        if layout is None:
+            layout = memo[strategy.strategy_id] = []
+            if self.features.fusion:
+                for group in self.analysis.groups:
+                    layout.append(("fusion", f"fusion:{group.group_id}", group))
+            for member in self.analysis.singletons:
+                if member.is_ladder and not strategy.supports(member.ladder_requirement()):
+                    layout.append(("ladder", f"ladder:{member.mm_ids[0]}", member))
+                else:
+                    layout.append((None, f"member:{member.mm_ids[0]}", member))
+            if not self.features.fusion:
+                layout.append((None, "gemms", None))
+        return layout
 
-        builder = _UnitBuilder(self, strategy, library_for)
-
-        # 1. fusion groups
-        if self.features.fusion:
-            for group in self.analysis.groups:
-                var_name = f"fusion:{group.group_id}"
-                chunk, lib = assignment.get(var_name, (1, DEFAULT_LIBRARY))
-                if chunk == 1:
+    def _emission(self, strategy: AllocationStrategy, name: str, payload, shape):
+        """The slots of one emitter at one shape -- a fusion group's
+        chunking, a ladder's fuse flag, None otherwise -- emitted once and
+        shared by every choice and plan that uses it."""
+        memo = self._emissions()
+        key = (strategy.strategy_id, name, shape)
+        slots = memo.get(key)
+        if slots is None:
+            emitter = _Emitter(self, strategy)
+            kind = name.partition(":")[0]
+            if kind == "fusion":
+                if shape == 1:
                     # members execute individually (for unsupported groups
                     # this is the paper's "restrict the adaptation"
                     # fallback); the group variable owns the member units so
                     # the measurement can compare chunk=1 against real fusion
-                    for member in group.members:
-                        builder.emit_member(member, var_override=var_name,
-                                            lib_override=lib)
+                    for member in payload.members:
+                        emitter.emit_member(member, owner=name, choice_lib=True)
                 else:
-                    builder.emit_group(group, chunk, lib, var_name)
+                    emitter.emit_group(payload, shape, name)
+            elif kind == "ladder":
+                emitter.emit_member(payload, force_fuse=shape, owner=name, choice_lib=shape)
+            elif kind == "member":
+                emitter.emit_member(payload)
+            else:  # fusion analysis disabled: GEMMs were never members
+                for node in self.graph.gemm_nodes():
+                    emitter.emit_gemm(node.node_id)
+            slots = memo[key] = tuple(emitter.slots)
+            self.fresh_units += len(slots)
+        return slots
 
-        # 2. singleton members (plain GEMMs and lone ladders)
-        for member in self.analysis.singletons:
-            if member.is_ladder and not strategy.supports(member.ladder_requirement()):
-                lvar = f"ladder:{member.mm_ids[0]}"
-                choice = assignment.get(lvar, (False, DEFAULT_LIBRARY))
-                fuse, lib = bool(choice[0]), choice[1]
-                builder.emit_member(member, force_fuse=fuse, var_override=lvar,
-                                    lib_override=lib if fuse else None)
-            else:
-                builder.emit_member(member)
-
-        # 2b. with fusion analysis disabled, GEMMs were never members
+    def _place(self, slots, units: list[Unit], var_units: dict[str, list[int]],
+               lib: str, library_for) -> None:
+        """Number ``slots`` onto ``units`` (a unit's id is its position),
+        binding GEMM libraries: ``lib`` for the emitting choice's own,
+        ``library_for(variable, default)`` for a ``kernel:*`` variable's."""
         lowering = graph_lowering(self.graph)
-        if not self.features.fusion:
-            for node in self.graph.gemm_nodes():
-                if node.node_id in builder.covered:
-                    continue
-                key = self._gemm_key(node.node_id)
-                kernel = lowering.kernel(node.node_id, library_for(key))
-                builder.add_unit(
-                    Unit(next(builder.counter), kernel, (node.node_id,),
-                         label=kernel.name),
-                    builder.kernel_var_name(key),
+        for slot in slots:
+            kernel = slot.kernel
+            if kernel is None:
+                var = slot.lib_var
+                kernel = slot.launch(
+                    lowering, lib if var is None else library_for(var, DEFAULT_LIBRARY)
                 )
+            uid = len(units)
+            units.append(Unit(uid, kernel, slot.node_ids, label=slot.label or kernel.name,
+                              pre_copies=slot.pre_copies))
+            if slot.owner is not None:
+                var_units.setdefault(slot.owner, []).append(uid)
 
-        # 3. elementwise / reduction chains over everything not yet
-        # covered; nothing reads ``covered`` after this, so the units go
-        # straight onto the list
-        remaining = lowering.compute_ids - builder.covered
-        units = builder.units
+    def _build_units(
+        self, strategy: AllocationStrategy, assignment: dict[str, object]
+    ) -> tuple[list[Unit], dict[str, list[int]]]:
+        """Assemble the assignment-determined unit list (no streams or
+        profile) from the emissions its choices select, then sweep the
+        elementwise remainder."""
+        get = assignment.get
+        units: list[Unit] = []
+        var_units: dict[str, list[int]] = {}
+        for kind, name, payload in self._layout(strategy):
+            if kind == "fusion":
+                shape, lib = get(name, (1, DEFAULT_LIBRARY))
+            elif kind == "ladder":
+                choice = get(name, (False, DEFAULT_LIBRARY))
+                shape, lib = bool(choice[0]), choice[1]
+            else:
+                shape, lib = None, DEFAULT_LIBRARY
+            self._place(self._emission(strategy, name, payload, shape),
+                        units, var_units, lib, get)
+
+        # elementwise / reduction chains over everything not yet covered
+        lowering = graph_lowering(self.graph)
+        covered: set[int] = set()
+        for unit in units:
+            covered.update(unit.node_ids)
+        remaining = lowering.compute_ids - covered
         for kernel in lowering.sweep(remaining, self.features.elementwise_fusion):
-            chain = len(kernel.node_ids) > 1
-            label = kernel.label if chain else kernel.name
-            units.append(Unit(next(builder.counter), kernel, kernel.node_ids, label=label))
-        return builder
+            label = kernel.label if len(kernel.node_ids) > 1 else kernel.name
+            units.append(Unit(len(units), kernel, kernel.node_ids, label=label))
+        return units, var_units
 
     def _built_units(
         self, strategy: AllocationStrategy, assignment: dict[str, object]
@@ -467,8 +557,7 @@ class Enumerator:
         no plan ever writes to a unit.  Only the containers are fresh.
         """
         if not self.cache_units:
-            builder = self._build_units(strategy, assignment)
-            return builder.units, builder.var_units
+            return self._build_units(strategy, assignment)
         # only fusion/ladder/kernel keys shape the units; stream or
         # allocation keys in the assignment must not fragment the cache
         key = (
@@ -481,8 +570,7 @@ class Enumerator:
         cached = self._template_cache.get(key)
         if cached is None:
             self.metrics.counter("perf.cache.units_misses").inc()
-            builder = self._build_units(strategy, assignment)
-            cached = (builder.units, builder.var_units)
+            cached = self._build_units(strategy, assignment)
             self._template_cache[key] = cached
             if len(self._template_cache) > self._template_capacity:
                 self._template_cache.popitem(last=False)
@@ -498,53 +586,44 @@ class Enumerator:
     ) -> list[Unit]:
         """The units one variable's choice emits, in isolation.
 
-        Drives the same emission engine as :meth:`build_plan` over a
-        single variable, so the returned units are exactly the units the
+        Places the same emissions :meth:`build_plan` assembles, numbered
+        from 0, so the returned units are exactly the units the
         variable's ``"units"`` measurement would cover in a full plan --
         the property the fast-path pre-ranker's exactness rests on.
+        Libraries the choice does not set are the default.
         """
-        builder = _UnitBuilder(self, strategy, lambda key: DEFAULT_LIBRARY)
         name = var.name
+        units: list[Unit] = []
+        var_units: dict[str, list[int]] = {}
         if name.startswith("fusion:"):
-            group = var.payload
             chunk, lib = choice
-            if chunk == 1:
-                for member in group.members:
-                    builder.emit_member(member, var_override=name, lib_override=lib)
-            else:
-                builder.emit_group(group, chunk, lib, name)
+            slots = self._emission(strategy, name, var.payload, chunk)
+            self._place(slots, units, var_units, lib, _default_library)
         elif name.startswith("ladder:"):
-            member = var.payload
             fuse, lib = bool(choice[0]), choice[1]
-            builder.emit_member(member, force_fuse=fuse, var_override=name,
-                                lib_override=lib if fuse else None)
+            slots = self._emission(strategy, name, var.payload, fuse)
+            self._place(slots, units, var_units, lib, _default_library)
         elif name.startswith("kernel:"):
             # a kernel variable owns every singleton-emitted launch of its
-            # shape key; replay the singleton sweep with the candidate
-            # library bound to this key only
-            builder = _UnitBuilder(
-                self, strategy,
-                lambda key: choice if f"kernel:{key}" == name else DEFAULT_LIBRARY,
-            )
-            for member in self._kernel_var_members(strategy).get(name, ()):
-                builder.emit_member(member)
-            if not self.features.fusion:
-                lowering = graph_lowering(self.graph)
-                for node in self.graph.gemm_nodes():
-                    if node.node_id in builder.covered:
-                        continue
-                    key = self._gemm_key(node.node_id)
-                    lib = choice if f"kernel:{key}" == name else DEFAULT_LIBRARY
-                    kernel = lowering.kernel(node.node_id, lib)
-                    builder.add_unit(
-                        Unit(next(builder.counter), kernel, (node.node_id,),
-                             label=kernel.name),
-                        builder.kernel_var_name(key),
-                    )
+            # shape key; replay those emitters with the candidate library
+            # bound to this key only
+            def library_for(lib_var: str, default: str) -> str:
+                return choice if lib_var == name else default
+
+            if self.features.fusion:
+                emitters = [
+                    (f"member:{member.mm_ids[0]}", member)
+                    for member in self._kernel_var_members(strategy).get(name, ())
+                ]
+            else:
+                emitters = [("gemms", None)]
+            for emitter, payload in emitters:
+                slots = self._emission(strategy, emitter, payload, None)
+                self._place(slots, units, var_units, DEFAULT_LIBRARY, library_for)
         else:
             raise ValueError(f"no unit emission for variable {name!r}")
-        owned = set(builder.var_units.get(name, ()))
-        return [u for u in builder.units if u.unit_id in owned]
+        owned = set(var_units.get(name, ()))
+        return [u for u in units if u.unit_id in owned]
 
     def member_unfused_kernel_vars(self, member: FusionMember) -> set[str]:
         """``kernel:*`` variable names that would set the libraries of this
@@ -553,7 +632,7 @@ class Enumerator:
         under that variable's concurrent choice -- the pre-ranker must not
         prune it, because its analytic estimate assumes the default
         library."""
-        return {f"kernel:{self._gemm_key(mm_id)}" for mm_id in member.mm_ids}
+        return {self._gemm_var(mm_id) for mm_id in member.mm_ids}
 
     def build_plan(
         self,
@@ -658,8 +737,3 @@ class Enumerator:
         root.initialize()
         return partition, root
 
-
-def _node_dims(graph: Graph, node_id: int) -> tuple[int, int, int]:
-    node = graph.node(node_id)
-    op = node.op
-    return op.gemm_dims([graph.node(i).spec for i in node.input_ids])  # type: ignore[union-attr]

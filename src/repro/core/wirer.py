@@ -1032,20 +1032,21 @@ class CustomWirer:
         Pruning only runs when the estimate is provably exact (base
         clock, no injector), so re-deriving the estimate here reproduces
         the number that justified the cut."""
-        from ..perf.ranker import estimate_choice_us
+        from ..perf.ranker import estimate_choices_us
 
         survivors = {v.name: v.choices for v in fk_tree.variables()}
         by_name = {v.name: v for v in fk_tree.variables()}
         for name, before in pre_prune.items():
             kept = survivors.get(name, [])
             var = by_name.get(name)
-            for choice in before:
-                if choice in kept or var is None:
-                    continue
-                estimate = estimate_choice_us(
-                    self.enumerator, strategy, var, choice, self.device
-                )
-                self.provenance.pruned(context, name, choice, estimate)
+            if var is None or len(kept) == len(before):
+                continue
+            estimates = estimate_choices_us(
+                self.enumerator, strategy, var, self.device, choices=before
+            )
+            for choice, estimate in zip(before, estimates):
+                if choice not in kept:
+                    self.provenance.pruned(context, name, choice, estimate)
 
     def _degraded_report(
         self, phases: list[PhaseStats], total_spent: int

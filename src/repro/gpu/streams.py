@@ -781,6 +781,17 @@ class StreamSimulator:
                 if r.work_left <= _EPS:
                     finished.append(r)
             sim_time = new_time
+            if not finished and dt == 0.0 and (
+                next_start is None or next_start[0] > sim_time + _EPS
+            ):
+                # a step that moves no time, finishes no kernel and starts
+                # none would repeat forever: the residual work left is
+                # above _EPS but too small to move sim_time.  Finish the
+                # kernels whose finish time rounds to now.
+                finished = [
+                    r for r in running
+                    if r.rate > 0 and sim_time + r.work_left / r.rate == sim_time
+                ]
 
             # completions first (frees stream heads and events)
             if finished:

@@ -75,23 +75,21 @@ def run_estimates(state: WorkerState, strategy_id: int, names: list) -> list:
     """Cost-model estimates for a shard of fk variables.
 
     Returns one per-choice estimate list per name, computed by the same
-    pure-float :func:`~repro.perf.ranker.estimate_choice_us` the
+    pure-float :func:`~repro.perf.ranker.estimate_choices_us` the
     in-process pre-ranker uses -- bit-identical across processes.
     """
-    from ..perf.ranker import estimate_choice_us
+    from ..perf.ranker import estimate_choices_us
 
     strategy = state.strategies[strategy_id]
-    out = []
+    gemm_us: dict = {}
     with state.spec.graph.memoized():
-        for name in names:
-            var = state._vars_for(strategy_id)[name]
-            out.append([
-                estimate_choice_us(
-                    state.enumerator, strategy, var, choice, state.spec.device
-                )
-                for choice in var.choices
-            ])
-    return out
+        return [
+            estimate_choices_us(
+                state.enumerator, strategy, state._vars_for(strategy_id)[name],
+                state.spec.device, gemm_us=gemm_us,
+            )
+            for name in names
+        ]
 
 
 def run_shard(state: WorkerState, tasks: list) -> list:

@@ -23,7 +23,7 @@ and ``benchmarks/perf/README.md`` for how the optimizer itself is timed.
 """
 
 from .cache import LoweringCache
-from .ranker import FastPath, estimate_choice_us, prune_fk_tree
+from .ranker import FastPath, estimate_choices_us, prune_fk_tree
 from .signature import PlanSignature, plan_key, plan_signature, structure_key
 from .timers import NULL_CLOCK, PhaseClock
 
@@ -33,7 +33,7 @@ __all__ = [
     "NULL_CLOCK",
     "PhaseClock",
     "PlanSignature",
-    "estimate_choice_us",
+    "estimate_choices_us",
     "plan_key",
     "plan_signature",
     "prune_fk_tree",

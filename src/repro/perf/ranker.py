@@ -6,7 +6,7 @@ measurement is the summed execution time of exactly the units its choice
 emitted (kernel duration + gather pre-copies; never launch overhead).
 At base clock, without a fault injector, the simulator computes those
 durations from the same analytic kernel models the cost model exposes --
-so :func:`estimate_choice_us` reproduces the number the wirer *would*
+so :func:`estimate_choices_us` reproduces the number the wirer *would*
 measure, to float precision.
 
 That exactness is what makes pruning safe: a choice whose estimate
@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..gpu.cost_model import units_cost_us
 from ..gpu.device import CLOCK_BASE
+from ..gpu.libraries import GEMM_LIBRARIES
 from ..obs.metrics import NULL_REGISTRY
 
 
@@ -54,10 +54,46 @@ class FastPath:
     prune_margin: float = 0.05
 
 
-def estimate_choice_us(enumerator, strategy, var, choice, device) -> float:
-    """The ``"units"`` metric this choice would measure, analytically."""
-    units = enumerator.units_for_choice(strategy, var, choice)
-    return units_cost_us(units, device)
+def estimate_choices_us(
+    enumerator, strategy, var, device, choices=None, gemm_us=None
+) -> list[float]:
+    """The ``"units"`` metric each of ``var``'s choices (or of
+    ``choices``) would measure, analytically.
+
+    Choices that differ only in their library share one emission: its
+    units are emitted once, for the first such choice, and priced under
+    each library, the choice's library running every GEMM its units
+    launch.  The sum runs in the units' order with each unit's pre-copies
+    first, so every estimate equals ``units_cost_us`` of the choice's own
+    units bit for bit.  ``gemm_us`` memoizes GEMM durations on
+    ``device`` by ``(m, k, n, library)`` and may be shared across
+    variables.
+    """
+    gemm_us = {} if gemm_us is None else gemm_us
+    emissions: dict = {}
+    out = []
+    for choice in var.choices if choices is None else choices:
+        shape, lib = choice if isinstance(choice, tuple) else (None, choice)
+        parts = emissions.get(shape)
+        if parts is None:
+            parts = emissions[shape] = [
+                (sum(k.duration_us(device) for k in unit.pre_copies), unit.kernel)
+                for unit in enumerator.units_for_choice(strategy, var, choice)
+            ]
+        total = 0
+        for pre, kernel in parts:
+            if kernel.kind == "gemm":
+                key = (kernel.m, kernel.k, kernel.n, lib)
+                cost = gemm_us.get(key)
+                if cost is None:
+                    cost = gemm_us[key] = GEMM_LIBRARIES[lib].duration_us(
+                        kernel.m, kernel.k, kernel.n, device
+                    )
+                total += pre + cost
+            else:
+                total += pre + kernel.duration_us(device)
+        out.append(total)
+    return out
 
 
 def _prunable(var, enumerator, tree_var_names: set[str]) -> bool:
@@ -112,7 +148,7 @@ def prune_fk_tree(
     ``estimates`` optionally maps variable name -> per-choice estimate
     list computed elsewhere (the parallel engine shards the cost-model
     evaluation across workers).  Provided lists must come from
-    :func:`estimate_choice_us` on an identical enumerator -- the pure
+    :func:`estimate_choices_us` on an identical enumerator -- the pure
     float computation is bit-identical across processes -- and any
     missing or length-mismatched entry falls back to the serial
     computation, so a stale list can never change the pruning decision.
@@ -123,6 +159,7 @@ def prune_fk_tree(
         return 0
 
     provided = estimates if estimates is not None else {}
+    gemm_us: dict = {}
     pruned_total = 0
     tree_var_names = {v.name for v in tree.variables()}
     for var in tree.variables():
@@ -138,10 +175,9 @@ def prune_fk_tree(
             continue
         var_estimates = provided.get(var.name)
         if var_estimates is None or len(var_estimates) != len(var.choices):
-            var_estimates = [
-                estimate_choice_us(enumerator, strategy, var, choice, device)
-                for choice in var.choices
-            ]
+            var_estimates = estimate_choices_us(
+                enumerator, strategy, var, device, gemm_us=gemm_us
+            )
         cut = min(var_estimates) * (1.0 + fast.prune_margin)
         survivors = [i for i, est in enumerate(var_estimates) if est <= cut]
         keep_floor = max(1, len(var.choices) - int(fast.prune_fraction * len(var.choices)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
+from itertools import repeat
 from operator import is_
 
 from ..gpu.events import EventId
@@ -91,6 +92,43 @@ class Readback:
         ]
 
 
+class _Structure:
+    """What a plan's dependencies and issue order fix: ``order_ids``, per
+    unit in plan order its dependencies in the order their set iterates,
+    and the units without a kernel.  ``step_deps`` and the edge lists are
+    derived on first read: a bind without cross-stream or host
+    dependencies reads neither.
+    """
+
+    __slots__ = ("order_ids", "deps", "kernel_less", "_step_deps", "_edges")
+
+    def __init__(self, order_ids: list[int], deps: dict[int, tuple[int, ...]],
+                 kernel_less: set[int]):
+        self.order_ids = order_ids
+        self.deps = deps
+        self.kernel_less = kernel_less
+        self._step_deps = self._edges = None
+
+    @property
+    def step_deps(self) -> list[tuple[int, ...]]:
+        if self._step_deps is None:
+            deps = self.deps
+            self._step_deps = [tuple(sorted(deps[uid])) for uid in self.order_ids]
+        return self._step_deps
+
+    @property
+    def edges(self) -> tuple[list[int], list[int]]:
+        if self._edges is None:
+            kernel_less = self.kernel_less
+            self._edges = (
+                [uid for uid, dep_ids in self.deps.items()
+                 for dep in dep_ids if dep not in kernel_less],
+                [dep for dep_ids in self.deps.values()
+                 for dep in dep_ids if dep not in kernel_less],
+            )
+        return self._edges
+
+
 class CompiledSchedule:
     """The part of lowering that only the plan's units, epoch coordinates
     and dispatch order decide, computed once per structure.
@@ -101,7 +139,8 @@ class CompiledSchedule:
     ``(host_us, label)``.  ``edge_uids``/``edge_deps`` list every
     dependency on a kernel unit -- only those can record an event -- in
     the order the event set is built.  These four depend on the
-    structure alone and are shared by every schedule compiled
+    structure alone (:class:`_Structure`, which derives all but the
+    order on first read) and are shared by every schedule compiled
     :meth:`like` this one.  The rest depends on the units: the kernel
     table (pre-copies and main kernels in record order),
     ``record_units`` and the :class:`Readback` layout.  Units are
@@ -109,57 +148,61 @@ class CompiledSchedule:
     over the same unit objects.
     """
 
-    def __init__(self, plan: ExecutionPlan, order_ids: list[int],
-                 step_deps: list[tuple[int, ...]], edge_uids: list[int],
-                 edge_deps: list[int], known_costs: dict | None = None):
+    def __init__(self, plan: ExecutionPlan, structure: _Structure,
+                 known_costs: dict | None = None):
         self.units = tuple(plan.units)
         self.epoch_of = dict(plan.epoch_of)
-        self.order_ids = order_ids
-        self.step_deps = step_deps
-        self.edge_uids = edge_uids
-        self.edge_deps = edge_deps
-        by_id = {u.unit_id: u for u in plan.units}
+        self.structure = structure
+        self.order_ids = order_ids = structure.order_ids
         self.host_work = {
-            uid: (u.host_us, u.label or "host")
-            for uid, u in by_id.items() if u.host_us > 0.0
+            u.unit_id: (u.host_us, u.label or "host")
+            for u in plan.units if u.host_us > 0.0
         }
-        self.copies: list[int] = []
+        by_id = {u.unit_id: u for u in plan.units}
+        self.copies = copies = []
         kernels = []
-        self.record_units: list[int] = []
-        for uid in order_ids:
-            unit = by_id[uid]
-            if unit.kernel is None:
-                self.copies.append(-1)
+        self.record_units = record_units = []
+        for unit in map(by_id.__getitem__, order_ids):
+            kernel = unit.kernel
+            if kernel is None:
+                copies.append(-1)
                 continue
-            self.copies.append(len(unit.pre_copies))
-            kernels.extend(unit.pre_copies)
-            kernels.append(unit.kernel)
-            self.record_units.extend([uid] * (1 + len(unit.pre_copies)))
+            pre = unit.pre_copies
+            copies.append(len(pre))
+            if pre:
+                kernels.extend(pre)
+                record_units.extend([unit.unit_id] * len(pre))
+            kernels.append(kernel)
+            record_units.append(unit.unit_id)
         self.table = KernelTable(kernels, known_costs)
         self._readback = None
 
     @classmethod
     def from_dependencies(cls, plan: ExecutionPlan, deps: dict[int, set[int]],
-                          order: list[Unit],
+                          order_ids: list[int],
                           known_costs: dict | None = None) -> "CompiledSchedule":
-        kernel_units = {u.unit_id for u in plan.units if u.kernel is not None}
-        edge_uids, edge_deps = [], []
-        for uid, dep_ids in deps.items():
-            for dep in dep_ids:
-                if dep in kernel_units:
-                    edge_uids.append(uid)
-                    edge_deps.append(dep)
-        order_ids = [u.unit_id for u in order]
-        step_deps = [tuple(sorted(deps[uid])) for uid in order_ids]
-        return cls(plan, order_ids, step_deps, edge_uids, edge_deps, known_costs)
+        structure = _Structure(
+            order_ids, {uid: tuple(dep_ids) for uid, dep_ids in deps.items()},
+            {u.unit_id for u in plan.units if u.kernel is None},
+        )
+        return cls(plan, structure, known_costs)
 
     def like(self, plan: ExecutionPlan) -> "CompiledSchedule":
         """Compile ``plan``, of this schedule's structure, reusing its
         dependencies and issue order."""
-        return CompiledSchedule(
-            plan, self.order_ids, self.step_deps, self.edge_uids, self.edge_deps,
-            self.table.known,
-        )
+        return CompiledSchedule(plan, self.structure, self.table.known)
+
+    @property
+    def step_deps(self) -> list[tuple[int, ...]]:
+        return self.structure.step_deps
+
+    @property
+    def edge_uids(self) -> list[int]:
+        return self.structure.edges[0]
+
+    @property
+    def edge_deps(self) -> list[int]:
+        return self.structure.edges[1]
 
     def fits(self, plan: ExecutionPlan) -> bool:
         """True when ``plan`` has exactly this schedule's units and epochs."""
@@ -192,10 +235,11 @@ class CompiledSchedule:
         # it).  Only kernel units record one (the edges): a host-only
         # producer is ordered by the dispatch thread itself, so an event
         # for it would never be recorded and every waiter would deadlock.
+        # A plan on the default stream alone without host work has none.
         consumers = {
-            dep for uid, dep in zip(self.edge_uids, self.edge_deps)
+            dep for uid, dep in zip(*self.structure.edges)
             if uid in host_work or streams[dep] != streams[uid]
-        }
+        } if host_work or plan.stream_of else set()
         owners = list(consumers)
         completion = {uid: slot for slot, uid in enumerate(owners)}
         barriers = plan.barriers_after
@@ -205,7 +249,9 @@ class CompiledSchedule:
         append = ops.append
         first_stream = None
         sequential = True
-        for uid, deps, copies in zip(self.order_ids, self.step_deps, self.copies):
+        # without events, no dependency changes an op
+        step_deps = self.step_deps if completion else repeat(())
+        for uid, deps, copies in zip(self.order_ids, step_deps, self.copies):
             on = streams[uid]
             if uid in host_work:
                 # host work stalls dispatch; any device deps must be complete
@@ -374,31 +420,57 @@ class LoweredSchedule:
         return self._unit_stream
 
 
+def issue_order(uids: list[int], keys: list, deps: dict[int, set[int]]) -> list[int]:
+    """Deterministic Kahn order of unit ids: of the units whose
+    dependencies have all issued, the one with the smallest ``(key, id)``
+    issues next.  ``keys[i]`` is the key of ``uids[i]``.
+
+    Units are scanned in key order; one whose dependencies have not all
+    issued waits, and issues as soon as its last one has, before the scan
+    goes on -- its key is smaller than any the scan has not reached.
+    """
+    issued: set[int] = set()
+    order: list[int] = []
+    #: unit -> the waiting units it blocks; waiting unit -> its blockers
+    waiting: dict[int, list[tuple]] = {}
+    missing: dict[int, int] = {}
+    empty = ()
+    for key, uid in sorted(zip(keys, uids)):
+        parents = deps.get(uid, empty)
+        if not issued.issuperset(parents):
+            blockers = [p for p in parents if p not in issued]
+            missing[uid] = len(blockers)
+            for parent in blockers:
+                waiting.setdefault(parent, []).append((key, uid))
+            continue
+        order.append(uid)
+        issued.add(uid)
+        released = waiting.pop(uid, None)
+        if released is None:
+            continue
+        heap: list[tuple] = []
+        while True:
+            for child in released:
+                missing[child[1]] -= 1
+                if not missing[child[1]]:
+                    heapq.heappush(heap, child)
+            if not heap:
+                break
+            uid = heapq.heappop(heap)[1]
+            order.append(uid)
+            issued.add(uid)
+            released = waiting.pop(uid, empty)
+    if len(order) != len(uids):
+        raise ValueError("cycle detected among schedule units")
+    return order
+
+
 def topological_units(units: list[Unit], deps: dict[int, set[int]]) -> list[Unit]:
     """Deterministic Kahn toposort of units; ties broken by smallest
     covered node id so the order tracks data-flow order."""
     by_id = {u.unit_id: u for u in units}
-    indegree = {u.unit_id: len(deps.get(u.unit_id, ())) for u in units}
-    dependents: dict[int, list[int]] = {}
-    for uid, parent_ids in deps.items():
-        for parent in parent_ids:
-            dependents.setdefault(parent, []).append(uid)
-
-    heap = [
-        (min(by_id[uid].node_ids), uid) for uid, deg in indegree.items() if deg == 0
-    ]
-    heapq.heapify(heap)
-    order: list[Unit] = []
-    while heap:
-        _, uid = heapq.heappop(heap)
-        order.append(by_id[uid])
-        for child in dependents.get(uid, ()):
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                heapq.heappush(heap, (min(by_id[child].node_ids), child))
-    if len(order) != len(units):
-        raise ValueError("cycle detected among schedule units")
-    return order
+    order = issue_order(list(by_id), [min(u.node_ids) for u in units], deps)
+    return [by_id[uid] for uid in order]
 
 
 class Dispatcher:
@@ -413,46 +485,93 @@ class Dispatcher:
         """unit id -> set of unit ids it consumes tensors from.
 
         Nodes not covered by any unit (reshapes, fills) are transparent:
-        dependencies flow through them to their producers.  The graph's
-        producer closure (:class:`~repro.runtime.lowering.GraphLowering`)
-        resolves each input in one lookup; a plan covering a normally free
-        node, and any input whose source the plan leaves uncovered, walk
-        the graph instead.  Each set is filled in the same order either
-        way, so its iteration order -- which numbers the events -- is the
-        same.
+        dependencies flow through them to their producers.
         """
-        node_unit: dict[int, int] = {}
-        for unit in plan.units:
-            for nid in unit.node_ids:
-                node_unit[nid] = unit.unit_id
+        return self._dependencies(plan.units)[0]
 
-        closure, free, ends = graph_lowering(self.graph).producers
+    def _dependencies(self, units: list[Unit]) -> tuple[dict[int, set[int]], list[int]]:
+        """Each unit's dependency set, and its issue-order key (its
+        smallest node id).
+
+        A unit's producers are the plan's units over its producer
+        sources: a lone node's producer-closure entry, or a multi-node
+        unit's entry in the graph's per-node-tuple memo
+        (:meth:`~repro.runtime.lowering.GraphLowering.unit_sources`), so a
+        unit over nodes an earlier plan already had costs one lookup per
+        source.  A plan covering a normally free node, and a unit with a
+        source the plan leaves uncovered, walk the graph instead.  Each
+        set is filled in the same order either way, so its iteration
+        order -- which numbers the events -- is the same.
+        """
+        node_unit = {nid: unit.unit_id for unit in units for nid in unit.node_ids}
+        lowering = graph_lowering(self.graph)
+        closure, free, ends = lowering.producers
         walk_all = not free.isdisjoint(node_unit)
-        nodes = self.graph.nodes
+        lookup = node_unit.__getitem__
+        get = node_unit.get
+        sources_of = lowering.unit_sources
         producers: dict[int, set[int]] = {}
         deps: dict[int, set[int]] = {}
-        for unit in plan.units:
+        keys: list[int] = []
+        for unit in units:
             uid = unit.unit_id
-            found: set[int] = set()
-            for nid in unit.node_ids:
-                if not walk_all:
-                    for source in closure[nid]:
-                        producer = node_unit.get(source)
+            node_ids = unit.node_ids
+            if len(node_ids) == 1:
+                # a lone node's sources never include itself
+                key = node_ids[0]
+                sources, leafy = closure[key], True
+            else:
+                sources, leafy, key = sources_of(node_ids)
+            keys.append(key)
+            if not walk_all:
+                if not leafy:
+                    try:
+                        deps[uid] = set(map(lookup, sources))
+                        continue
+                    except KeyError:
+                        pass  # an uncovered source, or a fork: walk
+                else:
+                    found: set[int] = set()
+                    for source in sources:
+                        producer = get(source)
                         if producer is None:
                             if source in ends:
                                 continue
-                            break  # an uncovered source, or a fork: walk
-                        if producer != uid:
-                            found.add(producer)
+                            break
+                        found.add(producer)
                     else:
+                        deps[uid] = found
                         continue
-                # re-adding what the closure found changes nothing
-                for inp in nodes[nid].input_ids:
-                    for producer in self._producing_units(inp, node_unit, producers):
-                        if producer != uid:
-                            found.add(producer)
-            deps[uid] = found
-        return deps
+            deps[uid] = self._walk(unit, node_unit, producers, walk_all)
+        return deps, keys
+
+    def _walk(self, unit: Unit, node_unit: dict[int, int],
+              producers: dict[int, set[int]], walk_all: bool) -> set[int]:
+        """``unit``'s dependency set found node by node: through the
+        producer closure up to a source the plan leaves uncovered or a
+        fork (or not at all with ``walk_all``), then walking the graph."""
+        closure, _free, ends = graph_lowering(self.graph).producers
+        nodes = self.graph.nodes
+        uid = unit.unit_id
+        found: set[int] = set()
+        for nid in unit.node_ids:
+            if not walk_all:
+                for source in closure[nid]:
+                    producer = node_unit.get(source)
+                    if producer is None:
+                        if source in ends:
+                            continue
+                        break  # an uncovered source, or a fork: walk
+                    if producer != uid:
+                        found.add(producer)
+                else:
+                    continue
+            # re-adding what the closure found changes nothing
+            for inp in nodes[nid].input_ids:
+                for producer in self._producing_units(inp, node_unit, producers):
+                    if producer != uid:
+                        found.add(producer)
+        return found
 
     def _producing_units(
         self, node_id: int, node_unit: dict[int, int], producers: dict[int, set[int]]
@@ -473,25 +592,25 @@ class Dispatcher:
         producers[node_id] = result
         return result
 
-    def _order_units(self, plan: ExecutionPlan, deps: dict[int, set[int]]) -> list[Unit]:
-        """Dispatch order: the plan's explicit order, topologically checked,
-        or a deterministic topological order (Kahn, ties by smallest covered
-        node id -- i.e. data-flow order, section 2.2)."""
-        by_id = {u.unit_id: u for u in plan.units}
-        if plan.dispatch_order is not None:
-            order = [by_id[uid] for uid in plan.dispatch_order]
-            if len(order) != len(plan.units):
-                raise ValueError("dispatch_order must cover every unit exactly once")
-            seen: set[int] = set()
-            for unit in order:
-                missing = deps[unit.unit_id] - seen
-                if missing:
-                    raise ValueError(
-                        f"dispatch_order issues unit {unit.unit_id} before deps {missing}"
-                    )
-                seen.add(unit.unit_id)
-            return order
-        return topological_units(plan.units, deps)
+    def _checked_order(self, plan: ExecutionPlan, deps: dict[int, set[int]]) -> list[int]:
+        """The plan's explicit dispatch order, checked to cover every unit
+        once and to issue each after its dependencies."""
+        known = {u.unit_id for u in plan.units}
+        order = list(plan.dispatch_order)
+        for uid in order:
+            if uid not in known:
+                raise KeyError(uid)
+        if len(order) != len(plan.units):
+            raise ValueError("dispatch_order must cover every unit exactly once")
+        seen: set[int] = set()
+        for uid in order:
+            missing = deps[uid] - seen
+            if missing:
+                raise ValueError(
+                    f"dispatch_order issues unit {uid} before deps {missing}"
+                )
+            seen.add(uid)
+        return order
 
     # -- lowering -------------------------------------------------------------
 
@@ -508,9 +627,13 @@ class Dispatcher:
         plan.validate_covering()
         if like is not None:
             return like.like(plan)
-        deps = self.unit_dependencies(plan)
+        deps, keys = self._dependencies(plan.units)
+        if plan.dispatch_order is not None:
+            order_ids = self._checked_order(plan, deps)
+        else:
+            order_ids = issue_order([u.unit_id for u in plan.units], keys, deps)
         return CompiledSchedule.from_dependencies(
-            plan, deps, self._order_units(plan, deps), graph_lowering(self.graph).costs
+            plan, deps, order_ids, graph_lowering(self.graph).costs
         )
 
     def lower(self, plan: ExecutionPlan, compiled: CompiledSchedule | None = None) -> LoweredSchedule:

@@ -9,8 +9,9 @@ fused groups and re-streams everything.
 
 Every plan of a graph lowers the same nodes the same way, so
 :func:`graph_lowering` keeps what lowering derives from the graph alone
--- kernels, elementwise chains, kernel costs and the producer closure --
-for the length of an ``optimize`` call, each built on first use.
+-- kernels, elementwise chains, kernel costs, the producer closure and
+each unit's producer sources -- for the length of an ``optimize`` call,
+each built on first use.
 """
 
 from __future__ import annotations
@@ -74,12 +75,13 @@ def kernel_for_node(graph: Graph, node: Node, library: str = DEFAULT_LIBRARY) ->
 
 def fused_elementwise_kernel(graph: Graph, node_ids: tuple[int, ...]) -> ElementwiseLaunch:
     """One launch computing a chain of elementwise ops (JIT fusion, 5.3)."""
-    nodes = [graph.node(nid) for nid in node_ids]
+    graph_nodes = graph.nodes
+    nodes = [graph_nodes[nid] for nid in node_ids]
     out = nodes[-1]
     elems = out.spec.num_elements
     total_flops = 0
     for node in nodes:
-        in_specs = [graph.node(i).spec for i in node.input_ids]
+        in_specs = [graph_nodes[i].spec for i in node.input_ids]
         total_flops += node.op.flops(in_specs, node.spec)  # type: ignore[union-attr]
     # fused chain streams external inputs once and writes one output
     members = set(node_ids)
@@ -89,7 +91,7 @@ def fused_elementwise_kernel(graph: Graph, node_ids: tuple[int, ...]) -> Element
         for inp in node.input_ids
         if inp not in members
     }
-    traffic = out.spec.size_bytes + sum(graph.node(i).spec.size_bytes for i in external_inputs)
+    traffic = out.spec.size_bytes + sum(graph_nodes[i].spec.size_bytes for i in external_inputs)
     return ElementwiseLaunch(
         num_elements=elems,
         fused_ops=len(nodes),
@@ -101,40 +103,10 @@ def fused_elementwise_kernel(graph: Graph, node_ids: tuple[int, ...]) -> Element
 
 
 def elementwise_chains(graph: Graph, node_ids: set[int] | None = None) -> list[tuple[int, ...]]:
-    """Greedy chain detection for elementwise JIT fusion.
-
-    A node joins its producer's chain when the producer is elementwise,
-    feeds only this node, produces the same element count, and belongs to
-    the same pass (forward/backward) -- the conservative conditions under
-    which a pointwise JIT compiler fuses without materialising.
-    """
-    eligible = {
-        n.node_id
-        for n in graph.nodes
-        if not n.is_leaf and n.kind in _FUSABLE_KINDS
-        and (node_ids is None or n.node_id in node_ids)
-    }
-    chain_of: dict[int, list[int]] = {}
-    chains: list[list[int]] = []
-    for node in graph.nodes:
-        if node.node_id not in eligible:
-            continue
-        merged = None
-        for inp in node.input_ids:
-            if (
-                inp in chain_of
-                and len(graph.consumers(inp)) == 1
-                and graph.node(inp).spec.num_elements == node.spec.num_elements
-                and graph.node(inp).pass_tag == node.pass_tag
-            ):
-                merged = chain_of[inp]
-                break
-        if merged is None:
-            merged = []
-            chains.append(merged)
-        merged.append(node.node_id)
-        chain_of[node.node_id] = merged
-    return [tuple(chain) for chain in chains if chain]
+    """Greedy chain detection for elementwise JIT fusion, over ``node_ids``
+    (every node when None); see :meth:`GraphLowering.chains`."""
+    lowering = graph_lowering(graph)
+    return lowering.chains(lowering.fusable if node_ids is None else node_ids)
 
 
 def build_units(
@@ -174,7 +146,9 @@ class GraphLowering:
       kept per chain, then the lone nodes' kernels -- per uncovered-node
       set.  Plans of one exploration leave a few distinct remainders (an
       unfused ladder leaves its absorbed adds uncovered, a fused one does
-      not), and each is swept once.
+      not), and each is swept once.  :meth:`chains` derives a new
+      remainder's chains from the previous one's, re-chaining only
+      around the nodes whose coverage changed.
     * ``costs``: the :class:`~repro.gpu.streams.KernelTable` memo, per
       device and kernel cost key.
     * :attr:`producers`: the producer closure.  Per node, the source of
@@ -182,7 +156,8 @@ class GraphLowering:
       normally covers or that is a leaf, walking up through free nodes
       (reshapes, fills), or :data:`NO_SOURCE` / :data:`FORKS`.  A plan
       that covers those sources and no free node finds each unit's
-      producers without walking the graph.
+      producers without walking the graph; :meth:`unit_sources` keeps
+      them per multi-node unit, with its issue-order key.
     """
 
     def __init__(self, graph: Graph):
@@ -191,6 +166,13 @@ class GraphLowering:
         self._kernels: dict[str, dict[int, Kernel | None]] = {}
         self._chain_kernels: dict[tuple[int, ...], ElementwiseLaunch] = {}
         self._sweeps: dict[tuple, list[Kernel]] = {}
+        #: the last :meth:`chains` call's fusable set, each node's parent
+        #: in it (-1 for a chain's first node) and each first node's chain
+        self._chain_state: tuple = (frozenset(), {}, {})
+        self._unit_sources: dict[tuple[int, ...], tuple] = {}
+        #: nodes re-chained and unit sources derived so far
+        self.rechained = 0
+        self.fresh_sources = 0
 
     @cached_property
     def compute_ids(self) -> frozenset[int]:
@@ -218,13 +200,15 @@ class GraphLowering:
         fused kernel per elementwise chain of two or more nodes (JIT
         fusion, 5.3), in chain order; then each remaining node's own
         kernel, in node order.  Free nodes launch nothing."""
-        key = (frozenset(uncovered), fuse, library)
+        uncovered = frozenset(uncovered)
+        key = (uncovered, fuse, library)
         launches = self._sweeps.get(key)
         if launches is None:
             launches = self._sweeps[key] = []
-            rest = set(uncovered)
+            rest = uncovered
             if fuse:
-                for chain in elementwise_chains(self.graph, rest):
+                chained: list[int] = []
+                for chain in self.chains(uncovered):
                     if len(chain) < 2:
                         continue
                     kernel = self._chain_kernels.get(chain)
@@ -233,12 +217,111 @@ class GraphLowering:
                             self.graph, chain
                         )
                     launches.append(kernel)
-                    rest.difference_update(chain)
+                    chained.extend(chain)
+                rest = uncovered.difference(chained)
             for nid in sorted(rest):  # node ids are node positions
                 kernel = self.kernel(nid, library)
                 if kernel is not None:
                     launches.append(kernel)
         return launches
+
+    @cached_property
+    def fusable(self) -> frozenset[int]:
+        """Every node an elementwise chain may hold."""
+        return frozenset(
+            n.node_id for n in self.graph.nodes
+            if not n.is_leaf and n.kind in _FUSABLE_KINDS
+        )
+
+    def chains(self, nodes) -> list[tuple[int, ...]]:
+        """The elementwise chains of the fusable ``nodes``, ordered by
+        their first node.  A node joins the chain of its first input that
+        is one of ``nodes``, feeds only this node and has its element
+        count and pass (forward/backward) -- the conservative conditions
+        under which a pointwise JIT compiler fuses without materialising;
+        a node joining none starts a chain.
+
+        Chains are re-derived from the previous call's: only the nodes
+        that entered or left the set, the node each of them feeds, and
+        the chains those touch are re-chained.  A chain is a path, so
+        every other chain is unchanged.
+        """
+        eligible = self.fusable.intersection(nodes)
+        old, link, by_head = self._chain_state
+        if eligible != old:
+            link, by_head = dict(link), dict(by_head)
+            graph_nodes = self.graph.nodes
+            consumers = self.graph.consumers
+
+            def head(nid: int) -> int:
+                while link[nid] >= 0:
+                    nid = link[nid]
+                return nid
+
+            removed = old - eligible
+            added = eligible - old
+            pool = set(added)
+            for nid in (removed | added) if old else ():
+                # the node this one feeds may chain differently now
+                fed = consumers(nid)
+                if len(fed) == 1 and fed[0] in eligible:
+                    pool.add(fed[0])
+            for start in {head(nid) for nid in removed | (pool - added)}:
+                pool.update(by_head.pop(start))
+            pool -= removed
+            for nid in removed:
+                del link[nid]
+            stack = list(pool)
+            while stack:
+                nid = stack.pop()
+                node = graph_nodes[nid]
+                parent = -1
+                for inp in node.input_ids:
+                    if (
+                        inp in eligible
+                        and len(consumers(inp)) == 1
+                        and graph_nodes[inp].spec.num_elements == node.spec.num_elements
+                        and graph_nodes[inp].pass_tag == node.pass_tag
+                    ):
+                        parent = inp
+                        break
+                if parent >= 0 and parent not in pool:
+                    # the tail of an untouched chain gains this node:
+                    # re-chain the whole of it
+                    chain = by_head.pop(head(parent))
+                    pool.update(chain)
+                    stack.extend(chain)
+                link[nid] = parent
+            successor = {link[nid]: nid for nid in pool if link[nid] >= 0}
+            for nid in pool:
+                if link[nid] < 0:
+                    chain = [nid]
+                    while chain[-1] in successor:
+                        chain.append(successor[chain[-1]])
+                    by_head[nid] = tuple(chain)
+            self.rechained += len(pool)
+            self._chain_state = (eligible, link, by_head)
+        return [by_head[start] for start in sorted(by_head)]
+
+    def unit_sources(self, node_ids: tuple[int, ...]) -> tuple[tuple[int, ...], bool, int]:
+        """``(sources, leafy, key)`` of a unit over ``node_ids``, memoized
+        per node tuple: the :attr:`producers` sources of its nodes' inputs
+        in visiting order, less its own nodes and :data:`NO_SOURCE` (which
+        never yield a producer); whether any source is a leaf; and its
+        issue-order key, the smallest node id."""
+        entry = self._unit_sources.get(node_ids)
+        if entry is None:
+            closure, _free, ends = self.producers
+            own = set(node_ids)
+            sources = tuple(
+                source for nid in node_ids for source in closure[nid]
+                if source != NO_SOURCE and source not in own
+            )
+            entry = self._unit_sources[node_ids] = (
+                sources, not ends.isdisjoint(sources), min(node_ids)
+            )
+            self.fresh_sources += 1
+        return entry
 
     @cached_property
     def producers(self) -> tuple[list[tuple], frozenset[int], frozenset[int]]:

@@ -35,11 +35,13 @@ import tokenize
 JOB_KEY_VERSION = 1
 
 #: the modules whose source defines what a stored microsecond *means*:
-#: the simulator timeline, the executor's measurement mediation, the
-#: kernel cost model, the GEMM library physics, and the measurement
-#: policy semantics (robust-min, quarantine sentinel)
+#: the simulator timeline, the stream engine that runs it, the executor's
+#: measurement mediation, the kernel cost model, the GEMM library
+#: physics, and the measurement policy semantics (robust-min, quarantine
+#: sentinel)
 SCHEMA_MODULES = (
     "repro.runtime.timeline",
+    "repro.gpu.streams",
     "repro.runtime.executor",
     "repro.gpu.cost_model",
     "repro.gpu.libraries",

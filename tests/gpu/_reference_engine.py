@@ -296,6 +296,7 @@ class ReferenceSimulator(StreamSimulator):
                 break
 
             new_time = min(moments)
+            advanced = new_time != sim_time
             # progress running kernels
             for r in running:
                 r.work_left -= r.rate * (new_time - sim_time)
@@ -303,6 +304,15 @@ class ReferenceSimulator(StreamSimulator):
 
             # completions first (frees stream heads and events)
             finished = [r for r in running if r.work_left <= _EPS]
+            if not finished and not advanced and not any(
+                c[0] <= sim_time + _EPS for c in candidates
+            ):
+                # nothing would ever change: finish the kernels whose
+                # finish time rounds to now
+                finished = [
+                    r for r in running
+                    if r.rate > 0 and sim_time + r.work_left / r.rate == sim_time
+                ]
             for r in finished:
                 running.remove(r)
                 r.record.end_time = sim_time

@@ -14,6 +14,8 @@ injector drops or corrupts.
 """
 
 import math
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -334,6 +336,43 @@ def test_fast_path_edges_match_the_reference(case):
         assert production == reference
         assert faulted(StreamSimulator(device, seed=5, injector=ARMED.injector()), items) \
             == faulted(ReferenceSimulator(device, seed=5, injector=ARMED.injector()), items)
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail, instead of hanging, when the block runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_residual_too_small_to_move_time_finishes():
+    """Late in a long run, a completion can leave a residual above the
+    engine's epsilon whose finish time still rounds to the current time.
+    Both engines finish that kernel there instead of stepping in place
+    forever."""
+    items = [
+        HostComputeItem(3e7),
+        LaunchItem(GemmLaunch(64, 256, 256, "cublas"), 0),
+        HostComputeItem(20.0),
+        LaunchItem(ElementwiseLaunch(2048), 1),
+        HostSyncItem(),
+    ]
+    with time_limit(20):
+        production, reference = both(items)
+        assert production == reference
+        production, reference = both_concurrent(items, P100.with_clock(CLOCK_AUTOBOOST), 3)
+        assert production == reference
+    total, _cpu, _overhead, records, _events = production
+    assert total >= 3e7 and all(end >= start >= 0 for _s, _i, start, end in records)
 
 
 def test_lone_kernels_take_the_fast_path(tiny_milstm, monkeypatch):

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "micro" / "engine.py"
 SMALL = ["--model", "scrnn", "--batch", "4", "--seq-len", "2", "--reps", "1", "--check"]
 
@@ -33,6 +35,14 @@ def load_bench():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     return bench
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_reps_below_one_is_rejected(reps, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        load_bench().main(["--reps", reps])
+    assert exit_info.value.code == 2
+    assert f"--reps: must be at least 1, not {reps}" in capsys.readouterr().err
 
 
 def test_check_fails_when_a_replayed_number_differs(monkeypatch, capsys):

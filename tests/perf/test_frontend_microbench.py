@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "micro" / "frontend.py"
 SMALL = ["--model", "milstm", "--batch", "4", "--seq-len", "2", "--reps", "1", "--check"]
 
@@ -22,15 +24,34 @@ def test_replay_equals_the_reference():
     doc = json.loads(out.stdout.splitlines()[-1])
     assert doc["check"] == "ok"
     assert doc["reps"] == 1 and doc["candidates"] == len(doc["per_candidate_median_s"]) > 0
+    counts = doc["per_candidate_counts"]
+    assert len(counts) == doc["candidates"]
+    assert all(set(c) == {"fresh_units", "rechained_nodes", "fresh_unit_sources"}
+               for c in counts)
+    # the first candidate is built and compiled from nothing
+    assert counts[0]["rechained_nodes"] > 0 and counts[0]["fresh_unit_sources"] > 0
     for layer in ("build", "compile", "costs", "estimates"):
         stats = doc[f"{layer}_s"]
         assert 0 < stats["q1"] <= stats["median"] <= stats["q3"]
 
 
-def test_check_fails_when_a_cost_differs(monkeypatch, capsys):
+def load_bench():
     spec = importlib.util.spec_from_file_location("frontend_microbench", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_reps_below_one_is_rejected(reps, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        load_bench().main(["--reps", reps])
+    assert exit_info.value.code == 2
+    assert f"--reps: must be at least 1, not {reps}" in capsys.readouterr().err
+
+
+def test_check_fails_when_a_cost_differs(monkeypatch, capsys):
+    bench = load_bench()
     reference = bench.reference_kernel_costs
 
     def off_by_one(kernels, device):

@@ -13,7 +13,7 @@ from repro.core.session import AstraSession
 from repro.gpu import P100
 from repro.gpu.device import CLOCK_AUTOBOOST
 from repro.obs import MetricsRegistry
-from repro.perf import FastPath, estimate_choice_us, prune_fk_tree
+from repro.perf import FastPath, estimate_choices_us, prune_fk_tree
 
 
 def _explored_wirer(model, budget=400):
@@ -55,7 +55,9 @@ class TestEstimateExactness:
                 measured = var.get_profile_value(wirer.index, context, choice)
                 if measured is None:
                     continue
-                estimate = estimate_choice_us(enum, strategy, var, choice, P100)
+                (estimate,) = estimate_choices_us(
+                    enum, strategy, var, P100, choices=[choice]
+                )
                 assert estimate == pytest.approx(measured, rel=1e-9), (
                     f"{var.name}={choice!r}: estimate {estimate} "
                     f"vs measured {measured}"
@@ -78,9 +80,7 @@ class TestPruneInvariants:
         enum, strategy, tree = self._tree(tiny_scrnn)
         originals = {v.name: list(v.choices) for v in tree.variables()}
         estimates = {
-            v.name: [
-                estimate_choice_us(enum, strategy, v, c, P100) for c in v.choices
-            ]
+            v.name: estimate_choices_us(enum, strategy, v, P100)
             for v in tree.variables()
             if v.metric_kind == "units"
         }

@@ -6,11 +6,14 @@ front-end microbench imports them.
   allocating events from an :class:`EventNamespace` as it goes, as
   lowering did before compiled schedules.
 * :class:`ReferenceDispatcher` finds each unit's producers by walking the
-  graph recursively for every plan, with no producer closure.
+  graph recursively for every plan, with no producer closure, and orders
+  units with a Kahn heap over the whole plan; ``reference_compile``
+  derives a compiled schedule's indices from them.
 * ``reference_kernel_costs`` costs every kernel of a table, unmemoized.
 * ``reference_build_units`` and ``reference_units_for_choice`` are the
   enumerator's emission with a fresh kernel per launch, uncached
-  elementwise chains and, for ``kernel:*`` variables, a linear scan of
+  elementwise chains (``reference_elementwise_chains``, one scan of the
+  graph per set) and, for ``kernel:*`` variables, a linear scan of
   the singleton members; ``reference_native_plan``,
   ``reference_xla_plan`` and ``reference_cudnn_plan`` build the baselines
   the same way.
@@ -18,6 +21,7 @@ front-end microbench imports them.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 from repro.baselines.cudnn import CUDNN_EFFICIENCY, detect_lstm_steps
@@ -40,8 +44,8 @@ from repro.gpu.libraries import DEFAULT_LIBRARY
 from repro.gpu.streams import DispatchItem, HostComputeItem, HostSyncItem, LaunchItem
 from repro.ir import ops
 from repro.ir.graph import Graph
-from repro.runtime.dispatcher import Dispatcher, LoweredSchedule
-from repro.runtime.lowering import elementwise_chains, kernel_for_node
+from repro.runtime.dispatcher import CompiledSchedule, Dispatcher, LoweredSchedule
+from repro.runtime.lowering import kernel_for_node
 from repro.runtime.plan import ExecutionPlan, Unit
 
 
@@ -190,6 +194,102 @@ class ReferenceDispatcher(Dispatcher):
         producers[node_id] = result
         return result
 
+    def _order_units(self, plan: ExecutionPlan, deps: dict[int, set[int]]) -> list[Unit]:
+        """Dispatch order: the plan's explicit order, topologically checked,
+        or a deterministic topological order (Kahn, ties by smallest covered
+        node id -- i.e. data-flow order, section 2.2)."""
+        by_id = {u.unit_id: u for u in plan.units}
+        if plan.dispatch_order is not None:
+            order = [by_id[uid] for uid in plan.dispatch_order]
+            if len(order) != len(plan.units):
+                raise ValueError("dispatch_order must cover every unit exactly once")
+            seen: set[int] = set()
+            for unit in order:
+                missing = deps[unit.unit_id] - seen
+                if missing:
+                    raise ValueError(
+                        f"dispatch_order issues unit {unit.unit_id} before deps {missing}"
+                    )
+                seen.add(unit.unit_id)
+            return order
+        return reference_topological_units(plan.units, deps)
+
+
+def reference_topological_units(units: list[Unit], deps: dict[int, set[int]]) -> list[Unit]:
+    """Deterministic Kahn toposort of units; ties broken by smallest
+    covered node id so the order tracks data-flow order."""
+    by_id = {u.unit_id: u for u in units}
+    indegree = {u.unit_id: len(deps.get(u.unit_id, ())) for u in units}
+    dependents: dict[int, list[int]] = {}
+    for uid, parent_ids in deps.items():
+        for parent in parent_ids:
+            dependents.setdefault(parent, []).append(uid)
+
+    heap = [
+        (min(by_id[uid].node_ids), uid) for uid, deg in indegree.items() if deg == 0
+    ]
+    heapq.heapify(heap)
+    order: list[Unit] = []
+    while heap:
+        _, uid = heapq.heappop(heap)
+        order.append(by_id[uid])
+        for child in dependents.get(uid, ()):
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                heapq.heappush(heap, (min(by_id[child].node_ids), child))
+    if len(order) != len(units):
+        raise ValueError("cycle detected among schedule units")
+    return order
+
+
+def reference_compile(graph: Graph, plan: ExecutionPlan) -> tuple[dict, CompiledSchedule]:
+    """A plan's dependency sets and its compiled schedule, derived from
+    :class:`ReferenceDispatcher`'s walk and Kahn heap."""
+    dispatcher = ReferenceDispatcher(graph)
+    deps = dispatcher.unit_dependencies(plan)
+    order = [u.unit_id for u in dispatcher._order_units(plan, deps)]
+    return deps, CompiledSchedule.from_dependencies(plan, deps, order)
+
+
+def reference_elementwise_chains(
+    graph: Graph, node_ids: set[int] | None = None
+) -> list[tuple[int, ...]]:
+    """Greedy chain detection for elementwise JIT fusion.
+
+    A node joins its producer's chain when the producer is elementwise,
+    feeds only this node, produces the same element count, and belongs to
+    the same pass (forward/backward) -- the conservative conditions under
+    which a pointwise JIT compiler fuses without materialising.
+    """
+    fusable = {ops.KIND_ELEMENTWISE, ops.KIND_REDUCTION}
+    eligible = {
+        n.node_id
+        for n in graph.nodes
+        if not n.is_leaf and n.kind in fusable
+        and (node_ids is None or n.node_id in node_ids)
+    }
+    chain_of: dict[int, list[int]] = {}
+    chains: list[list[int]] = []
+    for node in graph.nodes:
+        if node.node_id not in eligible:
+            continue
+        merged = None
+        for inp in node.input_ids:
+            if (
+                inp in chain_of
+                and len(graph.consumers(inp)) == 1
+                and graph.node(inp).spec.num_elements == node.spec.num_elements
+                and graph.node(inp).pass_tag == node.pass_tag
+            ):
+                merged = chain_of[inp]
+                break
+        if merged is None:
+            merged = []
+            chains.append(merged)
+        merged.append(node.node_id)
+        chain_of[node.node_id] = merged
+    return [tuple(chain) for chain in chains if chain]
+
 
 def reference_kernel_costs(kernels: list[Kernel], device: GPUSpec) -> tuple[list, list, list]:
     """Base-clock duration, SM cap and kind of every kernel."""
@@ -240,7 +340,7 @@ def reference_build_native_units(
     covered: set[int] = set()
 
     if fuse_elementwise:
-        for chain in elementwise_chains(graph):
+        for chain in reference_elementwise_chains(graph):
             if len(chain) < 2:
                 continue
             kernel = reference_fused_elementwise_kernel(graph, chain)
@@ -297,7 +397,7 @@ def reference_xla_plan(graph: Graph, device: GPUSpec) -> ExecutionPlan:
 
     # aggressive static elementwise fusion
     remaining = {n.node_id for n in graph.nodes if not n.is_leaf} - covered
-    for chain in elementwise_chains(graph, remaining):
+    for chain in reference_elementwise_chains(graph, remaining):
         if len(chain) < 2:
             continue
         kernel = reference_fused_elementwise_kernel(graph, chain)
@@ -573,7 +673,7 @@ def reference_build_units(
         if not n.is_leaf and n.node_id not in builder.covered
     }
     if enum.features.elementwise_fusion:
-        for chain in elementwise_chains(enum.graph, remaining):
+        for chain in reference_elementwise_chains(enum.graph, remaining):
             if len(chain) < 2:
                 continue
             kernel = reference_fused_elementwise_kernel(enum.graph, chain)

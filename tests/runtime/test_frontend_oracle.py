@@ -1,32 +1,37 @@
 """The per-graph lowering memos change no number.
 
 Every plan an exploration builds, every pre-ranker estimate, every unit
-dependency set (in iteration order, which numbers the events) and every
-kernel cost equals what the pre-memo code in ``_reference_lowering``
-computes: fresh kernels per launch, uncached chains, a linear scan of
-the singleton members, a recursive walk per plan and unmemoized costs.
+dependency set (in iteration order, which numbers the events), every
+compiled index and every kernel cost equals what the pre-memo code in
+``_reference_lowering`` computes: fresh kernels per launch, uncached
+chains, a linear scan of the singleton members, a recursive walk and a
+Kahn heap per plan and unmemoized costs.  Candidates built one after
+another -- each from the emissions, chains and unit sources the earlier
+ones left -- equal it too.
 """
 
 import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import AstraSession
 from repro.baselines.cudnn import cudnn_plan
 from repro.baselines.native import native_plan
 from repro.baselines.xla import xla_plan
-from repro.core.enumerator import Enumerator
+from repro.core.enumerator import AstraFeatures, Enumerator
 from repro.gpu import P100, CopyLaunch
 from repro.gpu.cost_model import units_cost_us
 from repro.ir import Tracer, ops
-from repro.perf.ranker import estimate_choice_us
+from repro.perf.ranker import estimate_choices_us
 from repro.runtime import Dispatcher, ExecutionPlan, Executor, Unit
 from repro.runtime.lowering import NO_SOURCE, graph_lowering
 
 from ._reference_lowering import (
-    ReferenceDispatcher,
     reference_build_units,
+    reference_compile,
     reference_cudnn_plan,
+    reference_elementwise_chains,
     reference_kernel_costs,
     reference_native_plan,
     reference_units_for_choice,
@@ -41,11 +46,20 @@ def ordered(deps: dict) -> list:
     return [(uid, list(found)) for uid, found in deps.items()]
 
 
-def assert_lowers_like_the_reference(graph, plan) -> None:
-    assert ordered(Dispatcher(graph).unit_dependencies(plan)) == ordered(
-        ReferenceDispatcher(graph).unit_dependencies(plan)
-    )
-    table = Dispatcher(graph).lower(plan).compiled.table
+#: what a compiled schedule derives from the plan's structure and units
+COMPILED_FIELDS = ("order_ids", "step_deps", "edge_uids", "edge_deps", "copies",
+                   "record_units")
+
+
+def assert_lowers_like_the_reference(graph, plan, dispatcher=None) -> None:
+    dispatcher = dispatcher or Dispatcher(graph)
+    reference_deps, expected = reference_compile(graph, plan)
+    assert ordered(dispatcher.unit_dependencies(plan)) == ordered(reference_deps)
+    compiled = dispatcher.compile(plan)
+    for field in COMPILED_FIELDS:
+        assert getattr(compiled, field) == getattr(expected, field), field
+    table = compiled.table
+    assert table.kernels == expected.table.kernels
     assert table.costs(P100) == reference_kernel_costs(table.kernels, P100)
 
 
@@ -111,15 +125,71 @@ def test_choice_estimates_equal_the_reference(model_fixture, features, request):
     with model.graph.memoized():  # as the pre-ranker runs inside optimize
         for strategy in enum.strategies:
             for var in enum.build_fk_tree(strategy).variables():
+                references = []
                 for choice in var.choices:
                     units = enum.units_for_choice(strategy, var, choice)
                     reference = reference_units_for_choice(enum, strategy, var, choice)
                     assert units == reference
-                    assert estimate_choice_us(enum, strategy, var, choice, P100) == (
-                        units_cost_us(reference, P100)
-                    )
+                    references.append(units_cost_us(reference, P100))
                     checked += 1
+                assert estimate_choices_us(enum, strategy, var, P100) == references
     assert checked
+
+
+def assert_estimates_equal_the_reference(enum, strategy, variables) -> None:
+    for var in variables:
+        assert estimate_choices_us(enum, strategy, var, P100) == [
+            units_cost_us(reference_units_for_choice(enum, strategy, var, choice), P100)
+            for choice in var.choices
+        ], var.name
+
+
+@pytest.mark.parametrize("model_fixture", MODELS)
+@settings(max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_candidates_built_as_deltas_equal_the_reference(model_fixture, request, data):
+    """A random walk over FK assignments, as an exploration takes one:
+    the pre-ranker's estimates first, then each candidate built and
+    compiled from what the ones before it left in the memos."""
+    graph = request.getfixturevalue(model_fixture).graph
+    features = AstraFeatures.preset(data.draw(st.sampled_from(["FK", "all"])))
+    with graph.memoized():
+        enum = Enumerator(graph, P100, features)
+        dispatcher = Dispatcher(graph)
+        strategy = data.draw(st.sampled_from(enum.strategies))
+        variables = list(enum.build_fk_tree(strategy).variables())
+        assert_estimates_equal_the_reference(enum, strategy, variables)
+        assignment = {var.name: var.choices[0] for var in variables}
+        for _ in range(data.draw(st.integers(2, 5))):
+            changed = data.draw(st.lists(
+                st.sampled_from(variables), max_size=len(variables),
+                unique_by=lambda var: var.name,
+            ))
+            for var in changed:
+                assignment[var.name] = data.draw(st.sampled_from(var.choices))
+            built = enum.build_plan(strategy, assignment)
+            reference = reference_build_units(enum, strategy, assignment)
+            assert built.plan.units == reference.units
+            assert built.var_units == reference.var_units
+            assert_lowers_like_the_reference(graph, built.plan, dispatcher)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_chains_rederived_from_the_last_set_equal_the_reference(tiny_gnmt, data):
+    """Chains of one node set after another, each re-derived from the
+    previous set's, equal a fresh scan of the graph."""
+    graph = tiny_gnmt.graph
+    with graph.memoized():
+        lowering = graph_lowering(graph)
+        nodes = sorted(lowering.fusable)
+        for _ in range(data.draw(st.integers(1, 4))):
+            subset = set(data.draw(st.lists(st.sampled_from(nodes), max_size=len(nodes))))
+            if data.draw(st.booleans()):
+                subset = set(nodes) - subset
+            assert lowering.chains(subset) == reference_elementwise_chains(graph, subset)
 
 
 @pytest.mark.parametrize("model_fixture", MODELS)

@@ -172,6 +172,13 @@ class TestVersionEviction:
         assert isinstance(v, str) and len(v) == 16
         assert v == store_schema_version()
 
+    def test_schema_covers_the_stream_engine(self):
+        """An edit to the engine that times every stored measurement
+        makes existing stores stale."""
+        from repro.serve.keys import SCHEMA_MODULES
+
+        assert "repro.gpu.streams" in SCHEMA_MODULES
+
 
 def _writer(args):
     """Concurrent-writer body (module-level: must pickle under spawn)."""
