@@ -5,12 +5,20 @@ characteristics of the network, the choice of ideal degree of parallelism
 ... could be taken in an automated manner with runtime measurement and
 adaptation."  This bench measures subLSTM scaling over PCIe and NVLink
 fabrics: the best degree differs per fabric, which is exactly why a
-static choice is wrong.
+static choice is wrong.  A homogeneous cluster is the degenerate fleet,
+so every number here is priced by the one fleet measurer: the degree
+curve as data strategies on uniform P100 fleets, the data-vs-pipeline
+decision as two strategies on a P100 pair, and the mixed fleet as the
+full strategy search.
 """
 
 from harness import DEFAULT_CONFIGS, emit
-from repro.distributed import NVLINK, PCIE, choose_parallelism, choose_partitioning
-from repro.fleet import get_fleet, run_fleet_search
+from repro.fleet import (
+    NVLINK, PCIE, FleetMeasurer, Strategy, get_fleet, run_fleet_search,
+    uniform_fleet,
+)
+from repro.fleet.strategy import balanced_shards
+from repro.gpu.device import P100
 from repro.models import build_scrnn, build_stacked_lstm, build_sublstm
 
 
@@ -18,27 +26,50 @@ def build_table():
     config = DEFAULT_CONFIGS["sublstm"].scaled(batch_size=128, seq_len=5)
     payload = {}
     for fabric in (PCIE, NVLINK):
-        ms = choose_parallelism(
-            build_sublstm, config, degrees=(1, 2, 4, 8), interconnect=fabric
+        measurer = FleetMeasurer(
+            build_sublstm, config, uniform_fleet(fabric.name, P100, 8, fabric)
         )
+        outcomes = [
+            measurer.measure_strategy(Strategy(
+                "data", ("P100",) * world,
+                balanced_shards(config.batch_size, world),
+            ))
+            for world in (1, 2, 4, 8)
+        ]
+        base = outcomes[0]
         payload[fabric.name] = [
             {
-                "world": m.world,
-                "per_sample_us": m.per_sample_us,
-                "exposed_comm_us": m.exposed_comm_us,
-                "efficiency": m.scaling_efficiency,
+                "world": o.strategy.world,
+                "per_sample_us": o.per_sample_us,
+                "exposed_comm_us": o.detail["exposed_comm_us"],
+                "efficiency": base.per_sample_us / o.per_sample_us,
             }
-            for m in sorted(ms, key=lambda m: m.world)
+            for o in outcomes
         ]
-        payload[fabric.name + "_best"] = ms[0].world
+        best = min(outcomes, key=lambda o: o.per_sample_us)
+        payload[fabric.name + "_best"] = best.strategy.world
 
     # model partitioning: data vs pipeline at world=2 on a 4-layer stack
     deep = DEFAULT_CONFIGS["stacked_lstm"].scaled(
         batch_size=32, seq_len=4, num_layers=4
     )
-    decisions = choose_partitioning(build_stacked_lstm, deep, world=2)
+    pair = FleetMeasurer(
+        build_stacked_lstm, deep, uniform_fleet("pcie", P100, 2, PCIE)
+    )
+    decisions = sorted(
+        (
+            pair.measure_strategy(Strategy(
+                "data", ("P100", "P100"), balanced_shards(deep.batch_size, 2)
+            )),
+            pair.measure_strategy(Strategy(
+                "pipeline", ("P100", "P100"), cuts=(2, 2), microbatches=4
+            )),
+        ),
+        key=lambda o: o.per_sample_us,
+    )
     payload["partitioning"] = [
-        {"kind": d.kind, "per_sample_us": d.per_sample_us} for d in decisions
+        {"kind": o.strategy.kind, "per_sample_us": o.per_sample_us}
+        for o in decisions
     ]
 
     # heterogeneous fleet: the exhaustive sweep over a mixed 2xP100+2xV100

@@ -1,12 +1,14 @@
 """The fleet strategy wave's worker, for :mod:`repro.parallel.pool`.
 
-The exploration engine dispatches :class:`FleetTask` shards -- (ordinal,
-strategy key) pairs -- to workers that rebuild the whole measurement
-stack from a pickled :class:`FleetWorkerSpec` and return
-:class:`FleetOutcome` rows in ordinal order.  Strategies cross the
+The exploration engine dispatches shards of strategy keys, in the
+wave's canonical order, to workers that rebuild the whole measurement
+stack from a pickled :class:`FleetWorkerSpec` and return one
+:class:`FleetOutcome` per key, in the same order.  Strategies cross the
 process boundary **by value** (:meth:`Strategy.key`), never as objects,
 and the spec carries the parent's calibration snapshot so workers start
-from the same primitives the pre-ranker priced.
+from the same primitives the pre-ranker priced.  An outcome ships only
+the index delta the parent merges, plus the engine's timing fields: the
+parent recomposes the winner from the merged primitives itself.
 
 Determinism is the same contract the exploration worker has: a
 worker's measurements depend only on (spec, strategy key) -- fault
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .measure import FleetMeasurer
 from .spec import FleetSpec
@@ -43,23 +45,9 @@ class FleetWorkerSpec:
 
 
 @dataclass
-class FleetTask:
-    """One planned strategy measurement (canonical ordinal order)."""
-
-    ordinal: int
-    key: tuple  # Strategy.key()
-
-
-@dataclass
 class FleetOutcome:
-    """One measured strategy plus the index delta it produced."""
+    """The index delta one strategy measurement produced."""
 
-    ordinal: int
-    key: tuple
-    per_sample_us: float
-    step_us: float
-    samples: int
-    detail: dict = field(default_factory=dict)
     #: every (key, value) the measurement added -- primitives first,
     #: then the strategy entry -- merged first-writer-wins by the parent
     records: tuple = ()
@@ -81,24 +69,17 @@ class FleetWorkerState:
         self.measurer.index.merge(spec.seed_entries)
 
 
-def run_shard(state: FleetWorkerState, tasks) -> list[FleetOutcome]:
+def run_shard(state: FleetWorkerState, keys) -> list[FleetOutcome]:
     outcomes = []
-    for task in tasks:
+    for key in keys:
         start = time.perf_counter()
         before = set(state.measurer.index.snapshot())
-        outcome = state.measurer.measure_strategy(Strategy.from_key(task.key))
+        state.measurer.measure_strategy(Strategy.from_key(key))
         snapshot = state.measurer.index.snapshot()
         records = tuple(
-            (key, value) for key, value in snapshot.items()
-            if key not in before
+            (k, value) for k, value in snapshot.items() if k not in before
         )
         outcomes.append(FleetOutcome(
-            ordinal=task.ordinal,
-            key=task.key,
-            per_sample_us=outcome.per_sample_us,
-            step_us=outcome.step_us,
-            samples=outcome.samples,
-            detail=outcome.detail,
             records=records,
             busy_s=time.perf_counter() - start,
             worker_pid=os.getpid(),

@@ -25,13 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.adaptive import MODE_PARALLEL, AdaptiveVariable, UpdateNode
-from ..distributed.data_parallel import OVERLAP_FRACTION
 from ..obs.metrics import NULL_REGISTRY
 from ..parallel.engine import HIT, STATUS_EXHAUSTED, ParallelEngine, plan_wave
 from ..parallel.pool import make_pool
 from ..perf.ranker import fleet_strategy_lo, prune_fleet_strategies
-from .measure import STRATEGY_VAR, FleetMeasurer, strategy_profile_key
-from .pool import FleetTask, FleetWorkerSpec, FleetWorkerState, run_shard
+from .measure import (
+    OVERLAP_FRACTION, STRATEGY_VAR, FleetMeasurer, strategy_profile_key,
+)
+from .pool import FleetWorkerSpec, FleetWorkerState, run_shard
 from .spec import DEFAULT_FLEET, FleetSpec
 from .strategy import Strategy, enumerate_strategies, resolve_weighted_shards
 
@@ -202,10 +203,8 @@ def run_fleet_search(
                     samples=1, spent=0, budget=1 << 30, limit=1 << 30,
                     advance_first=advance_first,
                 )
-                candidates = [e for e in entries if e is not HIT]
                 tasks = [
-                    FleetTask(ordinal=n, key=e.assignment[STRATEGY_VAR])
-                    for n, e in enumerate(candidates)
+                    e.assignment[STRATEGY_VAR] for e in entries if e is not HIT
                 ]
                 if tasks:
                     for outcome in engine.measure_wave(tasks):

@@ -1,21 +1,68 @@
-"""Heterogeneous fleet descriptions: named devices over a shared fabric.
+"""Fleet descriptions: named devices over a shared fabric.
 
 A fleet is a small, fixed set of simulated accelerators
 (:class:`~repro.gpu.device.GPUSpec` instances -- mixed P100s and V100s
 with their own clocks and memory) connected by one shared
-:class:`~repro.distributed.interconnect.Interconnect`.  Placement
-strategies name device *classes* (``"P100"``, ``"V100"``); the fleet
-supplies how many of each class exist and what the fabric between them
-costs, including contention when several boundary transfers overlap
-(``Interconnect.contended_us``).
+:class:`Interconnect`.  Placement strategies name device *classes*
+(``"P100"``, ``"V100"``); the fleet supplies how many of each class
+exist and what the fabric between them costs, including contention when
+several boundary transfers overlap (``Interconnect.contended_us``).  A
+homogeneous cluster is the degenerate fleet (:func:`uniform_fleet`).
+
+The fabric prices communication the way the GPU cost model prices
+kernels: deterministically in what Astra can observe (bytes, fabric,
+world size), so measured step times repeat and the adaptive choice of
+degree and partitioning is sound (section 3.4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..distributed.interconnect import INTERCONNECTS, Interconnect, NVLINK, PCIE
 from ..gpu.device import DEVICES, GPUSpec, P100, V100
+
+
+@dataclass(frozen=True)
+class Interconnect:
+    """A GPU-to-GPU fabric."""
+
+    name: str
+    #: per-link bandwidth, bytes per microsecond
+    link_bw_bytes_per_us: float
+    #: per-message latency, microseconds
+    latency_us: float
+
+    def allreduce_us(self, bytes_per_replica: int, world: int) -> float:
+        """Ring all-reduce: 2(N-1)/N of the data crosses each link, in
+        2(N-1) latency-bound steps."""
+        if world <= 1:
+            return 0.0
+        steps = 2 * (world - 1)
+        volume = 2.0 * (world - 1) / world * bytes_per_replica
+        return steps * self.latency_us + volume / self.link_bw_bytes_per_us
+
+    def contended_us(self, nbytes: int, concurrent: int = 1) -> float:
+        """One point-to-point transfer while ``concurrent`` transfers share
+        the fabric.
+
+        The links are a shared medium: when several boundary transfers
+        overlap (every adjacent stage pair of a busy pipeline hands off at
+        the same beat), each sees ``1/concurrent`` of the link bandwidth.
+        Latency is per-message and does not stretch under contention.
+        Monotone in both arguments, and ``contended_us(b, 1)`` is the
+        uncontended transfer -- the lower bound the fleet pre-ranker uses.
+        """
+        if nbytes <= 0:
+            return 0.0
+        share = self.link_bw_bytes_per_us / max(1, concurrent)
+        return self.latency_us + nbytes / share
+
+
+#: PCIe 3.0 x16-ish fabric: what the paper's Azure VMs had
+PCIE = Interconnect(name="pcie", link_bw_bytes_per_us=12e3, latency_us=12.0)
+
+#: NVLink-connected DGX-style fabric
+NVLINK = Interconnect(name="nvlink", link_bw_bytes_per_us=45e3, latency_us=6.0)
 
 
 @dataclass(frozen=True)
@@ -112,8 +159,9 @@ def _mixed(name: str, interconnect: Interconnect) -> FleetSpec:
     )
 
 
-def _uniform(name: str, spec: GPUSpec, count: int,
-             interconnect: Interconnect) -> FleetSpec:
+def uniform_fleet(name: str, spec: GPUSpec, count: int,
+                  interconnect: Interconnect) -> FleetSpec:
+    """``count`` identical devices: the homogeneous cluster as a fleet."""
     return FleetSpec(
         name=name,
         devices=tuple(
@@ -131,8 +179,8 @@ DEFAULT_FLEET = _mixed("hetero", NVLINK)
 FLEETS: dict[str, FleetSpec] = {
     "hetero": DEFAULT_FLEET,
     "hetero_pcie": _mixed("hetero_pcie", PCIE),
-    "p100x4": _uniform("p100x4", P100, 4, PCIE),
-    "v100x4": _uniform("v100x4", V100, 4, NVLINK),
+    "p100x4": uniform_fleet("p100x4", P100, 4, PCIE),
+    "v100x4": uniform_fleet("v100x4", V100, 4, NVLINK),
 }
 
 
@@ -157,7 +205,8 @@ def with_clock(fleet: FleetSpec, mode: str) -> FleetSpec:
 
 
 __all__ = [
+    "Interconnect", "PCIE", "NVLINK",
     "FleetDevice", "FleetSpec", "DEFAULT_FLEET", "FLEETS",
-    "get_fleet", "with_clock",
-    "DEVICES", "INTERCONNECTS",
+    "get_fleet", "uniform_fleet", "with_clock",
+    "DEVICES",
 ]
