@@ -541,7 +541,7 @@ def _render_fleet_report(report, fleet, verify: dict | None) -> str:
         lines.append(
             f"engine: {report.engine.get('workers', 1)} workers "
             f"({report.engine.get('pool', '?')} pool), "
-            f"{report.engine.get('candidates', 0)} strategies dispatched in "
+            f"{report.engine.get('candidates', 0)} primitives dispatched in "
             f"{report.engine.get('rounds', 0)} rounds"
         )
     if verify is not None:

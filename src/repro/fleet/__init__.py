@@ -7,10 +7,11 @@ hetero-Astra paper (PAPERS.md) extends the search space to *mixed*
 device fleets, with the homogeneous cluster as the degenerate case.
 This subpackage makes the partitioning strategy -- data-parallel degree,
 contiguous pipeline stage cuts, per-stage/per-replica device placement,
-and the batch-split mode -- a first-class adaptive variable explored by
-the wave engine, with per-device profile-index mangling so measurements
-are shared across every strategy that places the same subgraph on the
-same device class.  See ``docs/distributed.md``.
+and the batch-split mode -- a first-class adaptive variable, composed
+from per-device primitives that the wave engine measures once each,
+with per-device profile-index mangling so measurements are shared
+across every strategy that places the same subgraph on the same device
+class.  See ``docs/distributed.md``.
 """
 
 from .spec import (

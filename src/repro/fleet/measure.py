@@ -160,15 +160,14 @@ class FleetMeasurer:
         self.inner_budget = inner_budget
         self.class_specs = fleet.class_specs()
         self._models: dict[int, object] = {}
+        self._plans: dict[int, object] = {}
         self._analytic_compute: dict[tuple, tuple[float, float]] = {}
         self._analytic_stage: dict[tuple, dict[str, float]] = {}
 
         full = self._model(config.batch_size)
         self.grad_bytes = gradient_bytes(full.graph)
         self.scopes: tuple[str, ...] = tuple(layer_scopes(full.graph))
-        digest = plan_signature(
-            native_plan(full.graph, fuse_elementwise=True)
-        ).digest[:12]
+        digest = plan_signature(self._plan(config.batch_size)).digest[:12]
         #: every fleet key hangs off the job identity: the model's native
         #: plan signature plus the global batch -- jobs never collide
         self.context: tuple = ("fleet", digest, config.batch_size)
@@ -182,6 +181,16 @@ class FleetMeasurer:
             self._models[batch] = model
         return model
 
+    def _plan(self, batch: int):
+        """The native plan at ``batch``, built once, for read-only uses
+        (the digest and the analytic prices).  A plan that gets executed
+        is built fresh by its executor's caller."""
+        plan = self._plans.get(batch)
+        if plan is None:
+            plan = native_plan(self._model(batch).graph, fuse_elementwise=True)
+            self._plans[batch] = plan
+        return plan
+
     def profile_key(self, local: tuple) -> tuple:
         return mangle(self.context, local)
 
@@ -193,7 +202,7 @@ class FleetMeasurer:
         entry = self._analytic_compute.get((cls, batch))
         if entry is None:
             spec = self.class_specs[cls]
-            plan = native_plan(self._model(batch).graph, fuse_elementwise=True)
+            plan = self._plan(batch)
             gpu = units_cost_us(plan.units, spec)
             cpu = units_cost_us(plan.units, spec, include_dispatch=True) - gpu
             entry = (gpu, cpu)
@@ -207,11 +216,11 @@ class FleetMeasurer:
         sheet = self._analytic_stage.get((cls, micro))
         if sheet is None:
             spec = self.class_specs[cls]
-            graph = self._model(micro).graph
-            plan = native_plan(graph, fuse_elementwise=True)
+            plan = self._plan(micro)
             unit_us = {u.unit_id: unit_cost_us(u, spec) for u in plan.units}
             sheet = attribute_to_scopes(
-                graph, plan, unit_us, spec.launch_overhead_us
+                self._model(micro).graph, plan, unit_us,
+                spec.launch_overhead_us,
             )
             self._analytic_stage[(cls, micro)] = sheet
         return sheet
@@ -240,10 +249,60 @@ class FleetMeasurer:
     def _mode(self) -> str:
         return "astra" if self.use_astra else "native"
 
+    def primitives(self, strategy: Strategy) -> list[tuple]:
+        """The measured primitives ``strategy`` composes, in placement
+        order: ``("compute", cls, shard)`` per data replica, ``("stage",
+        cls, micro)`` per pipeline stage."""
+        if strategy.kind == "data":
+            return [
+                ("compute", cls, shard)
+                for cls, shard in zip(strategy.placement, strategy.shards)
+            ]
+        micro = self._microbatch(strategy)
+        return [("stage", cls, micro) for cls in strategy.placement]
+
+    def primitive_keys(self, primitive: tuple) -> tuple:
+        """The index keys one primitive's measurement records: a compute
+        time, or one stage time per layer scope."""
+        kind, cls, size = primitive
+        if kind == "compute":
+            return (self.profile_key(("compute", cls, size, self._mode)),)
+        return tuple(
+            self.profile_key(("stage", cls, size, scope))
+            for scope in self.scopes
+        )
+
+    def measured(self, primitive: tuple) -> bool:
+        return all(key in self.index for key in self.primitive_keys(primitive))
+
+    def measure_primitive(self, primitive: tuple) -> None:
+        kind, cls, size = primitive
+        if kind == "compute":
+            self.compute_us(cls, size)
+        else:
+            self.stage_us(cls, size)
+
+    def price(self, primitive: tuple):
+        """The analytic price the strategy bound reads for ``primitive``:
+        the memoized ``(gpu, cpu)`` walls of a compute, or a stage's
+        per-scope sheet.  Built from the graph the measurement builds, so
+        a worker prices what it measures without a second build."""
+        kind, cls, size = primitive
+        if kind == "compute":
+            self.analytic_compute_lo(cls, size)
+            return self._analytic_compute[(cls, size)]
+        return self.analytic_stage_lo(cls, size)
+
+    def adopt_price(self, primitive: tuple, price) -> None:
+        """Memoize a price shipped by a worker; the first writer wins."""
+        kind, cls, size = primitive
+        memo = self._analytic_compute if kind == "compute" else self._analytic_stage
+        memo.setdefault((cls, size), price)
+
     def compute_us(self, cls: str, batch: int) -> float:
         """Measured mini-batch compute of the whole model on ``cls`` at
         ``batch`` -- the per-replica primitive of every data strategy."""
-        key = self.profile_key(("compute", cls, batch, self._mode))
+        (key,) = self.primitive_keys(("compute", cls, batch))
         cached = self.index.get(key)
         if cached is not None:
             return cached
@@ -297,10 +356,9 @@ class FleetMeasurer:
         """Measured per-scope stage times on ``cls`` at ``micro``, from a
         single executed mini-batch; shared across every cut that places
         any stage on this class."""
-        keys = {
-            scope: self.profile_key(("stage", cls, micro, scope))
-            for scope in self.scopes
-        }
+        keys = dict(zip(
+            self.scopes, self.primitive_keys(("stage", cls, micro))
+        ))
         if all(key in self.index for key in keys.values()):
             return {scope: self.index.get(key) for scope, key in keys.items()}
         from ..faults.events import DeviceOOMError, KernelLaunchError
@@ -385,13 +443,16 @@ class FleetMeasurer:
             },
         )
 
+    def _microbatch(self, strategy: Strategy) -> int:
+        return max(1, self.config.batch_size // strategy.microbatches)
+
     def _measure_pipeline(self, strategy: Strategy) -> StrategyOutcome:
         if sum(strategy.cuts) != len(self.scopes) or min(strategy.cuts) < 1:
             raise ValueError(
                 f"cuts {strategy.cuts!r} do not split the "
                 f"{len(self.scopes)} layer scope(s) into non-empty stages"
             )
-        micro =max(1, self.config.batch_size // strategy.microbatches)
+        micro = self._microbatch(strategy)
         samples = micro * strategy.microbatches
         devices = self.fleet.assign_devices(strategy.placement)
         num_stages = len(strategy.cuts)

@@ -1,20 +1,22 @@
-"""The fleet strategy wave's worker, for :mod:`repro.parallel.pool`.
+"""The fleet search wave's worker, for :mod:`repro.parallel.pool`.
 
-The exploration engine dispatches shards of strategy keys, in the
-wave's canonical order, to workers that rebuild the whole measurement
-stack from a pickled :class:`FleetWorkerSpec` and return one
-:class:`FleetOutcome` per key, in the same order.  Strategies cross the
-process boundary **by value** (:meth:`Strategy.key`), never as objects,
-and the spec carries the parent's calibration snapshot so workers start
-from the same primitives the pre-ranker priced.  An outcome ships only
-the index delta the parent merges, plus the engine's timing fields: the
-parent recomposes the winner from the merged primitives itself.
+The unit of fleet work is the *primitive* (:meth:`FleetMeasurer.primitives`):
+one ``("compute", cls, shard)`` or ``("stage", cls, micro)``
+measurement, which every strategy placing that subgraph on that device
+class shares.  The exploration engine dispatches shards of the wave's
+distinct primitives, in first-appearance order, to workers that rebuild
+the measurer from a pickled :class:`FleetWorkerSpec` and return one
+:class:`FleetOutcome` per primitive, in the same order.  An outcome
+ships the index delta the measurement added and the primitive's
+analytic price, so the parent composes strategies and prices their
+bounds without building the primitives' graphs.  At width 1 the inline pool
+lends the search's own measurer instead of building a second one.
 
 Determinism is the same contract the exploration worker has: a
-worker's measurements depend only on (spec, strategy key) -- fault
-sub-states are keyed by primitive, not by worker or order -- so the
-merged index is byte-identical for any worker count, including the
-inline pool.
+primitive's measurement depends only on (spec, primitive) -- fault
+sub-states are keyed by primitive, not by worker or order, and
+primitives never read each other's entries -- so the merged index is the
+same for any worker count, including the inline pool.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 from .measure import FleetMeasurer
 from .spec import FleetSpec
-from .strategy import Strategy
 
 
 @dataclass(frozen=True)
@@ -39,48 +41,49 @@ class FleetWorkerSpec:
     features: str = "FK"
     seed: int = 0
     faults: object = None
-    #: parent-measured primitives (calibration + seed strategy), merged
-    #: into each worker's index before its first task
-    seed_entries: tuple = ()
 
 
 @dataclass
 class FleetOutcome:
-    """The index delta one strategy measurement produced."""
+    """What one primitive's measurement produced."""
 
-    #: every (key, value) the measurement added -- primitives first,
-    #: then the strategy entry -- merged first-writer-wins by the parent
+    primitive: tuple = ()
+    #: every (key, value) the measurement added, in recording order,
+    #: merged first-writer-wins by the parent
     records: tuple = ()
+    #: :meth:`FleetMeasurer.price` of the primitive
+    price: object = None
     busy_s: float = 0.0
     worker_pid: int = 0
     spans: tuple = ()
 
 
 class FleetWorkerState:
-    """A live measurer inside one worker (or the caller, inline)."""
+    """A live measurer inside one worker, or the search's own, lent."""
 
-    def __init__(self, spec: FleetWorkerSpec):
-        self.spec = spec
-        self.measurer = FleetMeasurer(
-            spec.builder, spec.config, spec.fleet,
-            use_astra=spec.use_astra, features=spec.features,
-            seed=spec.seed, faults=spec.faults,
-        )
-        self.measurer.index.merge(spec.seed_entries)
+    def __init__(self, spec: FleetWorkerSpec | None = None, measurer=None):
+        if measurer is None:
+            measurer = FleetMeasurer(
+                spec.builder, spec.config, spec.fleet,
+                use_astra=spec.use_astra, features=spec.features,
+                seed=spec.seed, faults=spec.faults,
+            )
+        self.measurer = measurer
 
 
-def run_shard(state: FleetWorkerState, keys) -> list[FleetOutcome]:
+def run_shard(state: FleetWorkerState, primitives) -> list[FleetOutcome]:
+    measurer = state.measurer
     outcomes = []
-    for key in keys:
+    for primitive in primitives:
         start = time.perf_counter()
-        before = set(state.measurer.index.snapshot())
-        state.measurer.measure_strategy(Strategy.from_key(key))
-        snapshot = state.measurer.index.snapshot()
-        records = tuple(
-            (k, value) for k, value in snapshot.items() if k not in before
-        )
+        mark = len(measurer.index)
+        measurer.measure_primitive(primitive)
+        # the index only appends: its new keys are the ones past the mark
+        records = tuple(islice(measurer.index.snapshot().items(), mark, None))
         outcomes.append(FleetOutcome(
+            primitive=primitive,
             records=records,
+            price=measurer.price(primitive),
             busy_s=time.perf_counter() - start,
             worker_pid=os.getpid(),
         ))

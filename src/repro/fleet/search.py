@@ -1,34 +1,44 @@
-"""The fleet strategy search: partitioning as a wave-explored variable.
+"""The fleet strategy search: partitioning as a measured adaptive choice.
 
 The partitioning strategy -- data-parallel degree, contiguous pipeline
-cuts, per-stage device placement, batch-split mode -- becomes one
-``parallel``-mode :class:`~repro.core.adaptive.AdaptiveVariable` whose
-choices are :meth:`Strategy.key` values, explored by the same
-:func:`~repro.parallel.engine.plan_wave` machinery that drives fk
-exploration, against the same shared profile index.
+cuts, per-stage device placement, batch-split mode -- is one
+:class:`~repro.core.adaptive.AdaptiveVariable` whose choices are
+:meth:`Strategy.key` values.  A strategy's step time is a closed-form
+composition of shared *primitives* (:meth:`FleetMeasurer.primitives`),
+so the search measures primitives, not strategies:
 
-Tractability comes from the **admissible analytic bound**
-(``perf/ranker.py``), applied before any strategy mini-batch is spent:
-strategies whose closed-form lower bound exceeds the seed strategy's
-*measured* per-sample time are pruned -- provably winner-preserving, and
-stood down entirely whenever the bound's exactness preconditions fail
-(fault injector, autoboost clocks, inner-Astra compute).
+1. calibration measures the full-batch compute of every device class
+   (it resolves the weighted shards);
+2. when bound pruning may run, the analytic bounds are priced, the
+   best-bound seed strategy is measured, and every strategy whose
+   admissible bound exceeds the seed's measured per-sample time is
+   pruned -- provably winner-preserving;
+3. one wave ships the survivors' missing primitives, each once and in
+   first-appearance order, through :class:`~repro.parallel.engine.ParallelEngine`;
+   each outcome carries the primitive's index delta and analytic price;
+4. the parent composes every survivor from the merged index and picks
+   the first minimum with :meth:`AdaptiveVariable.finalize`.
 
-The seed strategy (best analytic bound) is measured first and is always
-a survivor, so the search measures ``1 + |survivors|`` strategies out of
-the full space; ``repro fleet --exhaustive`` disables the pruning and
-the equivalence tests pin bit-identical winners between the two paths.
+Pruning stands down whenever the bound's exactness preconditions fail
+(fault injector, autoboost clocks, inner-Astra compute), and ``repro
+fleet --exhaustive`` disables it.  Then nothing is measured before the
+wave, and the table's bounds are priced after it from the shipped
+prices, so the parent builds no graph just to price a bound.  The
+equivalence tests pin bit-identical winners between the pruned and
+exhaustive paths and across worker counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.adaptive import MODE_PARALLEL, AdaptiveVariable, UpdateNode
+from ..core.adaptive import AdaptiveVariable
 from ..obs.metrics import NULL_REGISTRY
-from ..parallel.engine import HIT, STATUS_EXHAUSTED, ParallelEngine, plan_wave
-from ..parallel.pool import make_pool
-from ..perf.ranker import fleet_strategy_lo, prune_fleet_strategies
+from ..parallel.engine import ParallelEngine
+from ..parallel.pool import InlinePool, make_pool
+from ..perf.ranker import (
+    fleet_prune_standdown, fleet_strategy_lo, prune_fleet_strategies,
+)
 from .measure import (
     OVERLAP_FRACTION, STRATEGY_VAR, FleetMeasurer, strategy_profile_key,
 )
@@ -142,87 +152,90 @@ def run_fleet_search(
     calibration = measurer.calibrate()
     strategies = resolve_weighted_shards(strategies, batch, calibration)
 
-    bounds = [
-        fleet_strategy_lo(
-            s,
-            batch_size=batch,
-            grad_bytes=measurer.grad_bytes,
-            hidden_size=config.hidden_size,
-            interconnect=fleet.interconnect,
-            scopes=measurer.scopes,
-            compute_lo=measurer.analytic_compute_lo,
-            stage_lo=measurer.analytic_stage_lo,
-            overlap_fraction=OVERLAP_FRACTION,
-        )
-        for s in strategies
-    ]
-
-    # seed: the best-bound strategy, measured up front -- its measured
-    # per-sample time is the cut line every other bound must beat
-    seed_idx = min(range(len(strategies)), key=lambda i: (bounds[i], i))
-    seed_outcome = measurer.measure_strategy(strategies[seed_idx])
-    best0 = seed_outcome.per_sample_us
+    def price_bounds() -> list[float]:
+        return [
+            fleet_strategy_lo(
+                s,
+                batch_size=batch,
+                grad_bytes=measurer.grad_bytes,
+                hidden_size=config.hidden_size,
+                interconnect=fleet.interconnect,
+                scopes=measurer.scopes,
+                compute_lo=measurer.analytic_compute_lo,
+                stage_lo=measurer.analytic_stage_lo,
+                overlap_fraction=OVERLAP_FRACTION,
+            )
+            for s in strategies
+        ]
 
     standdown = None
-    pruned = 0
-    if exhaustive:
-        survivors = list(range(len(strategies)))
-    else:
-        survivors, standdown = prune_fleet_strategies(
-            strategies, bounds, best0,
-            metrics=metrics, injector=faults,
-            clock_modes=fleet.clock_modes(), use_astra=use_astra,
+    bounds = None
+    survivors = list(range(len(strategies)))
+    if not exhaustive:
+        standdown = fleet_prune_standdown(
+            injector=faults, clock_modes=fleet.clock_modes(),
+            use_astra=use_astra,
         )
-        pruned = len(strategies) - len(survivors)
+        if standdown is not None:
+            metrics.counter(f"fleet.prune.skipped_{standdown}").inc()
+        else:
+            # seed: the best-bound strategy, measured up front -- its
+            # measured per-sample time is the cut line every other bound
+            # must beat
+            bounds = price_bounds()
+            seed_idx = min(survivors, key=lambda i: (bounds[i], i))
+            best0 = measurer.measure_strategy(strategies[seed_idx]).per_sample_us
+            survivors = prune_fleet_strategies(
+                bounds, best0, metrics=metrics,
+            ) or [seed_idx]
+    pruned = len(strategies) - len(survivors)
 
-    # -- the wave: one adaptive variable over the surviving keys ------------
+    # -- the wave: every survivor primitive not measured yet, once --------
+    tasks = list(dict.fromkeys(
+        p for i in survivors for p in measurer.primitives(strategies[i])
+        if not measurer.measured(p)
+    ))
     engine_summary: dict = {}
-    if len(survivors) > 1:
-        var = AdaptiveVariable(
-            STRATEGY_VAR,
-            choices=[strategies[i].key() for i in survivors],
-            metric_kind="end_to_end",
-        )
-        tree = UpdateNode(name="fleet", mode=MODE_PARALLEL, children=[var])
-        tree.initialize()
-        spec = FleetWorkerSpec(
-            builder=builder, config=config, fleet=fleet,
-            use_astra=use_astra, seed=seed, faults=faults,
-            seed_entries=tuple(measurer.index.snapshot().items()),
-        )
-        engine = ParallelEngine(
-            make_pool(spec, workers, FleetWorkerState, run_shard),
-            metrics=metrics, tracer=tracer,
-        )
+    if len(tasks) > 1:
+        if workers > 1:
+            spec = FleetWorkerSpec(
+                builder=builder, config=config, fleet=fleet,
+                use_astra=use_astra, seed=seed, faults=faults,
+            )
+            pool = make_pool(spec, workers, FleetWorkerState, run_shard)
+        else:
+            # width 1 lends the search's own measurer, graphs and all
+            pool = InlinePool(
+                FleetWorkerState, run_shard,
+                state=FleetWorkerState(measurer=measurer),
+            )
+        engine = ParallelEngine(pool, metrics=metrics, tracer=tracer)
         engine.prewarm()
         try:
-            advance_first = False
-            while True:
-                entries, status = plan_wave(
-                    tree, measurer.index, measurer.context,
-                    samples=1, spent=0, budget=1 << 30, limit=1 << 30,
-                    advance_first=advance_first,
-                )
-                tasks = [
-                    e.assignment[STRATEGY_VAR] for e in entries if e is not HIT
-                ]
-                if tasks:
-                    for outcome in engine.measure_wave(tasks):
-                        measurer.index.merge(outcome.records)
-                if status == STATUS_EXHAUSTED:
-                    break
-                advance_first = True
+            for outcome in engine.measure_wave(tasks):
+                # new records mean a worker measured it; a lent measurer
+                # has already counted its own
+                if measurer.index.merge(outcome.records)["merged"]:
+                    metrics.counter(f"fleet.measure.{outcome.primitive[0]}").inc()
+                measurer.adopt_price(outcome.primitive, outcome.price)
         finally:
             engine.close()
-        var.finalize(measurer.index, measurer.context)
-        winner = Strategy.from_key(var.value)
         engine_summary = engine.summary()
-    else:
-        winner = strategies[seed_idx]
 
-    # all primitives are cached now: recomposing the winner is free and
-    # yields the canonical detail dict whichever worker measured it
-    winner_outcome = measurer.measure_strategy(winner)
+    # every lookup is an index hit now (a lone missing primitive is
+    # measured in place): compose the survivors and pick the first
+    # minimum, the adaptive variable's own rule
+    outcomes = [measurer.measure_strategy(strategies[i]) for i in survivors]
+    var = AdaptiveVariable(
+        STRATEGY_VAR,
+        choices=[strategies[i].key() for i in survivors],
+        metric_kind="end_to_end",
+    )
+    var.finalize(measurer.index, measurer.context)
+    winner_outcome = outcomes[var.choices.index(var.value)]
+    winner = winner_outcome.strategy
+    if bounds is None:
+        bounds = price_bounds()
 
     measured = metrics_safe_count(measurer, strategies)
     table = []

@@ -301,34 +301,21 @@ def fleet_prune_standdown(
 
 
 def prune_fleet_strategies(
-    strategies: list,
     bounds: list[float],
     best_measured_us: float,
     *,
     metrics=None,
-    injector=None,
-    clock_modes=(),
-    use_astra: bool = False,
-) -> tuple[list[int], str | None]:
+) -> list[int]:
     """Indices of strategies that may still win, given the seed's
-    measured per-sample time; preserves enumeration order.
-
-    Returns ``(survivor_indices, standdown_reason)``.  On stand-down
-    every index survives and ``fleet.prune.skipped_<reason>`` counts why
-    -- the chaos contract: under injection the search measures the full
-    space and the (faulted) winner is the exhaustive one by construction.
-    """
+    measured per-sample time; preserves enumeration order.  Sound only
+    when :func:`fleet_prune_standdown` returns None: on stand-down the
+    search measures the full space, so under injection the (faulted)
+    winner is the exhaustive one by construction."""
     metrics = metrics if metrics is not None else NULL_REGISTRY
-    reason = fleet_prune_standdown(
-        injector=injector, clock_modes=clock_modes, use_astra=use_astra
-    )
-    if reason is not None:
-        metrics.counter(f"fleet.prune.skipped_{reason}").inc()
-        return list(range(len(strategies))), reason
     survivors = [
         i for i, bound in enumerate(bounds) if bound <= best_measured_us
     ]
-    pruned = len(strategies) - len(survivors)
+    pruned = len(bounds) - len(survivors)
     if pruned:
         metrics.counter("fleet.prune.strategies_pruned").inc(pruned)
-    return survivors, None
+    return survivors

@@ -43,9 +43,12 @@ from repro.fleet import (
     uniform_fleet,
     with_clock,
 )
-from repro.fleet.strategy import balanced_shards, weighted_shards
+from repro.fleet.strategy import (
+    balanced_shards, resolve_weighted_shards, weighted_shards,
+)
 from repro.gpu.device import P100
 from repro.models import MODEL_BUILDERS
+from repro.obs.metrics import MetricsRegistry
 
 #: the committed section 3.4 / 6.7 ablation document
 ABLATION_MULTIGPU = (
@@ -252,6 +255,85 @@ def test_pruned_winner_identical_on_two_workers(scrnn_exhaustive):
     assert two.winner.key() == scrnn_exhaustive.winner.key()
     assert two.winner_per_sample_us == scrnn_exhaustive.winner_per_sample_us
     assert two.engine.get("workers") == 2
+
+
+def _document(report) -> dict:
+    doc = report.to_dict()
+    del doc["engine"], doc["workers"]
+    return doc
+
+
+def _benchmark_job(workers: int, **kwargs):
+    """The benchmark's fleet job: milstm b256 seq 2 on the hetero fleet
+    with inner-Astra compute, so pruning stands down."""
+    config = _config("milstm", 256).scaled(seq_len=2)
+    return run_fleet_search(
+        MODEL_BUILDERS["milstm"], config, get_fleet("hetero"),
+        model_name="milstm", workers=workers, use_astra=True, **kwargs,
+    )
+
+
+def _chaos_exhaustive(workers: int, **kwargs):
+    return _search(
+        "scrnn", faults=FaultPlan.single("slowdown", 0.5, seed=7),
+        exhaustive=True, workers=workers, **kwargs,
+    )
+
+
+@pytest.mark.parametrize("job", [_benchmark_job, _chaos_exhaustive])
+def test_report_identical_at_one_and_two_workers(job):
+    """Every reported number, bounds included, is the same whichever
+    width measured the primitives and wherever their prices came from;
+    so are the ``fleet.*`` metrics, measurement counts included."""
+    docs, fleet_metrics = [], []
+    for workers in (1, 2):
+        metrics = MetricsRegistry()
+        docs.append(_document(job(workers, metrics=metrics)))
+        fleet_metrics.append({
+            name: value for name, value in metrics.snapshot().items()
+            if name.startswith("fleet.")
+        })
+    assert docs[0] == docs[1]
+    assert fleet_metrics[0] == fleet_metrics[1]
+    assert fleet_metrics[0]["fleet.measure.strategies"]["value"] == 12
+
+
+def test_wave_dispatches_each_missing_primitive_once():
+    """The wave holds exactly the distinct (class, shard) primitives
+    calibration left unmeasured: no primitive is dispatched twice."""
+    report = _benchmark_job(2)
+    batch = report.batch_size
+    strategies = resolve_weighted_shards(
+        enumerate_strategies(get_fleet("hetero"), batch_size=batch,
+                             num_layer_scopes=1),
+        batch, report.calibration,
+    )
+    assert all(s.kind == "data" for s in strategies)
+    wanted = {
+        (cls, shard)
+        for s in strategies for cls, shard in zip(s.placement, s.shards)
+    } - {(cls, batch) for cls in report.calibration}
+    assert report.engine["candidates"] == len(wanted) == 17
+    assert report.engine["rounds"] == 1
+
+
+def test_width_one_builds_each_batch_once():
+    """At width 1 the wave runs on the search's own measurer, so the
+    graphs it built for calibration, measurement and pricing are never
+    rebuilt."""
+    built: list[int] = []
+
+    def counting_builder(config):
+        built.append(config.batch_size)
+        return MODEL_BUILDERS["scrnn"](config)
+
+    report = run_fleet_search(
+        counting_builder, _config("scrnn", 256), get_fleet("hetero"),
+        model_name="scrnn", exhaustive=True,
+    )
+    assert report.engine["candidates"] > 1
+    assert sorted(built) == sorted(set(built))
+    assert len(built) > 1
 
 
 def test_pipeline_strategies_measured_on_multilayer_model():
