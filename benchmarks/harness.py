@@ -26,7 +26,7 @@ from repro import AstraSession
 from repro.baselines import run_cudnn, run_native, run_xla
 from repro.gpu import P100
 from repro.models import MODEL_BUILDERS
-from repro.perf import PhaseClock
+from repro.obs.observer import Observer
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -39,6 +39,10 @@ BENCH_SEQ_LEN = 5
 
 #: Astra variants in table-column order
 VARIANTS = ("F", "FK", "FKS", "all")
+
+#: per-variant fields measured in wall-clock time: they differ on every
+#: run, so the committed result documents leave them out
+WALL_CLOCK_FIELDS = ("wall_s", "phases_s")
 
 DEFAULT_CONFIGS = {
     "scrnn": __import__("repro.models.scrnn", fromlist=["DEFAULT_CONFIG"]).DEFAULT_CONFIG,
@@ -68,20 +72,20 @@ def build_model(name: str, batch_size: int, seq_len: int = BENCH_SEQ_LEN, **over
 def astra_times(model, variants=VARIANTS, seed=1, max_minibatches=3000):
     """Best mini-batch time and exploration size per Astra variant.
 
-    Each variant run gets its *own* :class:`~repro.perf.PhaseClock`, so
-    one variant's time can never bleed into another's, and within a run
-    every phase (enumerate / prerank / lower / validate / simulate /
-    explore) is timed by its own exclusive context -- the per-phase
-    seconds sum to the measured wall clock (pinned by the harness-timing
-    regression test).
+    Each variant run gets its *own* :class:`~repro.obs.observer.Observer`,
+    so one variant's time can never bleed into another's, and within a
+    run every phase (enumerate / prerank / lower / validate / simulate /
+    explore) is an exclusive span of the observer's phase view -- the
+    per-phase seconds sum to the measured wall clock (pinned by the
+    harness-timing regression test).
     """
     out = {}
     for preset in variants:
-        clock = PhaseClock()
+        observer = Observer()
         start = time.perf_counter()
-        with clock.phase("other"):
+        with observer.span("other"):
             report = AstraSession(model, features=preset, seed=seed,
-                                  clock=clock).optimize(
+                                  observer=observer).optimize(
                 max_minibatches=max_minibatches
             )
         wall_s = time.perf_counter() - start
@@ -92,17 +96,24 @@ def astra_times(model, variants=VARIANTS, seed=1, max_minibatches=3000):
             "configs": report.configs_explored,
             "overhead": report.astra.profiling_overhead,
             "wall_s": wall_s,
-            "phases_s": dict(sorted(clock.seconds.items())),
+            "phases_s": dict(sorted(observer.phases().items())),
         }
     return out
 
 
 def speedup_table(name: str, variants=VARIANTS, batches=None, seq_len=BENCH_SEQ_LEN):
-    """Rows of a Table 2/3/4-style sweep: speedup vs native per variant."""
+    """Rows of a Table 2/3/4-style sweep: speedup vs native per variant
+    (simulated fields only)."""
     rows = {}
     for batch in batches or bench_batches():
         model = build_model(name, batch, seq_len)
-        rows[batch] = astra_times(model, variants)
+        rows[batch] = {
+            preset: {
+                key: value for key, value in data.items()
+                if key not in WALL_CLOCK_FIELDS
+            }
+            for preset, data in astra_times(model, variants).items()
+        }
     return rows
 
 

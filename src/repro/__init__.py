@@ -11,8 +11,9 @@ Layers (bottom-up):
 * :mod:`repro.baselines` -- native framework, cuDNN-style, XLA-style;
 * :mod:`repro.core` -- Astra itself: enumerator, adaptive variables,
   profile index, custom-wirer, public session API;
-* :mod:`repro.obs` -- observability: Chrome-trace export, metrics
-  registry, structured run reports (all zero-cost when disabled);
+* :mod:`repro.obs` -- observability: one observer event stream whose
+  views are the phase table, the host trace, metrics, run reports and
+  provenance, plus Chrome-trace export (all zero-cost when disabled);
 * :mod:`repro.check` -- schedule-correctness validation: static
   race/liveness/layout checking of lowered schedules, the oracle behind
   ``Executor(validate=True)`` and ``repro check``.

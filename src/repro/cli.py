@@ -45,7 +45,7 @@ import sys
 
 from .gpu import DEVICES
 from .models import MODEL_BUILDERS
-from .obs import MetricsRegistry, RunReporter
+from .obs.observer import NULL_OBSERVER, Observer
 
 _CONFIG_MODULES = {
     "scrnn": "repro.models.scrnn",
@@ -65,20 +65,18 @@ def _build(args):
     return MODEL_BUILDERS[args.model](config)
 
 
-def _obs_hooks(args) -> tuple[MetricsRegistry | None, RunReporter | None]:
-    """Instantiate observability hooks only when some output wants them."""
+def _observer(args) -> Observer:
+    """An enabled observer only when some output wants one."""
     wants = args.json or args.metrics_out or getattr(args, "report_out", None)
-    if not wants:
-        return None, None
-    return MetricsRegistry(), RunReporter()
+    return Observer() if wants else NULL_OBSERVER
 
 
-def _write_obs_outputs(args, metrics, reporter) -> None:
-    if args.metrics_out and metrics is not None:
+def _write_obs_outputs(args, observer: Observer) -> None:
+    if args.metrics_out:
         with open(args.metrics_out, "w") as fh:
-            fh.write(metrics.to_json(indent=2))
-    if getattr(args, "report_out", None) and reporter is not None:
-        reporter.write_jsonl(args.report_out)
+            fh.write(observer.metrics().to_json(indent=2))
+    if getattr(args, "report_out", None):
+        observer.report().write_jsonl(args.report_out)
 
 
 def cmd_optimize(args) -> int:
@@ -89,7 +87,7 @@ def cmd_optimize(args) -> int:
 
     model = _build(args)
     device = DEVICES[args.device]
-    metrics, reporter = _obs_hooks(args)
+    observer = _observer(args)
     faults = None
     if getattr(args, "faults", None):
         with open(args.faults) as fh:
@@ -99,7 +97,7 @@ def cmd_optimize(args) -> int:
     fast = FastPath(cache=not args.no_cache, prune=not args.no_prune)
     session = AstraSession(
         model, device=device, features=args.features, seed=args.seed,
-        metrics=metrics, reporter=reporter,
+        observer=observer,
         policy=ROBUST if getattr(args, "robust", False) else None,
         faults=faults,
         checkpoint_path=getattr(args, "checkpoint", None),
@@ -119,10 +117,11 @@ def cmd_optimize(args) -> int:
     finally:
         session.close()
     astra = report.astra
-    _write_obs_outputs(args, metrics, reporter)
+    _write_obs_outputs(args, observer)
     if args.json:
-        doc = reporter.summary(
-            astra, native_time_us=report.native_time_us, metrics=metrics
+        doc = observer.report().summary(
+            astra, native_time_us=report.native_time_us,
+            metrics=observer.metrics(),
         )
         doc["model"] = args.model
         doc["batch"] = args.batch
@@ -194,10 +193,10 @@ def cmd_sweep(args) -> int:
     for batch in batches:
         args.batch = batch
         model = _build(args)
-        metrics, reporter = _obs_hooks(args)
+        observer = _observer(args)
         report = AstraSession(
             model, device=device, features=args.features, seed=args.seed,
-            metrics=metrics, reporter=reporter,
+            observer=observer,
         ).optimize(max_minibatches=args.budget)
         rows.append({
             "batch": batch,
@@ -205,13 +204,12 @@ def cmd_sweep(args) -> int:
             "astra_time_us": report.best_time_us,
             "speedup_over_native": report.speedup_over_native,
             "configs_explored": report.configs_explored,
-            "convergence_curve": (
-                [[s, v] for s, v in reporter.convergence_curve()]
-                if reporter is not None else []
-            ),
+            "convergence_curve": [
+                [s, v] for s, v in observer.report().convergence_curve()
+            ],
         })
-        if metrics is not None:
-            metrics_by_batch[str(batch)] = metrics.snapshot()
+        if observer.enabled:
+            metrics_by_batch[str(batch)] = observer.metrics().snapshot()
         if not args.json:
             print(f"{batch:6d}  {report.native_time_us / 1000:11.3f}  "
                   f"{report.best_time_us / 1000:10.3f}  "
@@ -289,7 +287,7 @@ def cmd_trace(args) -> int:
     from . import AstraSession
     from .baselines.native import native_plan
     from .obs.trace import (
-        PID_GPU, Tracer, chrome_trace, merge_host_trace, validate_chrome_trace,
+        PID_GPU, chrome_trace, merge_host_trace, validate_chrome_trace,
     )
     from .runtime.executor import Executor
 
@@ -297,14 +295,16 @@ def cmd_trace(args) -> int:
     device = DEVICES[args.device]
     graph = model.graph
     workers = getattr(args, "workers", None)
-    tracer = Tracer() if (workers and args.plan == "astra") else None
+    observer = (
+        Observer() if (workers and args.plan == "astra") else NULL_OBSERVER
+    )
     if args.plan == "native":
         plan = native_plan(graph)
         label = f"{args.model}/native"
     else:
         session = AstraSession(
             model, device=device, features=args.features, seed=args.seed,
-            tracer=tracer, workers=workers,
+            observer=observer, workers=workers,
         )
         try:
             plan = session.optimize(max_minibatches=args.budget).astra.best_plan
@@ -316,10 +316,10 @@ def cmd_trace(args) -> int:
     result = executor.run_lowered(lowered).raw
     out = args.output or f"{args.model}.trace.json"
     doc = chrome_trace(result, lowered=lowered, device=device, label=label)
-    if tracer is not None:
+    if observer.enabled:
         # fold the optimizer's own timeline (with per-worker tracks) in
         # next to the simulated mini-batch
-        merge_host_trace(doc, tracer.chrome())
+        merge_host_trace(doc, observer.chrome())
     with open(out, "w") as fh:
         json.dump(doc, fh)
     summary = validate_chrome_trace(doc)
@@ -328,7 +328,7 @@ def cmd_trace(args) -> int:
           f"{len(result.records)} kernels on {gpu_tracks} stream track(s) "
           f"+ CPU dispatch; mini-batch {result.total_time_us / 1000:.3f} ms "
           f"({plan.label})")
-    if tracer is not None:
+    if observer.enabled:
         print(f"includes the optimizer host timeline ({workers} workers)")
     print("open it in https://ui.perfetto.dev or chrome://tracing")
     return 0
@@ -382,20 +382,20 @@ def cmd_analyze(args) -> int:
 
 def cmd_explain(args) -> int:
     from . import AstraSession
-    from .obs.provenance import ProvenanceLog
 
     model = _build(args)
     device = DEVICES[args.device]
-    provenance = ProvenanceLog()
+    observer = Observer()
     session = AstraSession(
         model, device=device, features=args.features, seed=args.seed,
-        provenance=provenance, workers=getattr(args, "workers", None),
+        observer=observer, workers=getattr(args, "workers", None),
     )
     try:
         report = session.optimize(max_minibatches=args.budget)
     finally:
         session.close()
     astra = report.astra
+    provenance = observer.provenance()
     if args.json:
         print(json.dumps({
             "version": 1,
@@ -437,11 +437,10 @@ def cmd_check(args) -> int:
                                      label=f"{args.model}/native"))
 
     # 2. every configuration the exploration tries, in validated mode
-    metrics = MetricsRegistry()
-    reporter = RunReporter()
+    observer = Observer()
     session = AstraSession(
         model, device=device, features=args.features, seed=args.seed,
-        metrics=metrics, reporter=reporter, validate=True,
+        observer=observer, validate=True,
     )
     error = None
     try:
@@ -450,7 +449,7 @@ def cmd_check(args) -> int:
         error = exc
         reports.append(exc.report)
 
-    snapshot = metrics.snapshot()
+    snapshot = observer.metrics().snapshot()
     validated = snapshot.get("check.schedules_validated", {}).get("value", 0)
     failures = [r for r in reports if not r.ok]
 
@@ -463,7 +462,9 @@ def cmd_check(args) -> int:
             "ok": not failures,
             "schedules_validated": validated,
             "reports": [r.to_dict() for r in reports],
-            "violation_records": [r.to_dict() for r in reporter.violations()],
+            "violation_records": [
+                r.to_dict() for r in observer.report().violations()
+            ],
         }, indent=2))
     else:
         for report in reports:
@@ -571,13 +572,13 @@ def cmd_fleet(args) -> int:
     if args.faults:
         with open(args.faults) as fh:
             faults = FaultPlan.loads(fh.read())
-    metrics = MetricsRegistry() if (args.json or args.metrics_out) else None
+    observer = Observer() if (args.json or args.metrics_out) else NULL_OBSERVER
 
     report = run_fleet_search(
         builder, config, fleet, model_name=args.model,
         workers=args.workers, exhaustive=args.exhaustive,
         use_astra=args.astra, faults=faults,
-        seed=args.seed, microbatches=args.microbatches, metrics=metrics,
+        seed=args.seed, microbatches=args.microbatches, observer=observer,
     )
 
     failures: list[str] = []
@@ -607,9 +608,9 @@ def cmd_fleet(args) -> int:
         if report.standdown is None and report.strategies_pruned <= 0:
             failures.append("bound pruning retired 0 strategies on a clean run")
 
-    if args.metrics_out and metrics is not None:
+    if args.metrics_out:
         with open(args.metrics_out, "w") as fh:
-            fh.write(metrics.to_json(indent=2))
+            fh.write(observer.metrics().to_json(indent=2))
     if args.trace_out:
         doc = fleet_trace(report)
         validate_chrome_trace(doc)

@@ -22,7 +22,7 @@ from ..gpu.device import GPUSpec
 from ..gpu.kernels import CopyLaunch, GemmLaunch
 from ..gpu.libraries import DEFAULT_LIBRARY, GEMM_LIBRARIES
 from ..ir.graph import Graph
-from ..obs.metrics import NULL_REGISTRY
+from ..obs.observer import NULL_OBSERVER
 from ..runtime.dispatcher import Dispatcher
 from ..runtime.lowering import graph_lowering
 from ..runtime.plan import ExecutionPlan, Unit
@@ -283,13 +283,13 @@ class Enumerator:
         graph: Graph,
         device: GPUSpec,
         features: AstraFeatures,
-        metrics=None,
+        observer=NULL_OBSERVER,
         cache_units: bool = True,
     ):
         self.graph = graph
         self.device = device
         self.features = features
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        self.observer = observer
         self.cache_units = cache_units
         self._template_cache: OrderedDict[tuple, tuple] = OrderedDict()
         self._template_capacity = 64
@@ -569,15 +569,15 @@ class Enumerator:
         )
         cached = self._template_cache.get(key)
         if cached is None:
-            self.metrics.counter("perf.cache.units_misses").inc()
+            self.observer.count("perf.cache.units_misses")
             cached = self._build_units(strategy, assignment)
             self._template_cache[key] = cached
             if len(self._template_cache) > self._template_capacity:
                 self._template_cache.popitem(last=False)
-                self.metrics.counter("perf.cache.units_evictions").inc()
+                self.observer.count("perf.cache.units_evictions")
         else:
             self._template_cache.move_to_end(key)
-            self.metrics.counter("perf.cache.units_hits").inc()
+            self.observer.count("perf.cache.units_hits")
         units, var_units = cached
         return list(units), {k: list(v) for k, v in var_units.items()}
 

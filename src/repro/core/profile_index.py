@@ -129,11 +129,11 @@ class ProfileIndex:
             "hit_rate": self.hit_rate,
         }
 
-    def observe_into(self, registry) -> None:
-        """Publish entry count and hit rate as gauges into a
-        :class:`~repro.obs.metrics.MetricsRegistry`."""
+    def observe_into(self, observer) -> None:
+        """Record entry count and hit rate as gauges on an
+        :class:`~repro.obs.observer.Observer`."""
         for name, value in self.stats().items():
-            registry.gauge(f"profile_index.{name}").set(value)
+            observer.gauge(f"profile_index.{name}", value)
 
     def best_under(self, prefix: Key) -> tuple[Key, float] | None:
         """Smallest value among keys sharing ``prefix`` (diagnostics)."""

@@ -32,6 +32,7 @@ from ..baselines.native import native_plan
 from ..gpu.device import GPUSpec, P100
 from ..ir.graph import Graph
 from ..models.cells import TracedModel
+from ..obs.observer import NULL_OBSERVER, Observer
 from ..runtime.executor import Executor
 from .enumerator import AstraFeatures
 from .profile_index import ProfileIndex
@@ -75,17 +76,13 @@ class AstraSession:
         seed: int = 0,
         context: tuple = (),
         index: ProfileIndex | None = None,
-        metrics=None,
-        reporter=None,
-        tracer=None,
+        observer: Observer = NULL_OBSERVER,
         validate: bool = False,
         policy=None,
         faults=None,
         checkpoint_path: str | None = None,
         fast=None,
-        clock=None,
         workers: int = 1,
-        provenance=None,
         store=None,
     ):
         self.graph = model.graph if isinstance(model, TracedModel) else model
@@ -102,10 +99,9 @@ class AstraSession:
         self._store = store
         self.wirer = CustomWirer(
             self.graph, device, features, seed=seed, context=context, index=index,
-            metrics=metrics, reporter=reporter, tracer=tracer, validate=validate,
+            observer=observer, validate=validate,
             policy=policy, faults=faults, checkpoint_path=checkpoint_path,
-            fast=fast, clock=clock, workers=workers,
-            provenance=provenance,
+            fast=fast, workers=workers,
         )
         # resume-on-restart: an existing checkpoint for the same
         # (graph, device, features, seed) is adopted automatically, so
@@ -184,7 +180,7 @@ class AstraSession:
         if not delta:
             return
         self._store_binding().put(digest, delta)
-        self.wirer.metrics.counter("warm.published_entries").inc(len(delta))
+        self.wirer.observer.count("warm.published_entries", len(delta))
         self._published_keys.update(key for key, _value in delta)
 
     def __enter__(self) -> "AstraSession":
@@ -200,14 +196,14 @@ class AstraSession:
         describes the framework, not the injected interference.
         """
         executor = Executor(
-            self.graph, self.device, seed=self.seed, clock=self.wirer.clock
+            self.graph, self.device, seed=self.seed, observer=self.wirer.observer
         )
         return executor.run(native_plan(self.graph)).total_time_us
 
     def measure_clean(self, plan) -> float:
         """Mini-batch time of ``plan`` on a clean executor (no injector)."""
         executor = Executor(
-            self.graph, self.device, seed=self.seed, clock=self.wirer.clock
+            self.graph, self.device, seed=self.seed, observer=self.wirer.observer
         )
         return executor.run(plan).total_time_us
 
@@ -269,11 +265,9 @@ class AstraSession:
         report.best_plan = plan
         report.best_time_us = native_time
         report.degraded = True
-        self.wirer.metrics.counter("recovery.degraded").inc()
-        self.wirer.reporter.fault(
-            "degraded", "degradation",
+        self.wirer.observer.degraded(
             f"explored plan ({clean_time:.1f}us) slower than native "
             f"({native_time:.1f}us); custom-wired to native plan",
+            native_time,
         )
-        self.wirer.tracer.instant("degraded", best_time_us=native_time)
         return report

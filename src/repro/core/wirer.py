@@ -33,10 +33,8 @@ from typing import TYPE_CHECKING
 from ..faults.events import DeviceOOMError, PreemptionError
 from ..gpu.device import GPUSpec
 from ..ir.graph import Graph
-from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
-from ..obs.provenance import NULL_PROVENANCE
-from ..obs.report import KIND_COMPARE, KIND_EXPLORE, KIND_PRODUCTION, NULL_REPORTER, RunReporter
-from ..obs.trace import NULL_TRACER
+from ..obs.observer import NULL_OBSERVER, Observer
+from ..obs.report import KIND_COMPARE, KIND_EXPLORE, KIND_PRODUCTION
 from ..parallel.engine import (
     HIT,
     STATUS_BUDGET,
@@ -49,7 +47,6 @@ from ..parallel.wire import CandidateOutcome, CandidateTask, WorkerSpec
 from ..parallel.worker import WorkerState, measure_plan, run_shard
 from ..perf.cache import LoweringCache
 from ..perf.ranker import FastPath, prune_fk_tree
-from ..perf.timers import NULL_CLOCK
 from ..runtime.executor import Executor, MiniBatchResult
 from ..runtime.plan import ExecutionPlan
 from .adaptive import AdaptiveVariable, UpdateNode
@@ -114,8 +111,9 @@ class AstraReport:
     #: exploration began (see docs/serving.md)
     warm: dict = field(default_factory=dict)
     #: exploration decision history (candidates, decisive measurements,
-    #: prune verdicts, quarantines); NULL_PROVENANCE unless requested
-    provenance: object = NULL_PROVENANCE
+    #: prune verdicts, quarantines): the observer's provenance view, or
+    #: None when the run was not observed
+    provenance: object = None
 
     def amortization(self, native_time_us: float) -> "Amortization":
         """How quickly the exploration pays for itself.
@@ -163,17 +161,13 @@ class CustomWirer:
         seed: int = 0,
         context: tuple = (),
         index: ProfileIndex | None = None,
-        metrics: MetricsRegistry | None = None,
-        reporter: RunReporter | None = None,
-        tracer=None,
+        observer: Observer = NULL_OBSERVER,
         validate: bool = False,
         policy: MeasurementPolicy | None = None,
         faults=None,
         checkpoint_path: str | None = None,
         fast: FastPath | None = None,
-        clock=None,
         workers: int = 1,
-        provenance=None,
     ):
         self.graph = graph
         self.device = device
@@ -181,17 +175,13 @@ class CustomWirer:
         self.seed = seed
         self.index = index if index is not None else ProfileIndex()
         self.base_context = context
-        # observability hooks; null objects when not requested, so the
-        # instrumented paths cost nothing and change nothing when disabled
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.reporter = reporter if reporter is not None else NULL_REPORTER
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.provenance = provenance if provenance is not None else NULL_PROVENANCE
+        # observability: the disabled observer unless one was requested,
+        # so the instrumented paths cost nothing and change nothing
+        self.observer = observer
         # fast path (docs/performance.md): compilation caching is on by
         # default (bit-identical lowering by construction); cost-model
         # pruning is opt-in at this layer, the CLI flips it on
         self.fast = fast if fast is not None else FastPath()
-        self.clock = clock if clock is not None else NULL_CLOCK
         # validated execution: every explored configuration is statically
         # checked (repro.check) before it runs; violations surface as
         # metrics counters and run-report records, then abort the run
@@ -214,34 +204,34 @@ class CustomWirer:
         self.spec = WorkerSpec(
             graph=graph, device=device, features=features, seed=seed,
             validate=validate, policy=self.policy, fast=self.fast,
-            fault_plan=faults, trace=self.tracer.enabled and self.workers > 1,
+            fault_plan=faults, observe=observer.enabled,
         )
         self.engine: ParallelEngine | None = None
         if self.workers > 1:
             self.engine = ParallelEngine(
                 make_pool(self.spec, self.workers, WorkerState, run_shard),
-                metrics=self.metrics, tracer=self.tracer,
+                observer=observer,
             )
             self.engine.prewarm()
-        with self.clock.phase("enumerate"):
+        with observer.span("enumerate"):
             self.enumerator = Enumerator(
                 graph, device, features,
-                metrics=self.metrics, cache_units=self.fast.cache,
+                observer=observer, cache_units=self.fast.cache,
             )
         self.cache = (
-            LoweringCache(metrics=self.metrics) if self.fast.cache else None
+            LoweringCache(observer=observer) if self.fast.cache else None
         )
         # no injector here: every measurement arms its own per-candidate
         # injector (repro.parallel.worker.measure_plan)
         self.executor = Executor(
-            graph, device, seed=seed, validate=validate, metrics=self.metrics,
-            cache=self.cache, clock=self.clock,
+            graph, device, seed=seed, validate=validate, observer=observer,
+            cache=self.cache,
         )
         if self.engine is None:
             state = WorkerState(self.spec, self.enumerator, self.executor)
             self.engine = ParallelEngine(
                 InlinePool(WorkerState, run_shard, self.spec, state=state),
-                metrics=self.metrics, tracer=self.tracer,
+                observer=observer,
             )
         self._choices_total = 0
         self._choices_pruned = 0
@@ -275,7 +265,7 @@ class CustomWirer:
         of checkpoint resume (see docs/serving.md).
 
         Returns the number of entries actually seeded and records the
-        event in the metrics registry and the provenance log.
+        event on the observer (metrics, provenance log and trace).
         """
         counts = self.index.merge(measurements)
         seeded = counts["merged"]
@@ -289,12 +279,11 @@ class CustomWirer:
             self._warm.get("seeded_entries", 0) + seeded
         )
         if seeded:
-            self.metrics.counter("warm.seeded_entries").inc(seeded)
-            self.metrics.counter(f"warm.hits.{source}").inc()
-            self.provenance.warm_seeded(source, seeded, digest)
-            self.tracer.instant("warm-start", entries=seeded, source=source)
+            self.observer.decision(
+                "warm", source=source, entries=seeded, digest=digest
+            )
         else:
-            self.metrics.counter(f"warm.misses.{source}").inc()
+            self.observer.count(f"warm.misses.{source}")
         return seeded
 
     # -- checkpointing ------------------------------------------------------
@@ -360,8 +349,8 @@ class CustomWirer:
         self._phase_carry = dict(checkpoint.phase_carry)
         if checkpoint.injector_state is not None and self.injector is not None:
             self.injector.restore(checkpoint.injector_state)
-        self.metrics.counter("recovery.resumed").inc()
-        self.tracer.instant(
+        self.observer.count("recovery.resumed")
+        self.observer.instant(
             "checkpoint/restored", minibatches=checkpoint.total_spent
         )
 
@@ -371,7 +360,7 @@ class CustomWirer:
         if self.checkpoint_path is None:
             return None
         self.checkpoint_state(preempted_at, completed).save(self.checkpoint_path)
-        self.metrics.counter("recovery.checkpoint_saves").inc()
+        self.observer.count("recovery.checkpoint_saves")
         return self.checkpoint_path
 
     def _phase_stats(self, name: str) -> PhaseStats:
@@ -394,7 +383,8 @@ class CustomWirer:
         assignment: dict[str, object] | None = None,
         kind: str = KIND_EXPLORE,
     ) -> None:
-        """One executed mini-batch: timeline entry + metrics + run report.
+        """One executed mini-batch: a timeline entry and one observer
+        decision (the run-report record, ``astra.*`` metrics).
 
         Production-mode measurements (``kind == KIND_PRODUCTION``) are
         logged but excluded from the work-conservation timeline and the
@@ -410,19 +400,9 @@ class CustomWirer:
         if kind != KIND_PRODUCTION:
             self._timeline.append((phase, time_us))
             self._best_so_far = min(self._best_so_far, time_us)
-            self.metrics.counter("astra.configs_explored").inc()
-            self.metrics.series("astra.best_so_far_us").append(self._best_so_far)
-        self.metrics.histogram(f"astra.minibatch_us.{phase}").observe(time_us)
-        self.reporter.minibatch(
-            phase, time_us, context=context, assignment_delta=delta, kind=kind
+        self.observer.minibatch(
+            phase, kind, time_us, context, delta, self._best_so_far
         )
-
-    def _log_fault(self, kind: str, message: str, context: tuple, phase: str) -> None:
-        """One fault surfaced to the wirer: counter + run-report record +
-        trace annotation."""
-        self.metrics.counter(f"fault.surfaced.{kind}").inc()
-        self.reporter.fault(phase, kind, message, context=context)
-        self.tracer.instant(f"fault/{kind}", detail=message)
 
     # -- measurement: one sample/retry loop, one replay ------------------
 
@@ -462,8 +442,9 @@ class CustomWirer:
 
         Returns (successful samples, mini-batches charged).
         """
-        for name, value in sorted(outcome.counters.items()):
-            self.metrics.counter(name).inc(value)
+        self.observer.replay(
+            outcome.events, outcome.worker_pid, ordinal=outcome.ordinal
+        )
         if self.injector is not None and outcome.injector_minibatch is not None:
             self.injector.absorb(
                 outcome.injector_records,
@@ -478,17 +459,18 @@ class CustomWirer:
                 and len(record.aborts) >= self.policy.max_attempts
             )
             for attempt, (fault_kind, message) in enumerate(record.aborts, 1):
-                self._log_fault(fault_kind, message, context, phase)
+                self.observer.fault(phase, fault_kind, message, context)
                 if gave_up and attempt == len(record.aborts):
-                    self.metrics.counter("recovery.measurements_failed").inc()
+                    self.observer.count("recovery.measurements_failed")
                 else:
                     # the retry re-validates the schedule statically
                     # (repro.check), even in unvalidated mode
                     if not self.validate:
-                        self.metrics.counter("recovery.revalidated").inc()
-                    self.metrics.counter("recovery.retries").inc()
-                    self.metrics.counter("recovery.backoff_minibatches").inc(
-                        self.policy.backoff_for(attempt)
+                        self.observer.count("recovery.revalidated")
+                    self.observer.count("recovery.retries")
+                    self.observer.count(
+                        "recovery.backoff_minibatches",
+                        self.policy.backoff_for(attempt),
                     )
             if record.result is None and not gave_up:
                 continue  # cut short by the fatal event raised below
@@ -498,9 +480,9 @@ class CustomWirer:
             if record.result is None:
                 continue  # lost: the attempt budget ran out
             if record.aborts:
-                self.metrics.counter("recovery.retries_succeeded").inc()
+                self.observer.count("recovery.retries_succeeded")
             for fault in record.result.faults:
-                self._log_fault(fault.kind, fault.detail, context, phase)
+                self.observer.fault(phase, fault.kind, fault.detail, context)
             results.append(record.result)
             if stats is not None:
                 self._overhead_samples.append(
@@ -517,9 +499,7 @@ class CustomWirer:
             # a defective schedule is recorded in the run report (one
             # record per violation) before the error propagates
             for label, violation_kind, text in outcome.violations:
-                self.reporter.violation(
-                    label, violation_kind, text, context=context
-                )
+                self.observer.violation(label, violation_kind, text, context)
             raise self._decode_worker_error(outcome)
         return results, charged
 
@@ -557,7 +537,10 @@ class CustomWirer:
                 # first-writer-wins and the `key in self.index` guard above
                 # filters re-measurements, so this hook sees exactly the
                 # numbers finalize() will read, in canonical order
-                self.provenance.measured(context, var.name, var.value, measurements[key])
+                self.observer.decision(
+                    "measure", context=context, name=var.name,
+                    choice=var.value, value=measurements[key],
+                )
         self.index.merge(measurements)
 
     def _metric_for(
@@ -604,12 +587,15 @@ class CustomWirer:
             key = var.profile_key(context)
             if key not in self.index:
                 self.index.record(key, QUARANTINED_US)
-                self.provenance.quarantined(context, var.name, var.value)
+                self.observer.decision(
+                    "quarantine", context=context, name=var.name,
+                    choice=var.value,
+                )
                 names.append(f"{var.name}={var.value!r}")
-        self.metrics.counter("recovery.quarantined").inc()
-        self._log_fault(
-            "quarantine", f"configuration quarantined: {', '.join(names)}",
-            context, phase,
+        self.observer.count("recovery.quarantined")
+        self.observer.fault(
+            phase, "quarantine",
+            f"configuration quarantined: {', '.join(names)}", context,
         )
 
     # -- the exploration loop ------------------------------------------
@@ -633,9 +619,9 @@ class CustomWirer:
         """
         spent = 0
         advance_first = False
-        with self.tracer.span(f"explore/{stats.name}"):
+        with self.observer.span(f"explore/{stats.name}"):
             while True:
-                with self.clock.phase("enumerate"):
+                with self.observer.span("enumerate"):
                     entries, status = plan_wave(
                         tree, self.index, context,
                         samples=self.policy.samples,
@@ -685,7 +671,7 @@ class CustomWirer:
             )
             for n, entry in enumerate(entries)
         ]
-        with self.clock.phase("dispatch"):
+        with self.observer.span("dispatch"):
             return self.engine.measure_wave(tasks)
 
     def _merge_wave(
@@ -712,7 +698,7 @@ class CustomWirer:
         for position, entry in enumerate(entries):
             if entry is HIT:
                 stats.index_hits += 1
-                self.metrics.counter(f"astra.index_hits.{stats.name}").inc()
+                self.observer.count(f"astra.index_hits.{stats.name}")
                 continue
             outcome = next(outcome_iter)
             tree.restore_state(entry.snapshot)
@@ -729,7 +715,7 @@ class CustomWirer:
                     tree, outcome.var_units, results, context
                 )
                 self._fault_strikes.pop(key, None)
-                self.metrics.counter(f"astra.index_misses.{stats.name}").inc()
+                self.observer.count(f"astra.index_misses.{stats.name}")
                 continue
             # every sample of this configuration failed: strike it;
             # quarantine once the policy's patience is out, otherwise
@@ -741,7 +727,7 @@ class CustomWirer:
             discarded = sum(1 for later in entries[position + 1:] if later is not HIT)
             if discarded:
                 self.engine.stats.discarded += discarded
-                self.metrics.counter("parallel.candidates_discarded").inc(discarded)
+                self.observer.count("parallel.candidates_discarded", discarded)
             return ("retry" if spent < budget else "budget"), spent
         return "ok", spent
 
@@ -776,12 +762,12 @@ class CustomWirer:
         self._spent_this_run = 0
         self._all_phases: list[PhaseStats] = []
         try:
-            with self.clock.phase("explore"), self.graph.memoized():
+            with self.observer.span("explore"), self.graph.memoized():
                 report = self._optimize(max_minibatches)
         except PreemptionError as exc:
             self._preempted_at = exc.minibatch
             exc.checkpoint_path = self._save_checkpoint(preempted_at=exc.minibatch)
-            self.tracer.instant("preempted", minibatch=exc.minibatch)
+            self.observer.instant("preempted", minibatch=exc.minibatch)
             raise
         self._save_checkpoint(completed=True)
         return report
@@ -800,8 +786,10 @@ class CustomWirer:
             except DeviceOOMError as exc:
                 # this strategy's arena cannot fit usable device memory:
                 # prune the whole branch of the exploration fork
-                self._log_fault(exc.kind, str(exc), context, f"alloc/{strategy.label}")
-                self.metrics.counter("recovery.strategies_pruned").inc()
+                self.observer.fault(
+                    f"alloc/{strategy.label}", exc.kind, str(exc), context
+                )
+                self.observer.count("recovery.strategies_pruned")
                 continue
             if best is not None:
                 strategy_best[strategy.strategy_id] = best
@@ -882,17 +870,17 @@ class CustomWirer:
             )
 
         # Phase 1: fusion chunking x kernel selection (parallel)
-        with self.clock.phase("enumerate"):
+        with self.observer.span("enumerate"):
             fk_tree = self.enumerator.build_fk_tree(strategy)
         self._choices_total += sum(
             len(v.choices) for v in fk_tree.variables()
         )
         pre_prune = (
             {v.name: list(v.choices) for v in fk_tree.variables()}
-            if self.provenance.enabled else {}
+            if self.observer.enabled else {}
         )
         if self.fast.prune:
-            with self.clock.phase("prerank"):
+            with self.observer.span("prerank"):
                 estimates = None
                 if self.engine.workers > 1:
                     # shard the cost-model evaluation across the pool;
@@ -911,15 +899,13 @@ class CustomWirer:
                         )
                 pruned = prune_fk_tree(
                     self.enumerator, strategy, fk_tree, self.device,
-                    self.fast, metrics=self.metrics, injector=self.injector,
+                    self.fast, observer=self.observer, injector=self.injector,
                     estimates=estimates,
                 )
             self._choices_pruned += pruned
-            if self.provenance.enabled and pruned:
+            if self.observer.enabled and pruned:
                 self._record_prune_provenance(strategy, fk_tree, pre_prune, context)
-        if self.provenance.enabled:
-            for var in fk_tree.variables():
-                self.provenance.candidates(context, var.name, var.choices)
+        self._record_candidates(fk_tree, context)
         fk_stats = self._phase_stats(f"fk/{strategy.label}")
         self._explore(
             fk_tree, context, fk_stats, budget_left(),
@@ -934,21 +920,19 @@ class CustomWirer:
         partition: EpochPartition | None = None
         stream_tree: UpdateNode | None = None
         if self.features.streams and not self.features.tf_mode:
-            with self.clock.phase("enumerate"):
+            with self.observer.span("enumerate"):
                 partition, stream_tree = self.enumerator.prepare_stream_phase(
                     strategy, fk_assignment
                 )
             self._choices_total += sum(
                 len(v.choices) for v in stream_tree.variables()
             )
-            if self.provenance.enabled:
-                for var in stream_tree.variables():
-                    self.provenance.candidates(context, var.name, var.choices)
+            self._record_candidates(stream_tree, context)
             stream_stats = self._phase_stats(f"streams/{strategy.label}")
 
             def measure_streams(entries):
                 (entry,) = entries  # a prefix tree plans one per wave
-                with self.clock.phase("enumerate"):
+                with self.observer.span("enumerate"):
                     built = self._build_with_streams(
                         strategy, fk_assignment, entry.assignment,
                         partition, stream_tree,
@@ -968,7 +952,7 @@ class CustomWirer:
         # Astra can turn an optimization off when the measurement says
         # so (section 6.6): the stream-adapted plan competes against
         # the plain fusion/kernel plan and the faster one wins.
-        with self.clock.phase("enumerate"):
+        with self.observer.span("enumerate"):
             candidates = [
                 ("fk", self.enumerator.build_plan(strategy, fk_assignment),
                  fk_assignment),
@@ -991,9 +975,11 @@ class CustomWirer:
             cached = self.index.get(compare_key)
             if cached is not None:
                 compare_stats.index_hits += 1
-                self.metrics.counter(
-                    f"astra.index_hits.{compare_stats.name}").inc()
-                self.provenance.compared(context, candidate_label, cached, cached=True)
+                self.observer.count(f"astra.index_hits.{compare_stats.name}")
+                self.observer.decision(
+                    "compare", context=context, label=candidate_label,
+                    value=cached, cached=True,
+                )
                 measured.append((cached, built.plan, assignment))
                 continue
             results, _charged = self._replay(
@@ -1007,7 +993,10 @@ class CustomWirer:
                 [r.total_time_us for r in results], self.policy.mad_threshold
             )
             self.index.record(compare_key, time_us)
-            self.provenance.compared(context, candidate_label, time_us)
+            self.observer.decision(
+                "compare", context=context, label=candidate_label,
+                value=time_us, cached=False,
+            )
             measured.append((time_us, built.plan, assignment))
         if compare_stats.minibatches or compare_stats.index_hits:
             phases.append(compare_stats)
@@ -1046,7 +1035,19 @@ class CustomWirer:
             )
             for choice, estimate in zip(before, estimates):
                 if choice not in kept:
-                    self.provenance.pruned(context, name, choice, estimate)
+                    self.observer.decision(
+                        "prune", context=context, name=name, choice=choice,
+                        estimate_us=estimate,
+                    )
+
+    def _record_candidates(self, tree: UpdateNode, context: tuple) -> None:
+        """The candidate lists the tree's variables enter measurement with."""
+        if self.observer.enabled:
+            for var in tree.variables():
+                self.observer.decision(
+                    "candidates", context=context, name=var.name,
+                    choices=list(var.choices),
+                )
 
     def _degraded_report(
         self, phases: list[PhaseStats], total_spent: int
@@ -1065,12 +1066,9 @@ class CustomWirer:
         plan.label = "native/degraded"
         clean = Executor(self.graph, self.device, seed=self.seed)
         native_time = clean.run(plan).total_time_us
-        self.metrics.counter("recovery.degraded").inc()
-        self.tracer.instant("degraded", best_time_us=native_time)
-        self.reporter.fault(
-            "degraded", "degradation",
+        self.observer.degraded(
             "no strategy made progress; custom-wired to native plan",
-            context=self.base_context,
+            native_time, self.base_context,
         )
         fallback_strategy = AllocationStrategy(
             strategy_id=-1, label="native-fallback", satisfied=frozenset()
@@ -1099,15 +1097,16 @@ class CustomWirer:
         assignment: dict[str, object],
         degraded: bool = False,
     ) -> AstraReport:
-        # publish run-level gauges and the profile-index stats
-        self.metrics.gauge("astra.best_time_us").set(best_time_us)
-        self.metrics.gauge("astra.exploration_time_us").set(exploration_time_us)
-        self.metrics.gauge("astra.exploration_minibatches").set(configs_explored)
+        # record run-level gauges and the profile-index stats
+        observer = self.observer
+        observer.gauge("astra.best_time_us", best_time_us)
+        observer.gauge("astra.exploration_time_us", exploration_time_us)
+        observer.gauge("astra.exploration_minibatches", configs_explored)
         for stats in phases:
-            self.metrics.gauge(f"astra.index_hit_rate.{stats.name}").set(
-                stats.index_hit_rate
+            observer.gauge(
+                f"astra.index_hit_rate.{stats.name}", stats.index_hit_rate
             )
-        self.index.observe_into(self.metrics)
+        self.index.observe_into(observer)
 
         # memory accounting (arena footprint vs device capacity) grounds
         # OOM injection and strategy pruning in the device model
@@ -1120,23 +1119,23 @@ class CustomWirer:
             "capacity_bytes": self.device.memory_bytes,
             "utilization": arena_bytes / self.device.memory_bytes,
         }
-        self.metrics.gauge("memory.arena_bytes").set(arena_bytes)
-        self.metrics.gauge("memory.capacity_bytes").set(self.device.memory_bytes)
-        self.metrics.gauge("memory.utilization").set(memory["utilization"])
+        observer.gauge("memory.arena_bytes", arena_bytes)
+        observer.gauge("memory.capacity_bytes", self.device.memory_bytes)
+        observer.gauge("memory.utilization", memory["utilization"])
 
         # fault accounting: every injected fault must be visible in the
         # fault.* metrics and as run-report records
         fault_summary: dict = {}
         if self.injector is not None:
-            self.injector.observe_into(self.metrics)
+            self.injector.observe_into(observer)
             fault_summary = self.injector.summary()
             for kind, count in fault_summary["injected"].items():
-                self.reporter.fault(
-                    "summary", kind, f"injected={count}",
-                    context=self.base_context,
+                observer.fault(
+                    "summary", kind, f"injected={count}", self.base_context,
+                    surfaced=False,
                 )
 
-        self.tracer.instant(
+        observer.instant(
             "custom-wired", best_time_us=best_time_us, strategy=best_strategy.label
         )
         fast_path = {
@@ -1147,11 +1146,11 @@ class CustomWirer:
             "choices_pruned": self._choices_pruned,
             "parallel": self.engine.summary() if self.workers > 1 else None,
         }
-        self.metrics.gauge("perf.choices_total").set(self._choices_total)
-        self.metrics.gauge("perf.choices_pruned").set(self._choices_pruned)
+        observer.gauge("perf.choices_total", self._choices_total)
+        observer.gauge("perf.choices_pruned", self._choices_pruned)
         if self._warm:
-            self.metrics.gauge("warm.seeded_total").set(
-                self._warm.get("seeded_entries", 0)
+            observer.gauge(
+                "warm.seeded_total", self._warm.get("seeded_entries", 0)
             )
         overhead = (
             sum(self._overhead_samples) / len(self._overhead_samples)
@@ -1175,7 +1174,7 @@ class CustomWirer:
             memory=memory,
             fast_path=fast_path,
             warm=dict(self._warm),
-            provenance=self.provenance,
+            provenance=observer.provenance() if observer.enabled else None,
         )
 
     def _build_with_streams(

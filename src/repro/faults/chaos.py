@@ -197,8 +197,7 @@ def _run_cell(
     # deferred: repro.core imports repro.faults at module level
     from ..core.measurement import ROBUST
     from ..core.session import AstraSession
-    from ..obs.metrics import MetricsRegistry
-    from ..obs.report import RunReporter
+    from ..obs.observer import Observer
 
     resumed = False
     attempts = 0
@@ -211,8 +210,7 @@ def _run_cell(
             policy=ROBUST if cell.plan.specs else None,
             faults=cell.plan if cell.plan.specs else None,
             checkpoint_path=checkpoint_path,
-            metrics=MetricsRegistry(),
-            reporter=RunReporter(),
+            observer=Observer(),
         )
         try:
             return session.optimize(max_minibatches=budget), session, resumed
@@ -292,7 +290,7 @@ def _check_cell(cell: ChaosCell, session_report, session, resumed) -> CellResult
         if astra.fault_summary.get("injected", {}) != injected:
             problems.append("fault_summary does not match injector ledger")
         # accounting view 2: fault.injected.* gauges mirror the ledger
-        snapshot = wirer.metrics.snapshot()
+        snapshot = wirer.observer.metrics().snapshot()
         for kind, count in injected.items():
             gauge = snapshot.get(f"fault.injected.{kind}", {}).get("value")
             if gauge != count:
@@ -303,7 +301,7 @@ def _check_cell(cell: ChaosCell, session_report, session, resumed) -> CellResult
         # run-report fault records (summary records are always written)
         recorded = {
             r.assignment_delta.get("fault")
-            for r in wirer.reporter.faults()
+            for r in wirer.observer.report().faults()
         }
         for kind in injected:
             if injected[kind] and kind not in recorded:

@@ -105,14 +105,14 @@ class FaultInjector:
         self.ledger.append(FaultRecord(kind, self.minibatch, detail))
         self.counts[kind] = self.counts.get(kind, 0) + 1
 
-    def observe_into(self, registry) -> None:
-        """Publish cumulative ``fault.injected.<kind>`` counts as gauges.
+    def observe_into(self, observer) -> None:
+        """Record cumulative ``fault.injected.<kind>`` counts as gauges.
 
         Gauges, not counters: the injector is the source of truth and this
         may be called repeatedly (idempotent publication)."""
         for kind, count in sorted(self.counts.items()):
-            registry.gauge(f"fault.injected.{kind}").set(count)
-        registry.gauge("fault.injected.total").set(len(self.ledger))
+            observer.gauge(f"fault.injected.{kind}", count)
+        observer.gauge("fault.injected.total", len(self.ledger))
 
     def summary(self) -> dict:
         return {

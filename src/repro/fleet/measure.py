@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..baselines.native import native_plan
 from ..core.measurement import QUARANTINED_US
 from ..core.profile_index import ProfileIndex, mangle
 from ..gpu.cost_model import unit_cost_us, units_cost_us
-from ..obs.metrics import NULL_REGISTRY
+from ..obs.observer import NULL_OBSERVER
 from ..perf.signature import plan_signature
 from ..runtime.executor import Executor
 from .spec import FleetSpec
@@ -114,6 +115,18 @@ def strategy_profile_key(context: tuple, strategy: Strategy) -> tuple:
     return mangle(context, (STRATEGY_VAR, strategy.key()))
 
 
+class FleetJob(NamedTuple):
+    """What the full-batch model contributes to every fleet measurement."""
+
+    #: every fleet key hangs off the job identity: the model's native
+    #: plan signature plus the global batch -- jobs never collide
+    context: tuple
+    #: stackable layer scopes, in forward order (:func:`layer_scopes`)
+    scopes: tuple
+    #: bytes all-reduced per step (:func:`gradient_bytes`)
+    grad_bytes: int
+
+
 @dataclass
 class StrategyOutcome:
     """One fully measured (or index-hit) strategy."""
@@ -140,9 +153,13 @@ class FleetMeasurer:
         features: str = "FK",
         seed: int = 0,
         faults=None,
-        metrics=None,
+        observer=NULL_OBSERVER,
         inner_budget: int = 2000,
+        job: FleetJob | None = None,
     ):
+        """``job`` adopts a :class:`FleetJob` another measurer derived for
+        the same (builder, config); without it the full-batch model is
+        built to derive one."""
         if use_astra and faults is not None:
             raise ValueError(
                 "inner-Astra compute and fleet fault injection are separate "
@@ -156,7 +173,7 @@ class FleetMeasurer:
         self.features = features
         self.seed = seed
         self.faults = faults
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        self.observer = observer
         self.inner_budget = inner_budget
         self.class_specs = fleet.class_specs()
         self._models: dict[int, object] = {}
@@ -164,13 +181,16 @@ class FleetMeasurer:
         self._analytic_compute: dict[tuple, tuple[float, float]] = {}
         self._analytic_stage: dict[tuple, dict[str, float]] = {}
 
-        full = self._model(config.batch_size)
-        self.grad_bytes = gradient_bytes(full.graph)
-        self.scopes: tuple[str, ...] = tuple(layer_scopes(full.graph))
-        digest = plan_signature(self._plan(config.batch_size)).digest[:12]
-        #: every fleet key hangs off the job identity: the model's native
-        #: plan signature plus the global batch -- jobs never collide
-        self.context: tuple = ("fleet", digest, config.batch_size)
+        if job is None:
+            full = self._model(config.batch_size)
+            digest = plan_signature(self._plan(config.batch_size)).digest[:12]
+            job = FleetJob(
+                context=("fleet", digest, config.batch_size),
+                scopes=tuple(layer_scopes(full.graph)),
+                grad_bytes=gradient_bytes(full.graph),
+            )
+        self.job = job
+        self.context, self.scopes, self.grad_bytes = job
 
     # -- model / plan caches ------------------------------------------------
 
@@ -315,7 +335,7 @@ class FleetMeasurer:
                 model.graph, spec, ("compute", cls, batch)
             )
         self.index.record(key, value)
-        self.metrics.counter("fleet.measure.compute").inc()
+        self.observer.count("fleet.measure.compute")
         return value
 
     def _inner_astra(self, model, cls: str, batch: int) -> float:
@@ -349,7 +369,7 @@ class FleetMeasurer:
                 native_plan(graph, fuse_elementwise=True)
             ).total_time_us
         except (DeviceOOMError, KernelLaunchError):
-            self.metrics.counter("fleet.measure.quarantined").inc()
+            self.observer.count("fleet.measure.quarantined")
             return QUARANTINED_US
 
     def stage_us(self, cls: str, micro: int) -> dict[str, float]:
@@ -372,11 +392,11 @@ class FleetMeasurer:
         try:
             times = stage_unit_times(graph, executor)
         except (DeviceOOMError, KernelLaunchError):
-            self.metrics.counter("fleet.measure.quarantined").inc()
+            self.observer.count("fleet.measure.quarantined")
             times = dict.fromkeys(self.scopes, QUARANTINED_US)
         for scope, key in keys.items():
             self.index.record(key, times.get(scope, 0.0))
-        self.metrics.counter("fleet.measure.stage").inc()
+        self.observer.count("fleet.measure.stage")
         return {scope: times.get(scope, 0.0) for scope in self.scopes}
 
     def calibrate(self) -> dict[str, float]:
@@ -407,7 +427,7 @@ class FleetMeasurer:
         outcome.cached = cached
         if not cached:
             self.index.record(key, outcome.per_sample_us)
-            self.metrics.counter("fleet.measure.strategies").inc()
+            self.observer.count("fleet.measure.strategies")
         return outcome
 
     def _measure_data(self, strategy: Strategy) -> StrategyOutcome:

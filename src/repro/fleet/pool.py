@@ -9,8 +9,10 @@ the measurer from a pickled :class:`FleetWorkerSpec` and return one
 :class:`FleetOutcome` per primitive, in the same order.  An outcome
 ships the index delta the measurement added and the primitive's
 analytic price, so the parent composes strategies and prices their
-bounds without building the primitives' graphs.  At width 1 the inline pool
-lends the search's own measurer instead of building a second one.
+bounds without building the primitives' graphs.  The spec carries the
+parent's :class:`~repro.fleet.measure.FleetJob`, so a worker builds no
+full-batch model just to derive it.  At width 1 the inline pool lends
+the search's own measurer instead of building a second one.
 
 Determinism is the same contract the exploration worker has: a
 primitive's measurement depends only on (spec, primitive) -- fault
@@ -21,12 +23,11 @@ same for any worker count, including the inline pool.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from itertools import islice
 
-from .measure import FleetMeasurer
+from .measure import FleetJob, FleetMeasurer
 from .spec import FleetSpec
 
 
@@ -37,6 +38,7 @@ class FleetWorkerSpec:
     builder: object  # module-level model builder (pickled by reference)
     config: object
     fleet: FleetSpec
+    job: FleetJob
     use_astra: bool = False
     features: str = "FK"
     seed: int = 0
@@ -54,8 +56,6 @@ class FleetOutcome:
     #: :meth:`FleetMeasurer.price` of the primitive
     price: object = None
     busy_s: float = 0.0
-    worker_pid: int = 0
-    spans: tuple = ()
 
 
 class FleetWorkerState:
@@ -66,7 +66,7 @@ class FleetWorkerState:
             measurer = FleetMeasurer(
                 spec.builder, spec.config, spec.fleet,
                 use_astra=spec.use_astra, features=spec.features,
-                seed=spec.seed, faults=spec.faults,
+                seed=spec.seed, faults=spec.faults, job=spec.job,
             )
         self.measurer = measurer
 
@@ -85,6 +85,5 @@ def run_shard(state: FleetWorkerState, primitives) -> list[FleetOutcome]:
             records=records,
             price=measurer.price(primitive),
             busy_s=time.perf_counter() - start,
-            worker_pid=os.getpid(),
         ))
     return outcomes

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.adaptive import AdaptiveVariable
-from ..obs.metrics import NULL_REGISTRY
+from ..obs.observer import NULL_OBSERVER
 from ..parallel.engine import ParallelEngine
 from ..parallel.pool import InlinePool, make_pool
 from ..perf.ranker import (
@@ -128,18 +128,16 @@ def run_fleet_search(
     seed: int = 0,
     microbatches: int = 4,
     max_degree: int | None = None,
-    metrics=None,
-    tracer=None,
+    observer=NULL_OBSERVER,
 ) -> FleetSearchReport:
     """Search the full strategy space for one (model, fleet) pair.
 
     Deterministic in every argument; ``workers`` changes wall-clock
     only, never the winner (the equivalence tests pin this).
     """
-    metrics = metrics if metrics is not None else NULL_REGISTRY
     measurer = FleetMeasurer(
         builder, config, fleet,
-        use_astra=use_astra, seed=seed, faults=faults, metrics=metrics,
+        use_astra=use_astra, seed=seed, faults=faults, observer=observer,
     )
     batch = config.batch_size
     strategies = enumerate_strategies(
@@ -177,7 +175,7 @@ def run_fleet_search(
             use_astra=use_astra,
         )
         if standdown is not None:
-            metrics.counter(f"fleet.prune.skipped_{standdown}").inc()
+            observer.count(f"fleet.prune.skipped_{standdown}")
         else:
             # seed: the best-bound strategy, measured up front -- its
             # measured per-sample time is the cut line every other bound
@@ -186,7 +184,7 @@ def run_fleet_search(
             seed_idx = min(survivors, key=lambda i: (bounds[i], i))
             best0 = measurer.measure_strategy(strategies[seed_idx]).per_sample_us
             survivors = prune_fleet_strategies(
-                bounds, best0, metrics=metrics,
+                bounds, best0, observer=observer,
             ) or [seed_idx]
     pruned = len(strategies) - len(survivors)
 
@@ -199,7 +197,7 @@ def run_fleet_search(
     if len(tasks) > 1:
         if workers > 1:
             spec = FleetWorkerSpec(
-                builder=builder, config=config, fleet=fleet,
+                builder=builder, config=config, fleet=fleet, job=measurer.job,
                 use_astra=use_astra, seed=seed, faults=faults,
             )
             pool = make_pool(spec, workers, FleetWorkerState, run_shard)
@@ -209,14 +207,14 @@ def run_fleet_search(
                 FleetWorkerState, run_shard,
                 state=FleetWorkerState(measurer=measurer),
             )
-        engine = ParallelEngine(pool, metrics=metrics, tracer=tracer)
+        engine = ParallelEngine(pool, observer=observer)
         engine.prewarm()
         try:
             for outcome in engine.measure_wave(tasks):
                 # new records mean a worker measured it; a lent measurer
                 # has already counted its own
                 if measurer.index.merge(outcome.records)["merged"]:
-                    metrics.counter(f"fleet.measure.{outcome.primitive[0]}").inc()
+                    observer.count(f"fleet.measure.{outcome.primitive[0]}")
                 measurer.adopt_price(outcome.primitive, outcome.price)
         finally:
             engine.close()
@@ -265,22 +263,19 @@ def run_fleet_search(
         best = min(homo_rows, key=lambda r: r["bound_us"])
         homo_label, homo_us = best["label"], best["bound_us"]
 
-    metrics.gauge("fleet.strategies.total").set(len(strategies))
-    metrics.gauge("fleet.strategies.measured").set(measured)
-    metrics.gauge("fleet.strategies.pruned").set(pruned)
-    metrics.gauge("fleet.search.winner_hetero").set(
-        1 if winner.heterogeneous else 0
+    observer.gauge("fleet.strategies.total", len(strategies))
+    observer.gauge("fleet.strategies.measured", measured)
+    observer.gauge("fleet.strategies.pruned", pruned)
+    observer.gauge("fleet.search.winner_hetero", 1 if winner.heterogeneous else 0)
+    observer.gauge(
+        "fleet.search.best_per_sample_us", winner_outcome.per_sample_us
     )
-    metrics.gauge("fleet.search.best_per_sample_us").set(
-        winner_outcome.per_sample_us
+    observer.instant(
+        "fleet/winner",
+        strategy=winner.label,
+        per_sample_us=winner_outcome.per_sample_us,
+        measured=measured, total=len(strategies),
     )
-    if tracer is not None:
-        tracer.instant(
-            "fleet/winner",
-            strategy=winner.label,
-            per_sample_us=winner_outcome.per_sample_us,
-            measured=measured, total=len(strategies),
-        )
 
     return FleetSearchReport(
         model=model_name,

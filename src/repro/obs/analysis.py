@@ -333,22 +333,21 @@ class AnalysisReport:
             "slack_us": {str(k): v for k, v in sorted(self.slack_us.items())},
         }
 
-    def observe_into(self, metrics) -> None:
-        """Publish ``analysis.*`` metrics into a registry."""
-        metrics.gauge("analysis.total_time_us").set(self.total_time_us)
-        metrics.gauge("analysis.gpu_makespan_us").set(self.gpu_makespan_us)
-        metrics.gauge("analysis.critical.kernel_us").set(self.critical_kernel_us)
-        metrics.gauge("analysis.critical.dispatch_us").set(self.critical_dispatch_us)
-        metrics.gauge("analysis.critical.gap_us").set(self.critical_gap_us)
-        metrics.gauge("analysis.critical.segments").set(len(self.segments))
+    def observe_into(self, observer) -> None:
+        """Record ``analysis.*`` metrics on an observer."""
+        observer.gauge("analysis.total_time_us", self.total_time_us)
+        observer.gauge("analysis.gpu_makespan_us", self.gpu_makespan_us)
+        observer.gauge("analysis.critical.kernel_us", self.critical_kernel_us)
+        observer.gauge("analysis.critical.dispatch_us", self.critical_dispatch_us)
+        observer.gauge("analysis.critical.gap_us", self.critical_gap_us)
+        observer.gauge("analysis.critical.segments", len(self.segments))
         for row in self.streams:
             prefix = f"analysis.stream.{row.stream}"
-            metrics.gauge(f"{prefix}.busy_us").set(row.busy_us)
-            metrics.gauge(f"{prefix}.stall_wait_us").set(row.stall_wait_us)
-            metrics.gauge(f"{prefix}.stall_dispatch_us").set(row.stall_dispatch_us)
-        hist = metrics.histogram("analysis.slack_us")
+            observer.gauge(f"{prefix}.busy_us", row.busy_us)
+            observer.gauge(f"{prefix}.stall_wait_us", row.stall_wait_us)
+            observer.gauge(f"{prefix}.stall_dispatch_us", row.stall_dispatch_us)
         for value in self.slack_us.values():
-            hist.observe(value)
+            observer.histogram("analysis.slack_us", value)
 
     def render(self, top: int = 10) -> str:
         lines = [

@@ -6,11 +6,9 @@ describe the adaptation itself* -- configs explored, index hits vs misses
 per phase, per-phase mini-batch time distributions, and the convergence
 curve of the best-so-far end-to-end time.
 
-Zero-cost-when-disabled: instrumented code holds a registry reference and
-calls it unconditionally; :data:`NULL_REGISTRY` is a null-object registry
-whose instruments do nothing, so production runs pay only an attribute
-lookup and an empty method call -- no allocation, no branching on flags,
-and (critically) no change to what gets dispatched to the simulated GPU.
+Instrumented code does not hold a registry: it records metric updates
+and decisions on an :class:`~repro.obs.observer.Observer`, whose
+:meth:`~repro.obs.observer.Observer.metrics` view folds them into one.
 """
 
 from __future__ import annotations
@@ -149,8 +147,6 @@ _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram, "series": 
 class MetricsRegistry:
     """Name-keyed store of instruments; get-or-create per name."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._instruments: dict[str, object] = {}
 
@@ -193,53 +189,3 @@ class MetricsRegistry:
 
     def to_json(self, **kwargs) -> str:
         return json.dumps({"version": 1, "metrics": self.snapshot()}, **kwargs)
-
-
-class _NullInstrument:
-    """Accepts every instrument method as a no-op."""
-
-    __slots__ = ()
-    name = "null"
-    value = 0
-    count = 0
-    points: list = []
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def append(self, value: float, step: int | None = None) -> None:
-        pass
-
-    def percentile(self, q: float) -> None:
-        return None
-
-    def summary(self) -> dict:
-        return {}
-
-    def snapshot(self) -> dict:
-        return {}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry(MetricsRegistry):
-    """Disabled registry: every lookup returns the shared no-op instrument."""
-
-    enabled = False
-
-    def _get(self, name: str, cls):
-        return _NULL_INSTRUMENT
-
-    def snapshot(self) -> dict:
-        return {}
-
-
-#: shared disabled registry -- the default everywhere instrumentation hooks in
-NULL_REGISTRY = NullRegistry()

@@ -15,8 +15,10 @@ wall-clock timestamps -- so runs of the same exploration at any
 ``--workers`` width produce bit-identical logs.  This is asserted in
 tests.
 
-Everything is zero-cost when disabled: :data:`NULL_PROVENANCE` is the
-null-object default wherever the hooks live.
+The wirer records the events as decisions on its
+:class:`~repro.obs.observer.Observer`; the log is that observer's
+:meth:`~repro.obs.observer.Observer.provenance` view, replayed through
+the same hooks :meth:`ProvenanceLog.from_dict` uses.
 """
 
 from __future__ import annotations
@@ -89,8 +91,6 @@ class VariableDecision:
 
 class ProvenanceLog:
     """Append-only, queryable record of exploration decisions."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.events: list[dict] = []
@@ -198,28 +198,32 @@ class ProvenanceLog:
         via :func:`~repro.core.profile_index.untuple`."""
         from ..core.profile_index import untuple
 
-        log = cls()
-        for raw in data.get("events", ()):
+        return cls().replay(data.get("events", ()), decode=untuple)
+
+    def replay(self, events, decode=lambda value: value) -> "ProvenanceLog":
+        """Feed event dicts through the recording hooks, in order;
+        ``decode`` restores contexts and choices."""
+        for raw in events:
             ev = raw["event"]
-            ctx = untuple(raw.get("context"))
+            ctx = decode(raw.get("context"))
             if ev == "candidates":
-                log.candidates(ctx, raw["name"],
-                               [untuple(c) for c in raw["choices"]])
+                self.candidates(ctx, raw["name"],
+                                [decode(c) for c in raw["choices"]])
             elif ev == "measure":
-                log.measured(ctx, raw["name"], untuple(raw["choice"]),
-                             raw["value"])
+                self.measured(ctx, raw["name"], decode(raw["choice"]),
+                              raw["value"])
             elif ev == "prune":
-                log.pruned(ctx, raw["name"], untuple(raw["choice"]),
-                           raw.get("estimate_us"))
+                self.pruned(ctx, raw["name"], decode(raw["choice"]),
+                            raw.get("estimate_us"))
             elif ev == "quarantine":
-                log.quarantined(ctx, raw["name"], untuple(raw["choice"]))
+                self.quarantined(ctx, raw["name"], decode(raw["choice"]))
             elif ev == "compare":
-                log.compared(ctx, raw["label"], raw["value"],
-                             raw.get("cached", False))
+                self.compared(ctx, raw["label"], raw["value"],
+                              raw.get("cached", False))
             elif ev == "warm":
-                log.warm_seeded(raw.get("source"), raw.get("entries", 0),
-                                raw.get("digest"))
-        return log
+                self.warm_seeded(raw.get("source"), raw.get("entries", 0),
+                                 raw.get("digest"))
+        return self
 
     # -- rendering ----------------------------------------------------------
 
@@ -272,50 +276,3 @@ class ProvenanceLog:
 def _fmt_choice(choice) -> str:
     text = repr(choice)
     return text if len(text) <= 28 else text[:25] + "..."
-
-
-class _NullProvenance:
-    """Disabled log: every hook is a no-op."""
-
-    enabled = False
-    events: list = []
-
-    def candidates(self, context, name, choices) -> None:
-        pass
-
-    def measured(self, context, name, choice, value) -> None:
-        pass
-
-    def pruned(self, context, name, choice, estimate_us=None) -> None:
-        pass
-
-    def quarantined(self, context, name, choice) -> None:
-        pass
-
-    def compared(self, context, label, value, cached=False) -> None:
-        pass
-
-    def warm_seeded(self, source, entries, digest=None) -> None:
-        pass
-
-    def warm_events(self) -> list:
-        return []
-
-    def decisions(self) -> list:
-        return []
-
-    def decision(self, name, context=None):
-        return None
-
-    def decisive(self) -> dict:
-        return {}
-
-    def to_dict(self) -> dict:
-        return {"version": 1, "events": []}
-
-    def render(self, assignment=None, top: int = 4) -> str:
-        return ""
-
-
-#: shared disabled log -- the default everywhere the wirer hooks in
-NULL_PROVENANCE = _NullProvenance()

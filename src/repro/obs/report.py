@@ -8,8 +8,8 @@ convergence curve, per-phase profile-index hit rates and (optionally) the
 full serialized :class:`~repro.core.wirer.AstraReport`, following the
 same versioned-JSON conventions as :mod:`repro.serialize`.
 
-:data:`NULL_REPORTER` is the zero-cost disabled variant used when no
-report was requested.
+The records are the :meth:`~repro.obs.observer.Observer.report` view of
+a run's mini-batch, fault and violation decisions.
 """
 
 from __future__ import annotations
@@ -84,9 +84,8 @@ def _untuple(part):
 
 @dataclass
 class RunReporter:
-    """Collects per-mini-batch records during one optimization run."""
+    """Per-mini-batch records of one optimization run."""
 
-    enabled: bool = True
     records: list[MiniBatchRecord] = field(default_factory=list)
 
     def minibatch(
@@ -249,24 +248,3 @@ class RunReporter:
         if metrics is not None:
             doc["metrics"] = metrics.snapshot()
         return doc
-
-
-class NullReporter(RunReporter):
-    """Disabled reporter: records nothing, costs nothing."""
-
-    def __init__(self) -> None:
-        super().__init__(enabled=False)
-
-    def minibatch(self, phase, time_us, context=(), assignment_delta=None,
-                  kind=KIND_EXPLORE) -> None:
-        pass
-
-    def violation(self, phase, kind, message, context=()) -> None:
-        pass
-
-    def fault(self, phase, kind, message, context=()) -> None:
-        pass
-
-
-#: shared disabled reporter -- the default in the custom-wirer
-NULL_REPORTER = NullReporter()

@@ -1,10 +1,10 @@
-"""Span/instant recording and Chrome trace-event export.
+"""Chrome trace-event export.
 
-Two halves:
+The optimizer's own host timeline (which exploration phase ran when, in
+wall-clock time, with one track per worker) is the
+:meth:`~repro.obs.observer.Observer.chrome` view; this module renders
+the simulated side and merges the two:
 
-* :class:`Tracer` -- a host-side span/instant/counter recorder for the
-  *optimizer itself* (which exploration phase ran when, in wall-clock
-  time).  :data:`NULL_TRACER` is the zero-cost disabled variant.
 * :func:`chrome_trace` -- renders one executed mini-batch
   (:class:`~repro.gpu.streams.ExecutionResult`, in simulated microseconds)
   as a Chrome trace-event document openable in Perfetto
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
-from contextlib import contextmanager, nullcontext
 
 from ..gpu.device import GPUSpec
 from ..gpu.kernels import GemmLaunch, Kernel
@@ -38,117 +36,6 @@ PID_GPU = 1
 PID_HOST = 2
 
 _VALID_PHASES = {"X", "B", "E", "i", "I", "C", "M", "s", "f", "t"}
-
-
-# ---------------------------------------------------------------------------
-# host-side tracer (spans over the optimizer's own phases)
-# ---------------------------------------------------------------------------
-
-
-class Tracer:
-    """Records host wall-clock spans/instants/counters as trace events."""
-
-    enabled = True
-
-    def __init__(self, clock=time.perf_counter):
-        self._clock = clock
-        self._t0 = clock()
-        self._events: list[dict] = []
-        #: worker pid -> tid on this tracer's process (tid 0 = main thread)
-        self._worker_tids: dict[int, int] = {}
-
-    def _now_us(self) -> float:
-        return (self._clock() - self._t0) * 1e6
-
-    def now_us(self) -> float:
-        """Current position on this tracer's timeline, in microseconds."""
-        return self._now_us()
-
-    def worker_track(self, pid: int) -> int:
-        """The tid assigned to a parallel worker process (allocated on
-        first sight; rendered as a ``worker <pid>`` thread)."""
-        tid = self._worker_tids.get(pid)
-        if tid is None:
-            tid = len(self._worker_tids) + 1
-            self._worker_tids[pid] = tid
-        return tid
-
-    def absorb_worker_spans(self, spans, pid: int, base_us: float) -> None:
-        """Merge spans recorded in a worker process onto this timeline.
-
-        Worker spans carry timestamps relative to their own shard start;
-        ``base_us`` places them on the parent timeline.  Each worker pid
-        gets its own tid so concurrent shards render as parallel tracks.
-        """
-        tid = self.worker_track(pid)
-        for span in spans:
-            event = dict(span)
-            event["pid"] = PID_CPU
-            event["tid"] = tid
-            event["ts"] = base_us + float(event.get("ts", 0.0))
-            self._events.append(event)
-
-    @contextmanager
-    def span(self, name: str, cat: str = "astra", **args):
-        start = self._now_us()
-        try:
-            yield self
-        finally:
-            self._events.append({
-                "ph": "X", "pid": PID_CPU, "tid": 0, "name": name, "cat": cat,
-                "ts": start, "dur": self._now_us() - start,
-                "args": args,
-            })
-
-    def instant(self, name: str, cat: str = "astra", **args) -> None:
-        self._events.append({
-            "ph": "i", "s": "t", "pid": PID_CPU, "tid": 0, "name": name,
-            "cat": cat, "ts": self._now_us(), "args": args,
-        })
-
-    def counter(self, name: str, value: float, cat: str = "astra") -> None:
-        self._events.append({
-            "ph": "C", "pid": PID_CPU, "tid": 0, "name": name, "cat": cat,
-            "ts": self._now_us(), "args": {"value": value},
-        })
-
-    def chrome(self) -> dict:
-        events = [_metadata(PID_CPU, 0, "optimizer (host)", "phases")]
-        for pid, tid in sorted(self._worker_tids.items(), key=lambda kv: kv[1]):
-            events.append(_metadata(PID_CPU, tid, "", f"worker {pid}"))
-        events.extend(self._events)
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-class _NullTracer:
-    """Disabled tracer: span yields nothing, everything else is a no-op."""
-
-    enabled = False
-
-    def span(self, name: str, cat: str = "astra", **args):
-        return nullcontext()
-
-    def instant(self, name: str, cat: str = "astra", **args) -> None:
-        pass
-
-    def counter(self, name: str, value: float, cat: str = "astra") -> None:
-        pass
-
-    def now_us(self) -> float:
-        return 0.0
-
-    def worker_track(self, pid: int) -> int:
-        return 0
-
-    def absorb_worker_spans(self, spans, pid: int, base_us: float) -> None:
-        pass
-
-    def chrome(self) -> dict:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-
-
-#: shared disabled tracer -- the default everywhere instrumentation hooks in
-NULL_TRACER = _NullTracer()
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +278,9 @@ def fleet_trace(report) -> dict:
 
 
 def merge_host_trace(doc: dict, host_doc: dict, label: str = "optimizer") -> dict:
-    """Merge a :class:`Tracer` document (optimizer phases + worker spans)
-    into an execution trace document.
+    """Merge an :meth:`Observer.chrome <repro.obs.observer.Observer.chrome>`
+    document (optimizer phases + worker spans) into an execution trace
+    document.
 
     The execution document owns PID_CPU (dispatch thread) and PID_GPU
     (streams); host events are re-homed to :data:`PID_HOST` so both

@@ -39,6 +39,7 @@ from __future__ import annotations
 import time
 
 from ..core.adaptive import MODE_PARALLEL, AdaptiveVariable, UpdateNode
+from ..obs.observer import NULL_OBSERVER
 
 #: speculative advance results
 ADV_LIVE = "live"          # stepped to a new unmeasured choice
@@ -237,16 +238,14 @@ class ParallelEngine:
     Owns no exploration semantics: the wirer (and the fleet search) plan
     waves and merge outcomes; the engine turns candidates into shards,
     gathers :class:`~repro.parallel.wire.CandidateOutcome` lists in
-    canonical (ordinal) order, and publishes ``parallel.*`` telemetry.
+    canonical (ordinal) order, and records ``parallel.*`` telemetry.
+    Outcomes carry the events their workers observed; the caller replays
+    them as it merges.
     """
 
-    def __init__(self, pool, metrics=None, tracer=None):
-        from ..obs.metrics import NULL_REGISTRY
-        from ..obs.trace import NULL_TRACER
-
+    def __init__(self, pool, observer=NULL_OBSERVER):
         self.pool = pool
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.observer = observer
         self.stats = EngineStats()
         self._fallback = None
 
@@ -270,7 +269,6 @@ class ParallelEngine:
         """
         if not tasks:
             return []
-        wave_base_us = self.tracer.now_us()
         start = time.perf_counter()
         shards = _shard(tasks, self.pool.workers)
         futures = [self.pool.run_shard(shard) for shard in shards]
@@ -278,50 +276,28 @@ class ParallelEngine:
         for shard, future in zip(shards, futures):
             outcomes.extend(self._collect(shard, future))
         wall = time.perf_counter() - start
-        self._absorb_spans(outcomes, wave_base_us)
         busy = sum(o.busy_s for o in outcomes)
         self.stats.rounds += 1
         self.stats.candidates += len(tasks)
         self.stats.shards += len(shards)
         self.stats.busy_s += busy
         self.stats.dispatch_s += wall
-        self.metrics.counter("parallel.rounds").inc()
-        self.metrics.counter("parallel.candidates").inc(len(tasks))
+        observer = self.observer
+        observer.count("parallel.rounds")
+        observer.count("parallel.candidates", len(tasks))
         for shard in shards:
-            self.metrics.histogram("parallel.shard_size").observe(len(shard))
-        self.metrics.histogram("parallel.dispatch_us").observe(wall * 1e6)
+            observer.histogram("parallel.shard_size", len(shard))
+        observer.histogram("parallel.dispatch_us", wall * 1e6)
         utilization = (
             busy / (wall * self.pool.workers) if wall > 0 else 0.0
         )
-        self.metrics.series("parallel.utilization").append(utilization)
-        self.tracer.instant(
+        observer.series("parallel.utilization", utilization)
+        observer.instant(
             "parallel/round",
             candidates=len(tasks), shards=len(shards),
             wall_us=wall * 1e6, utilization=round(utilization, 3),
         )
         return outcomes
-
-    def _absorb_spans(self, outcomes, wave_base_us: float) -> None:
-        """Re-home worker-recorded spans onto the parent tracer's clock.
-
-        Workers stamp span ``ts`` relative to their own candidate start;
-        the parent lays each worker's candidates out back-to-back from the
-        wave's start on that worker's dedicated track.  The layout is an
-        approximation of true wall alignment (workers start within the
-        dispatch jitter of each other), but busy/idle proportions and
-        per-candidate durations are exact.
-        """
-        cursor: dict[int, float] = {}
-        for outcome in outcomes:
-            if not outcome.spans:
-                continue
-            base = wave_base_us + cursor.get(outcome.worker_pid, 0.0)
-            self.tracer.absorb_worker_spans(
-                outcome.spans, outcome.worker_pid, base
-            )
-            cursor[outcome.worker_pid] = (
-                cursor.get(outcome.worker_pid, 0.0) + outcome.busy_s * 1e6
-            )
 
     def gather_estimates(self, strategy_id: int, names: list) -> dict:
         """Sharded cost-model pre-ranking: name -> per-choice estimates."""
@@ -345,7 +321,7 @@ class ParallelEngine:
                 continue
             estimates.update(zip(shard, rows))
         self.stats.estimate_shards += len(shards)
-        self.metrics.counter("parallel.estimate_jobs").inc(len(names))
+        self.observer.count("parallel.estimate_jobs", len(names))
         return estimates
 
     def _collect(self, shard, future) -> list:
@@ -359,7 +335,7 @@ class ParallelEngine:
             if self.pool.kind == "inline":
                 raise
             self.stats.inline_fallbacks += 1
-            self.metrics.counter("parallel.inline_fallbacks").inc()
+            self.observer.count("parallel.inline_fallbacks")
             if self._fallback is None:
                 from .pool import InlinePool
 

@@ -10,7 +10,8 @@ guarantees are bit-identical (two plans with equal
 Results travel back as slim :class:`~repro.runtime.executor.MiniBatchResult`
 objects with the raw simulator output stripped, plus the event log the
 wirer needs to replay its bookkeeping exactly (retry counters,
-fault records, injector ledger entries) in canonical candidate order.
+fault records, injector ledger entries, the worker's observer events) in
+canonical candidate order.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ class WorkerSpec(NamedTuple):
     #: the :class:`~repro.faults.plan.FaultPlan`, or None; workers derive
     #: per-candidate injector sub-states from it
     fault_plan: object = None
-    #: parent tracer is live: workers record per-candidate spans for the
-    #: merged Chrome trace (ts relative to each candidate's start)
-    trace: bool = False
+    #: the parent's observer is enabled: workers record their own events
+    #: (executor counters, lower/simulate spans) and ship them per outcome
+    observe: bool = False
 
 
 class CandidateTask(NamedTuple):
@@ -94,9 +95,11 @@ class CandidateOutcome:
         #: var name -> unit ids, from the worker-built plan (feeds the
         #: parent's metric extraction without shipping the plan itself)
         self.var_units: dict = {}
-        #: executor-internal counter deltas (fault.*, check.*), merged into
-        #: the parent registry at the candidate's canonical merge position
-        self.counters: dict = {}
+        #: observer events the worker recorded measuring this candidate
+        #: (fault.* and check.* counters, lower/simulate spans), replayed
+        #: by the parent at the candidate's canonical merge position;
+        #: empty when the candidate was measured in the parent itself
+        self.events: list = []
         #: injector sub-state side effects (None when no injector armed)
         self.injector_records: list = []
         self.injector_minibatch: int | None = None
@@ -111,10 +114,6 @@ class CandidateOutcome:
         self.preempted_at: int | None = None
         #: worker wall seconds spent on this candidate (utilization metric)
         self.busy_s = 0.0
-        #: host-side trace spans recorded while measuring this candidate
-        #: (Chrome-event dicts; ts relative to the candidate's own start;
-        #: empty unless the spec requested tracing)
-        self.spans: list = []
         #: os pid of the worker that measured this candidate (trace track key)
         self.worker_pid = 0
         for name, value in fields.items():

@@ -13,8 +13,10 @@ compare and production phases directly.
 
 A :class:`WorkerState` holds one measurement pipeline -- enumerator,
 lowering cache, executor.  A pool process builds its own from the
-:class:`~repro.parallel.wire.WorkerSpec`; at width 1 the wirer lends its
-own, so the loop runs in the caller with no second pipeline.
+:class:`~repro.parallel.wire.WorkerSpec`, with its own observer whose
+events ship with each outcome; at width 1 the wirer lends its own, so
+the loop runs in the caller with no second pipeline and records straight
+into the wirer's observer.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import time
 
 from ..check.violations import ScheduleValidationError
 from ..faults.events import FaultError, PreemptionError
-from ..obs.metrics import Counter, MetricsRegistry
+from ..obs.observer import NULL_OBSERVER, Observer
 from .wire import CandidateOutcome, CandidateTask, SampleRecord, WorkerSpec, slim_result
 
 #: domain-separation tag for per-candidate simulator jitter substreams
@@ -41,15 +43,19 @@ class WorkerState:
         from ..runtime.executor import Executor
 
         self.spec = spec
+        #: the observer a pool process records into, drained into each
+        #: outcome; None for a lent pipeline
+        self.outbox = None
         if enumerator is None:
             enumerator = Enumerator(
                 spec.graph, spec.device, spec.features,
                 cache_units=spec.fast.cache,
             )
         if executor is None:
+            self.outbox = Observer() if spec.observe else NULL_OBSERVER
             executor = Executor(
                 spec.graph, spec.device, seed=spec.seed,
-                validate=spec.validate,
+                validate=spec.validate, observer=self.outbox,
                 cache=LoweringCache() if spec.fast.cache else None,
             )
         self.enumerator = enumerator
@@ -101,8 +107,11 @@ def run_shard(state: WorkerState, tasks: list) -> list:
     outcomes = []
     with state.spec.graph.memoized():
         for task in tasks:
-            outcomes.append(measure_candidate(state, task))
-            if outcomes[-1].halts_merge:
+            outcome = measure_candidate(state, task)
+            if state.outbox is not None:
+                outcome.events = state.outbox.drain()
+            outcomes.append(outcome)
+            if outcome.halts_merge:
                 break
     return outcomes
 
@@ -110,13 +119,14 @@ def run_shard(state: WorkerState, tasks: list) -> list:
 def measure_candidate(state: WorkerState, task: CandidateTask) -> CandidateOutcome:
     """Build one fk candidate's plan from its assignment and measure it."""
     strategy = state.strategies[task.strategy_id]
-    built = state.enumerator.build_plan(
-        strategy, task.assignment_dict(), profile_vars=set(task.live_names),
-    )
+    with state.executor.observer.span("enumerate"):
+        built = state.enumerator.build_plan(
+            strategy, task.assignment_dict(), profile_vars=set(task.live_names),
+        )
     return measure_plan(
         state.executor, state.spec, built.plan, built.var_units,
         base_minibatch=task.base_minibatch, preempted=task.preempted,
-        ordinal=task.ordinal, trace=state.spec.trace,
+        ordinal=task.ordinal,
     )
 
 
@@ -130,23 +140,21 @@ def measure_plan(
     preempted: bool = False,
     samples: int | None = None,
     ordinal: int = 0,
-    trace: bool = False,
 ) -> CandidateOutcome:
     """Measure one built plan under the policy and log what happened.
 
     Up to ``samples`` (default ``policy.samples``) mini-batches, each
     retried on transient faults up to ``policy.max_attempts``; a retried
     plan is statically re-validated even in unvalidated mode.  The
-    executor's metrics registry, injector and jitter stream are swapped
-    for per-candidate ones and restored on the way out, so the result
-    depends only on (spec, plan, ``base_minibatch``).
+    executor's injector and jitter stream are swapped for per-candidate
+    ones and restored on the way out, so the result depends only on
+    (spec, plan, ``base_minibatch``).
     """
     out = CandidateOutcome(
         ordinal=ordinal, var_units=var_units, worker_pid=os.getpid()
     )
     keep_units = {uid for ids in var_units.values() for uid in ids}
     start = time.perf_counter()
-    registry = MetricsRegistry()
     injector = None
     if spec.fault_plan is not None and spec.fault_plan.specs:
         from ..faults.injector import FaultInjector
@@ -155,17 +163,15 @@ def measure_plan(
             spec.fault_plan, base_minibatch, preempted=preempted
         )
     simulator = executor._simulator
-    saved = (executor.metrics, executor.injector, simulator.injector,
+    saved = (executor.injector, simulator.injector,
              simulator._seed, simulator._rng)
-    executor.metrics = registry
     executor.injector = simulator.injector = injector
     simulator.reseed((spec.seed, SIM_STREAM_TAG, base_minibatch))
     try:
-        for sample_no in range(spec.policy.samples if samples is None else samples):
+        for _sample in range(spec.policy.samples if samples is None else samples):
             record = SampleRecord()
             out.samples.append(record)
             attempts = 0
-            sample_start = time.perf_counter()
             while True:
                 try:
                     validate = True if attempts > 0 and not spec.validate else None
@@ -180,24 +186,6 @@ def measure_plan(
                     continue
                 record.result = slim_result(result, keep_units)
                 break
-            if trace:
-                now = time.perf_counter()
-                out.spans.append({
-                    "ph": "X",
-                    "name": f"sample {plan.label}",
-                    "cat": "worker",
-                    "ts": (sample_start - start) * 1e6,
-                    "dur": (now - sample_start) * 1e6,
-                    "args": {
-                        "ordinal": ordinal,
-                        "sample": sample_no,
-                        "retries": attempts,
-                        "sim_us": (
-                            record.result.total_time_us
-                            if record.result is not None else None
-                        ),
-                    },
-                })
     except PreemptionError as exc:
         out.preempted_at = exc.minibatch
     except ScheduleValidationError as exc:
@@ -209,17 +197,12 @@ def measure_plan(
     except FaultError as exc:  # non-transient: OOM window, etc.
         out.error, out.error_repr = _encode_error(exc)
     finally:
-        (executor.metrics, executor.injector, simulator.injector,
+        (executor.injector, simulator.injector,
          simulator._seed, simulator._rng) = saved
     if injector is not None:
         out.injector_records = list(injector.ledger)
         out.injector_minibatch = injector.minibatch
         out.injector_preempted = injector._preempted
-    out.counters = {
-        name: metric.value
-        for name, metric in registry._instruments.items()
-        if isinstance(metric, Counter) and metric.value
-    }
     out.busy_s = time.perf_counter() - start
     return out
 

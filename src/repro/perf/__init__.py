@@ -14,24 +14,21 @@ identical while removing the redundant work:
 * :mod:`repro.perf.ranker` -- the cost-model-guided pre-ranker that
   prunes provably-losing fusion/kernel choices before any simulated
   mini-batch is spent on them (``--no-prune`` restores exhaustive
-  search; an equivalence test pins that both converge identically);
-* :mod:`repro.perf.timers` -- exclusive per-phase wall-clock accounting
-  (enumerate / lower / simulate / explore) with a null-object default.
+  search; an equivalence test pins that both converge identically).
 
-See ``docs/performance.md`` for the cache key and the pruning invariant,
-and ``benchmarks/perf/README.md`` for how the optimizer itself is timed.
+Per-phase wall-clock accounting (enumerate / lower / simulate / explore)
+is the :meth:`~repro.obs.observer.Observer.phases` view.  See
+``docs/performance.md`` for the cache key and the pruning invariant, and
+``benchmarks/perf/README.md`` for how the optimizer itself is timed.
 """
 
 from .cache import LoweringCache
 from .ranker import FastPath, estimate_choices_us, prune_fk_tree
 from .signature import PlanSignature, plan_key, plan_signature, structure_key
-from .timers import NULL_CLOCK, PhaseClock
 
 __all__ = [
     "FastPath",
     "LoweringCache",
-    "NULL_CLOCK",
-    "PhaseClock",
     "PlanSignature",
     "estimate_choices_us",
     "plan_key",

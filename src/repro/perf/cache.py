@@ -12,8 +12,8 @@ the entry's dependencies and issue order and recompiles the rest,
 covering check included.  A plan that fails the compile checks (a node
 covered twice, a dispatch order that breaks a dependency) stores nothing.
 
-The cache is LRU-bounded.  Hit/miss/eviction counters are published to
-the metrics registry under ``perf.cache.*`` and mirrored in
+The cache is LRU-bounded.  Hit/miss/eviction counters are recorded on
+the observer under ``perf.cache.*`` and mirrored in
 :meth:`stats` for the report's ``fast_path["cache"]``.
 
 Correctness contract (pinned by the differential test): a cache-served
@@ -25,16 +25,16 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..obs.metrics import NULL_REGISTRY
+from ..obs.observer import NULL_OBSERVER
 from .signature import structure_key
 
 
 class LoweringCache:
     """LRU memo of compiled plan structure for lowering."""
 
-    def __init__(self, capacity: int = 256, metrics=None):
+    def __init__(self, capacity: int = 256, observer=NULL_OBSERVER):
         self.capacity = capacity
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        self.observer = observer
         self._structures: OrderedDict[tuple, object] = OrderedDict()
         self._counts = {
             "structure_hits": 0, "structure_misses": 0, "evictions": 0,
@@ -42,7 +42,7 @@ class LoweringCache:
 
     def _count(self, name: str) -> None:
         self._counts[name] += 1
-        self.metrics.counter(f"perf.cache.{name}").inc()
+        self.observer.count(f"perf.cache.{name}")
 
     def lower(self, dispatcher, plan):
         """Memoized ``dispatcher.lower(plan)``."""

@@ -30,7 +30,7 @@ from typing import Callable
 
 from ..gpu.device import CLOCK_BASE
 from ..gpu.libraries import GEMM_LIBRARIES
-from ..obs.metrics import NULL_REGISTRY
+from ..obs.observer import NULL_OBSERVER
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def estimate_jobs(enumerator, tree, device, injector=None) -> list[str]:
 
 def prune_fk_tree(
     enumerator, strategy, tree, device, fast: FastPath,
-    metrics=None, injector=None, estimates=None,
+    observer=NULL_OBSERVER, injector=None, estimates=None,
 ) -> int:
     """Prune provably-losing choices from an fk update tree, in place.
 
@@ -153,9 +153,8 @@ def prune_fk_tree(
     missing or length-mismatched entry falls back to the serial
     computation, so a stale list can never change the pruning decision.
     """
-    metrics = metrics if metrics is not None else NULL_REGISTRY
     if injector is not None or device.clock_mode != CLOCK_BASE:
-        metrics.counter("perf.prune.skipped_inexact").inc()
+        observer.count("perf.prune.skipped_inexact")
         return 0
 
     provided = estimates if estimates is not None else {}
@@ -171,7 +170,7 @@ def prune_fk_tree(
             # the unfused choice's library is decided by a concurrent
             # kernel variable, so the analytic estimate (default library)
             # is not the value the wirer would measure -- don't prune
-            metrics.counter("perf.prune.skipped_coupled").inc()
+            observer.count("perf.prune.skipped_coupled")
             continue
         var_estimates = provided.get(var.name)
         if var_estimates is None or len(var_estimates) != len(var.choices):
@@ -197,7 +196,7 @@ def prune_fk_tree(
         var.initialize()
 
     if pruned_total:
-        metrics.counter("perf.prune.choices_pruned").inc(pruned_total)
+        observer.count("perf.prune.choices_pruned", pruned_total)
     tree.initialize()
     return pruned_total
 
@@ -304,18 +303,17 @@ def prune_fleet_strategies(
     bounds: list[float],
     best_measured_us: float,
     *,
-    metrics=None,
+    observer=NULL_OBSERVER,
 ) -> list[int]:
     """Indices of strategies that may still win, given the seed's
     measured per-sample time; preserves enumeration order.  Sound only
     when :func:`fleet_prune_standdown` returns None: on stand-down the
     search measures the full space, so under injection the (faulted)
     winner is the exhaustive one by construction."""
-    metrics = metrics if metrics is not None else NULL_REGISTRY
     survivors = [
         i for i, bound in enumerate(bounds) if bound <= best_measured_us
     ]
     pruned = len(bounds) - len(survivors)
     if pruned:
-        metrics.counter("fleet.prune.strategies_pruned").inc(pruned)
+        observer.count("fleet.prune.strategies_pruned", pruned)
     return survivors

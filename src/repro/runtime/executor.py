@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 from ..gpu.device import GPUSpec
 from ..gpu.streams import ExecutionResult, StreamSimulator
-from ..obs.metrics import NULL_REGISTRY
-from ..perf.timers import NULL_CLOCK
+from ..obs.observer import NULL_OBSERVER
 from .dispatcher import Dispatcher, LoweredSchedule, Readback
 from .plan import ExecutionPlan
 
@@ -64,9 +63,10 @@ class Executor:
     With ``validate=True`` every lowered schedule is statically checked
     by :mod:`repro.check` before it reaches the simulator; a defective
     schedule raises :class:`~repro.check.ScheduleValidationError` instead
-    of executing, and per-kind violation counters are published to
-    ``metrics`` (``check.schedules_validated``,
-    ``check.violations.<kind>``).
+    of executing, and per-kind violation counters are recorded on
+    ``observer`` (``check.schedules_validated``,
+    ``check.violations.<kind>``), with the lower, validate and simulate
+    spans of every run.
 
     With ``injector`` set, every run consults the fault-injection layer:
     scheduled preemption fires between mini-batches, plans whose arena
@@ -82,25 +82,23 @@ class Executor:
         device: GPUSpec,
         seed: int = 0,
         validate: bool = False,
-        metrics=None,
+        observer=NULL_OBSERVER,
         injector=None,
         cache=None,
-        clock=None,
     ):
         self.graph = graph
         self.device = device
         self.dispatcher = Dispatcher(graph)
         self.validate = validate
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        self.observer = observer
         self.injector = injector
         #: optional :class:`repro.perf.cache.LoweringCache` memoizing
         #: plan -> LoweredSchedule across structurally identical plans
         self.cache = cache
-        self.clock = clock if clock is not None else NULL_CLOCK
         self._simulator = StreamSimulator(device, seed=seed, injector=injector)
 
     def run(self, plan: ExecutionPlan, validate: bool | None = None) -> MiniBatchResult:
-        with self.clock.phase("lower"):
+        with self.observer.span("lower"):
             if self.cache is not None:
                 lowered = self.cache.lower(self.dispatcher, plan)
             else:
@@ -117,9 +115,9 @@ class Executor:
         from ..check import ScheduleValidationError, validate_schedule
 
         report = validate_schedule(lowered)
-        self.metrics.counter("check.schedules_validated").inc()
+        self.observer.count("check.schedules_validated")
         for kind, count in report.by_kind().items():
-            self.metrics.counter(f"check.violations.{kind}").inc(count)
+            self.observer.count(f"check.violations.{kind}", count)
         if not report.ok:
             raise ScheduleValidationError(report)
         return report
@@ -143,7 +141,7 @@ class Executor:
         if arena > capacity:
             if self.injector is not None:
                 self.injector.record(FAULT_OOM, f"arena {arena} > {capacity}")
-            self.metrics.counter("fault.oom").inc()
+            self.observer.count("fault.oom")
             raise DeviceOOMError(arena, capacity, minibatch)
 
     def run_lowered(
@@ -153,22 +151,22 @@ class Executor:
 
         do_validate = self.validate if validate is None else validate
         if do_validate:
-            with self.clock.phase("validate"):
+            with self.observer.span("validate"):
                 self.validate_lowered(lowered)
         fault_log = None
         if self.injector is not None:
             try:
                 fault_log = self.injector.begin_minibatch()
             except PreemptionError:
-                self.metrics.counter(f"fault.{FAULT_PREEMPT}").inc()
+                self.observer.count(f"fault.{FAULT_PREEMPT}")
                 raise
         self._check_memory(lowered.plan)
         try:
-            with self.clock.phase("simulate"):
+            with self.observer.span("simulate"):
                 result = self._simulator.run(lowered.program)
         except KernelLaunchError:
-            self.metrics.counter("fault.launch_fail").inc()
-            self.metrics.counter("fault.minibatches_lost").inc()
+            self.observer.count("fault.launch_fail")
+            self.observer.count("fault.minibatches_lost")
             raise
         readback = lowered.readback
         unit_times, faults, tainted_units = self._unit_times(readback, result, fault_log)
@@ -205,7 +203,7 @@ class Executor:
                 faults.append(FaultEvent(
                     FAULT_EVENT_DROP, f"unit {uid} timestamp lost", unit_id=uid,
                 ))
-                self.metrics.counter("fault.event_drop").inc()
+                self.observer.count("fault.event_drop")
                 tainted.add(uid)
                 continue
             elapsed = ends[idx] - starts[idx]
@@ -222,7 +220,7 @@ class Executor:
                         FAULT_EVENT_CORRUPT, f"unit {uid} timestamp implausible",
                         unit_id=uid,
                     ))
-                    self.metrics.counter("fault.event_corrupt_detected").inc()
+                    self.observer.count("fault.event_corrupt_detected")
                     tainted.add(uid)
                     continue
             # charge the unit for its gather copies: they exist only

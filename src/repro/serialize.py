@@ -237,12 +237,7 @@ def report_to_dict(report: AstraReport | SessionReport) -> dict:
             "astra": report_to_dict(report.astra),
         }
     provenance = getattr(report, "provenance", None)
-    provenance_doc = (
-        provenance.to_dict()
-        if provenance is not None and getattr(provenance, "enabled", False)
-        and getattr(provenance, "events", None)
-        else None
-    )
+    provenance_doc = provenance.to_dict() if provenance is not None else None
     return {
         "version": FORMAT_VERSION,
         "best_time_us": report.best_time_us,

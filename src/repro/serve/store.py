@@ -47,6 +47,7 @@ import time
 from dataclasses import dataclass
 
 from ..core.profile_index import ProfileIndex, untuple
+from ..obs.observer import NULL_OBSERVER
 from .keys import store_schema_version
 
 #: layout version of the store directory itself (META + segments);
@@ -85,10 +86,11 @@ class SegmentInfo:
 class ProfileStore:
     """Append-only on-disk store of profile indexes, keyed by job digest."""
 
-    def __init__(self, root: str, schema: str | None = None, metrics=None):
+    def __init__(self, root: str, schema: str | None = None,
+                 observer=NULL_OBSERVER):
         self.root = os.path.abspath(root)
         self.schema = schema if schema is not None else store_schema_version()
-        self._metrics = metrics
+        self._observer = observer
         #: segments dropped because their schema no longer matches
         self.evicted_segments = 0
         #: segments found corrupt (torn tail, flipped byte, missing or
@@ -265,8 +267,7 @@ class ProfileStore:
         job digest) so corruption is evidence, not a silent deletion.
         Losing the race to another process's quarantine is fine."""
         self.corrupt_segments += 1
-        if self._metrics is not None:
-            self._metrics.counter("serve.store.corrupt").inc()
+        self._observer.count("serve.store.corrupt")
         if digest is None:
             digest = os.path.basename(os.path.dirname(path))
         try:
@@ -276,8 +277,7 @@ class ProfileStore:
                 f"{digest}__{os.path.basename(path)}",
             ))
             self.quarantined_segments += 1
-            if self._metrics is not None:
-                self._metrics.counter("serve.store.quarantined").inc()
+            self._observer.count("serve.store.quarantined")
         except OSError:
             pass
 

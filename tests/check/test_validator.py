@@ -29,7 +29,7 @@ from repro.gpu.streams import (
     RecordEventItem,
 )
 from repro.ir import Tracer
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer
 from repro.runtime import Dispatcher, ExecutionPlan, Executor, Unit, build_units
 
 
@@ -233,19 +233,19 @@ class TestArenaLayout:
 class TestValidatedExecution:
     def test_executor_validate_mode_runs_clean_plans(self, diamond):
         graph, units = diamond
-        metrics = MetricsRegistry()
-        executor = Executor(graph, P100, validate=True, metrics=metrics)
+        observer = Observer()
+        executor = Executor(graph, P100, validate=True, observer=observer)
         result = executor.run(ExecutionPlan(units=units, profile=False))
         assert result.total_time_us > 0
-        snap = metrics.snapshot()
+        snap = observer.metrics().snapshot()
         assert snap["check.schedules_validated"]["value"] == 1
 
     def test_executor_raises_on_broken_schedule(self, diamond):
         from dataclasses import replace
 
         graph, units = diamond
-        metrics = MetricsRegistry()
-        executor = Executor(graph, P100, validate=True, metrics=metrics)
+        observer = Observer()
+        executor = Executor(graph, P100, validate=True, observer=observer)
         plan = ExecutionPlan(units=units, stream_of={0: 0, 1: 1, 2: 0}, profile=False)
         lowered = executor.dispatcher.lower(plan)
         for idx, item in enumerate(lowered.items):
@@ -254,18 +254,18 @@ class TestValidatedExecution:
         with pytest.raises(ScheduleValidationError) as excinfo:
             executor.run_lowered(lowered)
         assert not excinfo.value.report.ok
-        snap = metrics.snapshot()
+        snap = observer.metrics().snapshot()
         assert snap["check.violations.raw-race"]["value"] >= 1
 
     def test_session_validated_exploration(self, tiny_scrnn):
         from repro import AstraSession
 
-        metrics = MetricsRegistry()
+        observer = Observer()
         report = AstraSession(
-            tiny_scrnn, features="FK", seed=0, validate=True, metrics=metrics
+            tiny_scrnn, features="FK", seed=0, validate=True, observer=observer
         ).optimize(max_minibatches=30)
         assert report.speedup_over_native >= 1.0
-        snap = metrics.snapshot()
+        snap = observer.metrics().snapshot()
         assert snap["check.schedules_validated"]["value"] > 0
         violation_counters = [
             name for name in snap if name.startswith("check.violations.")

@@ -142,13 +142,12 @@ class TestObservability:
     """The obs hooks observe the exploration; they must never steer it."""
 
     def test_disabled_observability_changes_nothing(self, tiny_sublstm):
-        from repro.obs import MetricsRegistry, RunReporter
-        from repro.obs.trace import Tracer
+        from repro.obs import NULL_OBSERVER, Observer
 
         plain = AstraSession(tiny_sublstm, features="FK", seed=2).optimize()
+        assert NULL_OBSERVER.events == []  # the default records nothing
         observed = AstraSession(
-            tiny_sublstm, features="FK", seed=2,
-            metrics=MetricsRegistry(), reporter=RunReporter(), tracer=Tracer(),
+            tiny_sublstm, features="FK", seed=2, observer=Observer(),
         ).optimize()
         assert observed.best_time_us == plain.best_time_us
         assert observed.configs_explored == plain.configs_explored
@@ -156,12 +155,13 @@ class TestObservability:
         assert observed.astra.assignment == plain.astra.assignment
 
     def test_metrics_agree_with_report(self, tiny_sublstm):
-        from repro.obs import MetricsRegistry
+        from repro.obs import Observer
 
-        metrics = MetricsRegistry()
+        observer = Observer()
         rep = AstraSession(
-            tiny_sublstm, features="FK", seed=0, metrics=metrics
+            tiny_sublstm, features="FK", seed=0, observer=observer
         ).optimize()
+        metrics = observer.metrics()
         astra = rep.astra
         assert metrics.counter("astra.configs_explored").value == astra.configs_explored
         assert metrics.gauge("astra.best_time_us").value == astra.best_time_us
@@ -173,12 +173,13 @@ class TestObservability:
             assert hits == phase.index_hits
 
     def test_best_so_far_series_is_non_increasing(self, tiny_sublstm):
-        from repro.obs import MetricsRegistry
+        from repro.obs import Observer
 
-        metrics = MetricsRegistry()
+        observer = Observer()
         AstraSession(
-            tiny_sublstm, features="FK", seed=0, metrics=metrics
+            tiny_sublstm, features="FK", seed=0, observer=observer
         ).optimize()
+        metrics = observer.metrics()
         values = [v for _s, v in metrics.series("astra.best_so_far_us").points]
         assert values == sorted(values, reverse=True)
         assert len(values) >= 2

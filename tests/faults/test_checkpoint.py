@@ -15,7 +15,7 @@ from repro.faults import (
     FaultPlan,
     PreemptionError,
 )
-from repro.obs import MetricsRegistry
+from repro.obs import NULL_OBSERVER, Observer
 
 
 class TestCheckpointRoundTrip:
@@ -57,14 +57,15 @@ class TestCheckpointRoundTrip:
 
 
 class TestPreemptResume:
-    def _optimize_resuming(self, model, path, budget=60, seed=0, metrics=None):
+    def _optimize_resuming(self, model, path, budget=60, seed=0,
+                           observer=NULL_OBSERVER):
         """Run to completion across any number of preemptions."""
         resumes = 0
         while True:
             session = AstraSession(
                 model, features="all", seed=seed,
                 faults=FaultPlan.single(FAULT_PREEMPT, at=6, seed=seed),
-                checkpoint_path=path, metrics=metrics,
+                checkpoint_path=path, observer=observer,
             )
             try:
                 return session.optimize(max_minibatches=budget), resumes
@@ -80,10 +81,11 @@ class TestPreemptResume:
             max_minibatches=60
         )
         path = str(tmp_path / "ck.json")
-        metrics = MetricsRegistry()
+        observer = Observer()
         resumed, resumes = self._optimize_resuming(
-            tiny_scrnn, path, metrics=metrics
+            tiny_scrnn, path, observer=observer
         )
+        metrics = observer.metrics()
         assert resumes == 1
         # same best configuration and time as the uninterrupted run
         assert resumed.best_time_us == baseline.best_time_us

@@ -18,7 +18,7 @@ from repro.faults import (
     PreemptionError,
 )
 from repro.gpu import P100
-from repro.obs import MetricsRegistry
+from repro.obs import Observer
 from repro.runtime import Executor
 
 
@@ -32,13 +32,13 @@ def astra_plan(model, profile=True):
 class TestLaunchFailure:
     def test_raises_and_counts(self, tiny_scrnn):
         plan = FaultPlan(specs=(FaultSpec(FAULT_LAUNCH, rate=1.0),))
-        metrics = MetricsRegistry()
-        ex = Executor(tiny_scrnn.graph, P100, metrics=metrics,
+        observer = Observer()
+        ex = Executor(tiny_scrnn.graph, P100, observer=observer,
                       injector=plan.injector())
         with pytest.raises(KernelLaunchError) as exc:
             ex.run(native_plan(tiny_scrnn.graph))
         assert exc.value.transient
-        snap = metrics.snapshot()
+        snap = observer.metrics().snapshot()
         assert snap["fault.launch_fail"]["value"] == 1
         assert snap["fault.minibatches_lost"]["value"] == 1
 
@@ -53,8 +53,8 @@ class TestLaunchFailure:
 class TestEventFaults:
     def test_dropped_timestamps_withheld_not_zero(self, tiny_scrnn):
         plan = FaultPlan(specs=(FaultSpec(FAULT_EVENT_DROP, rate=1.0),))
-        metrics = MetricsRegistry()
-        ex = Executor(tiny_scrnn.graph, P100, metrics=metrics,
+        observer = Observer()
+        ex = Executor(tiny_scrnn.graph, P100, observer=observer,
                       injector=plan.injector())
         plan_under_test = astra_plan(tiny_scrnn)
         result = ex.run(plan_under_test)
@@ -70,7 +70,7 @@ class TestEventFaults:
         assert tainted_ids == profiled & set(clean.unit_times)
         assert set(result.unit_times).isdisjoint(tainted_ids)
         assert set(result.unit_times) | tainted_ids == set(clean.unit_times)
-        assert metrics.snapshot()["fault.event_drop"]["value"] == len(tainted_ids)
+        assert observer.metrics().snapshot()["fault.event_drop"]["value"] == len(tainted_ids)
         # the mini-batch itself still ran (work-conserving)
         assert result.total_time_us == pytest.approx(clean.total_time_us)
 
@@ -81,15 +81,15 @@ class TestEventFaults:
             specs=(FaultSpec(FAULT_EVENT_CORRUPT, rate=1.0, factor=1e6),),
             seed=0,
         )
-        metrics = MetricsRegistry()
-        ex = Executor(tiny_scrnn.graph, P100, metrics=metrics,
+        observer = Observer()
+        ex = Executor(tiny_scrnn.graph, P100, observer=observer,
                       injector=plan.injector())
         result = ex.run(astra_plan(tiny_scrnn))
         detected = [f for f in result.faults if f.kind == FAULT_EVENT_CORRUPT]
         assert detected
         for fault in detected:
             assert fault.unit_id not in result.unit_times
-        assert metrics.snapshot()["fault.event_corrupt_detected"]["value"] == len(
+        assert observer.metrics().snapshot()["fault.event_corrupt_detected"]["value"] == len(
             detected
         )
 
@@ -132,14 +132,14 @@ class TestDeviceOOM:
         plan = FaultPlan(specs=(
             FaultSpec(FAULT_OOM, mem_limit_bytes=1, window=FaultWindow()),
         ))
-        metrics = MetricsRegistry()
-        ex = Executor(tiny_scrnn.graph, P100, metrics=metrics,
+        observer = Observer()
+        ex = Executor(tiny_scrnn.graph, P100, observer=observer,
                       injector=plan.injector())
         with pytest.raises(DeviceOOMError) as exc:
             ex.run(astra_plan(tiny_scrnn))
         assert not exc.value.transient
         assert exc.value.capacity_bytes == 1
-        assert metrics.snapshot()["fault.oom"]["value"] == 1
+        assert observer.metrics().snapshot()["fault.oom"]["value"] == 1
 
     def test_native_plan_never_ooms(self, tiny_scrnn):
         """The native plan carries no arena, so even a 1-byte device cap

@@ -112,16 +112,16 @@ class TestLedger:
         assert inj.summary()["total"] == 5
 
     def test_observe_into_is_idempotent(self):
-        from repro.obs import MetricsRegistry
+        from repro.obs import Observer
 
         plan = FaultPlan(specs=(FaultSpec(FAULT_EVENT_DROP, rate=1.0),))
         inj = plan.injector()
         inj.begin_minibatch()
         inj.event_fault(0)
-        registry = MetricsRegistry()
-        inj.observe_into(registry)
-        inj.observe_into(registry)
-        snap = registry.snapshot()
+        observer = Observer()
+        inj.observe_into(observer)
+        inj.observe_into(observer)
+        snap = observer.metrics().snapshot()
         assert snap[f"fault.injected.{FAULT_EVENT_DROP}"]["value"] == 1
         assert snap["fault.injected.total"]["value"] == 1
 

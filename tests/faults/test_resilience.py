@@ -14,18 +14,17 @@ from repro.faults import (
     FaultSpec,
     FaultWindow,
 )
-from repro.obs import MetricsRegistry, RunReporter
+from repro.obs import Observer
 
 
 def run_faulty(model, faults, policy=ROBUST, budget=40, seed=0, **kwargs):
-    metrics = MetricsRegistry()
-    reporter = RunReporter()
+    observer = Observer()
     session = AstraSession(
         model, features="all", seed=seed, policy=policy, faults=faults,
-        metrics=metrics, reporter=reporter, **kwargs,
+        observer=observer, **kwargs,
     )
     report = session.optimize(max_minibatches=budget)
-    return report, session, metrics, reporter
+    return report, session, observer.metrics(), observer.report()
 
 
 class TestRetry:

@@ -20,7 +20,7 @@ from repro.core import analyse_fusion
 from repro.core.fusion import resolve_static_conflicts
 from repro.gpu import P100
 from repro.ir import Interpreter, Tracer, backward, random_bindings
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer
 from tests.integration.fuzz_utils import random_program
 
 
@@ -51,12 +51,12 @@ def test_fuzz_full_optimization(seed):
     validator (``validate=True`` raises on the first violation)."""
     tr, loss = random_program(seed)
 
-    metrics = MetricsRegistry()
+    observer = Observer()
     report = AstraSession(
-        tr.graph, features="FK", seed=0, validate=True, metrics=metrics
+        tr.graph, features="FK", seed=0, validate=True, observer=observer
     ).optimize()
     assert report.speedup_over_native >= 1.0
-    snap = metrics.snapshot()
+    snap = observer.metrics().snapshot()
     assert snap["check.schedules_validated"]["value"] > 0
     assert not [k for k in snap if k.startswith("check.violations.")]
 

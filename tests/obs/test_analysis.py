@@ -12,7 +12,7 @@ from repro.obs.analysis import (
     analyze_execution,
     analyze_trace,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer
 from repro.runtime import ExecutionPlan, Executor, Unit
 
 
@@ -177,8 +177,9 @@ class TestReportOutputs:
     def test_observe_into_publishes_gauges(self, diamond_execution):
         result, lowered = diamond_execution
         report = analyze_execution(result, lowered, P100)
-        metrics = MetricsRegistry()
-        report.observe_into(metrics)
+        observer = Observer()
+        report.observe_into(observer)
+        metrics = observer.metrics()
         assert metrics.gauge("analysis.total_time_us").value == pytest.approx(
             result.total_time_us
         )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import NULL_REGISTRY, MetricsRegistry
+from repro.obs import NULL_OBSERVER, MetricsRegistry, Observer
 
 
 class TestInstruments:
@@ -82,17 +82,49 @@ class TestRegistry:
 
 class TestNullRegistry:
     def test_all_operations_are_noops(self):
-        NULL_REGISTRY.counter("c").inc()
-        NULL_REGISTRY.gauge("g").set(1.0)
-        NULL_REGISTRY.histogram("h").observe(1.0)
-        NULL_REGISTRY.series("s").append(1.0)
-        assert NULL_REGISTRY.snapshot() == {}
-        assert not NULL_REGISTRY.enabled
+        NULL_OBSERVER.count("c")
+        NULL_OBSERVER.gauge("g", 1.0)
+        NULL_OBSERVER.histogram("h", 1.0)
+        NULL_OBSERVER.series("s", 1.0)
+        assert NULL_OBSERVER.metrics().snapshot() == {}
+        assert not NULL_OBSERVER.enabled
 
     def test_shared_instrument_never_accumulates(self):
-        c = NULL_REGISTRY.counter("c")
-        c.inc(100)
-        assert c.value == 0
+        NULL_OBSERVER.count("c", 100)
+        assert "c" not in NULL_OBSERVER.metrics()
+        assert NULL_OBSERVER.events == []
+
+
+class TestObserverView:
+    def test_metric_updates_fold_into_the_registry(self):
+        observer = Observer()
+        observer.count("c")
+        observer.count("c", 4)
+        observer.gauge("g", 1.5)
+        observer.gauge("g", 2.5)
+        observer.histogram("h", 3.0)
+        observer.series("s", 10.0)
+        observer.series("s", 8.5, step=10)
+        reg = observer.metrics()
+        assert reg.counter("c").value == 5
+        assert reg.gauge("g").value == 2.5
+        assert reg.histogram("h").count == 1
+        assert reg.series("s").points == [(0, 10.0), (10, 8.5)]
+
+    def test_decisions_imply_their_metrics(self):
+        observer = Observer()
+        observer.minibatch("fk", "explore", 10.0, ("c",), {}, 10.0)
+        observer.minibatch("fk", "explore", 8.0, ("c",), {}, 8.0)
+        observer.minibatch("production", "production", 7.0, ("c",), {}, 8.0)
+        observer.fault("fk", "launch_fail", "boom", ("c",))
+        observer.fault("summary", "launch_fail", "injected=1", surfaced=False)
+        observer.degraded("gave up", 12.0)
+        reg = observer.metrics()
+        assert reg.counter("astra.configs_explored").value == 2
+        assert reg.series("astra.best_so_far_us").points == [(0, 10.0), (1, 8.0)]
+        assert reg.histogram("astra.minibatch_us.production").count == 1
+        assert reg.counter("fault.surfaced.launch_fail").value == 1
+        assert reg.counter("recovery.degraded").value == 1
 
 
 class TestHistogramPercentiles:
@@ -146,7 +178,7 @@ class TestHistogramPercentiles:
         json.dumps(reg.to_json() and json.loads(reg.to_json()))
 
     def test_null_instrument_percentiles_inert(self):
-        h = NULL_REGISTRY.histogram("h")
-        h.observe(5.0)
+        NULL_OBSERVER.histogram("h", 5.0)
+        h = NULL_OBSERVER.metrics().histogram("h")
         assert h.percentile(50) is None
-        assert h.summary() == {}
+        assert h.summary() == {"p50": None, "p90": None, "p99": None}

@@ -18,21 +18,24 @@ import pytest
 
 from repro import AstraSession
 from repro.core.profile_index import mangle
-from repro.obs.provenance import NULL_PROVENANCE, ProvenanceLog
+from repro.obs.observer import NULL_OBSERVER, Observer
+from repro.obs.provenance import ProvenanceLog
 from repro.perf import FastPath
 
 
-def _explore(model, device, provenance, workers=None, fast=None,
+def _explore(model, device, workers=None, fast=None,
              features="FK", budget=400):
+    """(report, index snapshot, provenance view) of one observed run."""
+    observer = Observer()
     session = AstraSession(
         model, device=device, features=features, seed=0,
-        provenance=provenance, workers=workers, fast=fast,
+        observer=observer, workers=workers, fast=fast,
     )
     try:
         report = session.optimize(max_minibatches=budget)
     finally:
         session.close()
-    return report, session.wirer.index.snapshot()
+    return report, session.wirer.index.snapshot(), observer.provenance()
 
 
 class TestHooks:
@@ -70,11 +73,12 @@ class TestHooks:
         assert decision.winner == 1
 
     def test_null_provenance_is_inert(self):
-        NULL_PROVENANCE.candidates((), "v", [1])
-        NULL_PROVENANCE.measured((), "v", 1, 1.0)
-        assert not NULL_PROVENANCE.enabled
-        assert NULL_PROVENANCE.decisions() == []
-        assert NULL_PROVENANCE.to_dict() == {"version": 1, "events": []}
+        NULL_OBSERVER.decision("candidates", context=(), name="v", choices=[1])
+        NULL_OBSERVER.decision("measure", context=(), name="v", choice=1,
+                               value=1.0)
+        assert not NULL_OBSERVER.enabled
+        assert NULL_OBSERVER.provenance().decisions() == []
+        assert NULL_OBSERVER.provenance().to_dict() == {"version": 1, "events": []}
 
 
 def _assert_log_matches_index(log, index_snapshot) -> None:
@@ -95,8 +99,7 @@ def _assert_log_matches_index(log, index_snapshot) -> None:
 
 class TestExplorationProvenance:
     def test_every_fk_variable_has_a_decision(self, tiny_scrnn, device):
-        log = ProvenanceLog()
-        report, _index = _explore(tiny_scrnn, device, log)
+        report, _index, log = _explore(tiny_scrnn, device)
         decisions = {d.name: d for d in log.decisions()}
         fusion_vars = [
             name for name in report.astra.assignment if name in decisions
@@ -104,8 +107,7 @@ class TestExplorationProvenance:
         assert fusion_vars, "exploration must record fk decisions"
 
     def test_winner_matches_report_assignment(self, tiny_scrnn, device):
-        log = ProvenanceLog()
-        report, _index = _explore(tiny_scrnn, device, log)
+        report, _index, log = _explore(tiny_scrnn, device)
         for decision in log.decisions():
             chosen = report.astra.assignment.get(decision.name)
             if chosen is None or decision.winner is None:
@@ -118,31 +120,25 @@ class TestExplorationProvenance:
     def test_serial_log_reproduces_index_bit_identically(
         self, tiny_scrnn, device
     ):
-        log = ProvenanceLog()
-        _report, index = _explore(tiny_scrnn, device, log)
+        _report, index, log = _explore(tiny_scrnn, device)
         _assert_log_matches_index(log, index)
 
     def test_parallel_log_reproduces_index_bit_identically(
         self, tiny_scrnn, device
     ):
-        log = ProvenanceLog()
-        _report, index = _explore(tiny_scrnn, device, log, workers=2)
+        _report, index, log = _explore(tiny_scrnn, device, workers=2)
         _assert_log_matches_index(log, index)
 
     def test_engine_log_invariant_across_worker_counts(
         self, tiny_scrnn, device
     ):
-        one = ProvenanceLog()
-        _explore(tiny_scrnn, device, one, workers=1)
-        two = ProvenanceLog()
-        _explore(tiny_scrnn, device, two, workers=2)
+        _report, _index, one = _explore(tiny_scrnn, device, workers=1)
+        _report, _index, two = _explore(tiny_scrnn, device, workers=2)
         assert one.to_dict() == two.to_dict()
 
     def test_serial_and_parallel_decide_identically(self, tiny_scrnn, device):
-        serial = ProvenanceLog()
-        _explore(tiny_scrnn, device, serial)
-        parallel = ProvenanceLog()
-        _explore(tiny_scrnn, device, parallel, workers=2)
+        _report, _index, serial = _explore(tiny_scrnn, device)
+        _report, _index, parallel = _explore(tiny_scrnn, device, workers=2)
         serial_events = serial.to_dict()["events"]
         parallel_events = parallel.to_dict()["events"]
         assert len(serial_events) == len(parallel_events)
@@ -162,10 +158,8 @@ class TestExplorationProvenance:
         assert serial_winners == parallel_winners
 
     def test_prune_verdicts_recorded_with_estimates(self, tiny_scrnn, device):
-        log = ProvenanceLog()
-        _explore(
-            tiny_scrnn, device, log,
-            fast=FastPath(cache=True, prune=True),
+        _report, _index, log = _explore(
+            tiny_scrnn, device, fast=FastPath(cache=True, prune=True),
         )
         pruned = [
             (d.name, choice, estimate)
@@ -177,9 +171,8 @@ class TestExplorationProvenance:
             assert estimate is None or estimate > 0.0
 
     def test_pruned_run_log_matches_winner_of_report(self, tiny_scrnn, device):
-        log = ProvenanceLog()
-        report, _index = _explore(
-            tiny_scrnn, device, log, fast=FastPath(cache=True, prune=True),
+        report, _index, log = _explore(
+            tiny_scrnn, device, fast=FastPath(cache=True, prune=True),
         )
         for decision in log.decisions():
             chosen = report.astra.assignment.get(decision.name)
@@ -188,8 +181,9 @@ class TestExplorationProvenance:
             assert repr(decision.winner) == repr(chosen)
 
     def test_compare_phase_recorded(self, tiny_scrnn, device):
-        log = ProvenanceLog()
-        _explore(tiny_scrnn, device, log, features="all", budget=400)
+        _report, _index, log = _explore(
+            tiny_scrnn, device, features="all", budget=400
+        )
         compares = log.compares()
         assert compares, "the cross-strategy compare phase must be logged"
         decisive = log.decisive()
@@ -199,8 +193,7 @@ class TestExplorationProvenance:
 
 class TestSerialization:
     def test_round_trip(self, tiny_scrnn, device):
-        log = ProvenanceLog()
-        _explore(tiny_scrnn, device, log)
+        _report, _index, log = _explore(tiny_scrnn, device)
         restored = ProvenanceLog.from_dict(log.to_dict())
         assert restored.to_dict() == log.to_dict()
         assert len(restored.decisions()) == len(log.decisions())
@@ -210,8 +203,7 @@ class TestSerialization:
 
         from repro.serialize import report_to_dict
 
-        log = ProvenanceLog()
-        report, _index = _explore(tiny_scrnn, device, log)
+        report, _index, log = _explore(tiny_scrnn, device)
         doc = report_to_dict(report.astra)
         assert doc["provenance"] is not None
         json.dumps(doc)
@@ -219,8 +211,7 @@ class TestSerialization:
         assert restored.to_dict() == log.to_dict()
 
     def test_render_names_winner_and_runner_up(self, tiny_scrnn, device):
-        log = ProvenanceLog()
-        report, _index = _explore(tiny_scrnn, device, log)
+        report, _index, log = _explore(tiny_scrnn, device)
         text = log.render(assignment=report.astra.assignment)
         assert "winner" in text
         assert "runner-up" in text

@@ -10,8 +10,8 @@ from repro.obs import (
     KIND_COMPARE,
     KIND_EXPLORE,
     KIND_PRODUCTION,
-    NULL_REPORTER,
-    MetricsRegistry,
+    NULL_OBSERVER,
+    Observer,
     RunReporter,
 )
 
@@ -57,22 +57,20 @@ class TestReporter:
         assert RunReporter.from_jsonl("").records == []
 
     def test_null_reporter_records_nothing(self):
-        NULL_REPORTER.minibatch("fk", 10.0)
-        assert NULL_REPORTER.records == []
-        assert not NULL_REPORTER.enabled
+        NULL_OBSERVER.minibatch("fk", KIND_EXPLORE, 10.0, (), {}, 10.0)
+        assert NULL_OBSERVER.report().records == []
+        assert not NULL_OBSERVER.enabled
 
 
 class TestSummary:
     @pytest.fixture(scope="class")
     def run(self, tiny_sublstm):
-        metrics = MetricsRegistry()
-        reporter = RunReporter()
+        observer = Observer()
         session = AstraSession(
-            tiny_sublstm, features="FK", seed=0,
-            metrics=metrics, reporter=reporter,
+            tiny_sublstm, features="FK", seed=0, observer=observer,
         )
         report = session.optimize(max_minibatches=40)
-        return report, metrics, reporter
+        return report, observer.metrics(), observer.report()
 
     def test_summary_has_convergence_curve_and_hit_rates(self, run):
         report, metrics, reporter = run

@@ -1,12 +1,13 @@
-"""Tests for the Chrome trace-event exporter and the host-side tracer."""
+"""Tests for the Chrome trace-event exporter and the observer's host trace."""
 
 import json
+import time
 
 import pytest
 
 from repro.gpu import P100
 from repro.gpu.kernels import GemmLaunch
-from repro.obs import NULL_TRACER, Tracer, chrome_trace, validate_chrome_trace
+from repro.obs import NULL_OBSERVER, Observer, chrome_trace, validate_chrome_trace
 from repro.obs.trace import PID_CPU, PID_GPU, write_chrome_trace
 from repro.runtime import ExecutionPlan, Executor, Unit
 
@@ -155,35 +156,33 @@ class TestValidator:
 
 class TestHostTracer:
     def test_span_records_duration(self):
-        clock_value = [0.0]
-
-        def clock():
-            return clock_value[0]
-
-        tracer = Tracer(clock=clock)
-        with tracer.span("phase", strategy="fwd"):
-            clock_value[0] = 0.5
-        doc = tracer.chrome()
+        observer = Observer()
+        with observer.span("phase", strategy="fwd"):
+            time.sleep(0.01)
+        doc = observer.chrome()
         spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert len(spans) == 1
         assert spans[0]["name"] == "phase"
-        assert spans[0]["dur"] == pytest.approx(0.5e6)
+        assert spans[0]["dur"] == pytest.approx(
+            observer.phases()["phase"] * 1e6
+        )
+        assert spans[0]["dur"] >= 0.009e6
         assert spans[0]["args"] == {"strategy": "fwd"}
         validate_chrome_trace(doc)
 
     def test_instant_and_counter(self):
-        tracer = Tracer()
-        tracer.instant("hit", key="k")
-        tracer.counter("explored", 3)
-        doc = tracer.chrome()
+        observer = Observer()
+        observer.instant("hit", key="k")
+        observer.series("explored", 3)
+        doc = observer.chrome()
         phases = [e["ph"] for e in doc["traceEvents"]]
         assert "i" in phases and "C" in phases
         validate_chrome_trace(doc)
 
     def test_null_tracer_is_inert(self):
-        with NULL_TRACER.span("phase"):
+        with NULL_OBSERVER.span("phase"):
             pass
-        NULL_TRACER.instant("x")
-        NULL_TRACER.counter("y", 1.0)
-        assert NULL_TRACER.chrome()["traceEvents"] == []
-        assert not NULL_TRACER.enabled
+        NULL_OBSERVER.instant("x")
+        NULL_OBSERVER.series("y", 1.0)
+        assert NULL_OBSERVER.chrome()["traceEvents"] == []
+        assert not NULL_OBSERVER.enabled

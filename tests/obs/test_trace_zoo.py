@@ -12,9 +12,9 @@ import pytest
 from repro import AstraSession
 from repro.baselines.native import native_plan
 from repro.gpu import P100
+from repro.obs.observer import Observer
 from repro.obs.trace import (
     PID_HOST,
-    Tracer,
     chrome_trace,
     merge_host_trace,
     validate_chrome_trace,
@@ -71,10 +71,10 @@ class TestZooTraces:
 
 class TestWorkerTrace:
     def test_parallel_optimizer_trace_has_worker_tracks(self, tiny_scrnn):
-        tracer = Tracer()
+        observer = Observer()
         session = AstraSession(
             tiny_scrnn, device=P100, features="FK", seed=0,
-            tracer=tracer, workers=2,
+            observer=observer, workers=2,
         )
         try:
             report = session.optimize(max_minibatches=200)
@@ -84,7 +84,7 @@ class TestWorkerTrace:
         lowered = executor.dispatcher.lower(report.astra.best_plan)
         result = executor.run_lowered(lowered).raw
         doc = chrome_trace(result, lowered=lowered, device=P100)
-        merge_host_trace(doc, tracer.chrome())
+        merge_host_trace(doc, observer.chrome())
 
         validate_chrome_trace(doc)
         _assert_flows_resolve(doc)
@@ -102,7 +102,7 @@ class TestWorkerTrace:
             if ev["ph"] == "X" and ev["pid"] == PID_HOST
             and ev["tid"] in worker_tids
         ]
-        assert spans, "worker sample spans must survive the merge"
+        assert spans, "worker spans must survive the merge"
         for span in spans:
             assert span["cat"] == "worker"
             assert "ordinal" in span["args"]

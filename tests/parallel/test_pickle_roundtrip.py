@@ -80,13 +80,14 @@ class TestValueRoundTrips:
             ordinal=3,
             samples=[SampleRecord(aborts=list(aborts), result=result)],
             var_units={"fusion:x": [1, 2]},
-            counters={"recovery.retries": 2},
+            events=[("counter", "fault.launch_fail", 2),
+                    ("span", "simulate", 0, 1.0, 2.0, {})],
         )
         clone = roundtrip(outcome)
         assert clone.samples[0].result == result
         assert clone.samples[0].aborts == list(aborts)
         assert clone.var_units == outcome.var_units
-        assert clone.counters == outcome.counters
+        assert clone.events == outcome.events
 
 
 class TestErrorRoundTrips:

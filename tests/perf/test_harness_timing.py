@@ -1,12 +1,10 @@
 """Regression test for the benchmark harness's timer isolation.
 
-The harness used to report exploration times with no isolation between
-phases: one shared wall-clock measurement, so a slow phase silently
-inflated its neighbours.  Now every variant run owns a fresh
-:class:`~repro.perf.PhaseClock` and every phase has its own exclusive
-timer context -- so the per-phase seconds must sum to the measured wall
-clock within tolerance, per variant, and a variant's clock must not
-carry anything from the previous variant's run."""
+Every variant run owns a fresh :class:`~repro.obs.observer.Observer`
+and every phase is an exclusive span of its phase view -- so the
+per-phase seconds must sum to the measured wall clock within tolerance,
+per variant, and a variant's phases must not carry anything from the
+previous variant's run."""
 
 import importlib.util
 import sys

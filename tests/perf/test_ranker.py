@@ -12,7 +12,7 @@ import pytest
 from repro.core.session import AstraSession
 from repro.gpu import P100
 from repro.gpu.device import CLOCK_AUTOBOOST
-from repro.obs import MetricsRegistry
+from repro.obs import Observer
 from repro.perf import FastPath, estimate_choices_us, prune_fk_tree
 
 
@@ -115,24 +115,24 @@ class TestPruneInvariants:
     def test_injector_disables_pruning(self, tiny_scrnn):
         enum, strategy, tree = self._tree(tiny_scrnn)
         before = {v.name: list(v.choices) for v in tree.variables()}
-        metrics = MetricsRegistry()
+        observer = Observer()
         pruned = prune_fk_tree(
             enum, strategy, tree, P100, FastPath(prune=True),
-            metrics=metrics, injector=object(),
+            observer=observer, injector=object(),
         )
         assert pruned == 0
         assert {v.name: list(v.choices) for v in tree.variables()} == before
-        assert metrics.counter("perf.prune.skipped_inexact").value == 1
+        assert observer.metrics().counter("perf.prune.skipped_inexact").value == 1
 
     def test_autoboost_clock_disables_pruning(self, tiny_scrnn):
         enum, strategy, tree = self._tree(tiny_scrnn)
-        metrics = MetricsRegistry()
+        observer = Observer()
         boosted = P100.with_clock(CLOCK_AUTOBOOST)
         pruned = prune_fk_tree(
-            enum, strategy, tree, boosted, FastPath(prune=True), metrics=metrics
+            enum, strategy, tree, boosted, FastPath(prune=True), observer=observer
         )
         assert pruned == 0
-        assert metrics.counter("perf.prune.skipped_inexact").value == 1
+        assert observer.metrics().counter("perf.prune.skipped_inexact").value == 1
 
     def test_coupled_ladder_vars_never_pruned(self, tiny_sublstm):
         """A ladder whose unfused GEMM library is decided by a concurrent
@@ -143,14 +143,15 @@ class TestPruneInvariants:
         assert coupled  # sublstm is known to exhibit the coupling
         before = {name: list(v.choices) for name in coupled
                   for v in tree.variables() if v.name == name}
-        metrics = MetricsRegistry()
+        observer = Observer()
         prune_fk_tree(
-            enum, strategy, tree, P100, FastPath(prune=True), metrics=metrics
+            enum, strategy, tree, P100, FastPath(prune=True), observer=observer
         )
         for var in tree.variables():
             if var.name in coupled:
                 assert list(var.choices) == before[var.name]
-        assert metrics.counter("perf.prune.skipped_coupled").value == len(coupled)
+        skipped = observer.metrics().counter("perf.prune.skipped_coupled")
+        assert skipped.value == len(coupled)
 
     def test_tree_reinitialized_after_prune(self, tiny_scrnn):
         enum, strategy, tree = self._tree(tiny_scrnn)

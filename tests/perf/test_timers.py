@@ -1,81 +1,89 @@
-"""PhaseClock: exclusive nesting accounting and the null-object default."""
+"""The observer's phase view: exclusive nesting accounting and the
+disabled default."""
 
 import time
 
-from repro.perf import NULL_CLOCK, PhaseClock
-from repro.perf.timers import _NullClock
+from repro.obs.observer import NULL_OBSERVER, Observer
 
 
 class TestPhaseClock:
     def test_single_phase_records_time_and_count(self):
-        clock = PhaseClock()
-        with clock.phase("work"):
+        observer = Observer()
+        with observer.span("work"):
             time.sleep(0.01)
-        assert clock.seconds["work"] >= 0.009
-        assert clock.counts["work"] == 1
+        assert observer.phases()["work"] >= 0.009
+        assert [e[1] for e in observer.events] == ["work"]
 
     def test_nested_phase_is_exclusive(self):
-        """A nested phase pauses the enclosing one: the inner sleep must
+        """A nested span pauses the enclosing one: the inner sleep must
         be charged to the inner phase only."""
-        clock = PhaseClock()
-        with clock.phase("outer"):
+        observer = Observer()
+        with observer.span("outer"):
             time.sleep(0.005)
-            with clock.phase("inner"):
+            with observer.span("inner"):
                 time.sleep(0.02)
             time.sleep(0.005)
-        assert clock.seconds["inner"] >= 0.018
+        phases = observer.phases()
+        assert phases["inner"] >= 0.018
         # outer gets only its own ~10ms, never the inner 20ms
-        assert clock.seconds["outer"] < 0.018
-        assert clock.counts == {"outer": 1, "inner": 1}
+        assert phases["outer"] < 0.018
+        assert set(phases) == {"outer", "inner"}
 
     def test_phases_sum_to_timed_wall(self):
-        clock = PhaseClock()
+        observer = Observer()
         start = time.perf_counter()
-        with clock.phase("a"):
+        with observer.span("a"):
             time.sleep(0.004)
-            with clock.phase("b"):
+            with observer.span("b"):
                 time.sleep(0.004)
-            with clock.phase("c"):
+            with observer.span("c"):
                 time.sleep(0.004)
         wall = time.perf_counter() - start
-        assert abs(clock.total_s - wall) < 0.005
-        assert set(clock.seconds) == {"a", "b", "c"}
+        phases = observer.phases()
+        assert abs(sum(phases.values()) - wall) < 0.005
+        assert set(phases) == {"a", "b", "c"}
 
     def test_reentry_accumulates(self):
-        clock = PhaseClock()
+        observer = Observer()
         for _ in range(3):
-            with clock.phase("hot"):
+            with observer.span("hot"):
                 pass
-        assert clock.counts["hot"] == 3
-        assert clock.seconds["hot"] >= 0.0
+        assert sum(1 for e in observer.events if e[1] == "hot") == 3
+        assert observer.phases()["hot"] >= 0.0
 
     def test_exception_still_closes_phase(self):
-        clock = PhaseClock()
+        observer = Observer()
         try:
-            with clock.phase("outer"):
-                with clock.phase("boom"):
+            with observer.span("outer"):
+                with observer.span("boom"):
                     raise RuntimeError("x")
         except RuntimeError:
             pass
-        assert clock.counts == {"outer": 1, "boom": 1}
-        assert not clock._stack
+        assert set(observer.phases()) == {"outer", "boom"}
 
     def test_snapshot_shape(self):
-        clock = PhaseClock()
-        with clock.phase("a"):
+        """Replayed worker spans land on a worker track, outside the
+        host phase table, which partitions only this process's time."""
+        worker = Observer()
+        with worker.span("simulate"):
             pass
-        snap = clock.snapshot()
-        assert snap["total_s"] == clock.total_s
-        assert snap["phases"]["a"]["count"] == 1
+        observer = Observer()
+        with observer.span("a"):
+            pass
+        observer.replay(worker.drain(), worker_pid=4242)
+        assert set(observer.phases()) == {"a"}
+        assert not worker.events
 
 
 class TestNullClock:
     def test_phase_is_noop_context(self):
-        with NULL_CLOCK.phase("anything") as c:
-            assert c is NULL_CLOCK
-        assert NULL_CLOCK.seconds == {}
-        assert NULL_CLOCK.total_s == 0.0
-        assert NULL_CLOCK.snapshot() == {"total_s": 0.0, "phases": {}}
+        with NULL_OBSERVER.span("anything") as span:
+            assert span is None
+        NULL_OBSERVER.count("c")
+        NULL_OBSERVER.replay([("counter", "c", 1)], worker_pid=1)
+        assert NULL_OBSERVER.events == []
+        assert NULL_OBSERVER.phases() == {}
 
     def test_shared_instance(self):
-        assert isinstance(NULL_CLOCK, _NullClock)
+        assert not NULL_OBSERVER.enabled
+        assert NULL_OBSERVER.span("a") is NULL_OBSERVER.span("b")

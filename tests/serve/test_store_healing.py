@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer
 from repro.serve.store import (
     SEG_CORRUPT,
     SEG_LEGACY,
@@ -139,10 +139,10 @@ class TestBitFlips:
         with open(info.path, "wb") as fh:
             fh.write(raw)
 
-        metrics = MetricsRegistry()
-        fresh = ProfileStore(str(tmp_path), metrics=metrics)
+        observer = Observer()
+        fresh = ProfileStore(str(tmp_path), observer=observer)
         assert fresh.load(DIGEST) is None
-        snap = metrics.snapshot()
+        snap = observer.metrics().snapshot()
         assert snap["serve.store.corrupt"]["value"] == 1
         assert snap["serve.store.quarantined"]["value"] == 1
         assert len(fresh.quarantined()) == 1

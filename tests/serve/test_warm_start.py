@@ -86,12 +86,14 @@ class TestWarmConvergence:
 
 class TestProvenanceAttribution:
     def test_warm_seeded_entries_attributed(self, tiny_scrnn, tmp_path):
+        from repro.obs.observer import Observer
         from repro.obs.provenance import ProvenanceLog
 
         store = str(tmp_path / "store")
         _run(tiny_scrnn, store)
-        log = ProvenanceLog()
-        warm, _ = _run(tiny_scrnn, store, provenance=log)
+        observer = Observer()
+        warm, _ = _run(tiny_scrnn, store, observer=observer)
+        log = observer.provenance()
         (event,) = log.warm_events()
         assert event["source"] == "store"
         assert event["entries"] == warm.warm["seeded_entries"]
@@ -104,15 +106,15 @@ class TestProvenanceAttribution:
         assert "warm-start:" in log.render()
 
     def test_cold_run_records_no_warm_event(self, tiny_scrnn):
-        from repro.obs.provenance import ProvenanceLog
+        from repro.obs.observer import Observer
 
-        log = ProvenanceLog()
-        session = AstraSession(tiny_scrnn, provenance=log)
+        observer = Observer()
+        session = AstraSession(tiny_scrnn, observer=observer)
         try:
             session.optimize(max_minibatches=BUDGET)
         finally:
             session.close()
-        assert log.warm_events() == []
+        assert observer.provenance().warm_events() == []
 
 
 class TestDigestIsolation:

@@ -43,12 +43,14 @@ from repro.fleet import (
     uniform_fleet,
     with_clock,
 )
+from repro.fleet.pool import FleetWorkerSpec, FleetWorkerState
+from repro.fleet.pool import run_shard as fleet_run_shard
 from repro.fleet.strategy import (
     balanced_shards, resolve_weighted_shards, weighted_shards,
 )
 from repro.gpu.device import P100
 from repro.models import MODEL_BUILDERS
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer
 
 #: the committed section 3.4 / 6.7 ablation document
 ABLATION_MULTIGPU = (
@@ -287,10 +289,10 @@ def test_report_identical_at_one_and_two_workers(job):
     so are the ``fleet.*`` metrics, measurement counts included."""
     docs, fleet_metrics = [], []
     for workers in (1, 2):
-        metrics = MetricsRegistry()
-        docs.append(_document(job(workers, metrics=metrics)))
+        observer = Observer()
+        docs.append(_document(job(workers, observer=observer)))
         fleet_metrics.append({
-            name: value for name, value in metrics.snapshot().items()
+            name: value for name, value in observer.metrics().snapshot().items()
             if name.startswith("fleet.")
         })
     assert docs[0] == docs[1]
@@ -334,6 +336,29 @@ def test_width_one_builds_each_batch_once():
     assert report.engine["candidates"] > 1
     assert sorted(built) == sorted(set(built))
     assert len(built) > 1
+
+
+def test_pool_worker_builds_no_full_batch_model():
+    """A pool worker adopts the parent's job identity from its spec: it
+    builds only the graphs of the primitives it measures, never the
+    full-batch model, and keys them exactly as the parent does."""
+    config = _config("scrnn", 256)
+    fleet = get_fleet("hetero")
+    parent = FleetMeasurer(MODEL_BUILDERS["scrnn"], config, fleet)
+    built: list[int] = []
+
+    def counting_builder(config):
+        built.append(config.batch_size)
+        return MODEL_BUILDERS["scrnn"](config)
+
+    state = FleetWorkerState(FleetWorkerSpec(
+        builder=counting_builder, config=config, fleet=fleet, job=parent.job,
+    ))
+    primitive = ("compute", sorted(fleet.class_specs())[0], 64)
+    (outcome,) = fleet_run_shard(state, [primitive])
+    assert built == [64]
+    parent.measure_primitive(primitive)
+    assert dict(outcome.records) == parent.index.snapshot()
 
 
 def test_pipeline_strategies_measured_on_multilayer_model():
