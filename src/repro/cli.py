@@ -800,15 +800,18 @@ def make_parser() -> argparse.ArgumentParser:
                    help="micro-batches streamed through pipeline "
                         "strategies (default 4)")
     p.add_argument("--exhaustive", action="store_true",
-                   help="measure every enumerated strategy: no bound "
-                        "pruning")
+                   help="no pruning at any level: measure every "
+                        "enumerated strategy and, with --astra, every inner "
+                        "FK choice")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the pruned-vs-exhaustive winner-identity "
                         "verification sweep (verification is the default)")
     p.add_argument("--astra", action="store_true",
                    help="price compute primitives with a per-device inner "
-                        "Astra optimization instead of the native plan "
-                        "(bound pruning stands down: stream overlap breaks "
+                        "Astra optimization instead of the native plan; "
+                        "each inner search pre-ranks its FK choices with "
+                        "the cost model like `repro optimize` (strategy "
+                        "bound pruning stands down: stream overlap breaks "
                         "its admissibility)")
     p.add_argument("--faults", default=None, metavar="PATH",
                    help="JSON FaultPlan to inject into every primitive "

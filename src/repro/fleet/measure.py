@@ -28,6 +28,7 @@ from ..core.measurement import QUARANTINED_US
 from ..core.profile_index import ProfileIndex, mangle
 from ..gpu.cost_model import unit_cost_us, units_cost_us
 from ..obs.observer import NULL_OBSERVER
+from ..perf.ranker import FastPath
 from ..perf.signature import plan_signature
 from ..runtime.executor import Executor
 from .spec import FleetSpec
@@ -156,10 +157,12 @@ class FleetMeasurer:
         observer=NULL_OBSERVER,
         inner_budget: int = 2000,
         job: FleetJob | None = None,
+        exhaustive: bool = False,
     ):
         """``job`` adopts a :class:`FleetJob` another measurer derived for
         the same (builder, config); without it the full-batch model is
-        built to derive one."""
+        built to derive one.  ``exhaustive`` turns off the inner
+        sessions' FK pre-ranking, so every inner choice is measured."""
         if use_astra and faults is not None:
             raise ValueError(
                 "inner-Astra compute and fleet fault injection are separate "
@@ -175,6 +178,7 @@ class FleetMeasurer:
         self.faults = faults
         self.observer = observer
         self.inner_budget = inner_budget
+        self.exhaustive = exhaustive
         self.class_specs = fleet.class_specs()
         self._models: dict[int, object] = {}
         self._plans: dict[int, object] = {}
@@ -342,13 +346,21 @@ class FleetMeasurer:
         """Per-device inner Astra optimization: the full single-GPU
         exploration runs against the *shared* index under a device-mangled
         context, so every strategy placing this subgraph on this device
-        class reuses the same fk measurements."""
+        class reuses the same fk measurements.
+
+        The session takes the CLI's fast path: the cost model pre-ranks
+        each FK variable and only the choices it cannot rule out are
+        measured.  The pre-ranker keeps every variable's argmin and
+        stands down where its estimate is not exact (autoboost classes),
+        so the inner winner and ``best_time_us`` are those of the
+        unpruned search; ``exhaustive`` measures every choice anyway."""
         from ..core.session import AstraSession
 
         session = AstraSession(
             model, device=self.class_specs[cls], features=self.features,
             seed=self.seed, index=self.index,
             context=self.profile_key(("inner", cls, batch)),
+            fast=FastPath(cache=True, prune=not self.exhaustive),
         )
         try:
             report = session.optimize(

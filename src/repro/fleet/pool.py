@@ -43,6 +43,7 @@ class FleetWorkerSpec:
     features: str = "FK"
     seed: int = 0
     faults: object = None
+    exhaustive: bool = False
 
 
 @dataclass
@@ -67,6 +68,7 @@ class FleetWorkerState:
                 spec.builder, spec.config, spec.fleet,
                 use_astra=spec.use_astra, features=spec.features,
                 seed=spec.seed, faults=spec.faults, job=spec.job,
+                exhaustive=spec.exhaustive,
             )
         self.measurer = measurer
 

@@ -23,9 +23,12 @@ Pruning stands down whenever the bound's exactness preconditions fail
 (fault injector, autoboost clocks, inner-Astra compute), and ``repro
 fleet --exhaustive`` disables it.  Then nothing is measured before the
 wave, and the table's bounds are priced after it from the shipped
-prices, so the parent builds no graph just to price a bound.  The
-equivalence tests pin bit-identical winners between the pruned and
-exhaustive paths and across worker counts.
+prices, so the parent builds no graph just to price a bound.  Inner-Astra
+compute pre-ranks each device class's FK choices inside its own session
+(:func:`~repro.perf.ranker.prune_fk_tree`), and ``exhaustive`` turns
+that off too: it means no pruning at any level.  The equivalence tests
+pin bit-identical winners between the pruned and exhaustive paths and
+across worker counts.
 """
 
 from __future__ import annotations
@@ -138,6 +141,7 @@ def run_fleet_search(
     measurer = FleetMeasurer(
         builder, config, fleet,
         use_astra=use_astra, seed=seed, faults=faults, observer=observer,
+        exhaustive=exhaustive,
     )
     batch = config.batch_size
     strategies = enumerate_strategies(
@@ -199,6 +203,7 @@ def run_fleet_search(
             spec = FleetWorkerSpec(
                 builder=builder, config=config, fleet=fleet, job=measurer.job,
                 use_astra=use_astra, seed=seed, faults=faults,
+                exhaustive=exhaustive,
             )
             pool = make_pool(spec, workers, FleetWorkerState, run_shard)
         else:

@@ -63,26 +63,32 @@ class Readback:
         self.uids: list[int] = []
         self.mains: list[int] = []
         self.backs: list[tuple[int, ...]] = []
-        groups: dict[int, tuple[list[int], list[int], dict]] = {}
+        record_of = unit_record_index.get
         for unit in units:
-            uid = unit.unit_id
-            idx = unit_record_index.get(uid)
+            idx = record_of(unit.unit_id)
             if idx is None:
                 continue
-            copies = len(unit.pre_copies)
-            self.uids.append(uid)
+            self.uids.append(unit.unit_id)
             self.mains.append(idx)
+            copies = len(unit.pre_copies)
             # a hand-built schedule may map a unit near the head of the
             # record list; never charge a record before index 0
             self.backs.append(
-                tuple(idx - b for b in range(1, copies + 1) if idx - b >= 0)
+                tuple(range(idx - 1, max(0, idx - copies) - 1, -1))
+                if copies else ()
             )
+        self.epoch_groups = []
+        if not epoch_of:
+            return
+        groups: dict[int, tuple[list[int], list[int], dict]] = {}
+        for uid, idx, backs in zip(self.uids, self.mains, self.backs):
             se, epoch = epoch_of.get(uid, (-1, -1))
             if se < 0 or epoch < 0:
                 continue
             group_uids, firsts, epochs = groups.setdefault(se, ([], [], {}))
             group_uids.append(uid)
-            firsts.append(max(0, idx - copies))
+            # the first record is the earliest pre-copy's, else the main
+            firsts.append(backs[-1] if backs else idx)
             epoch_uids, mains = epochs.setdefault(epoch, ([], []))
             epoch_uids.append(uid)
             mains.append(idx)

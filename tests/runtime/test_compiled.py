@@ -16,7 +16,7 @@ from repro.gpu.streams import OP_LAUNCH, StreamProgram
 from repro.ir import Tracer
 from repro.perf import LoweringCache
 from repro.runtime import Dispatcher, ExecutionPlan, Executor, Unit
-from repro.runtime.dispatcher import CompiledSchedule, LoweredSchedule
+from repro.runtime.dispatcher import CompiledSchedule, LoweredSchedule, Readback
 from repro.serialize import schedule_to_dict
 
 from ._reference_lowering import reference_lower
@@ -312,3 +312,56 @@ def test_epoch_metrics_equal_the_per_unit_reference(tiny_milstm, monkeypatch):
                     reference_epoch_metrics(lowered, result, set())
                 )
     assert checked > 0 and withheld > 0
+
+
+def reference_readback(units, epoch_of, unit_record_index):
+    """``Readback``'s fields computed unit by unit, in plan order."""
+    uids, mains, backs = [], [], []
+    groups: dict = {}
+    for unit in units:
+        idx = unit_record_index.get(unit.unit_id)
+        if idx is None:
+            continue
+        copies = len(unit.pre_copies)
+        uids.append(unit.unit_id)
+        mains.append(idx)
+        backs.append(tuple(idx - b for b in range(1, copies + 1) if idx - b >= 0))
+        se, epoch = epoch_of.get(unit.unit_id, (-1, -1))
+        if se < 0 or epoch < 0:
+            continue
+        group = groups.setdefault(se, ([], [], {}))
+        group[0].append(unit.unit_id)
+        group[1].append(max(0, idx - copies))
+        members = group[2].setdefault(epoch, ([], []))
+        members[0].append(unit.unit_id)
+        members[1].append(idx)
+    epoch_groups = [
+        (group_uids, firsts, [((se, e), *epochs[e]) for e in sorted(epochs)])
+        for se, (group_uids, firsts, epochs) in groups.items()
+    ]
+    return uids, mains, backs, epoch_groups
+
+
+def test_readback_equals_the_per_unit_reference(tiny_milstm, monkeypatch):
+    """On every explored plan, with and without epoch coordinates, and on
+    a hand-built record map that puts units with pre-copies at the head
+    of the record list, the readback equals the unit-by-unit walk."""
+    dispatcher = Dispatcher(tiny_milstm.graph)
+    cases = []
+    for plan in explored_plans(tiny_milstm, monkeypatch):
+        lowered = dispatcher.lower(plan)
+        for epoch_of in (plan.epoch_of, {}):
+            cases.append((plan.units, epoch_of, lowered.unit_record_index))
+    copy = CopyLaunch(64)
+    head = [
+        Unit(0, GemmLaunch(8, 8, 8, "cublas"), (0,), pre_copies=(copy, copy)),
+        Unit(1, ElementwiseLaunch(num_elements=64), (1,), pre_copies=(copy,) * 3),
+        Unit(2, ElementwiseLaunch(num_elements=64), (2,)),
+        Unit(3, GemmLaunch(8, 8, 8, "cublas"), (3,), pre_copies=(copy,)),
+    ]
+    cases.append((head, {0: (0, 0), 1: (0, 1), 3: (1, 0)}, {0: 0, 1: 2, 3: 6}))
+    for units, epoch_of, record_index in cases:
+        got = Readback(units, epoch_of, record_index)
+        assert (got.uids, got.mains, got.backs, got.epoch_groups) == \
+            reference_readback(units, epoch_of, record_index)
+    assert any(any(got for got in reference_readback(*case)[2]) for case in cases)

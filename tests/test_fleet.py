@@ -17,6 +17,10 @@ The load-bearing claims, each pinned here:
   (fault injection, autoboost clocks, inner-Astra compute), and a
   faulted search still converges to the same faulted winner pruned or
   exhaustive;
+* inner-Astra compute pre-ranks each device class's FK choices with the
+  cost model and measures fewer of them, yet every calibration value,
+  every compute primitive and the winner equal the exhaustive search's,
+  at one worker and at two;
 * on the default NVLink hetero fleet at batch 256, the winner is a
   heterogeneous placement that beats the best homogeneous one -- the
   claim the fleet exists to demonstrate -- and it is the committed
@@ -30,6 +34,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro.fleet.search as fleet_search
+from repro.core import wirer
 from repro.faults.plan import FaultPlan
 from repro.fleet import (
     FLEETS,
@@ -51,6 +57,7 @@ from repro.fleet.strategy import (
 from repro.gpu.device import P100
 from repro.models import MODEL_BUILDERS
 from repro.obs.observer import Observer
+from repro.perf.ranker import prune_fk_tree
 
 #: the committed section 3.4 / 6.7 ablation document
 ABLATION_MULTIGPU = (
@@ -267,7 +274,8 @@ def _document(report) -> dict:
 
 def _benchmark_job(workers: int, **kwargs):
     """The benchmark's fleet job: milstm b256 seq 2 on the hetero fleet
-    with inner-Astra compute, so pruning stands down."""
+    with inner-Astra compute, so strategy pruning stands down (the inner
+    sessions' FK pre-ranking still runs)."""
     config = _config("milstm", 256).scaled(seq_len=2)
     return run_fleet_search(
         MODEL_BUILDERS["milstm"], config, get_fleet("hetero"),
@@ -317,6 +325,66 @@ def test_wave_dispatches_each_missing_primitive_once():
     } - {(cls, batch) for cls in report.calibration}
     assert report.engine["candidates"] == len(wanted) == 17
     assert report.engine["rounds"] == 1
+
+
+def _searched_index(monkeypatch, job, **kwargs):
+    """Run ``job`` and return its report, the search measurer's index and
+    how many FK choices in-process inner sessions pruned."""
+    made, pruned = [], []
+
+    class Capturing(FleetMeasurer):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            made.append(self)
+
+    def counting_prune(*args, **kw):
+        pruned.append(prune_fk_tree(*args, **kw))
+        return pruned[-1]
+
+    monkeypatch.setattr(fleet_search, "FleetMeasurer", Capturing)
+    monkeypatch.setattr(wirer, "prune_fk_tree", counting_prune)
+    report = job(**kwargs)
+    (measurer,) = made
+    return report, measurer.index.snapshot(), measurer, sum(pruned)
+
+
+def test_inner_prerank_measures_less_and_changes_nothing(monkeypatch):
+    """Inner sessions pre-rank their FK choices unless the search is
+    exhaustive, which prunes none.  The pruned search stores fewer
+    inner-session entries, yet every calibration value, every compute
+    primitive the wave measured and the winner equal the exhaustive
+    search's.  At two workers the merged index and the document equal
+    width one's."""
+    pruned, pruned_index, measurer, choices_pruned = _searched_index(
+        monkeypatch, _benchmark_job, workers=1,
+    )
+    exhaustive, exhaustive_index, _, none_pruned = _searched_index(
+        monkeypatch, _benchmark_job, workers=1, exhaustive=True,
+    )
+    two, two_index, _, _ = _searched_index(
+        monkeypatch, _benchmark_job, workers=2,
+    )
+    assert choices_pruned > 0 and none_pruned == 0
+
+    context = len(measurer.context)
+
+    def entries(index, kind):
+        return {k: v for k, v in index.items() if k[context] == kind}
+
+    assert pruned.calibration == exhaustive.calibration
+    compute = entries(pruned_index, "compute")
+    assert len(compute) == len(pruned.calibration) + pruned.engine["candidates"]
+    assert compute == entries(exhaustive_index, "compute")
+    assert pruned.winner.key() == exhaustive.winner.key()
+    assert pruned.winner_per_sample_us == exhaustive.winner_per_sample_us
+    inner, inner_all = (
+        entries(pruned_index, "inner"), entries(exhaustive_index, "inner"),
+    )
+    assert 0 < len(inner) < len(inner_all)
+    assert set(inner) < set(inner_all)
+
+    assert _document(two) == _document(pruned)
+    assert two_index == pruned_index
 
 
 def test_width_one_builds_each_batch_once():
