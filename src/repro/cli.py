@@ -102,7 +102,6 @@ def cmd_optimize(args) -> int:
         faults=faults,
         checkpoint_path=getattr(args, "checkpoint", None),
         fast=fast,
-        workers=getattr(args, "workers", None),
         store=getattr(args, "store", None),
     )
     try:
@@ -114,8 +113,6 @@ def cmd_optimize(args) -> int:
                  if exc.checkpoint_path else " (no --checkpoint path set)"),
               file=sys.stderr)
         return 3
-    finally:
-        session.close()
     astra = report.astra
     _write_obs_outputs(args, observer)
     if args.json:
@@ -149,11 +146,6 @@ def cmd_optimize(args) -> int:
             parts.append(f"{fast_path.get('choices_pruned', 0)} of "
                          f"{fast_path.get('choices_total', 0)} choices pruned")
         print(f"fast path: {'  '.join(parts)}")
-        par = fast_path.get("parallel")
-        if par:
-            print(f"parallel: {par['workers']} workers ({par['pool']} pool)  "
-                  f"{par['candidates']} candidates in {par['rounds']} rounds  "
-                  f"worker busy {par['worker_busy_s']:.2f}s")
     warm = astra.warm
     if warm:
         sources = ", ".join(
@@ -294,22 +286,16 @@ def cmd_trace(args) -> int:
     model = _build(args)
     device = DEVICES[args.device]
     graph = model.graph
-    workers = getattr(args, "workers", None)
-    observer = (
-        Observer() if (workers and args.plan == "astra") else NULL_OBSERVER
-    )
+    observer = Observer() if args.plan == "astra" else NULL_OBSERVER
     if args.plan == "native":
         plan = native_plan(graph)
         label = f"{args.model}/native"
     else:
         session = AstraSession(
             model, device=device, features=args.features, seed=args.seed,
-            observer=observer, workers=workers,
+            observer=observer,
         )
-        try:
-            plan = session.optimize(max_minibatches=args.budget).astra.best_plan
-        finally:
-            session.close()
+        plan = session.optimize(max_minibatches=args.budget).astra.best_plan
         label = f"{args.model}/astra"
     executor = Executor(graph, device, seed=args.seed)
     lowered = executor.dispatcher.lower(plan)
@@ -317,8 +303,8 @@ def cmd_trace(args) -> int:
     out = args.output or f"{args.model}.trace.json"
     doc = chrome_trace(result, lowered=lowered, device=device, label=label)
     if observer.enabled:
-        # fold the optimizer's own timeline (with per-worker tracks) in
-        # next to the simulated mini-batch
+        # fold the optimizer's own timeline in next to the simulated
+        # mini-batch
         merge_host_trace(doc, observer.chrome())
     with open(out, "w") as fh:
         json.dump(doc, fh)
@@ -329,7 +315,7 @@ def cmd_trace(args) -> int:
           f"+ CPU dispatch; mini-batch {result.total_time_us / 1000:.3f} ms "
           f"({plan.label})")
     if observer.enabled:
-        print(f"includes the optimizer host timeline ({workers} workers)")
+        print("includes the optimizer host timeline")
     print("open it in https://ui.perfetto.dev or chrome://tracing")
     return 0
 
@@ -388,12 +374,9 @@ def cmd_explain(args) -> int:
     observer = Observer()
     session = AstraSession(
         model, device=device, features=args.features, seed=args.seed,
-        observer=observer, workers=getattr(args, "workers", None),
+        observer=observer,
     )
-    try:
-        report = session.optimize(max_minibatches=args.budget)
-    finally:
-        session.close()
+    report = session.optimize(max_minibatches=args.budget)
     astra = report.astra
     provenance = observer.provenance()
     if args.json:
@@ -679,10 +662,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-prune", action="store_true",
                    help="disable cost-model pruning (exhaustive search; "
                         "converges to the same winner, just slower)")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="measure exploration candidates on N parallel "
-                        "worker processes (same winner, same epoch time; "
-                        "see docs/performance.md)")
     p.add_argument("--store", default=None, metavar="PATH",
                    help="persistent profile-index store: warm-start this "
                         "job from matching prior runs and publish its "
@@ -713,11 +692,8 @@ def make_parser() -> argparse.ArgumentParser:
                    help="output path (default: <model>.trace.json)")
     p.add_argument("--plan", choices=["astra", "native"], default="astra",
                    help="trace the custom-wired plan (runs the exploration "
-                        "first) or the native single-stream baseline")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="explore on N worker processes and merge the "
-                        "optimizer's host timeline (per-worker tracks) "
-                        "into the trace")
+                        "first and merges its host timeline into the trace) "
+                        "or the native single-stream baseline")
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser(
@@ -747,9 +723,6 @@ def make_parser() -> argparse.ArgumentParser:
              "variable's winner won",
     )
     common(p, positional_model=True)
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="explore on N worker processes (the provenance log "
-                        "is bit-identical at every width)")
     p.add_argument("--json", action="store_true",
                    help="print the provenance log as JSON")
     p.set_defaults(fn=cmd_explain)

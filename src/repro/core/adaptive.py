@@ -61,20 +61,6 @@ class Explorable:
     def variables(self) -> Iterable["AdaptiveVariable"]:
         raise NotImplementedError
 
-    def snapshot_state(self) -> tuple:
-        """Opaque cursor state, restorable with :meth:`restore_state`.
-
-        Captures exploration *positions* only -- never choice lists or
-        payloads -- so a snapshot stays valid as long as the tree's
-        structure is unchanged.  The parallel engine uses snapshots to
-        rewind speculative advances whose outcome depended on a
-        measurement that had not been merged yet.
-        """
-        raise NotImplementedError
-
-    def restore_state(self, state: tuple) -> None:
-        raise NotImplementedError
-
 
 @dataclass
 class AdaptiveVariable(Explorable):
@@ -155,12 +141,6 @@ class AdaptiveVariable(Explorable):
     def variables(self) -> Iterable["AdaptiveVariable"]:
         yield self
 
-    def snapshot_state(self) -> tuple:
-        return (self._position, self._exhausted)
-
-    def restore_state(self, state: tuple) -> None:
-        self._position, self._exhausted = state
-
     @property
     def exhausted(self) -> bool:
         return self._exhausted
@@ -232,20 +212,6 @@ class UpdateNode(Explorable):
     def finalize(self, index: ProfileIndex, context: Key) -> None:
         for child in self.children:
             child.finalize(index, context)
-
-    def snapshot_state(self) -> tuple:
-        return (
-            self._prefix_cursor,
-            tuple(self._done),
-            tuple(child.snapshot_state() for child in self.children),
-        )
-
-    def restore_state(self, state: tuple) -> None:
-        cursor, done, child_states = state
-        self._prefix_cursor = cursor
-        self._done = list(done)
-        for child, child_state in zip(self.children, child_states):
-            child.restore_state(child_state)
 
 
 def count_configurations(node: Explorable) -> int:

@@ -53,21 +53,20 @@ class ProfileIndex:
     def merge(self, measurements) -> dict:
         """Merge ``(key, value)`` pairs, in the order given, into the store.
 
-        This is the canonical write path for worker-produced measurements
-        (and for the wirer's own recording): iteration order is insertion
-        order, so merging in candidate order reproduces the same store
-        byte for byte at every worker count.  Semantics differ from :meth:`record` in two
-        deliberate ways:
+        This is the canonical write path for the wirer's recording, warm
+        starts and the fleet search's worker results: iteration order is
+        insertion order, so merging in candidate order reproduces the
+        same store byte for byte.  Semantics differ from :meth:`record`
+        in two deliberate ways:
 
         * **dedupe** -- a key that is already present is skipped
-          (first-writer-wins), never re-recorded: two workers measuring
-          the same configuration must not bump its hit count twice;
+          (first-writer-wins), never re-recorded: two measurements of the
+          same configuration must not bump its hit count twice;
         * **quarantine is sticky** -- an entry holding the quarantine
           sentinel (``QUARANTINED_US``) is never overwritten by a fresh
           sample: the sentinel means *this configuration kept faulting
-          under the active policy*, and a worker that happened to get a
-          clean sample later must not resurrect it behind the wirer's
-          back.
+          under the active policy*, and a clean sample that arrives later
+          must not resurrect it behind the wirer's back.
 
         Returns ``{"merged", "duplicates", "quarantine_protected"}``
         counts for the engine's merge metrics.

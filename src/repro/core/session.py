@@ -82,9 +82,18 @@ class AstraSession:
         faults=None,
         checkpoint_path: str | None = None,
         fast=None,
-        workers: int = 1,
         store=None,
+        workers: int | None = None,
     ):
+        # exploration measures one configuration per mini-batch, in the
+        # caller: ``workers`` survives only for callers written against
+        # the old worker pool, and accepts nothing but width 1
+        if workers not in (None, 1):
+            raise ValueError(
+                f"workers={workers!r}: single-job exploration runs one "
+                "configuration per mini-batch in the caller; only the fleet "
+                "search measures in parallel (repro fleet --workers)"
+            )
         self.graph = model.graph if isinstance(model, TracedModel) else model
         self.model = model if isinstance(model, TracedModel) else None
         self.device = device
@@ -101,7 +110,7 @@ class AstraSession:
             self.graph, device, features, seed=seed, context=context, index=index,
             observer=observer, validate=validate,
             policy=policy, faults=faults, checkpoint_path=checkpoint_path,
-            fast=fast, workers=workers,
+            fast=fast,
         )
         # resume-on-restart: an existing checkpoint for the same
         # (graph, device, features, seed) is adopted automatically, so
@@ -116,8 +125,9 @@ class AstraSession:
         self._published_keys: set = set()
 
     def close(self) -> None:
-        """Release held resources (the engine's worker pool)."""
-        self.wirer.close()
+        """A no-op: a session holds no pool or other resource to release.
+        Kept, with the context-manager protocol, for callers that close
+        their sessions."""
 
     # -- cross-job warm start (docs/serving.md) -----------------------------
 
@@ -187,7 +197,7 @@ class AstraSession:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        """A no-op, like :meth:`close`."""
 
     def measure_native(self) -> float:
         """Mini-batch time of the unadapted framework execution.

@@ -35,16 +35,6 @@ from ..gpu.device import GPUSpec
 from ..ir.graph import Graph
 from ..obs.observer import NULL_OBSERVER, Observer
 from ..obs.report import KIND_COMPARE, KIND_EXPLORE, KIND_PRODUCTION
-from ..parallel.engine import (
-    HIT,
-    STATUS_BUDGET,
-    STATUS_EXHAUSTED,
-    ParallelEngine,
-    plan_wave,
-)
-from ..parallel.pool import InlinePool, make_pool
-from ..parallel.wire import CandidateOutcome, CandidateTask, WorkerSpec
-from ..parallel.worker import WorkerState, measure_plan, run_shard
 from ..perf.cache import LoweringCache
 from ..perf.ranker import FastPath, prune_fk_tree
 from ..runtime.executor import Executor, MiniBatchResult
@@ -53,7 +43,14 @@ from .adaptive import AdaptiveVariable, UpdateNode
 from .allocation import AllocationStrategy
 from .enumerator import AstraFeatures, BuiltPlan, Enumerator
 from .epochs import EpochPartition
-from .measurement import QUARANTINED_US, TRUSTING, MeasurementPolicy, robust_min
+from .measurement import (
+    QUARANTINED_US,
+    TRUSTING,
+    CandidateOutcome,
+    MeasurementPolicy,
+    measure_plan,
+    robust_min,
+)
 from .profile_index import ProfileIndex, mangle
 
 if TYPE_CHECKING:
@@ -167,7 +164,6 @@ class CustomWirer:
         faults=None,
         checkpoint_path: str | None = None,
         fast: FastPath | None = None,
-        workers: int = 1,
     ):
         self.graph = graph
         self.device = device
@@ -195,24 +191,6 @@ class CustomWirer:
             faults.injector() if faults is not None and faults.specs else None
         )
         self.checkpoint_path = checkpoint_path
-        # exploration engine (docs/performance.md): one loop at every
-        # width.  Above width 1 the worker pool is stood up before the
-        # enumerator, so worker start-up overlaps the parent's own static
-        # analysis; at width 1 the waves run in the caller, on this
-        # wirer's own enumerator, lowering cache and executor
-        self.workers = max(1, workers or 1)
-        self.spec = WorkerSpec(
-            graph=graph, device=device, features=features, seed=seed,
-            validate=validate, policy=self.policy, fast=self.fast,
-            fault_plan=faults, observe=observer.enabled,
-        )
-        self.engine: ParallelEngine | None = None
-        if self.workers > 1:
-            self.engine = ParallelEngine(
-                make_pool(self.spec, self.workers, WorkerState, run_shard),
-                observer=observer,
-            )
-            self.engine.prewarm()
         with observer.span("enumerate"):
             self.enumerator = Enumerator(
                 graph, device, features,
@@ -222,17 +200,11 @@ class CustomWirer:
             LoweringCache(observer=observer) if self.fast.cache else None
         )
         # no injector here: every measurement arms its own per-candidate
-        # injector (repro.parallel.worker.measure_plan)
+        # injector (repro.core.measurement.measure_plan)
         self.executor = Executor(
             graph, device, seed=seed, validate=validate, observer=observer,
             cache=self.cache,
         )
-        if self.engine is None:
-            state = WorkerState(self.spec, self.enumerator, self.executor)
-            self.engine = ParallelEngine(
-                InlinePool(WorkerState, run_shard, self.spec, state=state),
-                observer=observer,
-            )
         self._choices_total = 0
         self._choices_pruned = 0
         self._overhead_samples: list[float] = []
@@ -302,9 +274,6 @@ class CustomWirer:
             # pruned run must not resume into an exhaustive one (or vice
             # versa) -- the tree indices would mean different choices
             "fast": repr(self.fast),
-            # worker count is deliberately absent: every width runs the
-            # same loop and draws the same per-candidate substreams, so a
-            # checkpoint taken at any width resumes at any other
         }
 
     def checkpoint_state(
@@ -406,20 +375,18 @@ class CustomWirer:
 
     # -- measurement: one sample/retry loop, one replay ------------------
 
-    def _measure_local(
-        self, plan: ExecutionPlan, var_units: dict, samples: int | None = None,
+    def _measure(
+        self, plan: ExecutionPlan, samples: int | None = None
     ) -> CandidateOutcome:
-        """Measure a plan this wirer built itself (stream, compare and
-        production phases) as the next mini-batch, in the caller, through
-        the same loop the worker pool runs."""
+        """Measure ``plan`` as the next mini-batch(es) of the run."""
         return measure_plan(
-            self.executor, self.spec, plan, var_units,
+            self.executor, plan, self.policy, seed=self.seed,
             base_minibatch=self._prior_spent + self._spent_this_run,
-            preempted=self._injector_preempted(), samples=samples,
+            faults=self.faults, samples=samples,
+            preempted=(
+                self.injector._preempted if self.injector is not None else False
+            ),
         )
-
-    def _injector_preempted(self) -> bool:
-        return self.injector._preempted if self.injector is not None else False
 
     def _replay(
         self,
@@ -432,9 +399,8 @@ class CustomWirer:
     ) -> tuple[list[MiniBatchResult], int]:
         """Act on one measured configuration's event log, in order.
 
-        Executor counters, injector side effects, fault records and the
-        retry accounting land at the configuration's canonical position.
-        Each sample charged to ``stats`` costs one mini-batch of budget
+        Injector side effects, fault records and the retry accounting
+        land in sample order.  Each sample charged to ``stats`` costs one mini-batch of budget
         and joins the timeline (a lost one still costs: its work was
         dispatched); the uncharged production run (``stats`` None) is
         logged by its caller.  A preemption or error that cut the
@@ -442,9 +408,6 @@ class CustomWirer:
 
         Returns (successful samples, mini-batches charged).
         """
-        self.observer.replay(
-            outcome.events, outcome.worker_pid, ordinal=outcome.ordinal
-        )
         if self.injector is not None and outcome.injector_minibatch is not None:
             self.injector.absorb(
                 outcome.injector_records,
@@ -495,12 +458,12 @@ class CustomWirer:
                 stats.minibatches += 1
         if outcome.preempted_at is not None:
             raise PreemptionError(outcome.preempted_at)
-        if outcome.error is not None or outcome.error_repr:
+        if outcome.error is not None:
             # a defective schedule is recorded in the run report (one
             # record per violation) before the error propagates
             for label, violation_kind, text in outcome.violations:
                 self.observer.violation(label, violation_kind, text, context)
-            raise self._decode_worker_error(outcome)
+            raise outcome.error
         return results, charged
 
     def _record_measurements(
@@ -606,150 +569,60 @@ class CustomWirer:
         context: tuple,
         stats: PhaseStats,
         budget: int,
-        measure,
+        build,
     ) -> int:
-        """Explore one update tree: plan a wave, measure, replay, advance.
+        """Explore one update tree, one configuration per mini-batch.
 
-        :func:`~repro.parallel.engine.plan_wave` lays out the
-        configurations the tree visits; ``measure(entries)`` returns one
-        outcome per measurement entry; :meth:`_merge_wave` replays them
-        in visiting order, so the index, the counters, the timeline, the
-        strikes and the budget evolve the same way at every width.
-        Returns the mini-batches spent.
+        Section 4.7's loop: measure the tree's current configuration
+        unless the index already answers it, record its profiles, and
+        advance.  ``build(assignment, live_names)`` returns the
+        configuration's :class:`BuiltPlan`.  A configuration whose every
+        sample failed is struck and measured again, or quarantined once
+        the policy's patience is out.  Returns the mini-batches spent.
         """
         spent = 0
-        advance_first = False
         with self.observer.span(f"explore/{stats.name}"):
             while True:
-                with self.observer.span("enumerate"):
-                    entries, status = plan_wave(
-                        tree, self.index, context,
-                        samples=self.policy.samples,
-                        spent=spent, budget=budget,
-                        advance_first=advance_first,
+                live_vars = [
+                    v for v in tree.variables()
+                    if v.profile_key(context) not in self.index
+                ]
+                if not live_vars:
+                    stats.index_hits += 1
+                    self.observer.count(f"astra.index_hits.{stats.name}")
+                else:
+                    assignment = tree.assignment()
+                    with self.observer.span("enumerate"):
+                        built = build(assignment, {v.name for v in live_vars})
+                    results, charged = self._replay(
+                        self._measure(built.plan), context, stats.name,
+                        stats, assignment,
                     )
-                advance_first = False
-                if not entries:
-                    break  # the owed advance found the tree exhausted
-                end_snapshot = tree.snapshot_state()
-                candidates = [e for e in entries if e is not HIT]
-                outcomes = measure(candidates) if candidates else []
-                merge_status, spent = self._merge_wave(
-                    tree, context, stats, entries, outcomes, spent, budget
-                )
-                if merge_status == "retry":
-                    # every sample of a configuration failed: the tree
-                    # sits at that configuration (wave tail discarded);
-                    # re-plan from there
-                    continue
-                if merge_status == "budget":
-                    # budget exhausted at the failed configuration
-                    tree.finalize(self.index, context)
+                    spent += charged
+                    key = self._config_key(live_vars, context)
+                    if results:
+                        self._record_measurements(
+                            tree, built.var_units, results, context
+                        )
+                        self._fault_strikes.pop(key, None)
+                        self.observer.count(f"astra.index_misses.{stats.name}")
+                    else:
+                        strikes = self._fault_strikes.get(key, 0) + 1
+                        self._fault_strikes[key] = strikes
+                        if strikes >= self.policy.quarantine_after:
+                            self._quarantine(live_vars, context, stats.name)
+                    if spent >= budget:
+                        tree.finalize(self.index, context)
+                        break
+                    if not results:
+                        continue  # the same configuration again
+                if not tree.advance(self.index, context):
                     break
-                tree.restore_state(end_snapshot)
-                if status == STATUS_BUDGET:
-                    tree.finalize(self.index, context)
-                    break
-                if status == STATUS_EXHAUSTED:
-                    break
-                advance_first = True  # sealed or wave-capped: advance owed
         return spent
-
-    def _measure_fk_wave(self, strategy: AllocationStrategy, entries):
-        """Ship an fk wave to the engine; workers build the plans."""
-        base = self._prior_spent + self._spent_this_run
-        samples = self.policy.samples
-        preempted = self._injector_preempted()
-        tasks = [
-            CandidateTask(
-                ordinal=n,
-                strategy_id=strategy.strategy_id,
-                assignment=tuple(sorted(entry.assignment.items())),
-                live_names=entry.live_names,
-                base_minibatch=base + n * samples,
-                preempted=preempted,
-            )
-            for n, entry in enumerate(entries)
-        ]
-        with self.observer.span("dispatch"):
-            return self.engine.measure_wave(tasks)
-
-    def _merge_wave(
-        self,
-        tree: UpdateNode,
-        context: tuple,
-        stats: PhaseStats,
-        entries,
-        outcomes,
-        spent: int,
-        budget: int,
-    ) -> tuple[str, int]:
-        """Replay a wave's outcomes in visiting order.
-
-        Each measurement entry restores its tree snapshot (profile keys
-        and quarantine keys read variables' *current* values), replays
-        its outcome through :meth:`_replay`, and merges the profiles into
-        the index.  Returns ``("ok" | "retry" | "budget", spent)``; on
-        ``retry``/``budget`` the tree is left at the failed entry's
-        configuration and the wave's unmerged tail is discarded -- its
-        speculative keys were never written anywhere.
-        """
-        outcome_iter = iter(outcomes)
-        for position, entry in enumerate(entries):
-            if entry is HIT:
-                stats.index_hits += 1
-                self.observer.count(f"astra.index_hits.{stats.name}")
-                continue
-            outcome = next(outcome_iter)
-            tree.restore_state(entry.snapshot)
-            results, charged = self._replay(
-                outcome, context, stats.name, stats, entry.assignment
-            )
-            spent += charged
-            live_vars = [
-                v for v in tree.variables() if v.name in entry.live_names
-            ]
-            key = self._config_key(live_vars, context)
-            if results:
-                self._record_measurements(
-                    tree, outcome.var_units, results, context
-                )
-                self._fault_strikes.pop(key, None)
-                self.observer.count(f"astra.index_misses.{stats.name}")
-                continue
-            # every sample of this configuration failed: strike it;
-            # quarantine once the policy's patience is out, otherwise
-            # retry the same configuration
-            strikes = self._fault_strikes.get(key, 0) + 1
-            self._fault_strikes[key] = strikes
-            if strikes >= self.policy.quarantine_after:
-                self._quarantine(live_vars, context, stats.name)
-            discarded = sum(1 for later in entries[position + 1:] if later is not HIT)
-            if discarded:
-                self.engine.stats.discarded += discarded
-                self.observer.count("parallel.candidates_discarded", discarded)
-            return ("retry" if spent < budget else "budget"), spent
-        return "ok", spent
 
     @staticmethod
     def _config_key(live_vars: list[AdaptiveVariable], context: tuple) -> tuple:
         return tuple(var.profile_key(context) for var in live_vars)
-
-    def _decode_worker_error(self, outcome) -> BaseException:
-        import pickle as _pickle
-
-        if outcome.error is not None:
-            try:
-                return _pickle.loads(outcome.error)
-            except Exception:
-                pass
-        return RuntimeError(
-            f"worker-side error: {outcome.error_repr or 'unknown'}"
-        )
-
-    def close(self) -> None:
-        """Release the engine's worker pool."""
-        self.engine.close()
 
     def optimize(self, max_minibatches: int = 5000) -> AstraReport:
         """Run the full online exploration and return the custom-wired plan.
@@ -819,7 +692,7 @@ class CustomWirer:
         )
         production_context = self.base_context + best_strategy.context_key()
         production_results, _charged = self._replay(
-            self._measure_local(production, {}, samples=1),
+            self._measure(production, samples=1),
             production_context, "production",
         )
         if production_results:
@@ -881,26 +754,9 @@ class CustomWirer:
         )
         if self.fast.prune:
             with self.observer.span("prerank"):
-                estimates = None
-                if self.engine.workers > 1:
-                    # shard the cost-model evaluation across the pool;
-                    # workers compute against their own unpruned copy of
-                    # this tree, and the pure-float estimates are
-                    # bit-identical to the in-process computation
-                    from ..perf.ranker import estimate_jobs
-
-                    jobs = estimate_jobs(
-                        self.enumerator, fk_tree, self.device,
-                        injector=self.injector,
-                    )
-                    if jobs:
-                        estimates = self.engine.gather_estimates(
-                            strategy.strategy_id, jobs
-                        )
                 pruned = prune_fk_tree(
                     self.enumerator, strategy, fk_tree, self.device,
                     self.fast, observer=self.observer, injector=self.injector,
-                    estimates=estimates,
                 )
             self._choices_pruned += pruned
             if self.observer.enabled and pruned:
@@ -909,7 +765,9 @@ class CustomWirer:
         fk_stats = self._phase_stats(f"fk/{strategy.label}")
         self._explore(
             fk_tree, context, fk_stats, budget_left(),
-            lambda entries: self._measure_fk_wave(strategy, entries),
+            lambda assignment, live: self.enumerator.build_plan(
+                strategy, assignment, profile_vars=live
+            ),
         )
         phases.append(fk_stats)
         fk_tree.finalize(self.index, context)
@@ -929,20 +787,12 @@ class CustomWirer:
             )
             self._record_candidates(stream_tree, context)
             stream_stats = self._phase_stats(f"streams/{strategy.label}")
-
-            def measure_streams(entries):
-                (entry,) = entries  # a prefix tree plans one per wave
-                with self.observer.span("enumerate"):
-                    built = self._build_with_streams(
-                        strategy, fk_assignment, entry.assignment,
-                        partition, stream_tree,
-                        profile_vars=set(entry.live_names),
-                    )
-                return [self._measure_local(built.plan, built.var_units)]
-
             self._explore(
                 stream_tree, context, stream_stats, budget_left(),
-                measure_streams,
+                lambda assignment, live: self._build_with_streams(
+                    strategy, fk_assignment, assignment, partition,
+                    stream_tree, profile_vars=live,
+                ),
             )
             phases.append(stream_stats)
             stream_tree.finalize(self.index, context)
@@ -983,7 +833,7 @@ class CustomWirer:
                 measured.append((cached, built.plan, assignment))
                 continue
             results, _charged = self._replay(
-                self._measure_local(built.plan, built.var_units),
+                self._measure(built.plan),
                 context, compare_stats.name, compare_stats, assignment,
                 kind=KIND_COMPARE,
             )
@@ -1144,7 +994,6 @@ class CustomWirer:
             "cache": self.cache.stats() if self.cache is not None else None,
             "choices_total": self._choices_total,
             "choices_pruned": self._choices_pruned,
-            "parallel": self.engine.summary() if self.workers > 1 else None,
         }
         observer.gauge("perf.choices_total", self._choices_total)
         observer.gauge("perf.choices_pruned", self._choices_pruned)

@@ -74,7 +74,7 @@ class FaultError(RuntimeError):
     # subclasses take domain arguments, not the base (message, minibatch)
     # pair, so the default exception reduce protocol re-raises a TypeError
     # on unpickle; each subclass pins its own constructor arguments.  The
-    # parallel engine ships worker-side faults back to the wirer this way.
+    # fleet search's process pool ships worker-side faults back this way.
     def __reduce__(self):
         return (type(self), (str(self), self.minibatch))
 

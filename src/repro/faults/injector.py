@@ -32,9 +32,9 @@ from .events import (
 )
 from .plan import FaultPlan
 
-#: domain-separation tag for per-candidate injector substreams (parallel
-#: engine): keeps candidate streams disjoint from the run-level stream
-#: seeded with the bare plan seed
+#: domain-separation tag for per-candidate injector substreams: keeps
+#: candidate streams disjoint from the run-level stream seeded with the
+#: bare plan seed
 _CANDIDATE_STREAM_TAG = 0xFA17
 
 
@@ -56,7 +56,7 @@ class FaultInjector:
         self._preempted = False
         self._log = MinibatchFaultLog()
 
-    # -- splittable sub-states (parallel engine) ---------------------------
+    # -- per-candidate sub-states ----------------------------------------
 
     @classmethod
     def for_candidate(
@@ -66,9 +66,7 @@ class FaultInjector:
 
         The sub-state is keyed by the candidate's *global mini-batch
         ordinal* (the budget already spent when its first sample runs),
-        not by which worker executes it -- so a wave of candidates
-        injects the same faults whether it runs on one worker or eight,
-        and a resumed run re-derives identical sub-states from the
+        so a resumed run re-derives identical sub-states from the
         checkpointed spent count.  Windowed faults (throttle, OOM,
         preemption) see the true global cursor; rate faults draw from the
         candidate's own substream.
@@ -86,9 +84,8 @@ class FaultInjector:
     ) -> None:
         """Merge a candidate sub-state's side effects back into this one.
 
-        Called by the wirer's canonical merge, in candidate order, so the
-        ledger and the mini-batch cursor end up identical for any worker
-        count.  The cursor only moves forward: sequential phases that
+        Called by the wirer after each candidate, in candidate order.
+        The cursor only moves forward: sequential phases that
         follow (stream, compare, production) must see every fault window
         the exploration already passed through.
         """

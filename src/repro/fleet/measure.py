@@ -362,13 +362,10 @@ class FleetMeasurer:
             context=self.profile_key(("inner", cls, batch)),
             fast=FastPath(cache=True, prune=not self.exhaustive),
         )
-        try:
-            report = session.optimize(
-                max_minibatches=self.inner_budget, measure_native=False
-            )
-            return report.best_time_us
-        finally:
-            session.close()
+        report = session.optimize(
+            max_minibatches=self.inner_budget, measure_native=False
+        )
+        return report.best_time_us
 
     def _run_native(self, graph, spec, primitive: tuple) -> float:
         from ..faults.events import DeviceOOMError, KernelLaunchError

@@ -3,10 +3,10 @@
 The unit of fleet work is the *primitive* (:meth:`FleetMeasurer.primitives`):
 one ``("compute", cls, shard)`` or ``("stage", cls, micro)``
 measurement, which every strategy placing that subgraph on that device
-class shares.  The exploration engine dispatches shards of the wave's
-distinct primitives, in first-appearance order, to workers that rebuild
-the measurer from a pickled :class:`FleetWorkerSpec` and return one
-:class:`FleetOutcome` per primitive, in the same order.  An outcome
+class shares.  :class:`~repro.parallel.engine.ParallelEngine` dispatches
+shards of the wave's distinct primitives, in first-appearance order, to
+workers that rebuild the measurer from a pickled :class:`FleetWorkerSpec`
+and return one :class:`FleetOutcome` per primitive, in the same order.  An outcome
 ships the index delta the measurement added and the primitive's
 analytic price, so the parent composes strategies and prices their
 bounds without building the primitives' graphs.  The spec carries the
@@ -14,8 +14,8 @@ parent's :class:`~repro.fleet.measure.FleetJob`, so a worker builds no
 full-batch model just to derive it.  At width 1 the inline pool lends
 the search's own measurer instead of building a second one.
 
-Determinism is the same contract the exploration worker has: a
-primitive's measurement depends only on (spec, primitive) -- fault
+Determinism: a primitive's measurement depends only on (spec,
+primitive) -- fault
 sub-states are keyed by primitive, not by worker or order, and
 primitives never read each other's entries -- so the merged index is the
 same for any worker count, including the inline pool.

@@ -413,10 +413,9 @@ class StreamSimulator:
     def reseed(self, seed_key) -> None:
         """Rebind the jitter RNG to a derived substream.
 
-        The exploration engine reseeds the simulator once per candidate,
-        keyed by the candidate's global mini-batch ordinal, so autoboost
-        jitter is a function of *which* candidate runs -- never of which
-        worker runs it or what ran before.  At base clock no draws happen
+        The wirer reseeds the simulator once per candidate, keyed by the
+        candidate's global mini-batch ordinal, so autoboost jitter is a
+        function of *which* candidate runs -- never of what ran before.  At base clock no draws happen
         at all, so the reseed is skipped.
         """
         if self.device.clock_mode == CLOCK_AUTOBOOST:

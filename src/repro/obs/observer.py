@@ -7,7 +7,7 @@ An :class:`Observer` appends typed events, in the order they happen, to
   wirer's phases, the executor's lower/validate/simulate, exploration
   phases);
 * **instants** -- a point annotation (preempted, custom-wired, a round of
-  the parallel engine);
+  the fleet search's wave);
 * **metric updates** -- counter, gauge, histogram and series values;
 * **decisions** -- what the exploration did: one mini-batch record, a
   fault, a schedule violation, a degradation, or a provenance event
@@ -16,7 +16,7 @@ An :class:`Observer` appends typed events, in the order they happen, to
 Every output is computed from that list when it is asked for:
 
 * :meth:`Observer.phases` -- exclusive seconds per host span name;
-* :meth:`Observer.chrome` -- the Chrome trace of the host and worker tracks;
+* :meth:`Observer.chrome` -- the Chrome trace of the host track;
 * :meth:`Observer.metrics` -- the :class:`~repro.obs.metrics.MetricsRegistry`;
 * :meth:`Observer.report` -- the :class:`~repro.obs.report.RunReporter`
   records, JSON lines and summary;
@@ -32,13 +32,8 @@ construction.
 :data:`NULL_OBSERVER` is the disabled default everywhere: it records
 nothing, and its ``span`` hands back one shared do-nothing context.  An
 observer never steers what gets dispatched to the simulated GPU, and
-never writes to stdout or stderr.
-
-Worker processes record into their own observer; each measured
-candidate's events ship back with its outcome and
-:meth:`Observer.replay` moves their spans onto that worker's track.
-Times are ``time.perf_counter`` readings, the system-wide monotonic
-clock, so a worker's spans line up with the parent's.
+never writes to stdout or stderr.  Times are ``time.perf_counter``
+readings.
 """
 
 from __future__ import annotations
@@ -47,8 +42,8 @@ import time
 from contextlib import nullcontext
 
 #: event kinds: the first field of every event tuple
-SPAN = "span"            # (SPAN, name, track, t_open, t_close, args)
-INSTANT = "instant"      # (INSTANT, name, track, t, args)
+SPAN = "span"            # (SPAN, name, t_open, t_close, args)
+INSTANT = "instant"      # (INSTANT, name, t, args)
 COUNTER = "counter"      # (COUNTER, name, n)
 GAUGE = "gauge"          # (GAUGE, name, value)
 HISTOGRAM = "histogram"  # (HISTOGRAM, name, value)
@@ -58,9 +53,6 @@ FAULT = "fault"          # (FAULT, phase, kind, message, context, surfaced, t)
 VIOLATION = "violation"  # (VIOLATION, phase, kind, message, context)
 DEGRADED = "degraded"    # (DEGRADED, message, context, best_time_us, t)
 DECISION = "decision"    # (DECISION, provenance event dict, t)
-
-#: the host's own track; a worker's events are replayed onto its pid
-HOST = 0
 
 
 class _Span:
@@ -78,7 +70,7 @@ class _Span:
 
     def __exit__(self, *exc_info) -> bool:
         self._observer.events.append(
-            (SPAN, self._name, HOST, self._start, time.perf_counter(), self._args)
+            (SPAN, self._name, self._start, time.perf_counter(), self._args)
         )
         return False
 
@@ -105,7 +97,7 @@ class Observer:
 
     def instant(self, name: str, **args) -> None:
         if self.enabled:
-            self.events.append((INSTANT, name, HOST, time.perf_counter(), args))
+            self.events.append((INSTANT, name, time.perf_counter(), args))
 
     def count(self, name: str, n: int = 1) -> None:
         if self.enabled:
@@ -163,28 +155,10 @@ class Observer:
                 (DECISION, {"event": event, **fields}, time.perf_counter())
             )
 
-    def drain(self) -> list[tuple]:
-        """Hand over the events recorded so far and start a new list."""
-        events, self.events = self.events, []
-        return events
-
-    def replay(self, events, worker_pid: int, **tags) -> None:
-        """Append events another observer recorded (a worker's, shipped
-        with an outcome), in their order; their spans and instants move
-        to the worker's track and carry ``tags``."""
-        if not self.enabled:
-            return
-        for event in events:
-            if event[0] == SPAN or event[0] == INSTANT:
-                *head, args = event
-                head[2] = worker_pid
-                event = (*head, {**args, **tags})
-            self.events.append(event)
-
     # -- views --------------------------------------------------------------
 
     def phases(self) -> dict[str, float]:
-        """Exclusive seconds per span name on the host track.
+        """Exclusive seconds per span name.
 
         A nested span pauses the one enclosing it, so the names partition
         the timed wall clock: their sum equals the total length of the
@@ -192,8 +166,8 @@ class Observer:
         seconds: dict[str, float] = {}
         stack: list[list] = []  # [close time, name, exclusive seconds]
         spans = sorted(
-            (event[3], -event[4], event[1]) for event in self.events
-            if event[0] == SPAN and event[2] == HOST
+            (event[2], -event[3], event[1]) for event in self.events
+            if event[0] == SPAN
         )
         for start, neg_end, name in spans:
             end = -neg_end
@@ -209,21 +183,18 @@ class Observer:
 
     def chrome(self) -> dict:
         """Chrome trace-event document: spans and instants on the host
-        track and one track per worker, series as counter tracks."""
+        track, series as counter tracks."""
         if not self.events:
             return {"traceEvents": [], "displayTimeUnit": "ms"}
-        tids: dict[int, int] = {HOST: 0}
         body: list[dict] = []
         for event in self.events:
             kind = event[0]
             if kind == SPAN:
-                _, name, track, start, end, args = event
-                tid = tids.setdefault(track, len(tids))
+                _, name, start, end, args = event
                 body.append({
-                    "ph": "X", "pid": 0, "tid": tid, "name": name,
-                    "cat": "astra" if track == HOST else "worker",
-                    "ts": self._us(start), "dur": (end - start) * 1e6,
-                    "args": args,
+                    "ph": "X", "pid": 0, "tid": 0, "name": name,
+                    "cat": "astra", "ts": self._us(start),
+                    "dur": (end - start) * 1e6, "args": args,
                 })
             elif kind == SERIES:
                 body.append({
@@ -234,18 +205,14 @@ class Observer:
             else:
                 marked = _instant(event)
                 if marked is not None:
-                    name, track, at, args = marked
+                    name, at, args = marked
                     body.append({
-                        "ph": "i", "s": "t", "pid": 0,
-                        "tid": tids.setdefault(track, len(tids)), "name": name,
+                        "ph": "i", "s": "t", "pid": 0, "tid": 0, "name": name,
                         "cat": "astra", "ts": self._us(at), "args": args,
                     })
-        meta = [
-            {"ph": "M", "pid": 0, "tid": tid, "name": "thread_name",
-             "args": {"name": "phases" if track == HOST else f"worker {track}"}}
-            for track, tid in tids.items()
-        ]
-        return {"traceEvents": meta + body, "displayTimeUnit": "ms"}
+        meta = {"ph": "M", "pid": 0, "tid": 0, "name": "thread_name",
+                "args": {"name": "phases"}}
+        return {"traceEvents": [meta] + body, "displayTimeUnit": "ms"}
 
     def metrics(self):
         """The metrics registry: every metric update, plus the ones each
@@ -311,17 +278,17 @@ class Observer:
 
 
 def _instant(event: tuple):
-    """(name, track, t, args) of the trace instant an event marks, or None."""
+    """(name, t, args) of the trace instant an event marks, or None."""
     kind = event[0]
     if kind == INSTANT:
-        return event[1], event[2], event[3], event[4]
+        return event[1], event[2], event[3]
     if kind == FAULT and event[5]:
-        return f"fault/{event[2]}", HOST, event[6], {"detail": event[3]}
+        return f"fault/{event[2]}", event[6], {"detail": event[3]}
     if kind == DEGRADED:
-        return "degraded", HOST, event[4], {"best_time_us": event[3]}
+        return "degraded", event[4], {"best_time_us": event[3]}
     if kind == DECISION and event[1]["event"] == "warm":
         fields = event[1]
-        return ("warm-start", HOST, event[2],
+        return ("warm-start", event[2],
                 {"entries": fields["entries"], "source": fields["source"]})
     return None
 

@@ -9,11 +9,10 @@ their cost-model estimates, quarantine events, and the compare-phase
 numbers.  ``repro explain`` renders it as "winner vs runner-up, per
 variable, with the measurements that decided it".
 
-Determinism: events are recorded by the wirer's one exploration loop as
-it merges each wave (`_merge_wave`), in canonical order, with no
-wall-clock timestamps -- so runs of the same exploration at any
-``--workers`` width produce bit-identical logs.  This is asserted in
-tests.
+Determinism: events are recorded by the wirer's one exploration loop
+(`_explore`) as it records each measured configuration, with no
+wall-clock timestamps -- so two runs of the same exploration produce
+bit-identical logs.
 
 The wirer records the events as decisions on its
 :class:`~repro.obs.observer.Observer`; the log is that observer's

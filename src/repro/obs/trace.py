@@ -1,7 +1,7 @@
 """Chrome trace-event export.
 
 The optimizer's own host timeline (which exploration phase ran when, in
-wall-clock time, with one track per worker) is the
+wall-clock time) is the
 :meth:`~repro.obs.observer.Observer.chrome` view; this module renders
 the simulated side and merges the two:
 
@@ -279,7 +279,7 @@ def fleet_trace(report) -> dict:
 
 def merge_host_trace(doc: dict, host_doc: dict, label: str = "optimizer") -> dict:
     """Merge an :meth:`Observer.chrome <repro.obs.observer.Observer.chrome>`
-    document (optimizer phases + worker spans) into an execution trace
+    document (optimizer phases) into an execution trace
     document.
 
     The execution document owns PID_CPU (dispatch thread) and PID_GPU

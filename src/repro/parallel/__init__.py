@@ -1,25 +1,20 @@
-"""The exploration engine (docs/performance.md).
+"""The fleet search's process pool (docs/performance.md).
 
-Plans each exploration round's candidate configurations as a wave,
-measures them -- in the caller at width 1, on a pool of worker processes
-above it -- and hands the outcomes back for the wirer to merge into the
-profile index in canonical order.  There is one loop at every width, so
-``--workers N`` changes wall-clock time only: same winner, same index
-contents, same epoch time.
+``repro fleet --workers N`` measures each wave of missing primitives on
+a pool of worker processes: :class:`ParallelEngine` shards the wave and
+gathers the outcomes in task order, :func:`make_pool` stands up a
+:class:`ProcessPool` above width 1 and an :class:`InlinePool` in the
+caller otherwise.  The outcomes do not depend on the width, so
+``--workers`` changes wall-clock time only.  Single-job exploration has
+no pool: it measures one configuration per mini-batch, in the caller.
 """
 
-from .engine import ParallelEngine, engine_supported, plan_wave
+from .engine import ParallelEngine
 from .pool import InlinePool, ProcessPool, make_pool
-from .wire import CandidateOutcome, CandidateTask, WorkerSpec
 
 __all__ = [
-    "CandidateOutcome",
-    "CandidateTask",
     "InlinePool",
     "ParallelEngine",
     "ProcessPool",
-    "WorkerSpec",
-    "engine_supported",
     "make_pool",
-    "plan_wave",
 ]

@@ -2,12 +2,11 @@
 
 A pool is parameterized by its worker: a state class built from a
 picklable spec (one per process) and a shard function ``run_shard(state,
-tasks)``.  The exploration engine's worker (:mod:`repro.parallel.worker`)
-and the fleet search's (:mod:`repro.fleet.pool`) differ only there.
+tasks)`` -- the fleet search's are in :mod:`repro.fleet.pool`.
 
-Both pools expose the same calls (``run_shard``, ``call``, ``prewarm``)
-returning futures-like handles, so the engine never branches on pool
-kind.  :func:`make_pool` picks the process pool for ``workers > 1`` and
+Both pools expose the same calls (``run_shard``, ``prewarm``), and
+``run_shard`` returns a future-like handle, so the engine never branches
+on pool kind.  :func:`make_pool` picks the process pool for ``workers > 1`` and
 falls back to :class:`InlinePool` when it can't stand one up (platforms
 without working process pools, pickling failures at spawn) -- degraded
 throughput, never degraded results.
@@ -35,9 +34,9 @@ class _Resolved:
 class InlinePool:
     """Width 1: shards run in the caller, on one long-lived worker state.
 
-    ``state`` lends an existing pipeline (the wirer's own); otherwise one
-    is built from ``spec`` on first use, never during ``prewarm``, where
-    it would serialize with the caller's own set-up.
+    ``state`` lends an existing one (the fleet search's own measurer);
+    otherwise one is built from ``spec`` on first use, never during
+    ``prewarm``, where it would serialize with the caller's own set-up.
     """
 
     kind = "inline"
@@ -52,17 +51,14 @@ class InlinePool:
     def prewarm(self) -> None:
         return None
 
-    def call(self, fn, *args) -> _Resolved:
-        """``fn(state, *args)`` in the caller, as a resolved future."""
+    def run_shard(self, tasks) -> _Resolved:
+        """``shard_fn(state, tasks)`` in the caller, as a resolved future."""
         try:
             if self._state is None:
                 self._state = self.state_cls(self.spec)
-            return _Resolved(fn(self._state, *args))
+            return _Resolved(self.shard_fn(self._state, list(tasks)))
         except Exception as exc:  # surfaces at result(), like a future
             return _Resolved(error=exc)
-
-    def run_shard(self, tasks) -> _Resolved:
-        return self.call(self.shard_fn, list(tasks))
 
     def close(self) -> None:
         self._state = None
@@ -106,13 +102,10 @@ class ProcessPool:
             self._executor.submit(_pool_warmup) for _ in range(self.workers)
         ]
 
-    def call(self, fn, *args):
-        """``fn(state, *args)`` in a worker, as a future; ``fn`` must be
-        module-level."""
-        return self._executor.submit(_pool_call, fn, *args)
-
     def run_shard(self, tasks):
-        return self.call(self.shard_fn, list(tasks))
+        """``shard_fn(state, tasks)`` in a worker, as a future;
+        ``shard_fn`` must be module-level."""
+        return self._executor.submit(_pool_call, self.shard_fn, list(tasks))
 
     def close(self) -> None:
         # wait for worker exit: shutdown(wait=False) leaves the executor's
@@ -152,5 +145,5 @@ def _pool_warmup() -> bool:
     return _STATE is not None
 
 
-def _pool_call(fn, *args):
-    return fn(_STATE, *args)
+def _pool_call(shard_fn, tasks):
+    return shard_fn(_STATE, tasks)

@@ -96,44 +96,9 @@ def estimate_choices_us(
     return out
 
 
-def _prunable(var, enumerator, tree_var_names: set[str]) -> bool:
-    """Is pruning this variable's choices admissible at all?
-
-    Mirrors the per-variable guards in :func:`prune_fk_tree` minus the
-    counters, so the parallel engine can compute the estimate work list
-    without touching the tree.
-    """
-    if var.metric_kind != "units" or len(var.choices) <= 1:
-        return False
-    if var.name.startswith("ladder:") and (
-        enumerator.member_unfused_kernel_vars(var.payload) & tree_var_names
-    ):
-        return False
-    return True
-
-
-def estimate_jobs(enumerator, tree, device, injector=None) -> list[str]:
-    """Names of fk variables whose choice estimates may be computed out of
-    process by the parallel engine.
-
-    Empty when :func:`prune_fk_tree` would decline to prune (injector
-    armed, non-base clock): shipping estimates that will never be used is
-    pure overhead.  Must be called on the *unpruned* tree -- workers
-    rebuild the same tree deterministically and estimate against the same
-    choice lists.
-    """
-    if injector is not None or device.clock_mode != CLOCK_BASE:
-        return []
-    tree_var_names = {v.name for v in tree.variables()}
-    return [
-        v.name for v in tree.variables()
-        if _prunable(v, enumerator, tree_var_names)
-    ]
-
-
 def prune_fk_tree(
     enumerator, strategy, tree, device, fast: FastPath,
-    observer=NULL_OBSERVER, injector=None, estimates=None,
+    observer=NULL_OBSERVER, injector=None,
 ) -> int:
     """Prune provably-losing choices from an fk update tree, in place.
 
@@ -144,20 +109,11 @@ def prune_fk_tree(
     cost model is not provably exact (injector armed, non-base clock),
     and always keeps at least ``1 - prune_fraction`` of each variable's
     choices, including every choice tied with the best estimate.
-
-    ``estimates`` optionally maps variable name -> per-choice estimate
-    list computed elsewhere (the parallel engine shards the cost-model
-    evaluation across workers).  Provided lists must come from
-    :func:`estimate_choices_us` on an identical enumerator -- the pure
-    float computation is bit-identical across processes -- and any
-    missing or length-mismatched entry falls back to the serial
-    computation, so a stale list can never change the pruning decision.
     """
     if injector is not None or device.clock_mode != CLOCK_BASE:
         observer.count("perf.prune.skipped_inexact")
         return 0
 
-    provided = estimates if estimates is not None else {}
     gemm_us: dict = {}
     pruned_total = 0
     tree_var_names = {v.name for v in tree.variables()}
@@ -172,11 +128,9 @@ def prune_fk_tree(
             # is not the value the wirer would measure -- don't prune
             observer.count("perf.prune.skipped_coupled")
             continue
-        var_estimates = provided.get(var.name)
-        if var_estimates is None or len(var_estimates) != len(var.choices):
-            var_estimates = estimate_choices_us(
-                enumerator, strategy, var, device, gemm_us=gemm_us
-            )
+        var_estimates = estimate_choices_us(
+            enumerator, strategy, var, device, gemm_us=gemm_us
+        )
         cut = min(var_estimates) * (1.0 + fast.prune_margin)
         survivors = [i for i, est in enumerate(var_estimates) if est <= cut]
         keep_floor = max(1, len(var.choices) - int(fast.prune_fraction * len(var.choices)))

@@ -9,14 +9,11 @@ import numpy as np
 import pytest
 
 from repro.baselines.native import native_plan
-from repro.core.measurement import TRUSTING
+from repro.core.measurement import SIM_STREAM_TAG, TRUSTING, measure_plan
 from repro.gpu.device import CLOCK_AUTOBOOST, P100
 from repro.gpu.events import EventNamespace
 from repro.gpu.kernels import GemmLaunch
 from repro.gpu.streams import HostSyncItem, LaunchItem, StreamSimulator
-from repro.parallel.wire import WorkerSpec
-from repro.parallel.worker import SIM_STREAM_TAG, measure_plan
-from repro.perf.ranker import FastPath
 from repro.runtime.dispatcher import Dispatcher
 from repro.runtime.executor import Executor
 
@@ -89,16 +86,14 @@ def test_measure_plan_restores_an_rng_not_yet_built(tiny_scrnn, items, seed):
     that first draw where an eager RNG would have it."""
     graph = tiny_scrnn.graph
     plan = native_plan(graph)
-    spec = WorkerSpec(
-        graph=graph, device=AUTOBOOST, features="F", seed=seed,
-        validate=False, policy=TRUSTING, fast=FastPath(),
-    )
     lazy = Executor(graph, AUTOBOOST, seed=seed)
     eager = Executor(graph, AUTOBOOST, seed=seed)
     eager._simulator = EagerSimulator(AUTOBOOST, seed=seed)
     measured = []
     for executor in (lazy, eager):
-        outcome = measure_plan(executor, spec, plan, {}, base_minibatch=5)
+        outcome = measure_plan(
+            executor, plan, TRUSTING, seed=seed, base_minibatch=5
+        )
         measured.append([s.result.total_time_us for s in outcome.samples])
     assert measured[0] == measured[1]
     assert lazy._simulator._rng is None and lazy._simulator._seed == seed

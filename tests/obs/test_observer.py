@@ -1,6 +1,5 @@
 """One event stream, several views: the phase table, the host trace, the
-metrics and the run report of one observed run agree by construction,
-at every worker width."""
+metrics and the run report of one observed run agree by construction."""
 
 import pytest
 
@@ -27,7 +26,8 @@ def _self_times(slices) -> dict:
     return {name: us / 1e6 for name, us in out.items()}
 
 
-@pytest.fixture(scope="module", params=[1, 2], ids=["width1", "width2"])
+# width 1 is the only width a session accepts
+@pytest.fixture(scope="module", params=[1], ids=["width1"])
 def observed(request, tiny_scrnn):
     observer = Observer()
     session = AstraSession(
@@ -35,11 +35,8 @@ def observed(request, tiny_scrnn):
         faults=FaultPlan.single(FAULT_LAUNCH, rate=0.004, seed=0),
         observer=observer, workers=request.param,
     )
-    try:
-        with observer.span("run"):
-            session.optimize(max_minibatches=60)
-    finally:
-        session.close()
+    with observer.span("run"):
+        session.optimize(max_minibatches=60)
     return observer
 
 
@@ -82,18 +79,12 @@ def test_surfaced_fault_counts_are_the_fault_records(observed):
     assert surfaced == recorded
 
 
-def test_worker_spans_ride_on_worker_tracks(observed, request):
+def test_worker_spans_ride_on_worker_tracks(observed):
+    """There are no worker tracks: every span, the executor's lower and
+    simulate included, rides on the one host track."""
     doc = observed.chrome()
-    workers = {
-        e["tid"] for e in doc["traceEvents"]
-        if e["ph"] == "M" and e["args"]["name"].startswith("worker ")
-    }
-    if "width1" in request.node.callspec.id:
-        assert not workers
-        return
-    assert workers
-    names = {
-        e["name"] for e in doc["traceEvents"]
-        if e["ph"] == "X" and e["tid"] in workers
-    }
+    threads = [e for e in doc["traceEvents"] if e["ph"] == "M"]
+    assert [e["args"]["name"] for e in threads] == ["phases"]
+    names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
     assert {"lower", "simulate"} <= names
+    assert {e["tid"] for e in doc["traceEvents"] if e["ph"] == "X"} == {0}

@@ -4,14 +4,9 @@ The load-bearing properties:
 
 * **log == index, bit-identically** -- every measurement in the log is
   the exact float the exploration's profile index holds (the hooks sit
-  on the same ``_record_measurements`` call that feeds ``finalize``), in
-  serial runs and in ``--workers N`` runs alike;
-* **worker-count invariance** -- the engine's log is byte-identical for
-  any worker count (the merge replays outcomes in canonical order).
-
-Serial-loop and engine measurements agree to the repo's established
-equivalence contract (rel 1e-9, see ``tests/parallel/test_equivalence``),
-so serial-vs-engine logs are compared structurally with that tolerance.
+  on the same ``_record_measurements`` call that feeds ``finalize``);
+* **determinism** -- two runs of one exploration log byte-identical
+  decisions, however the session spells its width.
 """
 
 import pytest
@@ -31,10 +26,7 @@ def _explore(model, device, workers=None, fast=None,
         model, device=device, features=features, seed=0,
         observer=observer, workers=workers, fast=fast,
     )
-    try:
-        report = session.optimize(max_minibatches=budget)
-    finally:
-        session.close()
+    report = session.optimize(max_minibatches=budget)
     return report, session.wirer.index.snapshot(), observer.provenance()
 
 
@@ -123,39 +115,12 @@ class TestExplorationProvenance:
         _report, index, log = _explore(tiny_scrnn, device)
         _assert_log_matches_index(log, index)
 
-    def test_parallel_log_reproduces_index_bit_identically(
-        self, tiny_scrnn, device
-    ):
-        _report, index, log = _explore(tiny_scrnn, device, workers=2)
-        _assert_log_matches_index(log, index)
-
     def test_engine_log_invariant_across_worker_counts(
         self, tiny_scrnn, device
     ):
+        _report, _index, default = _explore(tiny_scrnn, device)
         _report, _index, one = _explore(tiny_scrnn, device, workers=1)
-        _report, _index, two = _explore(tiny_scrnn, device, workers=2)
-        assert one.to_dict() == two.to_dict()
-
-    def test_serial_and_parallel_decide_identically(self, tiny_scrnn, device):
-        _report, _index, serial = _explore(tiny_scrnn, device)
-        _report, _index, parallel = _explore(tiny_scrnn, device, workers=2)
-        serial_events = serial.to_dict()["events"]
-        parallel_events = parallel.to_dict()["events"]
-        assert len(serial_events) == len(parallel_events)
-        for ours, theirs in zip(serial_events, parallel_events):
-            for field in ("event", "context", "name"):
-                assert ours.get(field) == theirs.get(field)
-            assert ours.get("choice") == theirs.get("choice")
-            value, other = ours.get("value"), theirs.get("value")
-            if isinstance(value, float) and isinstance(other, float):
-                # serial loop vs engine: the repo-wide measurement
-                # equivalence contract (tests/parallel/test_equivalence)
-                assert other == pytest.approx(value, rel=1e-9)
-            else:
-                assert value == other
-        serial_winners = {d.name: d.winner for d in serial.decisions()}
-        parallel_winners = {d.name: d.winner for d in parallel.decisions()}
-        assert serial_winners == parallel_winners
+        assert default.to_dict() == one.to_dict()
 
     def test_prune_verdicts_recorded_with_estimates(self, tiny_scrnn, device):
         _report, _index, log = _explore(

@@ -2,9 +2,9 @@
 
 Every zoo model's native-plan trace must pass schema validation and its
 flow arrows must resolve: each flow id pairs a start with a finish and
-both endpoints land inside a kernel slice on their track.  The parallel
-case additionally checks that a ``--workers 2`` optimizer trace carries
-per-worker thread metadata after :func:`merge_host_trace`.
+both endpoints land inside a kernel slice on their track.  The host case
+additionally checks that an optimizer trace keeps its phases on one host
+track after :func:`merge_host_trace`.
 """
 
 import pytest
@@ -69,17 +69,14 @@ class TestZooTraces:
         _assert_flows_resolve(doc)
 
 
-class TestWorkerTrace:
-    def test_parallel_optimizer_trace_has_worker_tracks(self, tiny_scrnn):
+class TestHostTrace:
+    def test_optimizer_trace_has_the_host_track(self, tiny_scrnn):
+        """``repro trace``'s merge: the optimizer's phases ride on one
+        host track next to the simulated mini-batch."""
         observer = Observer()
-        session = AstraSession(
-            tiny_scrnn, device=P100, features="FK", seed=0,
-            observer=observer, workers=2,
-        )
-        try:
-            report = session.optimize(max_minibatches=200)
-        finally:
-            session.close()
+        report = AstraSession(
+            tiny_scrnn, device=P100, features="FK", seed=0, observer=observer,
+        ).optimize(max_minibatches=200)
         executor = Executor(tiny_scrnn.graph, P100)
         lowered = executor.dispatcher.lower(report.astra.best_plan)
         result = executor.run_lowered(lowered).raw
@@ -89,20 +86,12 @@ class TestWorkerTrace:
         validate_chrome_trace(doc)
         _assert_flows_resolve(doc)
 
-        worker_meta = [
-            ev for ev in doc["traceEvents"]
+        host = [ev for ev in doc["traceEvents"] if ev["pid"] == PID_HOST]
+        threads = {
+            ev["args"]["name"] for ev in host
             if ev["ph"] == "M" and ev["name"] == "thread_name"
-            and ev["pid"] == PID_HOST
-            and str(ev["args"].get("name", "")).startswith("worker ")
-        ]
-        assert worker_meta, "merged trace must label worker threads"
-        worker_tids = {ev["tid"] for ev in worker_meta}
-        spans = [
-            ev for ev in doc["traceEvents"]
-            if ev["ph"] == "X" and ev["pid"] == PID_HOST
-            and ev["tid"] in worker_tids
-        ]
-        assert spans, "worker spans must survive the merge"
-        for span in spans:
-            assert span["cat"] == "worker"
-            assert "ordinal" in span["args"]
+        }
+        assert threads == {"phases"}
+        spans = {ev["name"] for ev in host if ev["ph"] == "X"}
+        assert {"explore", "enumerate", "lower", "simulate"} <= spans
+        assert {ev["tid"] for ev in host if ev["ph"] in ("X", "i")} == {0}

@@ -1,8 +1,8 @@
-"""Reset process-wide memos so a width comparison starts cold.
+"""Reset process-wide memos so a compared run starts cold.
 
 Without this, whichever run goes first warms the GEMM-plan and
-kernel-key memos for the second, and a comparison across widths would
-depend on run order.
+kernel-key memos for the next, and a comparison between runs, or of a
+run against a golden cell, would depend on run order.
 """
 
 from repro.gpu import libraries

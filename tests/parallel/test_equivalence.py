@@ -1,14 +1,18 @@
-"""One loop at every width: results are bit-identical across widths.
+"""The serial exploration loop reproduces the pinned runs exactly.
 
-The default width (1: waves measured in the caller, on the wirer's own
-pipeline -- the serial path) and a two-process pool run the same
-exploration loop and draw the same per-candidate substreams, so they
-agree on everything byte-comparable: assignment, best time, explored
-config count, exploration time, timeline, profile index and fault
-summary.  ``workers=None`` and ``workers=1`` are the same run.
+Every candidate draws its jitter and fault substreams from its global
+mini-batch ordinal, so a run is a pure function of its inputs.  Fault-free
+runs of the tiny models are pinned in ``tests/data/golden_exploration.json``
+(assignment, best and exploration time, explored count, timeline, profile
+index and fault summary), byte for byte, not ulp-close.  The cells were
+recorded while the serial path and a two-process worker pool still agreed
+on every one of them.  ``workers=None`` and ``workers=1`` are the same run,
+and no other width is accepted.
+
+Regenerating after an *intentional* change to exploration::
+
+    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/parallel/test_equivalence.py
 """
-
-import pickle
 
 import pytest
 
@@ -16,36 +20,20 @@ from repro.core.session import AstraSession
 from repro.gpu import DEVICES
 from repro.perf.ranker import FastPath
 
+from ._golden import check_golden, run_state
 from ._memos import clear_process_memos
 
 FAST = FastPath(cache=True, prune=True)
 
 
-def run_once(model, device_name="P100", workers=None, features="FK", budget=400):
+def run_once(model, device_name="P100", features="FK", budget=400, **kwargs):
     clear_process_memos()
-    width = {} if workers is None else {"workers": workers}
     session = AstraSession(
         model, device=DEVICES[device_name], features=features, seed=1,
-        fast=FAST, **width,
+        fast=FAST, **kwargs,
     )
-    try:
-        report = session.optimize(max_minibatches=budget)
-    finally:
-        session.close()
-    return report, session.wirer.index.snapshot()
-
-
-def fingerprint(report, index):
-    """Everything byte-comparable between runs."""
-    return pickle.dumps((
-        {k: repr(v) for k, v in report.astra.assignment.items()},
-        report.best_time_us,
-        report.configs_explored,
-        report.astra.exploration_time_us,
-        report.astra.timeline,
-        index,
-        report.astra.fault_summary,
-    ))
+    report = session.optimize(max_minibatches=budget)
+    return report, run_state(session, report)
 
 
 @pytest.fixture(scope="module")
@@ -53,47 +41,37 @@ def scrnn_runs(tiny_scrnn):
     return {
         "default": run_once(tiny_scrnn),
         "w1": run_once(tiny_scrnn, workers=1),
-        "w2": run_once(tiny_scrnn, workers=2),
     }
 
 
 class TestSerialVsEngine:
-    """The default width is the serial path, and it is the same run as a
-    two-process pool -- pinned exactly, not ulp-close."""
+    """The serial loop lands on the runs the engine was pinned against."""
 
     @pytest.mark.parametrize("fixture", ["tiny_scrnn", "tiny_milstm"])
     @pytest.mark.parametrize("device_name", ["P100", "V100"])
     def test_winner_and_index_keys(self, request, fixture, device_name):
         model = request.getfixturevalue(fixture)
-        assert (fingerprint(*run_once(model, device_name))
-                == fingerprint(*run_once(model, device_name, workers=2)))
+        _report, state = run_once(model, device_name)
+        check_golden(
+            "golden_exploration", f"{model.name}/{device_name}/FK", state
+        )
 
     @pytest.mark.parametrize("fixture", ["tiny_scrnn", "tiny_milstm"])
     def test_all_features_bit_identical(self, request, fixture):
-        """Streams, compare and production phases measure in the caller
-        at every width; they must not notice the fk phase's pool."""
+        """Streams, compare and production phases too."""
         model = request.getfixturevalue(fixture)
-        assert (fingerprint(*run_once(model, features="all"))
-                == fingerprint(*run_once(model, workers=2, features="all")))
+        _report, state = run_once(model, features="all")
+        check_golden("golden_exploration", f"{model.name}/P100/all", state)
 
     def test_serial_timeline_epoch_times_match(self, scrnn_runs):
-        assert (fingerprint(*scrnn_runs["default"])
-                == fingerprint(*scrnn_runs["w1"]))
+        assert scrnn_runs["default"][1] == scrnn_runs["w1"][1]
 
 
 class TestEngineWorkerCountInvariance:
-    def test_one_vs_two_workers_bit_identical(self, scrnn_runs):
-        assert (fingerprint(*scrnn_runs["w1"])
-                == fingerprint(*scrnn_runs["w2"]))
-
-    def test_report_carries_engine_summary(self, scrnn_runs):
-        report, _ = scrnn_runs["w2"]
-        summary = report.astra.fast_path["parallel"]
-        assert summary["workers"] == 2
-        assert summary["pool"] in ("process", "inline")
-        assert summary["candidates"] >= 0
-        assert summary["inline_fallbacks"] == 0
-
     def test_serial_report_has_no_engine_summary(self, scrnn_runs):
-        report, _ = scrnn_runs["default"]
-        assert report.astra.fast_path["parallel"] is None
+        report, _state = scrnn_runs["default"]
+        assert "parallel" not in report.astra.fast_path
+
+    def test_other_widths_point_to_the_fleet_search(self, tiny_scrnn):
+        with pytest.raises(ValueError, match="repro fleet --workers"):
+            AstraSession(tiny_scrnn, workers=2)

@@ -1,13 +1,23 @@
-"""The engine under fire: fault injection, preemption, checkpoint/resume.
+"""Exploration under fire, pinned: fault injection, preemption, resume.
 
 Every measurement draws faults from a per-candidate substream keyed by
-its base mini-batch ordinal, so fault decisions are a function of
-*which* candidate runs, not *where* it runs -- runs are bit-identical
-across widths even mid-chaos, and a checkpoint taken at one width
-resumes at any other.
-"""
+its base mini-batch ordinal, so a chaos run is a pure function of its
+inputs.  Each cell -- the ``CHAOS`` plan under ``POLICY`` on a model and
+feature set, and the final state of a run preempted at mini-batch 5 and
+resumed -- is pinned in ``tests/data/golden_chaos.json``: assignment,
+best and exploration time, explored count, timeline, fault summary and
+the profile index, byte for byte.  The cells were recorded while widths
+1 and 2 of the old worker pool still agreed on every one of them, so a
+run that matches them is the run every width produced.
 
-import pickle
+Regenerating after an *intentional* change to exploration or fault
+injection::
+
+    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/parallel/test_faults_parallel.py
+
+then review the diff of ``tests/data/golden_chaos.json`` like any other
+code change.
+"""
 
 import pytest
 
@@ -24,6 +34,7 @@ from repro.faults import (
 from repro.gpu import DEVICES
 from repro.perf.ranker import FastPath
 
+from ._golden import check_golden, run_state
 from ._memos import clear_process_memos
 
 FAST = FastPath(cache=True, prune=True)
@@ -37,96 +48,58 @@ CHAOS = FaultPlan(
 POLICY = MeasurementPolicy(samples=3, max_attempts=3)
 
 
-def _width(workers) -> dict:
-    return {} if workers is None else {"workers": workers}
-
-
-def run_chaos(model, workers, features="FK", budget=400):
-    clear_process_memos()
-    session = AstraSession(
+def _session(model, features="FK", faults=CHAOS, **kwargs):
+    return AstraSession(
         model, device=DEVICES["P100"], features=features, seed=1, fast=FAST,
-        faults=CHAOS, policy=POLICY, **_width(workers),
+        faults=faults, policy=POLICY, **kwargs,
     )
-    try:
-        report = session.optimize(max_minibatches=budget)
-    finally:
-        session.close()
-    return pickle.dumps((
-        {k: repr(v) for k, v in report.astra.assignment.items()},
-        report.best_time_us,
-        report.configs_explored,
-        report.astra.exploration_time_us,
-        report.astra.timeline,
-        report.astra.fault_summary,
-        session.wirer.index.snapshot(),
-    ))
+
+
+def run_chaos(model, features="FK", budget=400, **kwargs) -> dict:
+    clear_process_memos()
+    session = _session(model, features, **kwargs)
+    return run_state(session, session.optimize(max_minibatches=budget))
+
+
+def preempt_then_resume(model, path, **resume_kwargs) -> dict:
+    """Preempt at mini-batch 5 with a checkpoint, then resume from it."""
+    clear_process_memos()
+    preempting = FaultPlan(
+        specs=CHAOS.specs + (FaultSpec(kind=FAULT_PREEMPT, at=5),), seed=7,
+    )
+    with pytest.raises(PreemptionError):
+        _session(model, faults=preempting, checkpoint_path=path).optimize(
+            max_minibatches=400
+        )
+    session = _session(model, checkpoint_path=path, **resume_kwargs)
+    return run_state(session, session.optimize(max_minibatches=400))
 
 
 class TestFaultEquivalence:
     def test_chaos_bit_identical_across_worker_counts(self, tiny_scrnn):
-        default = run_chaos(tiny_scrnn, None)
-        assert default == run_chaos(tiny_scrnn, 1) == run_chaos(tiny_scrnn, 2)
+        """The one width a session accepts, spelled either way, is the
+        pinned run."""
+        default = run_chaos(tiny_scrnn)
+        assert run_chaos(tiny_scrnn, workers=1) == default
+        check_golden("golden_chaos", "scrnn/FK", default)
 
     @pytest.mark.parametrize("fixture, features", [
         ("tiny_milstm", "FK"), ("tiny_scrnn", "all"), ("tiny_milstm", "all"),
     ])
     def test_chaos_bit_identical_across_widths(self, request, fixture, features):
         model = request.getfixturevalue(fixture)
-        assert (run_chaos(model, None, features)
-                == run_chaos(model, 2, features))
+        check_golden(
+            "golden_chaos", f"{model.name}/{features}", run_chaos(model, features)
+        )
 
 
 class TestCheckpointResume:
-    def _preempt_then_resume(self, model, path, first_workers, resume_workers):
-        clear_process_memos()
-        faults = FaultPlan(
-            specs=CHAOS.specs + (FaultSpec(kind=FAULT_PREEMPT, at=5),),
-            seed=7,
-        )
-        session = AstraSession(
-            model, device=DEVICES["P100"], features="FK", seed=1, fast=FAST,
-            faults=faults, policy=POLICY, checkpoint_path=path,
-            **_width(first_workers),
-        )
-        with pytest.raises(PreemptionError):
-            try:
-                session.optimize(max_minibatches=400)
-            finally:
-                session.close()
-        session = AstraSession(
-            model, device=DEVICES["P100"], features="FK", seed=1, fast=FAST,
-            faults=CHAOS, policy=POLICY, checkpoint_path=path,
-            **_width(resume_workers),
-        )
-        try:
-            report = session.optimize(max_minibatches=400)
-        finally:
-            session.close()
-        return pickle.dumps((
-            {k: repr(v) for k, v in report.astra.assignment.items()},
-            report.best_time_us,
-            session.wirer.index.snapshot(),
-        ))
-
     def test_resume_worker_count_free(self, tiny_scrnn, tmp_path):
-        """Preempt at workers=1, resume at workers=2: same final state as
-        preempting and resuming at workers=1 -- the checkpoint pins the
-        exploration, not the fleet size."""
-        a = self._preempt_then_resume(
-            tiny_scrnn, str(tmp_path / "a.json"), 1, 1
-        )
-        b = self._preempt_then_resume(
-            tiny_scrnn, str(tmp_path / "b.json"), 1, 2
-        )
-        assert a == b
-
-    def test_default_width_resumes_at_two_workers(self, tiny_scrnn, tmp_path):
-        """Preempt at the default width, resume at workers=2: the same
-        final state as resuming at the default width."""
-        a = self._preempt_then_resume(
-            tiny_scrnn, str(tmp_path / "a.json"), None, None
-        )
-        b = self._preempt_then_resume(
-            tiny_scrnn, str(tmp_path / "b.json"), None, 2
-        )
-        assert a == b
+        """Preempt, then resume: the final state is the pinned one, and
+        the checkpoint does not care how the resuming session spells its
+        width."""
+        state = preempt_then_resume(tiny_scrnn, str(tmp_path / "a.json"))
+        assert preempt_then_resume(
+            tiny_scrnn, str(tmp_path / "b.json"), workers=1
+        ) == state
+        check_golden("golden_chaos", "scrnn/FK/preempt-5-resume", state)

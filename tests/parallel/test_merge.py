@@ -1,9 +1,10 @@
-"""ProfileIndex.merge: the canonical write path for worker measurements.
+"""ProfileIndex.merge: the canonical write path for measurements.
 
-The merge invariants are what make the parallel engine safe to replay:
-first-writer-wins dedupe (two workers measuring the same key must not
-double-count), and sticky quarantine (a clean sample must never
-resurrect a configuration the wirer quarantined).
+The wirer's recording, warm starts and the fleet search's worker results
+all go through it, and lean on its invariants: first-writer-wins dedupe
+(measuring the same key twice must not double-count), and sticky
+quarantine (a clean sample must never resurrect a configuration the
+wirer quarantined).
 """
 
 from repro.core import QUARANTINED_US

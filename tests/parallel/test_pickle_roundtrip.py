@@ -1,13 +1,13 @@
-"""Pickle round-trip safety for everything that crosses a process boundary.
+"""Pickle round-trip safety for measurement values, plans and errors.
 
-The parallel engine ships :class:`WorkerSpec` at pool start and
-:class:`CandidateTask` / :class:`CandidateOutcome` per wave; inside them
-ride :class:`ExecutionPlan`, :class:`LoweredSchedule`,
-:class:`MiniBatchResult` and worker-side exceptions.  A type that pickles
-lossily corrupts measurements *silently*, so round-trips are pinned both
-property-style (hypothesis over the value-carrying fields) and on real
-enumerator-built plans (a round-tripped plan must execute bit-identically
-to the original).
+The fleet search's process pool ships worker-side exceptions back to the
+caller, and a measured configuration's values -- :class:`ExecutionPlan`,
+:class:`LoweredSchedule`, :class:`MiniBatchResult` and the
+:class:`CandidateOutcome` that holds them -- must survive a copy through
+pickle unchanged.  A type that pickles lossily corrupts measurements
+*silently*, so round-trips are pinned both property-style (hypothesis
+over the value-carrying fields) and on real enumerator-built plans (a
+round-tripped plan must execute bit-identically to the original).
 """
 
 import pickle
@@ -20,7 +20,7 @@ from repro.check.violations import RAW_RACE, ValidationReport, Violation
 from repro.core.enumerator import AstraFeatures, Enumerator
 from repro.faults.events import DeviceOOMError, KernelLaunchError
 from repro.gpu import P100
-from repro.parallel.wire import CandidateOutcome, CandidateTask, SampleRecord
+from repro.core.measurement import CandidateOutcome, SampleRecord
 from repro.runtime.executor import Executor, MiniBatchResult
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -43,19 +43,6 @@ results = st.builds(
     faults=st.just([]),
 )
 
-tasks = st.builds(
-    CandidateTask,
-    ordinal=st.integers(0, 10_000),
-    strategy_id=st.integers(0, 64),
-    assignment=st.lists(
-        st.tuples(st.text(max_size=12), st.integers(-8, 8)), max_size=6
-    ).map(tuple),
-    live_names=st.lists(st.text(max_size=12), max_size=6).map(tuple),
-    base_minibatch=st.integers(0, 10**9),
-    preempted=st.booleans(),
-)
-
-
 class TestValueRoundTrips:
     @given(result=results)
     @settings(max_examples=50, deadline=None)
@@ -64,30 +51,21 @@ class TestValueRoundTrips:
         assert clone == result
         assert clone.profiling_overhead_fraction == result.profiling_overhead_fraction
 
-    @given(task=tasks)
-    @settings(max_examples=50, deadline=None)
-    def test_candidate_task(self, task):
-        clone = roundtrip(task)
-        assert clone == task
-        assert clone.assignment_dict() == task.assignment_dict()
-
     @given(result=results, aborts=st.lists(
         st.tuples(st.sampled_from(["launch_fail", "slowdown"]),
                   st.text(max_size=20)), max_size=3))
     @settings(max_examples=25, deadline=None)
     def test_candidate_outcome(self, result, aborts):
         outcome = CandidateOutcome(
-            ordinal=3,
             samples=[SampleRecord(aborts=list(aborts), result=result)],
-            var_units={"fusion:x": [1, 2]},
-            events=[("counter", "fault.launch_fail", 2),
-                    ("span", "simulate", 0, 1.0, 2.0, {})],
+            violations=[("plan-x", RAW_RACE, "u1 before u2")],
+            error=KernelLaunchError("fused_gemm", minibatch=7),
         )
         clone = roundtrip(outcome)
         assert clone.samples[0].result == result
         assert clone.samples[0].aborts == list(aborts)
-        assert clone.var_units == outcome.var_units
-        assert clone.events == outcome.events
+        assert clone.violations == outcome.violations
+        assert str(clone.error) == str(outcome.error)
 
 
 class TestErrorRoundTrips:

@@ -62,17 +62,17 @@ class TestPhaseClock:
         assert set(observer.phases()) == {"outer", "boom"}
 
     def test_snapshot_shape(self):
-        """Replayed worker spans land on a worker track, outside the
-        host phase table, which partitions only this process's time."""
-        worker = Observer()
-        with worker.span("simulate"):
-            pass
+        """Only spans make phases: instants, metric updates and
+        decisions recorded inside one add no row of their own."""
         observer = Observer()
         with observer.span("a"):
-            pass
-        observer.replay(worker.drain(), worker_pid=4242)
+            observer.instant("mark")
+            observer.count("c")
+            observer.decision("warm", source="s", entries=1, digest=None)
         assert set(observer.phases()) == {"a"}
-        assert not worker.events
+        assert [e[0] for e in observer.events] == [
+            "instant", "counter", "decision", "span",
+        ]
 
 
 class TestNullClock:
@@ -80,7 +80,6 @@ class TestNullClock:
         with NULL_OBSERVER.span("anything") as span:
             assert span is None
         NULL_OBSERVER.count("c")
-        NULL_OBSERVER.replay([("counter", "c", 1)], worker_pid=1)
         assert NULL_OBSERVER.events == []
         assert NULL_OBSERVER.phases() == {}
 

@@ -2,7 +2,7 @@
 
 The memos are built lazily inside ``optimize`` and dropped when it
 returns: constructing a session builds none, a graph kept after a run
-holds none, and none ever travels to a worker.
+holds none, and none ever travels through pickle.
 """
 
 import copy
@@ -50,14 +50,16 @@ def test_memos_live_inside_optimize_only(monkeypatch):
 
 
 def test_worker_spec_of_an_optimized_graph_pickles_like_a_fresh_one():
+    """The graph -- what a worker spec would carry -- pickles to the same
+    bytes before a run, after it and with its memos populated."""
     model = build_scrnn(TINY)
     session = AstraSession(model, features="all")
-    fresh = len(pickle.dumps(session.wirer.spec))
+    fresh = len(pickle.dumps(model.graph))
     session.optimize()
-    assert len(pickle.dumps(session.wirer.spec)) == fresh
+    assert len(pickle.dumps(model.graph)) == fresh
     with model.graph.memoized():
         graph_lowering(model.graph).producers  # populated mid-run
-        assert len(pickle.dumps(session.wirer.spec)) == fresh
+        assert len(pickle.dumps(model.graph)) == fresh
         assert copy.deepcopy(model.graph)._memos == {}
 
 

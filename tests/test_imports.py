@@ -74,6 +74,27 @@ result = sorted(
     assert added == []
 
 
+def test_single_job_loads_no_process_pool():
+    """Exploration measures in the caller: only the fleet search, which
+    measures strategies on a process pool, loads ``repro.parallel``."""
+    loaded = run_fresh(TINY_SESSION + """
+session.optimize(max_minibatches=200)
+result = sorted(m for m in sys.modules if m.startswith("repro.parallel"))
+""")
+    assert loaded == []
+    fleet = run_fresh("""
+from repro.fleet import get_fleet, run_fleet_search
+from repro.models import ModelConfig, build_scrnn
+
+run_fleet_search(
+    build_scrnn, ModelConfig(batch_size=64, seq_len=2), get_fleet("hetero"),
+    model_name="scrnn",
+)
+result = "repro.parallel.engine" in sys.modules
+""")
+    assert fleet is True
+
+
 def test_profile_store_does_not_load_the_http_stack():
     loaded = run_fresh("""
 from repro.serve.store import ProfileStore
