@@ -194,6 +194,27 @@ class TestFastPathEquivalence:
             assert fr.start_time == pytest.approx(sr.start_time, rel=1e-9)
             assert fr.end_time == pytest.approx(sr.end_time, rel=1e-9)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect, ROADMAP item 2: the single-stream engine "
+        "charges the event-record overhead before a recording launch's "
+        "issue time, the multi-stream engine after it (5.3 vs 5.0 us "
+        "start); the fix removes this marker",
+    )
+    def test_engines_agree_on_a_recording_launch(self):
+        ev = EventNamespace().new_event()
+        program = compile_items([
+            LaunchItem(GemmLaunch(64, 256, 256, "cublas"), 0, record=ev),
+            HostSyncItem(),
+        ])
+        sim = StreamSimulator(P100)
+        fast = sim._run_sequential(program)
+        slow = sim._run_concurrent(program)
+        assert fast.records[0].start_time == pytest.approx(
+            slow.records[0].start_time, rel=1e-9
+        )
+        assert fast.total_time_us == pytest.approx(slow.total_time_us, rel=1e-9)
+
     def test_fast_path_taken_for_single_stream(self):
         items = [LaunchItem(gemm(), 0), HostSyncItem()]
         assert compile_items(items).sequential

@@ -2,13 +2,16 @@
 
 Every measurement draws faults from a per-candidate substream keyed by
 its base mini-batch ordinal, so a chaos run is a pure function of its
-inputs.  Each cell -- the ``CHAOS`` plan under ``POLICY`` on a model and
-feature set, and the final state of a run preempted at mini-batch 5 and
-resumed -- is pinned in ``tests/data/golden_chaos.json``: assignment,
-best and exploration time, explored count, timeline, fault summary and
-the profile index, byte for byte.  The cells were recorded while widths
-1 and 2 of the old worker pool still agreed on every one of them, so a
-run that matches them is the run every width produced.
+inputs.  Each cell -- the ``CHAOS`` or ``MILD`` plan under ``POLICY`` on
+a model and feature set, and the final state of a run preempted at
+mini-batch 5 and resumed -- is pinned in ``tests/data/golden_chaos.json``:
+assignment, best and exploration time, explored count, timeline, fault
+summary and the profile index, byte for byte.  The ``CHAOS`` cells were
+recorded while widths 1 and 2 of the old worker pool still agreed on
+every one of them, so a run that matches them is the run every width
+produced.  ``CHAOS`` loses nearly every sample, so those cells degrade to
+the native plan; the ``mild/*`` cells pin the path where retried samples
+succeed and their measurements reach the index.
 
 Regenerating after an *intentional* change to exploration or fault
 injection::
@@ -24,6 +27,8 @@ import pytest
 from repro.core import MeasurementPolicy
 from repro.core.session import AstraSession
 from repro.faults import (
+    FAULT_EVENT_CORRUPT,
+    FAULT_EVENT_DROP,
     FAULT_LAUNCH,
     FAULT_PREEMPT,
     FAULT_SLOWDOWN,
@@ -42,6 +47,16 @@ CHAOS = FaultPlan(
     specs=(
         FaultSpec(kind=FAULT_LAUNCH, rate=0.05),
         FaultSpec(kind=FAULT_SLOWDOWN, rate=0.2, factor=4.0),
+    ),
+    seed=7,
+)
+#: light enough that retried samples succeed and no cell degrades
+MILD = FaultPlan(
+    specs=(
+        FaultSpec(kind=FAULT_LAUNCH, rate=0.002),
+        FaultSpec(kind=FAULT_SLOWDOWN, rate=0.2, factor=4.0),
+        FaultSpec(kind=FAULT_EVENT_DROP, rate=0.02),
+        FaultSpec(kind=FAULT_EVENT_CORRUPT, rate=0.02, factor=1.5),
     ),
     seed=7,
 )
@@ -91,6 +106,19 @@ class TestFaultEquivalence:
         check_golden(
             "golden_chaos", f"{model.name}/{features}", run_chaos(model, features)
         )
+
+
+    @pytest.mark.parametrize("fixture", ["tiny_scrnn", "tiny_milstm"])
+    @pytest.mark.parametrize("features", ["FK", "all"])
+    def test_mild_faults_measure_through_retries(
+        self, request, fixture, features
+    ):
+        """Under ``MILD`` the retried samples are the measurements: no
+        cell degrades, so each pins a real assignment."""
+        model = request.getfixturevalue(fixture)
+        state = run_chaos(model, features, faults=MILD)
+        assert state["assignment"]
+        check_golden("golden_chaos", f"mild/{model.name}/{features}", state)
 
 
 class TestCheckpointResume:
