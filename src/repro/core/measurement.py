@@ -14,22 +14,24 @@ one-sided -- interference only ever adds time.
 The policy also owns the failure-handling knobs: how many times a
 measurement aborted by a transient fault is retried, how the retry
 backoff grows, and when a configuration that keeps faulting is
-quarantined out of the search space.  :func:`measure_plan` is the one
-sample/retry loop that applies a policy to a built plan; every
-exploration phase measures through it.
+quarantined out of the search space.  The custom-wirer's sample/retry
+loop (:meth:`~repro.core.wirer.CustomWirer._measure`) applies a policy
+to each built plan, with :data:`SIM_STREAM_TAG` separating each
+measurement's simulator jitter substream; a quarantined configuration is
+recorded as :data:`QUARANTINED_US`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..check.violations import ScheduleValidationError
-from ..faults.events import FaultError, PreemptionError
-
 #: profile-index value recorded for quarantined configurations: large
 #: enough that finalize() never picks one over any real measurement, small
 #: enough to survive a strict-JSON round trip (unlike infinity)
 QUARANTINED_US = 1.0e30
+
+#: domain-separation tag for per-candidate simulator jitter substreams
+SIM_STREAM_TAG = 0x51B0
 
 
 @dataclass(frozen=True)
@@ -106,125 +108,3 @@ def robust_min(values: list[float], threshold: float = 3.5) -> float:
     Rejection matters on the *low* side: a corrupted timestamp that
     deflates a duration would otherwise win the min outright."""
     return min(reject_outliers(values, threshold))
-
-
-# -- the sample/retry loop ---------------------------------------------------
-
-#: domain-separation tag for per-candidate simulator jitter substreams
-SIM_STREAM_TAG = 0x51B0
-
-
-class SampleRecord:
-    """Event log of one measurement sample (one budget charge).
-
-    ``aborts`` lists the transient faults the retry loop caught, in
-    order, as (kind, message) pairs; ``result`` is the measurement, or
-    None when the sample was lost (attempt budget exhausted) or cut
-    short by a non-transient error recorded on the outcome.
-    """
-
-    def __init__(self, aborts: list | None = None, result=None):
-        self.aborts = [] if aborts is None else aborts
-        self.result = result
-
-
-class CandidateOutcome:
-    """Everything measuring one configuration observed.
-
-    Fields default as below; keyword arguments override them.
-    """
-
-    def __init__(self, **fields):
-        self.samples: list = []  # [SampleRecord, ...]
-        #: injector sub-state side effects (None when no injector armed)
-        self.injector_records: list = []
-        self.injector_minibatch: int | None = None
-        self.injector_preempted = False
-        #: a non-transient error that aborted the configuration; the
-        #: wirer raises it once the samples before it are accounted for
-        self.error: BaseException | None = None
-        #: schedule-validation violations to record in the run report
-        self.violations: list = []  # [(label, kind, text)]
-        #: set when the candidate's injector fired a scheduled preemption
-        self.preempted_at: int | None = None
-        for name, value in fields.items():
-            if not hasattr(self, name):
-                raise TypeError(f"unknown CandidateOutcome field {name!r}")
-            setattr(self, name, value)
-
-
-def measure_plan(
-    executor,
-    plan,
-    policy: MeasurementPolicy,
-    *,
-    seed: int,
-    base_minibatch: int,
-    faults=None,
-    preempted: bool = False,
-    samples: int | None = None,
-) -> CandidateOutcome:
-    """Measure one built plan under ``policy`` and log what happened.
-
-    Up to ``samples`` (default ``policy.samples``) mini-batches, each
-    retried on transient faults up to ``policy.max_attempts``; a retried
-    plan is statically re-validated even when ``executor`` runs
-    unvalidated.  The executor's injector and jitter stream are swapped
-    for ones derived from ``faults`` (a
-    :class:`~repro.faults.plan.FaultPlan`, or None), ``seed`` and
-    ``base_minibatch`` -- the global ordinal of the first sample -- and
-    restored on the way out, so the result depends only on the plan and
-    which mini-batch it starts at.  Instead of *acting* on what it
-    observes, the loop returns a :class:`CandidateOutcome`, which the
-    wirer accounts for.
-    """
-    out = CandidateOutcome()
-    injector = None
-    if faults is not None and faults.specs:
-        from ..faults.injector import FaultInjector
-
-        injector = FaultInjector.for_candidate(
-            faults, base_minibatch, preempted=preempted
-        )
-    simulator = executor._simulator
-    saved = (executor.injector, simulator.injector,
-             simulator._seed, simulator._rng)
-    executor.injector = simulator.injector = injector
-    simulator.reseed((seed, SIM_STREAM_TAG, base_minibatch))
-    try:
-        for _sample in range(policy.samples if samples is None else samples):
-            record = SampleRecord()
-            out.samples.append(record)
-            attempts = 0
-            while True:
-                try:
-                    validate = True if attempts and not executor.validate else None
-                    result = executor.run(plan, validate=validate)
-                except FaultError as exc:
-                    if not exc.transient:
-                        raise
-                    attempts += 1
-                    record.aborts.append((exc.kind, str(exc)))
-                    if attempts >= policy.max_attempts:
-                        break  # sample lost; result stays None
-                    continue
-                record.result = result
-                break
-    except PreemptionError as exc:
-        out.preempted_at = exc.minibatch
-    except ScheduleValidationError as exc:
-        out.violations = [
-            (plan.label, violation.kind, str(violation))
-            for violation in exc.report.violations
-        ]
-        out.error = exc
-    except FaultError as exc:  # non-transient: OOM window, etc.
-        out.error = exc
-    finally:
-        (executor.injector, simulator.injector,
-         simulator._seed, simulator._rng) = saved
-    if injector is not None:
-        out.injector_records = list(injector.ledger)
-        out.injector_minibatch = injector.minibatch
-        out.injector_preempted = injector._preempted
-    return out

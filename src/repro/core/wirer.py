@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..faults.events import DeviceOOMError, PreemptionError
+from ..check.violations import ScheduleValidationError
+from ..faults.events import DeviceOOMError, FaultError, PreemptionError
 from ..gpu.device import GPUSpec
 from ..ir.graph import Graph
 from ..obs.observer import NULL_OBSERVER, Observer
@@ -45,10 +46,9 @@ from .enumerator import AstraFeatures, BuiltPlan, Enumerator
 from .epochs import EpochPartition
 from .measurement import (
     QUARANTINED_US,
+    SIM_STREAM_TAG,
     TRUSTING,
-    CandidateOutcome,
     MeasurementPolicy,
-    measure_plan,
     robust_min,
 )
 from .profile_index import ProfileIndex, mangle
@@ -200,7 +200,7 @@ class CustomWirer:
             LoweringCache(observer=observer) if self.fast.cache else None
         )
         # no injector here: every measurement arms its own per-candidate
-        # injector (repro.core.measurement.measure_plan)
+        # injector (see _measure)
         self.executor = Executor(
             graph, device, seed=seed, validate=validate, observer=observer,
             cache=self.cache,
@@ -373,98 +373,109 @@ class CustomWirer:
             phase, kind, time_us, context, delta, self._best_so_far
         )
 
-    # -- measurement: one sample/retry loop, one replay ------------------
+    # -- measurement: the sample/retry loop -----------------------------
 
     def _measure(
-        self, plan: ExecutionPlan, samples: int | None = None
-    ) -> CandidateOutcome:
-        """Measure ``plan`` as the next mini-batch(es) of the run."""
-        return measure_plan(
-            self.executor, plan, self.policy, seed=self.seed,
-            base_minibatch=self._prior_spent + self._spent_this_run,
-            faults=self.faults, samples=samples,
-            preempted=(
-                self.injector._preempted if self.injector is not None else False
-            ),
-        )
-
-    def _replay(
         self,
-        outcome: CandidateOutcome,
+        plan: ExecutionPlan,
         context: tuple,
         phase: str,
         stats: PhaseStats | None = None,
         assignment: dict[str, object] | None = None,
         kind: str = KIND_EXPLORE,
-    ) -> tuple[list[MiniBatchResult], int]:
-        """Act on one measured configuration's event log, in order.
+        samples: int | None = None,
+    ) -> list[MiniBatchResult]:
+        """Measure ``plan`` as the run's next mini-batch(es), accounting
+        for each fault and sample as it happens.
 
-        Injector side effects, fault records and the retry accounting
-        land in sample order.  Each sample charged to ``stats`` costs one mini-batch of budget
-        and joins the timeline (a lost one still costs: its work was
-        dispatched); the uncharged production run (``stats`` None) is
-        logged by its caller.  A preemption or error that cut the
-        measurement short is re-raised here.
+        Up to ``samples`` (default ``policy.samples``) mini-batches, each
+        retried on transient faults up to ``policy.max_attempts``; a
+        retry re-validates the schedule statically (repro.check), even
+        in unvalidated mode.  Each sample charged to ``stats`` costs one
+        mini-batch of budget and joins the timeline (a lost one still
+        costs: its work was dispatched); the uncharged production run
+        (``stats`` None) is logged by its caller.
 
-        Returns (successful samples, mini-batches charged).
+        The executor's injector and jitter stream are swapped for ones
+        derived from the fault plan, the seed and the global ordinal of
+        the first sample, and restored on the way out, so the result
+        depends only on the plan and which mini-batch it starts at; the
+        candidate injector's side effects join the run's.  A preemption
+        or non-transient fault propagates once the samples before it are
+        accounted for; a defective schedule first records one violation
+        per problem.  Returns the successful samples.
         """
-        if self.injector is not None and outcome.injector_minibatch is not None:
-            self.injector.absorb(
-                outcome.injector_records,
-                outcome.injector_minibatch,
-                outcome.injector_preempted,
+        base_minibatch = self._prior_spent + self._spent_this_run
+        injector = None
+        if self.injector is not None:
+            from ..faults.injector import FaultInjector
+
+            injector = FaultInjector.for_candidate(
+                self.faults, base_minibatch, preempted=self.injector._preempted
             )
+        executor = self.executor
+        simulator = executor._simulator
+        saved = (executor.injector, simulator.injector,
+                 simulator._seed, simulator._rng)
+        executor.injector = simulator.injector = injector
+        simulator.reseed((self.seed, SIM_STREAM_TAG, base_minibatch))
         results: list[MiniBatchResult] = []
-        charged = 0
-        for record in outcome.samples:
-            gave_up = (
-                record.result is None
-                and len(record.aborts) >= self.policy.max_attempts
-            )
-            for attempt, (fault_kind, message) in enumerate(record.aborts, 1):
-                self.observer.fault(phase, fault_kind, message, context)
-                if gave_up and attempt == len(record.aborts):
-                    self.observer.count("recovery.measurements_failed")
-                else:
-                    # the retry re-validates the schedule statically
-                    # (repro.check), even in unvalidated mode
-                    if not self.validate:
-                        self.observer.count("recovery.revalidated")
-                    self.observer.count("recovery.retries")
-                    self.observer.count(
-                        "recovery.backoff_minibatches",
-                        self.policy.backoff_for(attempt),
+        try:
+            for _sample in range(self.policy.samples if samples is None else samples):
+                attempts = 0
+                while True:
+                    try:
+                        result = executor.run(
+                            plan,
+                            validate=True if attempts and not self.validate else None,
+                        )
+                        break
+                    except FaultError as exc:
+                        if not exc.transient:
+                            raise
+                        attempts += 1
+                        self.observer.fault(phase, exc.kind, str(exc), context)
+                        if attempts >= self.policy.max_attempts:
+                            self.observer.count("recovery.measurements_failed")
+                            result = None
+                            break
+                        if not self.validate:
+                            self.observer.count("recovery.revalidated")
+                        self.observer.count("recovery.retries")
+                        self.observer.count(
+                            "recovery.backoff_minibatches",
+                            self.policy.backoff_for(attempts),
+                        )
+                if stats is not None:
+                    self._spent_this_run += 1
+                if result is None:
+                    continue  # lost: the attempt budget ran out
+                if attempts:
+                    self.observer.count("recovery.retries_succeeded")
+                for fault in result.faults:
+                    self.observer.fault(phase, fault.kind, fault.detail, context)
+                results.append(result)
+                if stats is not None:
+                    self._overhead_samples.append(
+                        result.profiling_overhead_fraction
                     )
-            if record.result is None and not gave_up:
-                continue  # cut short by the fatal event raised below
-            if stats is not None:
-                charged += 1
-                self._spent_this_run += 1
-            if record.result is None:
-                continue  # lost: the attempt budget ran out
-            if record.aborts:
-                self.observer.count("recovery.retries_succeeded")
-            for fault in record.result.faults:
-                self.observer.fault(phase, fault.kind, fault.detail, context)
-            results.append(record.result)
-            if stats is not None:
-                self._overhead_samples.append(
-                    record.result.profiling_overhead_fraction
+                    self._log_minibatch(
+                        phase, result.total_time_us, context, assignment,
+                        kind=kind,
+                    )
+                    stats.minibatches += 1
+        except ScheduleValidationError as exc:
+            for violation in exc.report.violations:
+                self.observer.violation(
+                    plan.label, violation.kind, str(violation), context
                 )
-                self._log_minibatch(
-                    phase, record.result.total_time_us, context, assignment,
-                    kind=kind,
-                )
-                stats.minibatches += 1
-        if outcome.preempted_at is not None:
-            raise PreemptionError(outcome.preempted_at)
-        if outcome.error is not None:
-            # a defective schedule is recorded in the run report (one
-            # record per violation) before the error propagates
-            for label, violation_kind, text in outcome.violations:
-                self.observer.violation(label, violation_kind, text, context)
-            raise outcome.error
-        return results, charged
+            raise
+        finally:
+            (executor.injector, simulator.injector,
+             simulator._seed, simulator._rng) = saved
+            if injector is not None:
+                self.injector.absorb(injector)
+        return results
 
     def _record_measurements(
         self,
@@ -570,7 +581,7 @@ class CustomWirer:
         stats: PhaseStats,
         budget: int,
         build,
-    ) -> int:
+    ) -> None:
         """Explore one update tree, one configuration per mini-batch.
 
         Section 4.7's loop: measure the tree's current configuration
@@ -578,9 +589,9 @@ class CustomWirer:
         advance.  ``build(assignment, live_names)`` returns the
         configuration's :class:`BuiltPlan`.  A configuration whose every
         sample failed is struck and measured again, or quarantined once
-        the policy's patience is out.  Returns the mini-batches spent.
+        the policy's patience is out.
         """
-        spent = 0
+        start = self._spent_this_run
         with self.observer.span(f"explore/{stats.name}"):
             while True:
                 live_vars = [
@@ -594,11 +605,9 @@ class CustomWirer:
                     assignment = tree.assignment()
                     with self.observer.span("enumerate"):
                         built = build(assignment, {v.name for v in live_vars})
-                    results, charged = self._replay(
-                        self._measure(built.plan), context, stats.name,
-                        stats, assignment,
+                    results = self._measure(
+                        built.plan, context, stats.name, stats, assignment
                     )
-                    spent += charged
                     key = self._config_key(live_vars, context)
                     if results:
                         self._record_measurements(
@@ -611,14 +620,13 @@ class CustomWirer:
                         self._fault_strikes[key] = strikes
                         if strikes >= self.policy.quarantine_after:
                             self._quarantine(live_vars, context, stats.name)
-                    if spent >= budget:
+                    if self._spent_this_run - start >= budget:
                         tree.finalize(self.index, context)
                         break
                     if not results:
                         continue  # the same configuration again
                 if not tree.advance(self.index, context):
                     break
-        return spent
 
     @staticmethod
     def _config_key(live_vars: list[AdaptiveVariable], context: tuple) -> tuple:
@@ -691,9 +699,8 @@ class CustomWirer:
             label=best_plan.label + "/production",
         )
         production_context = self.base_context + best_strategy.context_key()
-        production_results, _charged = self._replay(
-            self._measure(production, samples=1),
-            production_context, "production",
+        production_results = self._measure(
+            production, production_context, "production", samples=1
         )
         if production_results:
             production_time = production_results[0].total_time_us
@@ -832,10 +839,9 @@ class CustomWirer:
                 )
                 measured.append((cached, built.plan, assignment))
                 continue
-            results, _charged = self._replay(
-                self._measure(built.plan),
-                context, compare_stats.name, compare_stats, assignment,
-                kind=KIND_COMPARE,
+            results = self._measure(
+                built.plan, context, compare_stats.name, compare_stats,
+                assignment, kind=KIND_COMPARE,
             )
             if not results:
                 continue

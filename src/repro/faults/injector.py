@@ -79,9 +79,7 @@ class FaultInjector:
         child._preempted = preempted
         return child
 
-    def absorb(
-        self, records, minibatch: int, preempted: bool = False
-    ) -> None:
+    def absorb(self, child: "FaultInjector") -> None:
         """Merge a candidate sub-state's side effects back into this one.
 
         Called by the wirer after each candidate, in candidate order.
@@ -89,11 +87,11 @@ class FaultInjector:
         follow (stream, compare, production) must see every fault window
         the exploration already passed through.
         """
-        for record in records:
+        for record in child.ledger:
             self.ledger.append(record)
             self.counts[record.kind] = self.counts.get(record.kind, 0) + 1
-        self.minibatch = max(self.minibatch, minibatch)
-        if preempted:
+        self.minibatch = max(self.minibatch, child.minibatch)
+        if child._preempted:
             self._preempted = True
 
     # -- bookkeeping ------------------------------------------------------

@@ -162,3 +162,51 @@ class TestCleanRunUnchanged:
         assert hardened.configs_explored == plain.configs_explored
         assert hardened.astra.assignment == plain.astra.assignment
         assert not hardened.astra.degraded
+
+
+class TestDefectiveSchedule:
+    def test_violations_recorded_before_the_error(self, tiny_scrnn):
+        """A retry that finds the schedule defective: the aborted
+        attempt's fault and retry are accounted first, then one violation
+        record per problem, and then the error propagates, uncharged."""
+        from repro.baselines.native import native_plan
+        from repro.check import ScheduleValidationError
+        from repro.check.violations import RAW_RACE, ValidationReport, Violation
+        from repro.core.enumerator import AstraFeatures
+        from repro.core.wirer import CustomWirer
+        from repro.faults.events import KernelLaunchError
+        from repro.gpu import P100
+
+        observer = Observer()
+        wirer = CustomWirer(
+            tiny_scrnn.graph, P100, AstraFeatures.preset("F"), observer=observer,
+        )
+        defect = ValidationReport(
+            violations=[
+                Violation(RAW_RACE, (1, 2), "u1 before u2"),
+                Violation(RAW_RACE, (3, 4), "u3 before u4"),
+            ],
+            label="probe-plan",
+        )
+        validated = []
+
+        def run(plan, validate=None):
+            validated.append(validate)
+            if len(validated) == 1:
+                raise KernelLaunchError("gemm_k7", minibatch=0)
+            raise ScheduleValidationError(defect)
+
+        wirer.executor.run = run
+        plan = native_plan(tiny_scrnn.graph)
+        plan.label = "probe-plan"
+        stats = wirer._phase_stats("probe")
+        with pytest.raises(ScheduleValidationError):
+            wirer._measure(plan, ("ctx",), "probe", stats)
+        assert validated == [None, True]  # the retry re-validates
+        assert [r.kind for r in observer.report().records] == [
+            "fault", "violation", "violation",
+        ]
+        counters = observer.metrics().snapshot()
+        assert counters["recovery.retries"]["value"] == 1
+        assert "recovery.retries_succeeded" not in counters
+        assert stats.minibatches == 0 and wirer._spent_this_run == 0

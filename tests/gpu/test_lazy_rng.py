@@ -1,7 +1,7 @@
 """The autoboost RNG is built on first draw, from the seed it would have
 been built from eagerly, so every draw is the one an eagerly built RNG
 makes -- with or without ``reseed``, and across the save/restore that
-``measure_plan`` wraps around each candidate."""
+the custom-wirer's measurement loop wraps around each candidate."""
 
 from __future__ import annotations
 
@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from repro.baselines.native import native_plan
-from repro.core.measurement import SIM_STREAM_TAG, TRUSTING, measure_plan
+from repro.core.enumerator import AstraFeatures
+from repro.core.measurement import SIM_STREAM_TAG
+from repro.core.wirer import CustomWirer
 from repro.gpu.device import CLOCK_AUTOBOOST, P100
 from repro.gpu.events import EventNamespace
 from repro.gpu.kernels import GemmLaunch
 from repro.gpu.streams import HostSyncItem, LaunchItem, StreamSimulator
 from repro.runtime.dispatcher import Dispatcher
-from repro.runtime.executor import Executor
 
 AUTOBOOST = P100.with_clock(CLOCK_AUTOBOOST)
 SEEDS = (0, 1, 7, 2024)
@@ -81,20 +82,23 @@ def test_base_clock_never_builds_the_rng(items):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_measure_plan_restores_an_rng_not_yet_built(tiny_scrnn, items, seed):
+def test_measuring_restores_an_rng_not_yet_built(tiny_scrnn, items, seed):
     """A candidate measured before the executor's own first draw leaves
     that first draw where an eager RNG would have it."""
     graph = tiny_scrnn.graph
     plan = native_plan(graph)
-    lazy = Executor(graph, AUTOBOOST, seed=seed)
-    eager = Executor(graph, AUTOBOOST, seed=seed)
-    eager._simulator = EagerSimulator(AUTOBOOST, seed=seed)
+    features = AstraFeatures.preset("F")
+    lazy = CustomWirer(graph, AUTOBOOST, features, seed=seed)
+    eager = CustomWirer(graph, AUTOBOOST, features, seed=seed)
+    eager.executor._simulator = EagerSimulator(AUTOBOOST, seed=seed)
     measured = []
-    for executor in (lazy, eager):
-        outcome = measure_plan(
-            executor, plan, TRUSTING, seed=seed, base_minibatch=5
-        )
-        measured.append([s.result.total_time_us for s in outcome.samples])
+    for wirer in (lazy, eager):
+        wirer._prior_spent = 5  # measured as a resumed run's mini-batch 5
+        results = wirer._measure(plan, (), "probe")
+        measured.append([result.total_time_us for result in results])
     assert measured[0] == measured[1]
-    assert lazy._simulator._rng is None and lazy._simulator._seed == seed
-    assert timings(lazy._simulator.run(items)) == timings(eager._simulator.run(items))
+    simulator = lazy.executor._simulator
+    assert simulator._rng is None and simulator._seed == seed
+    assert timings(simulator.run(items)) == timings(
+        eager.executor._simulator.run(items)
+    )
