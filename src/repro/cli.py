@@ -10,9 +10,12 @@ Commands:
 * ``baselines`` — native / XLA-style / cuDNN-style / Astra side by side
 * ``inspect``   — dump what the enumerator found (fusion groups, strategies,
   epochs) for a model, without running any exploration
-* ``trace``     — emit a Chrome trace-event ``.trace.json`` of one executed
-  mini-batch, openable in Perfetto (https://ui.perfetto.dev) or
-  ``chrome://tracing``; see ``docs/observability.md``
+* ``profile``   — one observed ``optimize`` run, reported three ways: where
+  host time went (the phase table), where simulated time went (the
+  winner's critical path) and why the winner won (provenance); ``-o``
+  writes the Chrome trace-event ``.trace.json`` of both timelines,
+  openable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``
+  (see ``docs/observability.md``)
 * ``check``     — schedule-correctness validation: deep-check the native
   lowering, then run the full exploration in validated mode so every
   configuration Astra tries is race/liveness-checked; exits non-zero on
@@ -22,14 +25,11 @@ Commands:
   dropped/corrupted timestamps, device OOM, preemption), assert the
   degradation invariant and the fault accounting, and print a resilience
   report; exits non-zero if any cell fails (see ``docs/robustness.md``)
-* ``analyze``   — critical-path analysis of a ``.trace.json`` produced by
-  ``repro trace``: per-kernel critical-path contribution, per-stream
+* ``analyze``   — critical-path analysis of a ``.trace.json`` written by
+  ``repro profile -o``: per-kernel critical-path contribution, per-stream
   busy/stall attribution, dependency slack; ``--scale`` / ``--swap``
   project what-if timelines without re-running (see
   ``docs/observability.md``)
-* ``explain``   — run the exploration with provenance recording and print,
-  per adaptive variable, the winner, the runner-up, and the measurements
-  that decided it (see ``docs/observability.md``)
 * ``fleet``     — heterogeneous fleet strategy search: data-parallel
   degree, pipeline stage cuts and per-stage device placement explored as
   adaptive variables over a mixed P100/V100 fleet, with admissible-bound
@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .gpu import DEVICES
 from .models import MODEL_BUILDERS
@@ -79,31 +80,38 @@ def _write_obs_outputs(args, observer: Observer) -> None:
         observer.report().write_jsonl(args.report_out)
 
 
-def cmd_optimize(args) -> int:
+def _session(args, model, observer: Observer):
+    """The CLI's search: the full fast path (cache and pruning) unless
+    ``--no-cache`` / ``--no-prune`` ask for from-scratch lowering or an
+    exhaustive search, plus whichever of ``--faults``, ``--robust``,
+    ``--checkpoint`` and ``--store`` the command takes.  ``optimize`` and
+    ``profile`` both build their session here, so they run one search."""
     from . import AstraSession
     from .core.measurement import ROBUST
-    from .faults import FaultPlan, PreemptionError
+    from .faults import FaultPlan
     from .perf import FastPath
 
-    model = _build(args)
-    device = DEVICES[args.device]
-    observer = _observer(args)
     faults = None
     if getattr(args, "faults", None):
         with open(args.faults) as fh:
             faults = FaultPlan.loads(fh.read())
-    # the CLI defaults to the full fast path; --no-cache / --no-prune are
-    # the escape hatches back to from-scratch lowering / exhaustive search
-    fast = FastPath(cache=not args.no_cache, prune=not args.no_prune)
-    session = AstraSession(
-        model, device=device, features=args.features, seed=args.seed,
-        observer=observer,
+    return AstraSession(
+        model, device=DEVICES[args.device], features=args.features,
+        seed=args.seed, observer=observer,
         policy=ROBUST if getattr(args, "robust", False) else None,
         faults=faults,
         checkpoint_path=getattr(args, "checkpoint", None),
-        fast=fast,
+        fast=FastPath(cache=not getattr(args, "no_cache", False),
+                      prune=not getattr(args, "no_prune", False)),
         store=getattr(args, "store", None),
     )
+
+
+def cmd_optimize(args) -> int:
+    from .faults import PreemptionError
+
+    observer = _observer(args)
+    session = _session(args, _build(args), observer)
     try:
         report = session.optimize(max_minibatches=args.budget)
     except PreemptionError as exc:
@@ -275,51 +283,6 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    from . import AstraSession
-    from .baselines.native import native_plan
-    from .obs.trace import (
-        PID_GPU, chrome_trace, merge_host_trace, validate_chrome_trace,
-    )
-    from .runtime.executor import Executor
-
-    model = _build(args)
-    device = DEVICES[args.device]
-    graph = model.graph
-    observer = Observer() if args.plan == "astra" else NULL_OBSERVER
-    if args.plan == "native":
-        plan = native_plan(graph)
-        label = f"{args.model}/native"
-    else:
-        session = AstraSession(
-            model, device=device, features=args.features, seed=args.seed,
-            observer=observer,
-        )
-        plan = session.optimize(max_minibatches=args.budget).astra.best_plan
-        label = f"{args.model}/astra"
-    executor = Executor(graph, device, seed=args.seed)
-    lowered = executor.dispatcher.lower(plan)
-    result = executor.run_lowered(lowered).raw
-    out = args.output or f"{args.model}.trace.json"
-    doc = chrome_trace(result, lowered=lowered, device=device, label=label)
-    if observer.enabled:
-        # fold the optimizer's own timeline in next to the simulated
-        # mini-batch
-        merge_host_trace(doc, observer.chrome())
-    with open(out, "w") as fh:
-        json.dump(doc, fh)
-    summary = validate_chrome_trace(doc)
-    gpu_tracks = sum(1 for pid, _tid in summary["tracks"] if pid == PID_GPU)
-    print(f"wrote {out}: {summary['events']} events, "
-          f"{len(result.records)} kernels on {gpu_tracks} stream track(s) "
-          f"+ CPU dispatch; mini-batch {result.total_time_us / 1000:.3f} ms "
-          f"({plan.label})")
-    if observer.enabled:
-        print("includes the optimizer host timeline")
-    print("open it in https://ui.perfetto.dev or chrome://tracing")
-    return 0
-
-
 def _parse_indexed(value: str, flag: str, cast):
     try:
         index_text, detail = value.split(":", 1)
@@ -366,18 +329,35 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_explain(args) -> int:
-    from . import AstraSession
+def cmd_profile(args) -> int:
+    from .obs.analysis import analyze_trace
+    from .obs.trace import chrome_trace, merge_host_trace
+    from .runtime.executor import Executor
 
     model = _build(args)
     device = DEVICES[args.device]
     observer = Observer()
-    session = AstraSession(
-        model, device=device, features=args.features, seed=args.seed,
-        observer=observer,
-    )
-    report = session.optimize(max_minibatches=args.budget)
+    start = time.perf_counter()
+    report = _session(args, model, observer).optimize(max_minibatches=args.budget)
+    wall_s = time.perf_counter() - start
     astra = report.astra
+    # the winner's mini-batch, re-run on a clean executor, next to the
+    # optimizer's own host timeline
+    executor = Executor(model.graph, device, seed=args.seed)
+    lowered = executor.dispatcher.lower(astra.best_plan)
+    trace = merge_host_trace(
+        chrome_trace(executor.run_lowered(lowered).raw, lowered=lowered,
+                     device=device, label=f"{args.model}/astra"),
+        observer.chrome(),
+    )
+    if args.output is not None:
+        out = args.output or f"{args.model}.trace.json"
+        with open(out, "w") as fh:
+            json.dump(trace, fh)
+    phases = observer.phases()
+    unattributed_s = wall_s - sum(phases.values())
+    # the same analysis `repro analyze` runs on the written trace
+    simulated = analyze_trace(trace)
     provenance = observer.provenance()
     if args.json:
         print(json.dumps({
@@ -386,18 +366,32 @@ def cmd_explain(args) -> int:
             "batch": args.batch,
             "device": args.device,
             "features": args.features,
-            "best_time_us": astra.best_time_us,
-            "speedup_over_native": report.speedup_over_native,
-            "assignment": {k: repr(v) for k, v in astra.assignment.items()},
-            "provenance": provenance.to_dict(),
+            "host": {"wall_s": wall_s, "phases": phases,
+                     "unattributed_s": unattributed_s},
+            "simulated": simulated.to_dict(),
+            "why": {
+                "best_time_us": astra.best_time_us,
+                "speedup_over_native": report.speedup_over_native,
+                "assignment": {k: repr(v) for k, v in astra.assignment.items()},
+                "provenance": provenance.to_dict(),
+            },
         }, indent=2))
         return 0
     print(f"model: {args.model}  batch={args.batch}  device={args.device}  "
           f"features=Astra_{args.features}")
-    print(f"astra: {astra.best_time_us / 1000:.3f} ms/mini-batch  "
+    if args.output is not None:
+        print(f"wrote {out}: {len(trace['traceEvents'])} events "
+              "(open it in https://ui.perfetto.dev or chrome://tracing)")
+    print(f"\nhost time: {wall_s:.3f} s wall")
+    for name, seconds in sorted(phases.items(), key=lambda kv: -kv[1]):
+        print(f"  {name:<24} {seconds:9.4f} s  {seconds / wall_s:6.1%}")
+    print(f"  {'unattributed':<24} {unattributed_s:9.4f} s  "
+          f"{unattributed_s / wall_s:6.1%}")
+    print("\nsimulated time (the winner's mini-batch):")
+    print(simulated.render())
+    print(f"\nwhy: astra {astra.best_time_us / 1000:.3f} ms/mini-batch  "
           f"({report.speedup_over_native:.2f}x over native, "
           f"{astra.configs_explored} mini-batches explored)")
-    print()
     print(provenance.render(assignment=astra.assignment))
     return 0
 
@@ -633,7 +627,9 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--features", choices=["F", "FK", "FKS", "all"], default="all")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=3000,
-                       help="max exploration mini-batches")
+                       help="exploration mini-batches, not a hard cap: each "
+                            "strategy's fk and stream phases spend at least "
+                            "one and its compare phase is not budgeted")
         p.add_argument("--no-embedding", action="store_true")
 
     def obs_flags(p):
@@ -684,24 +680,26 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_inspect)
 
     p = sub.add_parser(
-        "trace",
-        help="emit a Chrome/Perfetto trace of one executed mini-batch",
+        "profile",
+        help="optimize once and report where host time and simulated time "
+             "went and why the winner won",
     )
     common(p, positional_model=True)
-    p.add_argument("-o", "--output", default=None, metavar="PATH",
-                   help="output path (default: <model>.trace.json)")
-    p.add_argument("--plan", choices=["astra", "native"], default="astra",
-                   help="trace the custom-wired plan (runs the exploration "
-                        "first and merges its host timeline into the trace) "
-                        "or the native single-stream baseline")
-    p.set_defaults(fn=cmd_trace)
+    p.add_argument("-o", "--output", nargs="?", const="", default=None,
+                   metavar="PATH",
+                   help="write the Chrome/Perfetto trace of the winner's "
+                        "mini-batch and the optimizer's host timeline "
+                        "(bare -o: <model>.trace.json)")
+    p.add_argument("--json", action="store_true",
+                   help="print the profile document as JSON")
+    p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser(
         "analyze",
         help="critical-path and what-if analysis of a .trace.json",
     )
     p.add_argument("trace", metavar="TRACE_JSON",
-                   help="a trace file produced by `repro trace`")
+                   help="a trace file written by `repro profile -o`")
     p.add_argument("--top", type=int, default=10,
                    help="rows in the critical-kernel table (default 10)")
     p.add_argument("--scale", action="append", metavar="INDEX:FACTOR",
@@ -716,16 +714,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="print the machine-readable analysis document")
     p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser(
-        "explain",
-        help="run the exploration with provenance and print why each "
-             "variable's winner won",
-    )
-    common(p, positional_model=True)
-    p.add_argument("--json", action="store_true",
-                   help="print the provenance log as JSON")
-    p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser(
         "check",

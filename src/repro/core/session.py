@@ -222,7 +222,9 @@ class AstraSession:
     ) -> SessionReport:
         """Run the exploration; with ``measure_native=False`` the native
         baseline is skipped and the report's baseline-relative fields are
-        neutral (``speedup_over_native == 1.0``).
+        neutral (``speedup_over_native == 1.0``).  ``max_minibatches`` is
+        not a hard cap: every phase spends at least one mini-batch per
+        strategy (see :meth:`CustomWirer.optimize`).
 
         Inner sessions (one per device class of a fleet strategy search)
         use this: they only need ``best_time_us``, and the caller already

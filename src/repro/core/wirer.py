@@ -635,6 +635,12 @@ class CustomWirer:
     def optimize(self, max_minibatches: int = 5000) -> AstraReport:
         """Run the full online exploration and return the custom-wired plan.
 
+        ``max_minibatches`` bounds the fk and stream phases, but each of
+        them still spends at least one mini-batch per strategy, a
+        configuration's samples all run once it is measured, and the
+        compare phase is not budgeted: ``configs_explored`` can exceed a
+        small budget.
+
         On an injected preemption the exploration state is checkpointed
         (when a checkpoint path is configured) and the
         :class:`~repro.faults.events.PreemptionError` propagates with

@@ -43,6 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "trace": (
         "chrome_trace", "kernel_args", "merge_host_trace",
-        "validate_chrome_trace", "write_chrome_trace",
+        "validate_chrome_trace",
     ),
 })

@@ -6,7 +6,7 @@ profile-index measurements; once `finalize` has run, the report only says
 candidates considered (post-prune), the decisive measurement for each
 candidate (exactly the value the index merged), FK-prune verdicts with
 their cost-model estimates, quarantine events, and the compare-phase
-numbers.  ``repro explain`` renders it as "winner vs runner-up, per
+numbers.  ``repro profile`` renders it as "winner vs runner-up, per
 variable, with the measurements that decided it".
 
 Determinism: events are recorded by the wirer's one exploration loop
@@ -227,8 +227,8 @@ class ProvenanceLog:
     # -- rendering ----------------------------------------------------------
 
     def render(self, assignment: dict | None = None, top: int = 4) -> str:
-        """The ``repro explain`` view: per variable, winner vs runner-up
-        and the measurements that decided it."""
+        """The ``why`` section of ``repro profile``: per variable, winner
+        vs runner-up and the measurements that decided it."""
         quarantined_us = _quarantine_sentinel()
         lines = []
         for ev in self.warm_events():

@@ -21,7 +21,6 @@ traced and untraced executions are cycle-identical.
 
 from __future__ import annotations
 
-import json
 import math
 
 from ..gpu.device import GPUSpec
@@ -293,15 +292,6 @@ def merge_host_trace(doc: dict, host_doc: dict, label: str = "optimizer") -> dic
         merged = dict(ev)
         merged["pid"] = PID_HOST
         events.append(merged)
-    return doc
-
-
-def write_chrome_trace(path, result: ExecutionResult, lowered=None,
-                       device: GPUSpec | None = None, label: str = "repro") -> dict:
-    """Export and write a ``.trace.json``; returns the document."""
-    doc = chrome_trace(result, lowered=lowered, device=device, label=label)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
     return doc
 
 

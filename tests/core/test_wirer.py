@@ -58,6 +58,21 @@ class TestOptimization:
         )
         assert rep.configs_explored <= 5 + 2 * 2  # + per-strategy best runs
 
+    def test_budget_floors_every_phase_at_one(self, tiny_sublstm):
+        """A budget of one still lets each strategy's fk and stream phases
+        measure a configuration, and its compare phase is not budgeted:
+        the budget is a floor per phase, not a cap on the run."""
+        session = AstraSession(tiny_sublstm, features="all", seed=0)
+        rep = session.optimize(max_minibatches=1)
+        phases = {p.name: p.minibatches for p in rep.astra.phases}
+        labels = [s.label for s in session.wirer.enumerator.strategies]
+        assert len(labels) == 2
+        for label in labels:
+            assert phases[f"fk/{label}"] >= 1
+            assert phases[f"streams/{label}"] >= 1
+            assert phases[f"compare/{label}"] == 2  # fk and stream candidates
+        assert rep.configs_explored == sum(phases.values())
+
     def test_assignment_reported(self, fk_report):
         assert any(k.startswith("fusion:") for k in fk_report.astra.assignment)
 

@@ -26,14 +26,13 @@ def _self_times(slices) -> dict:
     return {name: us / 1e6 for name, us in out.items()}
 
 
-# width 1 is the only width a session accepts
-@pytest.fixture(scope="module", params=[1], ids=["width1"])
-def observed(request, tiny_scrnn):
+@pytest.fixture(scope="module")
+def observed(tiny_scrnn):
     observer = Observer()
     session = AstraSession(
         tiny_scrnn, features="FK", seed=0, policy=ROBUST,
         faults=FaultPlan.single(FAULT_LAUNCH, rate=0.004, seed=0),
-        observer=observer, workers=request.param,
+        observer=observer,
     )
     with observer.span("run"):
         session.optimize(max_minibatches=60)
@@ -79,9 +78,9 @@ def test_surfaced_fault_counts_are_the_fault_records(observed):
     assert surfaced == recorded
 
 
-def test_worker_spans_ride_on_worker_tracks(observed):
-    """There are no worker tracks: every span, the executor's lower and
-    simulate included, rides on the one host track."""
+def test_every_span_rides_on_the_one_host_track(observed):
+    """Every span, the executor's lower and simulate included, rides on
+    the one host track."""
     doc = observed.chrome()
     threads = [e for e in doc["traceEvents"] if e["ph"] == "M"]
     assert [e["args"]["name"] for e in threads] == ["phases"]

@@ -8,7 +8,7 @@ import pytest
 from repro.gpu import P100
 from repro.gpu.kernels import GemmLaunch
 from repro.obs import NULL_OBSERVER, Observer, chrome_trace, validate_chrome_trace
-from repro.obs.trace import PID_CPU, PID_GPU, write_chrome_trace
+from repro.obs.trace import PID_CPU, PID_GPU
 from repro.runtime import ExecutionPlan, Executor, Unit
 
 
@@ -111,7 +111,8 @@ class TestChromeTrace:
     def test_write_round_trips(self, two_stream_execution, tmp_path):
         result, lowered = two_stream_execution
         path = tmp_path / "out.trace.json"
-        write_chrome_trace(path, result, lowered=lowered, device=P100)
+        with open(path, "w") as fh:
+            json.dump(chrome_trace(result, lowered=lowered, device=P100), fh)
         validate_chrome_trace(json.loads(path.read_text()))
 
     def test_sequential_plan_single_track(self, mlp_tracer):

@@ -71,7 +71,7 @@ class TestZooTraces:
 
 class TestHostTrace:
     def test_optimizer_trace_has_the_host_track(self, tiny_scrnn):
-        """``repro trace``'s merge: the optimizer's phases ride on one
+        """``repro profile``'s merge: the optimizer's phases ride on one
         host track next to the simulated mini-batch."""
         observer = Observer()
         report = AstraSession(

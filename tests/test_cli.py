@@ -100,43 +100,6 @@ class TestObservabilityFlags:
         assert all(row["convergence_curve"] for row in doc["sweep"])
 
 
-class TestTraceCommand:
-    def test_trace_positional_model(self, capsys, tmp_path):
-        import json
-
-        from repro.obs.trace import PID_GPU, validate_chrome_trace
-
-        out = tmp_path / "out.trace.json"
-        assert main(["trace", "scrnn", "--batch", "8", "--budget", "200",
-                     "-o", str(out)]) == 0
-        assert "wrote" in capsys.readouterr().out
-        doc = json.loads(out.read_text())
-        summary = validate_chrome_trace(doc)
-        gpu_tracks = {tid for pid, tid in summary["tracks"] if pid == PID_GPU}
-        assert len(gpu_tracks) >= 2          # stream adaptation won
-        assert (0, 0) in summary["tracks"]   # CPU dispatch track
-        gemms = [e for e in doc["traceEvents"]
-                 if e["ph"] == "X" and e.get("cat") == "gemm"]
-        assert gemms
-        assert all({"library", "waves", "unit"} <= set(e["args"]) for e in gemms)
-
-    def test_trace_native_plan(self, capsys, tmp_path):
-        out = tmp_path / "native.trace.json"
-        assert main(["trace", "sublstm", "--batch", "4", "--seq-len", "2",
-                     "--plan", "native", "-o", str(out)]) == 0
-        assert out.exists()
-
-    def test_trace_default_output_name(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["trace", "sublstm", "--batch", "4", "--seq-len", "2",
-                     "--plan", "native"]) == 0
-        assert (tmp_path / "sublstm.trace.json").exists()
-
-    def test_trace_requires_model(self):
-        with pytest.raises(SystemExit):
-            make_parser().parse_args(["trace"])
-
-
 class TestResilienceFlags:
     ARGS = ["--model", "sublstm", "--batch", "4", "--seq-len", "2",
             "--features", "F", "--budget", "20"]
@@ -207,8 +170,8 @@ class TestAnalyzeCommand:
     @pytest.fixture()
     def trace_file(self, tmp_path, capsys):
         out = tmp_path / "sublstm.trace.json"
-        assert main(["trace", "sublstm", "--batch", "4", "--seq-len", "2",
-                     "--plan", "native", "-o", str(out)]) == 0
+        assert main(["profile", "sublstm", "--batch", "4", "--seq-len", "2",
+                     "--features", "F", "--budget", "20", "-o", str(out)]) == 0
         capsys.readouterr()
         return out
 
@@ -241,25 +204,112 @@ class TestAnalyzeCommand:
             main(["analyze", str(trace_file), "--swap", "0:no_such_library"])
 
 
-class TestExplainCommand:
+def _run_json(argv: list[str]) -> dict:
+    """``main(argv)``'s stdout, parsed as JSON."""
+    import contextlib
+    import io
+    import json
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return json.loads(out.getvalue())
+
+
+class TestProfileCommand:
     ARGS = ["sublstm", "--batch", "4", "--seq-len", "2",
             "--features", "FK", "--budget", "60"]
 
-    def test_explain_table(self, capsys):
-        assert main(["explain", *self.ARGS]) == 0
-        out = capsys.readouterr().out
-        assert "winner" in out
-        assert "ms/mini-batch" in out
+    @pytest.fixture(scope="class")
+    def profiled(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("profile") / "sublstm.trace.json"
+        return _run_json(["profile", *self.ARGS, "--json", "-o", str(out)]), out
 
-    def test_explain_json(self, capsys):
+    def test_profile_trace_document(self, capsys, tmp_path):
         import json
 
-        assert main(["explain", "--json", *self.ARGS]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["model"] == "sublstm"
-        assert doc["provenance"]["events"]
-        assert doc["assignment"]
+        from repro.obs.trace import PID_GPU, PID_HOST, validate_chrome_trace
 
-    def test_explain_requires_model(self):
+        out = tmp_path / "out.trace.json"
+        assert main(["profile", "scrnn", "--batch", "8", "--budget", "200",
+                     "-o", str(out)]) == 0
+        assert "wrote" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        summary = validate_chrome_trace(doc)
+        gpu_tracks = {tid for pid, tid in summary["tracks"] if pid == PID_GPU}
+        assert len(gpu_tracks) >= 2          # stream adaptation won
+        assert (0, 0) in summary["tracks"]   # CPU dispatch track
+        gemms = [e for e in doc["traceEvents"]
+                 if e["ph"] == "X" and e.get("cat") == "gemm"]
+        assert gemms
+        assert all({"library", "waves", "unit"} <= set(e["args"]) for e in gemms)
+        host = {e["name"] for e in doc["traceEvents"]
+                if e["pid"] == PID_HOST and e["ph"] == "X"}
+        assert {"explore", "simulate"} <= host
+
+    def test_profile_default_output_name(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["profile", "sublstm", "--batch", "4", "--seq-len", "2",
+                     "--features", "F", "--budget", "20", "-o"]) == 0
+        assert (tmp_path / "sublstm.trace.json").exists()
+
+    def test_profile_writes_no_trace_without_output(self, capsys, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["profile", "sublstm", "--batch", "4", "--seq-len", "2",
+                     "--features", "F", "--budget", "20"]) == 0
+        assert not list(tmp_path.iterdir())
+
+    def test_profile_table(self, capsys):
+        assert main(["profile", *self.ARGS]) == 0
+        out = capsys.readouterr().out
+        assert "unattributed" in out         # host time
+        assert "critical path" in out        # simulated time
+        assert "winner" in out               # why
+        assert "ms/mini-batch" in out
+
+    def test_why_is_the_optimize_provenance(self, profiled):
+        doc, _out = profiled
+        optimized = _run_json([
+            "optimize", "--model", *self.ARGS, "--json",
+        ])
+        why = doc["why"]
+        assert why["provenance"] == optimized["astra"]["provenance"]
+        assert any(e["event"] == "prune" for e in why["provenance"]["events"])
+        assert why["assignment"]
+        assert why["best_time_us"] == optimized["astra"]["best_time_us"]
+
+    def test_simulated_is_the_analysis_of_the_trace(self, profiled):
+        doc, out = profiled
+        analyzed = _run_json(["analyze", str(out), "--json"])
+        del analyzed["projections"]
+        assert doc["simulated"] == analyzed
+
+    def test_host_phases_are_the_trace_host_slices(self, profiled):
+        import json
+
+        from repro.obs.trace import PID_HOST
+        from tests.obs.test_observer import _self_times
+
+        doc, out = profiled
+        host = doc["host"]
+        slices = [
+            (e["ts"], e["dur"], e["name"])
+            for e in json.loads(out.read_text())["traceEvents"]
+            if e["pid"] == PID_HOST and e["ph"] == "X"
+        ]
+        from_trace = _self_times(slices)
+        assert set(from_trace) == set(host["phases"])
+        for name, seconds in host["phases"].items():
+            assert from_trace[name] == pytest.approx(seconds, rel=1e-6, abs=1e-9)
+        assert host["unattributed_s"] == (
+            host["wall_s"] - sum(host["phases"].values())
+        )
+
+    def test_profile_requires_model(self):
         with pytest.raises(SystemExit):
-            make_parser().parse_args(["explain"])
+            make_parser().parse_args(["profile"])
+
+    def test_profile_json_requires_model(self):
+        with pytest.raises(SystemExit):
+            make_parser().parse_args(["profile", "--json"])
