@@ -1,5 +1,5 @@
-"""Per-layer microbenchmark of the front end: plan building, compile,
-kernel costs and the pre-ranker's estimates.
+"""Per-layer microbenchmark of the front end: set-up's static analysis,
+plan building, compile, kernel costs and the pre-ranker's estimates.
 
     python benchmarks/micro/frontend.py [--model gnmt] [--batch 16]
         [--seq-len 6] [--features FK] [--budget 3000] [--reps 10] [--check]
@@ -9,7 +9,7 @@ cache and pruning) and records the strategy and assignment of every plan
 the enumerator builds.  It then replays those builds ``--reps`` times,
 each rep on a fresh enumerator and dispatcher inside one
 ``Graph.memoized`` block, as ``optimize`` runs them, so every rep starts
-cold.  Per candidate it times four layers:
+cold.  Per candidate it times three layers:
 
 * build: ``Enumerator.build_plan``;
 * compile: ``Dispatcher.compile`` (dependencies, issue order, tables);
@@ -17,6 +17,9 @@ cold.  Per candidate it times four layers:
 
 and once per rep, before the candidates as in ``optimize``:
 
+* setup: building the model, then section 4.5.2's static analysis as
+  ``Enumerator`` runs it (``analyse_fusion``,
+  ``resolve_static_conflicts`` and ``enumerate_strategies``);
 * estimates: ``estimate_choices_us`` for every variable of the unpruned
   FK tree of each strategy.
 
@@ -29,7 +32,9 @@ and ``fresh_unit_sources`` (units whose producer sources and issue key
 its compile derived; the others are looked up).  ``--check`` exits 1
 unless every unit, unit dependency (in iteration order), compiled index,
 kernel cost and estimate equals the pre-memo code kept in
-``tests/runtime/_reference_lowering.py``.
+``tests/runtime/_reference_lowering.py``, and the resolved analysis and
+the allocation strategies equal the pairwise code kept in
+``tests/core/_reference_fusion.py``.
 """
 
 from __future__ import annotations
@@ -47,7 +52,9 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
 from repro import AstraSession  # noqa: E402
+from repro.core.allocation import enumerate_strategies, group_flops  # noqa: E402
 from repro.core.enumerator import AstraFeatures, Enumerator  # noqa: E402
+from repro.core.fusion import analyse_fusion, resolve_static_conflicts  # noqa: E402
 from repro.gpu import P100  # noqa: E402
 from repro.gpu.cost_model import units_cost_us  # noqa: E402
 from repro.models import MODEL_BUILDERS  # noqa: E402
@@ -55,6 +62,10 @@ from repro.perf import FastPath  # noqa: E402
 from repro.perf.ranker import estimate_choices_us  # noqa: E402
 from repro.runtime import Dispatcher  # noqa: E402
 from repro.runtime.lowering import graph_lowering  # noqa: E402
+from tests.core._reference_fusion import (  # noqa: E402
+    reference_enumerate_strategies,
+    reference_resolve_static_conflicts,
+)
 from tests.runtime._reference_lowering import (  # noqa: E402
     reference_build_units,
     reference_compile,
@@ -62,7 +73,9 @@ from tests.runtime._reference_lowering import (  # noqa: E402
     reference_units_for_choice,
 )
 
-LAYERS = ("build", "compile", "costs", "estimates")
+LAYERS = ("setup", "build", "compile", "costs", "estimates")
+#: the layers timed per candidate; the others are timed once per rep
+CANDIDATE_LAYERS = ("build", "compile", "costs")
 #: per-candidate delta sizes: units emitted fresh, remainder nodes
 #: re-chained, units whose sources and issue key were derived fresh
 COUNTS = ("fresh_units", "rechained_nodes", "fresh_unit_sources")
@@ -87,6 +100,32 @@ def record_builds(model, features: str, budget: int) -> list[tuple]:
     finally:
         Enumerator.build_plan = build_plan
     return recorded
+
+
+def set_up(build_model) -> tuple[float, tuple]:
+    """One timed model build and static analysis, with what it found."""
+    start = time.perf_counter()
+    graph = build_model().graph
+    found = analyse_fusion(graph)
+    analysis = resolve_static_conflicts(found)
+    strategies = enumerate_strategies(analysis, group_flops(analysis))
+    return time.perf_counter() - start, (found, analysis, strategies)
+
+
+def setup_mismatches(found, analysis, strategies) -> list[str]:
+    """Where the static analysis differs from the pairwise reference code
+    (dataclass reprs carry labels, member order and each satisfied set's
+    iteration order)."""
+    expected = reference_resolve_static_conflicts(found)
+    mismatched = [
+        f"setup: {field}"
+        for field in ("groups", "singletons", "ladder_requirements")
+        if repr(getattr(analysis, field)) != repr(getattr(expected, field))
+    ]
+    reference = reference_enumerate_strategies(expected, group_flops(expected))
+    if repr(strategies) != repr(reference):
+        mismatched.append("setup: strategies")
+    return mismatched
 
 
 def replay(graph, features, builds: list) -> tuple[dict, list, list, tuple]:
@@ -128,7 +167,7 @@ def replay(graph, features, builds: list) -> tuple[dict, list, list, tuple]:
             per_candidate.append(seconds)
             counts.append(dict(zip(COUNTS, (b - a for a, b in zip(before, after)))))
             outputs.append((strategies[strategy_id], assignment, built, compiled, costs))
-    totals = {layer: sum(c[layer] for c in per_candidate) for layer in LAYERS[:3]}
+    totals = {layer: sum(c[layer] for c in per_candidate) for layer in CANDIDATE_LAYERS}
     totals["estimates"] = estimate_s
     return totals, per_candidate, counts, (enum, estimates, outputs)
 
@@ -196,24 +235,29 @@ def main(argv=None) -> int:
     config = module.DEFAULT_CONFIG.scaled(
         batch_size=args.batch, seq_len=args.seq_len, use_embedding=True,
     )
-    model = MODEL_BUILDERS[args.model](config)
+    def build_model():
+        return MODEL_BUILDERS[args.model](config)
+
+    model = build_model()
     features = AstraFeatures.preset(args.features)
     builds = record_builds(model, args.features, args.budget)
 
     per_layer: dict[str, list[float]] = {layer: [] for layer in LAYERS}
     per_candidate: list[dict[str, list[float]]] = [
-        {layer: [] for layer in LAYERS[:3]} for _ in builds
+        {layer: [] for layer in CANDIDATE_LAYERS} for _ in builds
     ]
     failures: list[str] = []
     for _ in range(args.reps):
+        setup_s, static = set_up(build_model)
         totals, candidates, counts, replayed = replay(model.graph, features, builds)
+        totals["setup"] = setup_s
         for layer, value in totals.items():
             per_layer[layer].append(value)
         for sink, seconds in zip(per_candidate, candidates):
             for layer, value in seconds.items():
                 sink[layer].append(value)
         if args.check:
-            failures = mismatches(model.graph, replayed)
+            failures = setup_mismatches(*static) + mismatches(model.graph, replayed)
             if failures:
                 break
 

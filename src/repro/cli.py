@@ -84,8 +84,9 @@ def _session(args, model, observer: Observer):
     """The CLI's search: the full fast path (cache and pruning) unless
     ``--no-cache`` / ``--no-prune`` ask for from-scratch lowering or an
     exhaustive search, plus whichever of ``--faults``, ``--robust``,
-    ``--checkpoint`` and ``--store`` the command takes.  ``optimize`` and
-    ``profile`` both build their session here, so they run one search."""
+    ``--checkpoint`` and ``--store`` the command takes.  ``optimize``,
+    ``profile``, ``sweep`` and ``baselines`` all build their session here,
+    so they run one search."""
     from . import AstraSession
     from .core.measurement import ROBUST
     from .faults import FaultPlan
@@ -182,9 +183,6 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from . import AstraSession
-
-    device = DEVICES[args.device]
     batches = [int(b) for b in args.batches.split(",")]
     rows: list[dict] = []
     metrics_by_batch: dict[str, dict] = {}
@@ -194,10 +192,9 @@ def cmd_sweep(args) -> int:
         args.batch = batch
         model = _build(args)
         observer = _observer(args)
-        report = AstraSession(
-            model, device=device, features=args.features, seed=args.seed,
-            observer=observer,
-        ).optimize(max_minibatches=args.budget)
+        report = _session(args, model, observer).optimize(
+            max_minibatches=args.budget
+        )
         rows.append({
             "batch": batch,
             "native_time_us": report.native_time_us,
@@ -227,7 +224,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_baselines(args) -> int:
-    from . import AstraSession
     from .baselines import cudnn_applicable, run_cudnn, run_native, run_xla
 
     model = _build(args)
@@ -241,9 +237,9 @@ def cmd_baselines(args) -> int:
         print(f"cudnn:    {cudnn / 1000:9.3f} ms   {native / cudnn:.2f}x")
     else:
         print("cudnn:    not applicable (long-tail structure)")
-    report = AstraSession(
-        model, device=device, features=args.features, seed=args.seed
-    ).optimize(max_minibatches=args.budget)
+    report = _session(args, model, NULL_OBSERVER).optimize(
+        max_minibatches=args.budget
+    )
     print(f"astra:    {report.best_time_us / 1000:9.3f} ms   "
           f"{report.speedup_over_native:.2f}x")
     return 0
@@ -338,7 +334,11 @@ def cmd_profile(args) -> int:
     device = DEVICES[args.device]
     observer = Observer()
     start = time.perf_counter()
-    report = _session(args, model, observer).optimize(max_minibatches=args.budget)
+    # construction (the static analysis, and the first run's lazy imports)
+    # is host time too, so it gets a phase of its own
+    with observer.span("setup"):
+        session = _session(args, model, observer)
+    report = session.optimize(max_minibatches=args.budget)
     wall_s = time.perf_counter() - start
     astra = report.astra
     # the winner's mini-batch, re-run on a clean executor, next to the
@@ -397,6 +397,12 @@ def cmd_profile(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """Deep-check the native lowering, then run an exploration in
+    validated mode.  Unlike ``optimize`` it keeps the library default
+    search, without cache or pruning: pruning would leave the
+    configurations it skips unchecked, and the cache would hand back a
+    schedule lowered for an earlier, structurally equal plan, so every
+    configuration the search can reach is lowered and validated afresh."""
     from . import AstraSession
     from .baselines.native import native_plan
     from .check import ScheduleValidationError, validate_schedule

@@ -41,49 +41,27 @@ class AllocationStrategy:
         return ("alloc", self.strategy_id)
 
 
-def _requirement_weight(req: Requirement, flops: dict[Requirement, float]) -> float:
-    return flops.get(req, 0.0)
-
-
-def resolve_single_tensor_conflicts(
-    requirements: list[Requirement],
-) -> list[Requirement]:
-    """Static resolution (section 4.5.2): when two requirements overlap in
-    exactly one tensor, shrink both by dropping that tensor.  Members
-    reduced below two tensors lose their requirement entirely."""
-    current = list(dict.fromkeys(requirements))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(current)):
-            for j in range(i + 1, len(current)):
-                a, b = current[i], current[j]
-                overlap = a.all_tensors() & b.all_tensors()
-                if len(overlap) != 1 or a == b:
-                    continue
-                tensor = next(iter(overlap))
-                current[i] = _drop_tensor(a, tensor)
-                current[j] = _drop_tensor(b, tensor)
-                changed = True
-        current = [r for r in dict.fromkeys(current) if len(r.all_tensors()) >= 2]
-    return current
-
-
-def _drop_tensor(req: Requirement, tensor: int) -> Requirement:
-    members = tuple(
-        tuple(t for t in member if t != tensor) for member in req.tensors
-    )
-    members = tuple(m for m in members if m)
-    return Requirement(tensors=members, tag=req.tag, label=req.label)
+def group_flops(analysis: FusionAnalysis) -> dict[str, float]:
+    """Each fusion group's GEMM flops, the weight the enumerator gives
+    its requirement in ``enumerate_strategies``."""
+    return {
+        g.group_id: float(sum(2 * mb.m * mb.k_total * mb.n for mb in g.members))
+        for g in analysis.groups
+    }
 
 
 def _greedy_independent_set(
-    requirements: list[Requirement], order: list[Requirement]
+    order: list[Requirement], tensors: dict[Requirement, frozenset[int]]
 ) -> frozenset[Requirement]:
+    """The requirements of ``order``, first come first served, that touch
+    no tensor an earlier chosen one claimed.  ``order`` holds no
+    duplicates, so this is ``conflicts_with`` against each chosen one."""
     chosen: list[Requirement] = []
+    claimed: set[int] = set()
     for req in order:
-        if all(not req.conflicts_with(c) for c in chosen):
+        if claimed.isdisjoint(tensors[req]):
             chosen.append(req)
+            claimed.update(tensors[req])
     return frozenset(chosen)
 
 
@@ -116,6 +94,7 @@ def enumerate_strategies(
     requirements = list(merged)
     for req, (_tag, weight) in merged.items():
         req_weight[req] = weight
+    tensors = {req: req.all_tensors() for req in requirements}
 
     def order_by(key) -> list[Requirement]:
         return sorted(requirements, key=key)
@@ -135,7 +114,7 @@ def enumerate_strategies(
         ("backward-first", backward_first),
         ("heaviest-first", heaviest_first),
     ):
-        satisfied = _greedy_independent_set(requirements, order)
+        satisfied = _greedy_independent_set(order, tensors)
         if satisfied in seen:
             continue
         seen.append(satisfied)

@@ -33,7 +33,12 @@ from .adaptive import (
     UpdateNode,
 )
 from ..gpu.memory import AllocationPlan
-from .allocation import AllocationStrategy, build_arena_plan, enumerate_strategies
+from .allocation import (
+    AllocationStrategy,
+    build_arena_plan,
+    enumerate_strategies,
+    group_flops,
+)
 from .epochs import EpochPartition, partition_epochs
 from .fusion import (
     FusionAnalysis,
@@ -300,13 +305,7 @@ class Enumerator:
             self.analysis = resolve_static_conflicts(analyse_fusion(graph))
         else:
             self.analysis = FusionAnalysis(groups=[], singletons=[], ladder_requirements=[])
-        group_flops = {
-            g.group_id: float(
-                sum(2 * mb.m * mb.k_total * mb.n for mb in g.members)
-            )
-            for g in self.analysis.groups
-        }
-        strategies = enumerate_strategies(self.analysis, group_flops)
+        strategies = enumerate_strategies(self.analysis, group_flops(self.analysis))
         self.strategies = strategies if features.allocation else strategies[:1]
         self._libraries = (
             list(GEMM_LIBRARIES) if features.kernel else [DEFAULT_LIBRARY]

@@ -454,17 +454,26 @@ def resolve_static_conflicts(analysis: FusionAnalysis) -> FusionAnalysis:
         if req is not None:
             owners.append((req, member))
 
+    # only owners sharing a tensor can conflict: index them by tensor and
+    # count each later owner's shared tensors, visiting the pairs in
+    # (i, j) order so every offender set fills in the same order (the
+    # ladder loop below iterates it)
+    holders: dict[int, list[int]] = {}
+    for i, (req, _owner) in enumerate(owners):
+        for tensor in req.all_tensors():
+            holders.setdefault(tensor, []).append(i)
     to_drop: dict[int, set[int]] = {}  # id(owner) -> offending tensors
-    for i in range(len(owners)):
-        for j in range(i + 1, len(owners)):
-            req_a, owner_a = owners[i]
+    for i, (req_a, owner_a) in enumerate(owners):
+        shared: dict[int, list[int]] = {}  # j -> tensors shared with i
+        for tensor in req_a.all_tensors():
+            for j in holders[tensor]:
+                if j > i:
+                    shared.setdefault(j, []).append(tensor)
+        for j in sorted(shared):
             req_b, owner_b = owners[j]
-            if req_a == req_b:
+            if len(shared[j]) != 1 or req_a == req_b:
                 continue
-            overlap = req_a.all_tensors() & req_b.all_tensors()
-            if len(overlap) != 1:
-                continue
-            tensor = next(iter(overlap))
+            tensor = shared[j][0]
             to_drop.setdefault(id(owner_a), set()).add(tensor)
             to_drop.setdefault(id(owner_b), set()).add(tensor)
 

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core import analyse_fusion, build_arena_plan, enumerate_strategies
-from repro.core.allocation import resolve_single_tensor_conflicts
-from repro.core.fusion import Requirement, resolve_static_conflicts
+from repro.core.fusion import resolve_static_conflicts
 
 
 class TestStrategyEnumeration:
@@ -63,30 +62,6 @@ class TestStrategyEnumeration:
         strategies = enumerate_strategies(analysis)
         keys = {s.context_key() for s in strategies}
         assert len(keys) == len(strategies)
-
-
-class TestSingleTensorResolution:
-    def test_overlap_of_one_is_removed(self):
-        a = Requirement(((1,), (2,), (3,)), "rows", "a")
-        b = Requirement(((3,), (4,), (5,)), "cols", "b")
-        resolved = resolve_single_tensor_conflicts([a, b])
-        for r1 in resolved:
-            for r2 in resolved:
-                if r1 is not r2:
-                    assert not r1.conflicts_with(r2)
-        assert all(3 not in r.all_tensors() for r in resolved)
-
-    def test_multi_overlap_untouched(self):
-        a = Requirement(((1,), (2,), (3,)), "rows", "a")
-        b = Requirement(((2,), (3,), (4,)), "cols", "b")
-        resolved = resolve_single_tensor_conflicts([a, b])
-        assert set(resolved) == {a, b}
-
-    def test_requirement_shrunk_below_two_dropped(self):
-        a = Requirement(((1,), (2,)), "rows", "a")
-        b = Requirement(((2,), (3,)), "cols", "b")
-        resolved = resolve_single_tensor_conflicts([a, b])
-        assert resolved == []
 
 
 class TestArenaPlans:

@@ -99,6 +99,20 @@ class TestObservabilityFlags:
         assert [row["batch"] for row in doc["sweep"]] == [4, 8]
         assert all(row["convergence_curve"] for row in doc["sweep"])
 
+    def test_sweep_runs_the_optimize_search(self, capsys):
+        """A sweep row is what ``optimize`` finds on the same arguments,
+        in as many mini-batches: both run the fast path (cache and
+        pruning).  Without pruning this job explores 302, not 300."""
+        import json
+
+        args = ["--model", "milstm", "--seq-len", "1", "--budget", "300"]
+        assert main(["optimize", "--json", "--batch", "16", *args]) == 0
+        astra = json.loads(capsys.readouterr().out)["astra"]
+        assert main(["sweep", "--json", "--batches", "16", *args]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["sweep"]
+        assert row["configs_explored"] == astra["configs_explored"] == 300
+        assert row["astra_time_us"] == astra["best_time_us"]
+
 
 class TestResilienceFlags:
     ARGS = ["--model", "sublstm", "--batch", "4", "--seq-len", "2",
@@ -305,6 +319,14 @@ class TestProfileCommand:
         assert host["unattributed_s"] == (
             host["wall_s"] - sum(host["phases"].values())
         )
+
+    def test_session_construction_is_the_setup_phase(self, profiled):
+        """Building the session (its static analysis under ``enumerate``)
+        is timed, so it is not left unattributed."""
+        doc, _out = profiled
+        phases = doc["host"]["phases"]
+        assert phases["setup"] > 0 and phases["enumerate"] > 0
+        assert phases["setup"] + phases["enumerate"] < doc["host"]["wall_s"]
 
     def test_profile_requires_model(self):
         with pytest.raises(SystemExit):
