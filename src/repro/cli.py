@@ -399,10 +399,12 @@ def cmd_profile(args) -> int:
 def cmd_check(args) -> int:
     """Deep-check the native lowering, then run an exploration in
     validated mode.  Unlike ``optimize`` it keeps the library default
-    search, without cache or pruning: pruning would leave the
-    configurations it skips unchecked, and the cache would hand back a
-    schedule lowered for an earlier, structurally equal plan, so every
-    configuration the search can reach is lowered and validated afresh."""
+    search, :class:`~repro.perf.ranker.FastPath`'s defaults: pruning
+    off, since it would leave the configurations it skips unchecked, and
+    the compilation cache on.  The cache only reuses a compiled
+    structure: each configuration is still lowered for its own plan, and
+    the executor validates every lowered schedule it runs, so every
+    configuration the search reaches is checked."""
     from . import AstraSession
     from .baselines.native import native_plan
     from .check import ScheduleValidationError, validate_schedule
@@ -523,10 +525,11 @@ def _render_fleet_report(report, fleet, verify: dict | None) -> str:
         )
     if report.engine:
         lines.append(
-            f"engine: {report.engine.get('workers', 1)} workers "
-            f"({report.engine.get('pool', '?')} pool), "
-            f"{report.engine.get('candidates', 0)} primitives dispatched in "
-            f"{report.engine.get('rounds', 0)} rounds"
+            f"engine: {report.engine['workers']} workers, "
+            f"{report.engine['candidates']} primitives dispatched in "
+            f"{report.engine['shards']} shards"
+            + (f", {report.engine['inline_fallbacks']} measured in place"
+               if report.engine["inline_fallbacks"] else "")
         )
     if verify is not None:
         lines.append(

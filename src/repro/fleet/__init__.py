@@ -8,7 +8,7 @@ device fleets, with the homogeneous cluster as the degenerate case.
 This subpackage makes the partitioning strategy -- data-parallel degree,
 contiguous pipeline stage cuts, per-stage/per-replica device placement,
 and the batch-split mode -- a first-class adaptive variable, composed
-from per-device primitives that the wave engine measures once each,
+from per-device primitives that the search measures once each,
 with per-device profile-index mangling so measurements are shared
 across every strategy that places the same subgraph on the same device
 class.  See ``docs/distributed.md``.

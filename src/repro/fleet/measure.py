@@ -34,7 +34,7 @@ from ..runtime.executor import Executor
 from .spec import FleetSpec
 from .strategy import Strategy
 
-#: the adaptive variable the wave engine explores
+#: the adaptive variable the fleet search explores
 STRATEGY_VAR = "fleet.strategy"
 
 #: fraction of the all-reduce hidden under the backward pass by bucketed
@@ -360,6 +360,7 @@ class FleetMeasurer:
             model, device=self.class_specs[cls], features=self.features,
             seed=self.seed, index=self.index,
             context=self.profile_key(("inner", cls, batch)),
+            observer=self.observer,
             fast=FastPath(cache=True, prune=not self.exhaustive),
         )
         report = session.optimize(

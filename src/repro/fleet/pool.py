@@ -1,28 +1,30 @@
-"""The fleet search wave's worker, for :mod:`repro.parallel.pool`.
+"""The fleet search wave's worker process, for :mod:`repro.parallel.engine`.
 
 The unit of fleet work is the *primitive* (:meth:`FleetMeasurer.primitives`):
 one ``("compute", cls, shard)`` or ``("stage", cls, micro)``
 measurement, which every strategy placing that subgraph on that device
-class shares.  :class:`~repro.parallel.engine.ParallelEngine` dispatches
-shards of the wave's distinct primitives, in first-appearance order, to
-workers that rebuild the measurer from a pickled :class:`FleetWorkerSpec`
-and return one :class:`FleetOutcome` per primitive, in the same order.  An outcome
-ships the index delta the measurement added and the primitive's
-analytic price, so the parent composes strategies and prices their
-bounds without building the primitives' graphs.  The spec carries the
-parent's :class:`~repro.fleet.measure.FleetJob`, so a worker builds no
-full-batch model just to derive it.  At width 1 the inline pool lends
-the search's own measurer instead of building a second one.
+class shares.  Above width 1, :class:`~repro.parallel.engine.ParallelEngine`
+dispatches shards of the wave's distinct primitives, in first-appearance
+order, to worker processes.  Each worker rebuilds the measurer once from
+a pickled :class:`FleetWorkerSpec` (:func:`init_worker`) and returns one
+:class:`FleetOutcome` per primitive, in the same order (:func:`run_shard`).
+An outcome ships the index delta the measurement added and the
+primitive's analytic price, so the parent composes strategies and prices
+their bounds without building the primitives' graphs.  The spec carries
+the parent's :class:`~repro.fleet.measure.FleetJob`, so a worker builds
+no full-batch model just to derive it.  Width 1 runs no worker: the
+search's composition measures each missing primitive in place.
 
 Determinism: a primitive's measurement depends only on (spec,
-primitive) -- fault
-sub-states are keyed by primitive, not by worker or order, and
-primitives never read each other's entries -- so the merged index is the
-same for any worker count, including the inline pool.
+primitive) -- fault sub-states are keyed by primitive, not by worker or
+order, and primitives never read each other's entries -- so the merged
+index is the same for any worker count, and a primitive whose shard
+failed measures to the same value when the parent measures it in place.
 """
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import dataclass
 from itertools import islice
@@ -45,6 +47,14 @@ class FleetWorkerSpec:
     faults: object = None
     exhaustive: bool = False
 
+    def measurer(self) -> FleetMeasurer:
+        return FleetMeasurer(
+            self.builder, self.config, self.fleet,
+            use_astra=self.use_astra, features=self.features,
+            seed=self.seed, faults=self.faults, job=self.job,
+            exhaustive=self.exhaustive,
+        )
+
 
 @dataclass
 class FleetOutcome:
@@ -59,22 +69,24 @@ class FleetOutcome:
     busy_s: float = 0.0
 
 
-class FleetWorkerState:
-    """A live measurer inside one worker, or the search's own, lent."""
+# -- worker-process entry points (module level: picklable by reference) ---
 
-    def __init__(self, spec: FleetWorkerSpec | None = None, measurer=None):
-        if measurer is None:
-            measurer = FleetMeasurer(
-                spec.builder, spec.config, spec.fleet,
-                use_astra=spec.use_astra, features=spec.features,
-                seed=spec.seed, faults=spec.faults, job=spec.job,
-                exhaustive=spec.exhaustive,
-            )
-        self.measurer = measurer
+#: the worker's measurer, built once by :func:`init_worker`
+_MEASURER: FleetMeasurer | None = None
 
 
-def run_shard(state: FleetWorkerState, primitives) -> list[FleetOutcome]:
-    measurer = state.measurer
+def init_worker(payload: bytes) -> None:
+    global _MEASURER
+    _MEASURER = pickle.loads(payload).measurer()
+
+
+def is_ready() -> bool:
+    """No-op task: forces worker spawn and :func:`init_worker`."""
+    return _MEASURER is not None
+
+
+def run_shard(primitives) -> list[FleetOutcome]:
+    measurer = _MEASURER
     outcomes = []
     for primitive in primitives:
         start = time.perf_counter()

@@ -13,17 +13,21 @@ so the search measures primitives, not strategies:
    best-bound seed strategy is measured, and every strategy whose
    admissible bound exceeds the seed's measured per-sample time is
    pruned -- provably winner-preserving;
-3. one wave ships the survivors' missing primitives, each once and in
-   first-appearance order, through :class:`~repro.parallel.engine.ParallelEngine`;
-   each outcome carries the primitive's index delta and analytic price;
-4. the parent composes every survivor from the merged index and picks
-   the first minimum with :meth:`AdaptiveVariable.finalize`.
+3. above width 1, one wave ships the survivors' missing primitives,
+   each once and in first-appearance order, to worker processes through
+   :class:`~repro.parallel.engine.ParallelEngine`; each outcome carries
+   the primitive's index delta and analytic price;
+4. the parent composes every survivor from the merged index, measuring
+   in place any primitive still missing (all of them at width 1, which
+   runs no pool), and picks the first minimum with
+   :meth:`AdaptiveVariable.finalize`.
 
 Pruning stands down whenever the bound's exactness preconditions fail
 (fault injector, autoboost clocks, inner-Astra compute), and ``repro
 fleet --exhaustive`` disables it.  Then nothing is measured before the
-wave, and the table's bounds are priced after it from the shipped
-prices, so the parent builds no graph just to price a bound.  Inner-Astra
+wave, and the table's bounds are priced after the composition, from the
+shipped prices where a worker measured, so the parent builds no graph
+just to price a bound.  Inner-Astra
 compute pre-ranks each device class's FK choices inside its own session
 (:func:`~repro.perf.ranker.prune_fk_tree`), and ``exhaustive`` turns
 that off too: it means no pruning at any level.  The equivalence tests
@@ -37,15 +41,13 @@ from dataclasses import dataclass, field
 
 from ..core.adaptive import AdaptiveVariable
 from ..obs.observer import NULL_OBSERVER
-from ..parallel.engine import ParallelEngine
-from ..parallel.pool import InlinePool, make_pool
 from ..perf.ranker import (
     fleet_prune_standdown, fleet_strategy_lo, prune_fleet_strategies,
 )
 from .measure import (
     OVERLAP_FRACTION, STRATEGY_VAR, FleetMeasurer, strategy_profile_key,
 )
-from .pool import FleetWorkerSpec, FleetWorkerState, run_shard
+from .pool import FleetWorkerSpec
 from .spec import DEFAULT_FLEET, FleetSpec
 from .strategy import Strategy, enumerate_strategies, resolve_weighted_shards
 
@@ -192,42 +194,36 @@ def run_fleet_search(
             ) or [seed_idx]
     pruned = len(strategies) - len(survivors)
 
-    # -- the wave: every survivor primitive not measured yet, once --------
+    # -- the wave: every survivor primitive not measured yet, once, on
+    # worker processes.  Width 1 runs none: the composition below
+    # measures each missing primitive in place, as it does a lone one
+    # and any a failed shard left unmerged
     tasks = list(dict.fromkeys(
         p for i in survivors for p in measurer.primitives(strategies[i])
         if not measurer.measured(p)
-    ))
+    )) if workers > 1 else []
     engine_summary: dict = {}
     if len(tasks) > 1:
-        if workers > 1:
-            spec = FleetWorkerSpec(
-                builder=builder, config=config, fleet=fleet, job=measurer.job,
-                use_astra=use_astra, seed=seed, faults=faults,
-                exhaustive=exhaustive,
-            )
-            pool = make_pool(spec, workers, FleetWorkerState, run_shard)
-        else:
-            # width 1 lends the search's own measurer, graphs and all
-            pool = InlinePool(
-                FleetWorkerState, run_shard,
-                state=FleetWorkerState(measurer=measurer),
-            )
-        engine = ParallelEngine(pool, observer=observer)
+        from ..parallel.engine import ParallelEngine
+
+        spec = FleetWorkerSpec(
+            builder=builder, config=config, fleet=fleet, job=measurer.job,
+            use_astra=use_astra, seed=seed, faults=faults,
+            exhaustive=exhaustive,
+        )
+        engine = ParallelEngine(spec, workers, observer=observer)
         engine.prewarm()
         try:
             for outcome in engine.measure_wave(tasks):
-                # new records mean a worker measured it; a lent measurer
-                # has already counted its own
-                if measurer.index.merge(outcome.records)["merged"]:
-                    observer.count(f"fleet.measure.{outcome.primitive[0]}")
+                measurer.index.merge(outcome.records)
+                observer.count(f"fleet.measure.{outcome.primitive[0]}")
                 measurer.adopt_price(outcome.primitive, outcome.price)
         finally:
             engine.close()
         engine_summary = engine.summary()
 
-    # every lookup is an index hit now (a lone missing primitive is
-    # measured in place): compose the survivors and pick the first
-    # minimum, the adaptive variable's own rule
+    # compose every survivor from the index and pick the first minimum,
+    # the adaptive variable's own rule
     outcomes = [measurer.measure_strategy(strategies[i]) for i in survivors]
     var = AdaptiveVariable(
         STRATEGY_VAR,

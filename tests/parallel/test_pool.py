@@ -1,25 +1,50 @@
-"""Pool construction, degradation, and the sharding policy.
+"""The fleet pool's sharding policy and its fallbacks.
 
 The fleet search's determinism argument leans on one property pinned
 here: concatenating shard results in shard order is exactly task order,
-for every (item count, worker count) pair.
+for every (item count, worker count) pair.  The fallbacks lean on
+another: a primitive a worker did not return is measured in place by
+the search's composition, to the same value, so a failed shard or a
+spec that cannot reach a worker changes the engine summary only.
 """
 
+import multiprocessing
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.parallel import InlinePool, make_pool
+import repro.fleet.search as fleet_search
+from repro.fleet import FleetMeasurer, Strategy, get_fleet, run_fleet_search
+from repro.models import MODEL_BUILDERS
+from repro.models.scrnn import DEFAULT_CONFIG
 from repro.parallel.engine import _shard
 
+CONFIG = DEFAULT_CONFIG.scaled(batch_size=64, seq_len=5)
 
-class _State:
-    """A worker state that only remembers the spec it was built from."""
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="workers inherit the patched measurer only when forked",
+)
 
-    def __init__(self, spec):
-        self.spec = spec
+
+def _search(builder=MODEL_BUILDERS["scrnn"], **kwargs):
+    return run_fleet_search(
+        builder, CONFIG, get_fleet("hetero"), model_name="scrnn",
+        exhaustive=True, **kwargs,
+    )
 
 
-def _run_shard(state, tasks):
-    return [(state.spec, task) for task in tasks]
+def _document(report) -> dict:
+    doc = report.to_dict()
+    del doc["engine"], doc["workers"]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def width_one():
+    report = _search()
+    assert report.engine == {}  # width 1 runs no pool
+    return _document(report)
 
 
 class TestShard:
@@ -42,21 +67,58 @@ class TestShard:
 
 
 class TestMakePool:
-    def test_workers_one_is_inline(self):
-        pool = make_pool("spec", 1, _State, _run_shard)
-        assert isinstance(pool, InlinePool)
-        assert pool.kind == "inline"
-        pool.close()
+    def test_workers_one_is_inline(self, monkeypatch, width_one):
+        """Width 1 makes no pool: the search measures in the caller and
+        reports no engine, even were a process pool unavailable."""
+        import repro.parallel.engine as engine
 
-    def test_unpicklable_spec_degrades_to_inline(self):
-        # a lambda can't cross a process boundary; the pool must degrade,
-        # not die -- the search still runs, merely without speedup
-        pool = make_pool(lambda: None, 4, _State, _run_shard)
-        assert isinstance(pool, InlinePool)
-        pool.close()
+        def no_pool(*args, **kwargs):
+            raise AssertionError("width 1 stood up a process pool")
 
-    def test_inline_pool_runs_worker_code(self):
-        pool = make_pool("spec", 1, _State, _run_shard)
-        assert pool.run_shard([]).result() == []
-        assert pool.run_shard([1, 2]).result() == [("spec", 1), ("spec", 2)]
-        pool.close()
+        monkeypatch.setattr(engine, "ParallelEngine", no_pool)
+        report = _search(workers=1)
+        assert report.engine == {}
+        assert report.workers == 1
+        assert _document(report) == width_one
+
+
+class TestFallback:
+    @needs_fork
+    def test_failed_shard_is_measured_in_place(self, monkeypatch, width_one):
+        """A worker shard that raises leaves its primitives to the
+        composition: same document as width 1, one fallback counted."""
+        failing = ("compute", "V100", 32)  # data x2 [V100,V100]'s replica
+        measure = FleetMeasurer.measure_primitive
+
+        def measure_or_fail(self, primitive):
+            if primitive == failing:
+                raise RuntimeError("worker lost")
+            measure(self, primitive)
+
+        monkeypatch.setattr(FleetMeasurer, "measure_primitive", measure_or_fail)
+        report = _search(workers=2)
+        assert report.engine["shards"] == 2
+        assert report.engine["inline_fallbacks"] == 1
+        assert _document(report) == width_one
+
+    def test_unpicklable_builder_is_measured_in_place(self, width_one):
+        """A closure cannot reach a worker: every shard falls back and
+        the search still yields the width-1 document."""
+
+        def closure_builder(config):
+            return MODEL_BUILDERS["scrnn"](config)
+
+        report = _search(builder=closure_builder, workers=2)
+        assert report.engine["inline_fallbacks"] == report.engine["shards"] == 2
+        assert _document(report) == width_one
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_measurement_error_still_raises(self, monkeypatch, workers):
+        """A fallback re-measures in the caller, where a genuine error
+        (cuts that do not split scrnn's one layer scope) surfaces."""
+        bad = Strategy("pipeline", ("P100", "V100"), cuts=(1, 1), microbatches=4)
+        monkeypatch.setattr(
+            fleet_search, "enumerate_strategies", lambda *a, **kw: [bad],
+        )
+        with pytest.raises(ValueError, match="do not split"):
+            _search(workers=workers)

@@ -34,6 +34,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro.fleet.pool as fleet_pool
 import repro.fleet.search as fleet_search
 from repro.core import wirer
 from repro.faults.plan import FaultPlan
@@ -49,8 +50,7 @@ from repro.fleet import (
     uniform_fleet,
     with_clock,
 )
-from repro.fleet.pool import FleetWorkerSpec, FleetWorkerState
-from repro.fleet.pool import run_shard as fleet_run_shard
+from repro.fleet.pool import FleetWorkerSpec
 from repro.fleet.strategy import (
     balanced_shards, resolve_weighted_shards, weighted_shards,
 )
@@ -324,7 +324,7 @@ def test_wave_dispatches_each_missing_primitive_once():
         for s in strategies for cls, shard in zip(s.placement, s.shards)
     } - {(cls, batch) for cls in report.calibration}
     assert report.engine["candidates"] == len(wanted) == 17
-    assert report.engine["rounds"] == 1
+    assert report.engine["shards"] == 2
 
 
 def _searched_index(monkeypatch, job, **kwargs):
@@ -354,9 +354,10 @@ def test_inner_prerank_measures_less_and_changes_nothing(monkeypatch):
     inner-session entries, yet every calibration value, every compute
     primitive the wave measured and the winner equal the exhaustive
     search's.  At two workers the merged index and the document equal
-    width one's."""
+    width one's.  At width 1 every inner session counts its pruning on
+    the search's observer."""
     pruned, pruned_index, measurer, choices_pruned = _searched_index(
-        monkeypatch, _benchmark_job, workers=1,
+        monkeypatch, _benchmark_job, workers=1, observer=Observer(),
     )
     exhaustive, exhaustive_index, _, none_pruned = _searched_index(
         monkeypatch, _benchmark_job, workers=1, exhaustive=True,
@@ -373,7 +374,10 @@ def test_inner_prerank_measures_less_and_changes_nothing(monkeypatch):
 
     assert pruned.calibration == exhaustive.calibration
     compute = entries(pruned_index, "compute")
-    assert len(compute) == len(pruned.calibration) + pruned.engine["candidates"]
+    metrics = measurer.observer.metrics().snapshot()
+    assert len(compute) == metrics["fleet.measure.compute"]["value"]
+    assert metrics["perf.prune.choices_pruned"]["value"] == choices_pruned
+    assert len(compute) == len(pruned.calibration) + two.engine["candidates"]
     assert compute == entries(exhaustive_index, "compute")
     assert pruned.winner.key() == exhaustive.winner.key()
     assert pruned.winner_per_sample_us == exhaustive.winner_per_sample_us
@@ -388,25 +392,28 @@ def test_inner_prerank_measures_less_and_changes_nothing(monkeypatch):
 
 
 def test_width_one_builds_each_batch_once():
-    """At width 1 the wave runs on the search's own measurer, so the
-    graphs it built for calibration, measurement and pricing are never
-    rebuilt."""
+    """At width 1 the composition measures every primitive on the
+    search's own measurer, so the graphs it built for calibration,
+    measurement and pricing are never rebuilt."""
     built: list[int] = []
 
     def counting_builder(config):
         built.append(config.batch_size)
         return MODEL_BUILDERS["scrnn"](config)
 
+    observer = Observer()
     report = run_fleet_search(
         counting_builder, _config("scrnn", 256), get_fleet("hetero"),
-        model_name="scrnn", exhaustive=True,
+        model_name="scrnn", exhaustive=True, observer=observer,
     )
-    assert report.engine["candidates"] > 1
+    assert report.engine == {}
+    measured = observer.metrics().snapshot()["fleet.measure.compute"]["value"]
+    assert measured > len(report.calibration) + 1
     assert sorted(built) == sorted(set(built))
     assert len(built) > 1
 
 
-def test_pool_worker_builds_no_full_batch_model():
+def test_pool_worker_builds_no_full_batch_model(monkeypatch):
     """A pool worker adopts the parent's job identity from its spec: it
     builds only the graphs of the primitives it measures, never the
     full-batch model, and keys them exactly as the parent does."""
@@ -419,11 +426,12 @@ def test_pool_worker_builds_no_full_batch_model():
         built.append(config.batch_size)
         return MODEL_BUILDERS["scrnn"](config)
 
-    state = FleetWorkerState(FleetWorkerSpec(
+    spec = FleetWorkerSpec(
         builder=counting_builder, config=config, fleet=fleet, job=parent.job,
-    ))
+    )
+    monkeypatch.setattr(fleet_pool, "_MEASURER", spec.measurer())
     primitive = ("compute", sorted(fleet.class_specs())[0], 64)
-    (outcome,) = fleet_run_shard(state, [primitive])
+    (outcome,) = fleet_pool.run_shard([primitive])
     assert built == [64]
     parent.measure_primitive(primitive)
     assert dict(outcome.records) == parent.index.snapshot()

@@ -75,8 +75,9 @@ result = sorted(
 
 
 def test_single_job_loads_no_process_pool():
-    """Exploration measures in the caller: only the fleet search, which
-    measures strategies on a process pool, loads ``repro.parallel``."""
+    """Exploration measures in the caller, and so does a width-1 fleet
+    search: only a fleet search above width 1, which measures its wave
+    on a process pool, loads ``repro.parallel``."""
     loaded = run_fresh(TINY_SESSION + """
 session.optimize(max_minibatches=200)
 result = sorted(m for m in sys.modules if m.startswith("repro.parallel"))
@@ -86,13 +87,17 @@ result = sorted(m for m in sys.modules if m.startswith("repro.parallel"))
 from repro.fleet import get_fleet, run_fleet_search
 from repro.models import ModelConfig, build_scrnn
 
-run_fleet_search(
-    build_scrnn, ModelConfig(batch_size=64, seq_len=2), get_fleet("hetero"),
-    model_name="scrnn",
-)
-result = "repro.parallel.engine" in sys.modules
+loaded = []
+for workers in (1, 2):
+    run_fleet_search(
+        build_scrnn, ModelConfig(batch_size=64, seq_len=2),
+        get_fleet("hetero"), model_name="scrnn", workers=workers,
+        exhaustive=True,
+    )
+    loaded.append("repro.parallel.engine" in sys.modules)
+result = loaded
 """)
-    assert fleet is True
+    assert fleet == [False, True]
 
 
 def test_profile_store_does_not_load_the_http_stack():
