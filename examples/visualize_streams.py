@@ -1,10 +1,15 @@
 #!/usr/bin/env python
 """Visualize what stream adaptation actually does to a schedule.
 
-Renders the executed mini-batch as an ASCII Gantt chart before and after
-Astra's stream phase (paper section 4.5.3-4.5.5): the single-stream
-fusion-only plan vs the custom-wired multi-stream plan, with per-stream
-utilization and the kernel-overlap fraction the epoch metric optimizes.
+Analyzes the executed mini-batch before and after Astra's stream phase
+(paper section 4.5.3-4.5.5): the single-stream fusion-only plan vs the
+custom-wired multi-stream plan.  Each mini-batch is rendered as a Chrome
+trace, and the trace's critical-path analysis prints what bounds the
+epoch and per-stream busy/stall attribution: with streams, the busy
+times add up to more than the epoch, because kernels overlap.  For the
+zoomable timeline of the same data, write the trace with
+``python -m repro profile sublstm --features FKS -o`` and open it in
+https://ui.perfetto.dev.
 
 Run:  python examples/visualize_streams.py
 """
@@ -12,18 +17,17 @@ Run:  python examples/visualize_streams.py
 from repro import AstraSession
 from repro.gpu import P100
 from repro.models import ModelConfig, build_sublstm
-from repro.runtime import Executor, TimelineOptions, overlap_fraction, render_timeline, utilization
+from repro.obs import analyze_trace, chrome_trace
+from repro.runtime import Executor
 
 
-def show(title: str, result) -> None:
-    result = result.raw  # the simulator's per-kernel records
-    print(f"\n== {title}")
-    print(render_timeline(result, TimelineOptions(width=96)))
-    util = utilization(result)
-    print("utilization: " + ", ".join(
-        f"stream{s}: {u * 100:.0f}%" for s, u in util.items()
+def show(title: str, executor: Executor, plan) -> None:
+    lowered = executor.dispatcher.lower(plan)
+    report = analyze_trace(chrome_trace(
+        executor.run_lowered(lowered).raw, lowered=lowered, device=P100,
     ))
-    print(f"kernel overlap: {overlap_fraction(result) * 100:.0f}% of wall time")
+    print(f"\n== {title}")
+    print(report.render(top=5))
 
 
 def main() -> None:
@@ -36,9 +40,9 @@ def main() -> None:
     fks = AstraSession(model, features="FKS", seed=1).optimize()
 
     show("Astra_FK: fusion + kernel selection, single stream",
-         executor.run(fk.astra.best_plan))
+         executor, fk.astra.best_plan)
     show("Astra_FKS: + stream adaptation (barrier/prefix exploration)",
-         executor.run(fks.astra.best_plan))
+         executor, fks.astra.best_plan)
 
     print(f"\nmini-batch: {fk.best_time_us / 1000:.2f} ms -> "
           f"{fks.best_time_us / 1000:.2f} ms "

@@ -82,8 +82,7 @@ def _write_obs_outputs(args, observer: Observer) -> None:
 
 def _session(args, model, observer: Observer):
     """The CLI's search: the full fast path (cache and pruning) unless
-    ``--no-cache`` / ``--no-prune`` ask for from-scratch lowering or an
-    exhaustive search, plus whichever of ``--faults``, ``--robust``,
+    ``--no-prune`` asks for an exhaustive search, plus whichever of ``--faults``, ``--robust``,
     ``--checkpoint`` and ``--store`` the command takes.  ``optimize``,
     ``profile``, ``sweep`` and ``baselines`` all build their session here,
     so they run one search."""
@@ -102,8 +101,7 @@ def _session(args, model, observer: Observer):
         policy=ROBUST if getattr(args, "robust", False) else None,
         faults=faults,
         checkpoint_path=getattr(args, "checkpoint", None),
-        fast=FastPath(cache=not getattr(args, "no_cache", False),
-                      prune=not getattr(args, "no_prune", False)),
+        fast=FastPath(prune=not getattr(args, "no_prune", False)),
         store=getattr(args, "store", None),
     )
 
@@ -661,9 +659,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--robust", action="store_true",
                    help="measure min-of-k with MAD outlier rejection instead "
                         "of trusting single samples")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the compilation cache (lower every plan "
-                        "from scratch)")
     p.add_argument("--no-prune", action="store_true",
                    help="disable cost-model pruning (exhaustive search; "
                         "converges to the same winner, just slower)")

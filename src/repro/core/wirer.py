@@ -761,19 +761,13 @@ class CustomWirer:
         self._choices_total += sum(
             len(v.choices) for v in fk_tree.variables()
         )
-        pre_prune = (
-            {v.name: list(v.choices) for v in fk_tree.variables()}
-            if self.observer.enabled else {}
-        )
         if self.fast.prune:
             with self.observer.span("prerank"):
-                pruned = prune_fk_tree(
+                self._choices_pruned += prune_fk_tree(
                     self.enumerator, strategy, fk_tree, self.device,
                     self.fast, observer=self.observer, injector=self.injector,
+                    context=context,
                 )
-            self._choices_pruned += pruned
-            if self.observer.enabled and pruned:
-                self._record_prune_provenance(strategy, fk_tree, pre_prune, context)
         self._record_candidates(fk_tree, context)
         fk_stats = self._phase_stats(f"fk/{strategy.label}")
         self._explore(
@@ -870,37 +864,6 @@ class CustomWirer:
         end_key = mangle(context, ("end_to_end", "best"))
         self.index.record(end_key, best_time)
         return best_time, best_plan_local, best_assignment_local
-
-    def _record_prune_provenance(
-        self,
-        strategy: AllocationStrategy,
-        fk_tree: UpdateNode,
-        pre_prune: dict[str, list],
-        context: tuple,
-    ) -> None:
-        """Record each FK-prune verdict with its cost-model estimate.
-
-        Pruning only runs when the estimate is provably exact (base
-        clock, no injector), so re-deriving the estimate here reproduces
-        the number that justified the cut."""
-        from ..perf.ranker import estimate_choices_us
-
-        survivors = {v.name: v.choices for v in fk_tree.variables()}
-        by_name = {v.name: v for v in fk_tree.variables()}
-        for name, before in pre_prune.items():
-            kept = survivors.get(name, [])
-            var = by_name.get(name)
-            if var is None or len(kept) == len(before):
-                continue
-            estimates = estimate_choices_us(
-                self.enumerator, strategy, var, self.device, choices=before
-            )
-            for choice, estimate in zip(before, estimates):
-                if choice not in kept:
-                    self.observer.decision(
-                        "prune", context=context, name=name, choice=choice,
-                        estimate_us=estimate,
-                    )
 
     def _record_candidates(self, tree: UpdateNode, context: tuple) -> None:
         """The candidate lists the tree's variables enter measurement with."""

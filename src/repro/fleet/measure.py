@@ -27,9 +27,9 @@ from ..baselines.native import native_plan
 from ..core.measurement import QUARANTINED_US
 from ..core.profile_index import ProfileIndex, mangle
 from ..gpu.cost_model import unit_cost_us, units_cost_us
-from ..obs.observer import NULL_OBSERVER
+from ..obs.observer import GAUGE, NULL_OBSERVER, Observer
 from ..perf.ranker import FastPath
-from ..perf.signature import plan_signature
+from ..perf.signature import plan_digest
 from ..runtime.executor import Executor
 from .spec import FleetSpec
 from .strategy import Strategy
@@ -187,7 +187,7 @@ class FleetMeasurer:
 
         if job is None:
             full = self._model(config.batch_size)
-            digest = plan_signature(self._plan(config.batch_size)).digest[:12]
+            digest = plan_digest(self._plan(config.batch_size))[:12]
             job = FleetJob(
                 context=("fleet", digest, config.batch_size),
                 scopes=tuple(layer_scopes(full.graph)),
@@ -353,19 +353,30 @@ class FleetMeasurer:
         measured.  The pre-ranker keeps every variable's argmin and
         stands down where its estimate is not exact (autoboost classes),
         so the inner winner and ``best_time_us`` are those of the
-        unpruned search; ``exhaustive`` measures every choice anyway."""
+        unpruned search; ``exhaustive`` measures every choice anyway.
+
+        An enabled search observer gets the session's events on the
+        session's own observer first, then everything but its gauges:
+        a gauge holds one run's value, and this is one of many runs."""
         from ..core.session import AstraSession
 
+        observer = Observer() if self.observer.enabled else self.observer
         session = AstraSession(
             model, device=self.class_specs[cls], features=self.features,
             seed=self.seed, index=self.index,
             context=self.profile_key(("inner", cls, batch)),
-            observer=self.observer,
+            observer=observer,
             fast=FastPath(cache=True, prune=not self.exhaustive),
         )
-        report = session.optimize(
-            max_minibatches=self.inner_budget, measure_native=False
-        )
+        try:
+            report = session.optimize(
+                max_minibatches=self.inner_budget, measure_native=False
+            )
+        finally:
+            if observer is not self.observer:
+                self.observer.events.extend(
+                    event for event in observer.events if event[0] != GAUGE
+                )
         return report.best_time_us
 
     def _run_native(self, graph, spec, primitive: tuple) -> float:

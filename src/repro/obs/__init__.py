@@ -15,7 +15,8 @@ artifact (see ``docs/observability.md``):
   a machine-readable summary document;
 * :mod:`repro.obs.provenance` -- why each adaptive variable's winner won;
 * :mod:`repro.obs.analysis` / :mod:`repro.obs.whatif` -- critical-path
-  attribution of a simulated mini-batch and what-if projections.
+  attribution of a simulated mini-batch and what-if projections, both
+  views over the mini-batch's Chrome trace document.
 
 Everything is zero-cost when disabled: :data:`NULL_OBSERVER` is the
 default everywhere, and no observer ever changes what gets dispatched to
@@ -27,7 +28,7 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "analysis": (
         "AnalysisReport", "TimelineGraph",
-        "analyze", "analyze_execution", "analyze_trace",
+        "analyze", "analyze_trace",
     ),
     "observer": ("Observer", "NULL_OBSERVER"),
     "metrics": ("Counter", "Gauge", "Histogram", "Series", "MetricsRegistry"),
@@ -39,7 +40,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "provenance": ("ProvenanceLog", "VariableDecision"),
     "whatif": (
         "Projection", "WhatIfChange",
-        "project", "remove_kernel", "scale_kernel", "swap_libraries", "swap_library",
+        "project", "scale_kernel", "swap_libraries", "swap_library",
     ),
     "trace": (
         "chrome_trace", "kernel_args", "merge_host_trace",

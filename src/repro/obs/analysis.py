@@ -1,8 +1,8 @@
 """Critical-path attribution over executed mini-batch timelines.
 
-Turns one executed mini-batch -- either a live
-:class:`~repro.gpu.streams.ExecutionResult` or a previously exported
-Chrome trace document -- into an attribution report:
+Turns the Chrome trace document of one executed mini-batch (what
+:func:`repro.obs.trace.chrome_trace` renders and ``repro profile -o``
+writes) into an attribution report:
 
 * **critical path**: the chain of binding constraints that determines the
   epoch time.  The simulator starts every kernel at exactly
@@ -18,15 +18,15 @@ Chrome trace document -- into an attribution report:
   lengthening the GPU makespan, following same-stream FIFO and
   wait-event edges only.
 
-The same edges :func:`repro.obs.trace._flow_events` draws as flow arrows
-are used here, so what you see in Perfetto is what the analysis walks.
+The trace is the only input: the wait edges are the flow arrows
+:func:`repro.obs.trace.chrome_trace` draws, so what you see in Perfetto
+is what the analysis walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..gpu.streams import LaunchItem
 from .trace import PID_CPU, PID_GPU
 
 #: absolute tolerance when matching a constraint time against a start time;
@@ -57,7 +57,6 @@ class TimelineNode:
     start: float
     end: float
     unit: int | None = None
-    kernel: object | None = None
     args: dict = field(default_factory=dict)
 
     @property
@@ -66,12 +65,8 @@ class TimelineNode:
 
 
 class TimelineGraph:
-    """Executed kernels plus the dependency edges that ordered them.
-
-    Two constructors: :meth:`from_execution` (live result + lowering,
-    exact) and :meth:`from_chrome_trace` (a previously exported document;
-    edges recovered from the flow arrows).
-    """
+    """Executed kernels plus the dependency edges that ordered them,
+    rebuilt from a trace document by :meth:`from_chrome_trace`."""
 
     def __init__(self, nodes, total_time_us: float, cpu_time_us: float):
         #: nodes in dispatch order (edges always point index-forward)
@@ -86,53 +81,6 @@ class TimelineGraph:
             self.stream_nodes.setdefault(node.stream, []).append(node.index)
 
     # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_execution(cls, result, lowered=None, device=None) -> "TimelineGraph":
-        """Build from a live :class:`ExecutionResult`; exact timestamps."""
-        record_units = getattr(lowered, "record_units", None) if lowered else None
-        nodes = []
-        for i, rec in enumerate(result.records):
-            if rec.start_time < 0:
-                continue
-            unit = None
-            if record_units is not None and i < len(record_units):
-                unit = record_units[i]
-            nodes.append(TimelineNode(
-                index=len(nodes), name=rec.kernel.name, kind=rec.kind,
-                stream=rec.stream_id, issue=rec.issue_time,
-                start=rec.start_time, end=rec.end_time,
-                unit=unit, kernel=rec.kernel,
-            ))
-        graph = cls(nodes, result.total_time_us, result.cpu_time_us)
-        if lowered is not None:
-            graph._edges_from_lowering(result, lowered)
-        return graph
-
-    def _edges_from_lowering(self, result, lowered) -> None:
-        # the k-th LaunchItem in dispatch order produced result.records[k]
-        launches = [it for it in lowered.items if isinstance(it, LaunchItem)]
-        if len(launches) != len(result.records):
-            return
-        # map record index -> node index (records with start < 0 were skipped)
-        node_of = {}
-        n = 0
-        for i, rec in enumerate(result.records):
-            if rec.start_time >= 0:
-                node_of[i] = n
-                n += 1
-        recorded_by = {
-            item.record: idx for idx, item in enumerate(launches)
-            if item.record is not None
-        }
-        for idx, item in enumerate(launches):
-            if idx not in node_of:
-                continue
-            for ev in item.waits:
-                src = recorded_by.get(ev)
-                if src is None or src not in node_of:
-                    continue
-                self.wait_producers.setdefault(node_of[idx], []).append(node_of[src])
 
     @classmethod
     def from_chrome_trace(cls, doc: dict) -> "TimelineGraph":
@@ -212,16 +160,6 @@ class TimelineGraph:
         pos = order.index(index)
         return self.nodes[order[pos + 1]] if pos + 1 < len(order) else None
 
-    def successors(self, index: int) -> list[int]:
-        succ = []
-        nxt = self.same_stream_next(index)
-        if nxt is not None:
-            succ.append(nxt.index)
-        for consumer, producers in self.wait_producers.items():
-            if index in producers:
-                succ.append(consumer)
-        return succ
-
 
 @dataclass
 class CriticalSegment:
@@ -277,34 +215,6 @@ class AnalysisReport:
     @property
     def critical_gap_us(self) -> float:
         return sum(s.duration for s in self.segments if s.kind == SEG_GAP)
-
-    def top_kernels(self, n: int = 10, kind: str | None = None) -> list[dict]:
-        rows = self.kernels
-        if kind is not None:
-            rows = [r for r in rows if r["kind"] == kind]
-        return rows[:n]
-
-    def top_critical_records(self, n: int = 3, kind: str | None = None) -> list[int]:
-        """Node indices with the largest critical-path contribution,
-        de-duplicated by unit (one record per unit)."""
-        contrib: dict[int, float] = {}
-        for seg in self.segments:
-            if seg.kind == SEG_KERNEL and seg.index is not None:
-                contrib[seg.index] = contrib.get(seg.index, 0.0) + seg.duration
-        ranked = sorted(contrib, key=lambda i: (-contrib[i], i))
-        out, seen_units = [], set()
-        for idx in ranked:
-            node = self.graph.nodes[idx] if self.graph else None
-            if kind is not None and (node is None or node.kind != kind):
-                continue
-            unit = node.unit if node is not None else idx
-            if unit in seen_units:
-                continue
-            seen_units.add(unit)
-            out.append(idx)
-            if len(out) >= n:
-                break
-        return out
 
     def to_dict(self) -> dict:
         return {
@@ -529,11 +439,6 @@ def _slack(graph: TimelineGraph) -> dict[int, float]:
     }
 
 
-def analyze_execution(result, lowered=None, device=None) -> AnalysisReport:
-    """Convenience: build the graph from a live result and analyze it."""
-    return analyze(TimelineGraph.from_execution(result, lowered, device))
-
-
 def analyze_trace(doc: dict) -> AnalysisReport:
-    """Convenience: analyze a previously exported Chrome trace document."""
+    """Analyze an exported Chrome trace document."""
     return analyze(TimelineGraph.from_chrome_trace(doc))

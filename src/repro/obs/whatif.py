@@ -1,8 +1,7 @@
 """Daydream-style what-if projection over a recorded timeline.
 
 Answers "what would the epoch time be if kernel K were X times faster /
-used a different GEMM library / were removed?" by *replaying* the
-recorded timeline through the dependency graph with modified durations --
+used a different GEMM library?" by *replaying* the recorded timeline through the dependency graph with modified durations --
 no simulator re-run.  The replay reuses the exact start rule the
 simulator applies (``start = max(issue, wait-producer ends, stream
 FIFO)``) with issue times held fixed: dispatch is serialized CPU work
@@ -28,7 +27,7 @@ from .analysis import TimelineGraph
 class WhatIfChange:
     """One hypothetical edit to the timeline."""
 
-    kind: str                  # "scale" | "swap_library" | "remove"
+    kind: str                  # "scale" | "swap_library"
     index: int                 # node index in the TimelineGraph
     name: str = ""
     old_duration_us: float = 0.0
@@ -87,21 +86,13 @@ class Projection:
         return "\n".join(lines)
 
 
-def project(graph: TimelineGraph, changes: list[WhatIfChange],
-            issue_shift: dict[int, float] | None = None) -> Projection:
-    """Replay the timeline with ``changes`` applied.
-
-    ``issue_shift`` optionally moves a node's issue time (used by
-    :func:`remove_kernel` to give back the launch overhead of a removed
-    kernel to every later launch).
-    """
+def project(graph: TimelineGraph, changes: list[WhatIfChange]) -> Projection:
+    """Replay the timeline with ``changes`` applied."""
     new_dur = {c.index: max(0.0, c.new_duration_us) for c in changes}
-    shift = issue_shift or {}
     last_done: dict[int, float] = {}
     times: dict[int, tuple[float, float]] = {}
     for node in graph.nodes:
-        start = node.issue + shift.get(node.index, 0.0)
-        start = max(start, last_done.get(node.stream, 0.0))
+        start = max(node.issue, last_done.get(node.stream, 0.0))
         for p in graph.wait_producers.get(node.index, ()):
             start = max(start, times[p][1])
         end = start + new_dur.get(node.index, node.duration)
@@ -114,10 +105,7 @@ def project(graph: TimelineGraph, changes: list[WhatIfChange],
     base = max(graph.max_issue_us, graph.gpu_makespan_us)
     tail = max(0.0, graph.total_time_us - base)
     makespan = max((end for _s, end in times.values()), default=0.0)
-    max_issue = max(
-        (n.issue + shift.get(n.index, 0.0) for n in graph.nodes), default=0.0
-    )
-    projected = max(max_issue, makespan) + tail
+    projected = max(graph.max_issue_us, makespan) + tail
     return Projection(
         baseline_total_us=graph.total_time_us,
         projected_total_us=projected,
@@ -141,8 +129,6 @@ def scale_kernel(graph: TimelineGraph, index: int, factor: float) -> Projection:
 
 
 def _solo_duration(node, device) -> float | None:
-    if node.kernel is not None:
-        return node.kernel.duration_us(device)
     args = node.args
     if all(k in args for k in ("m", "k", "n", "library")):
         return GemmLaunch(args["m"], args["k"], args["n"],
@@ -165,18 +151,11 @@ def swap_library(graph: TimelineGraph, index: int, library: str,
     """
     node = graph.nodes[index]
     old_solo = _solo_duration(node, device)
-    is_gemm = isinstance(node.kernel, GemmLaunch) or (
-        node.kernel is None and node.kind == "gemm"
-    )
-    if not is_gemm or old_solo is None or old_solo <= 0:
+    if node.kind != "gemm" or old_solo is None or old_solo <= 0:
         raise ValueError(f"node {index} ({node.name}) is not a projectable GEMM")
-    if node.kernel is not None:
-        new_kernel = GemmLaunch(node.kernel.m, node.kernel.k, node.kernel.n,
-                                library, getattr(node.kernel, "node_ids", ()))
-    else:
-        args = node.args
-        new_kernel = GemmLaunch(args["m"], args["k"], args["n"], library)
-    new_solo = new_kernel.duration_us(device)
+    args = node.args
+    new_solo = GemmLaunch(args["m"], args["k"], args["n"],
+                          library).duration_us(device)
     stretch = max(0.0, node.duration - old_solo)
     change = WhatIfChange(
         kind="swap_library", index=index, name=node.name,
@@ -195,19 +174,3 @@ def swap_libraries(graph: TimelineGraph, swaps: dict[int, str],
         single = swap_library(graph, index, library, device)
         changes.extend(single.changes)
     return project(graph, changes)
-
-
-def remove_kernel(graph: TimelineGraph, index: int, device=None) -> Projection:
-    """Project deleting one kernel: zero duration, and (when the device is
-    known) its launch overhead handed back to every later launch."""
-    node = graph.nodes[index]
-    change = WhatIfChange(
-        kind="remove", index=index, name=node.name,
-        old_duration_us=node.duration, new_duration_us=0.0,
-        detail="removed",
-    )
-    shift = {}
-    if device is not None:
-        overhead = device.launch_overhead_us
-        shift = {n.index: -overhead for n in graph.nodes if n.index > index}
-    return project(graph, [change], issue_shift=shift)

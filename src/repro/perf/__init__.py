@@ -8,9 +8,9 @@ identical while removing the redundant work:
 * :mod:`repro.perf.signature` -- stable structural signatures for
   execution plans (fusion groups, library choices, stream map, barriers,
   profiling set, allocation identity);
-* :mod:`repro.perf.cache` -- the plan-signature compilation cache that
-  memoizes lowering (full schedules, and the dependency/order analysis
-  shared across structurally identical plans);
+* :mod:`repro.perf.cache` -- the compilation cache that memoizes
+  lowering (the dependency/order analysis shared across structurally
+  identical plans);
 * :mod:`repro.perf.ranker` -- the cost-model-guided pre-ranker that
   prunes provably-losing fusion/kernel choices before any simulated
   mini-batch is spent on them (``--no-prune`` restores exhaustive
@@ -24,15 +24,13 @@ is the :meth:`~repro.obs.observer.Observer.phases` view.  See
 
 from .cache import LoweringCache
 from .ranker import FastPath, estimate_choices_us, prune_fk_tree
-from .signature import PlanSignature, plan_key, plan_signature, structure_key
+from .signature import plan_digest, structure_key
 
 __all__ = [
     "FastPath",
     "LoweringCache",
-    "PlanSignature",
     "estimate_choices_us",
-    "plan_key",
-    "plan_signature",
+    "plan_digest",
     "prune_fk_tree",
     "structure_key",
 ]

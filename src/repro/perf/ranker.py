@@ -39,7 +39,7 @@ class FastPath:
 
     The library default keeps the compilation cache on (bit-identical by
     construction) and pruning off; the CLI turns pruning on and exposes
-    ``--no-prune`` / ``--no-cache`` escape hatches.
+    a ``--no-prune`` escape hatch.
     """
 
     #: memoize lowering through :class:`repro.perf.cache.LoweringCache`
@@ -98,11 +98,13 @@ def estimate_choices_us(
 
 def prune_fk_tree(
     enumerator, strategy, tree, device, fast: FastPath,
-    observer=NULL_OBSERVER, injector=None,
+    observer=NULL_OBSERVER, injector=None, context: tuple = (),
 ) -> int:
     """Prune provably-losing choices from an fk update tree, in place.
 
-    Returns the number of choices removed.  Mutates ``var.choices`` and
+    Returns the number of choices removed, and records one ``prune``
+    decision per cut choice -- under ``context``, with the estimate it
+    was cut on -- in variable order and original choice order.  Mutates ``var.choices`` and
     re-initializes the tree so exploration starts from the pruned space;
     pruning is deterministic in (graph, device, strategy), so a resumed
     run reproduces the same pruned space.  Never prunes when the serial
@@ -144,6 +146,13 @@ def prune_fk_tree(
         if len(survivors) == len(var.choices):
             continue
         pruned_total += len(var.choices) - len(survivors)
+        kept = set(survivors)
+        for i, choice in enumerate(var.choices):
+            if i not in kept:
+                observer.decision(
+                    "prune", context=context, name=var.name, choice=choice,
+                    estimate_us=var_estimates[i],
+                )
         # preserve relative order: choice order decides round pairing and
         # finalize tie-breaks, so survivors keep their original sequence
         var.choices[:] = [var.choices[i] for i in survivors]

@@ -1,45 +1,35 @@
 """Stable structural signatures for execution plans.
 
-The compilation cache (:mod:`repro.perf.cache`) keys lowered schedules by
-*what the dispatcher sees*: the unit list (kernels with all their shape /
-library / traffic parameters, covered nodes, gather pre-copies, host
-work, epoch coordinates), the stream map, the explicit dispatch order,
-barrier placement, the profiling configuration, and the allocation
-identity (label, arena size, contiguity-group structure).  Two plans with
-equal signatures lower to bit-identical schedules; anything that could
-change a single dispatch item changes the signature.
+:func:`plan_digest` names a plan by *what the dispatcher sees*: the unit
+list (kernels with all their shape / library / traffic parameters,
+covered nodes, gather pre-copies, host work, epoch coordinates), the
+stream map, the explicit dispatch order, barrier placement, the
+profiling configuration, and the allocation identity (label, arena size,
+contiguity-group structure).  Two plans with equal digests lower to
+bit-identical schedules; anything that could change a single dispatch
+item changes the digest.  The serve layer signs a job by its native
+plan's digest (:func:`repro.serve.keys.job_digest`), and a fleet search
+names its profile context by it.
 
 Deliberately excluded: ``plan.label`` -- it is cosmetic (it names the
 plan in traces and reports) and never reaches a dispatch item, so e.g.
 ``astra`` and ``astra/production`` plans that are otherwise identical
-share cached work.  Unit labels *are* included: ``validate_covering``
+share one digest.  Unit labels *are* included: ``validate_covering``
 treats ``pack_*`` units specially, so they are structural.
 
-Two forms exist: :func:`plan_key` / :func:`structure_key` return plain
-hashable tuples -- the hot-path dictionary keys the compilation cache
-uses on every lookup -- and :func:`plan_signature` wraps the plan key as
-a canonical string (``repr`` of the tuple) plus a sha256 digest for
-serialization.  The property tests pin injectivity on structurally
-distinct plans and ``dumps``/``loads`` round-trip stability.
+:func:`structure_key` is the coarser hashable tuple the compilation
+cache (:mod:`repro.perf.cache`) keys its dependency/order analysis by.
+The property tests pin injectivity of both on structurally distinct
+plans.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 
+#: part of every key, so a layout change to a key changes every digest
 SIGNATURE_VERSION = 1
-
-
-#: identity-keyed kernel-key memo.  The enumerator's template cache hands
-#: out unit *copies* that share kernel objects, so across exploration
-#: rounds the same kernel instance is re-signed thousands of times.  The
-#: stored strong reference keeps the object alive, which keeps its id()
-#: valid; the ``is`` check makes an id collision impossible to act on.
-#: Kernels are construct-once values (never mutated after ``__post_init__``).
-_KERNEL_KEY_MEMO: dict[int, tuple] = {}
-_KERNEL_KEY_CAP = 8192
 
 
 def _kernel_key(kernel) -> tuple | None:
@@ -47,16 +37,9 @@ def _kernel_key(kernel) -> tuple | None:
     field (shapes, library, traffic, node coverage)."""
     if kernel is None:
         return None
-    entry = _KERNEL_KEY_MEMO.get(id(kernel))
-    if entry is not None and entry[0] is kernel:
-        return entry[1]
-    key = (type(kernel).__name__,) + tuple(
+    return (type(kernel).__name__,) + tuple(
         (f.name, getattr(kernel, f.name)) for f in dataclasses.fields(kernel)
     )
-    if len(_KERNEL_KEY_MEMO) >= _KERNEL_KEY_CAP:
-        _KERNEL_KEY_MEMO.clear()
-    _KERNEL_KEY_MEMO[id(kernel)] = (kernel, key)
-    return key
 
 
 def _allocation_key(allocation) -> tuple | None:
@@ -65,39 +48,8 @@ def _allocation_key(allocation) -> tuple | None:
     return (allocation.label, allocation.arena_size_bytes, allocation.strategy_key())
 
 
-@dataclasses.dataclass(frozen=True)
-class PlanSignature:
-    """Canonical structural key of a plan plus its sha256 digest."""
-
-    key: str
-    digest: str
-
-    def dumps(self) -> str:
-        return json.dumps(
-            {"version": SIGNATURE_VERSION, "key": self.key, "digest": self.digest}
-        )
-
-    @classmethod
-    def loads(cls, text: str) -> "PlanSignature":
-        doc = json.loads(text)
-        if doc.get("version") != SIGNATURE_VERSION:
-            raise ValueError(f"unsupported signature version {doc.get('version')}")
-        sig = cls(key=doc["key"], digest=doc["digest"])
-        if _digest(sig.key) != sig.digest:
-            raise ValueError("signature digest does not match its key")
-        return sig
-
-
-def _digest(key: str) -> str:
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()
-
-
-def plan_key(plan) -> tuple:
-    """Full structural key: equal keys => identical lowering.
-
-    A plain nested tuple of hashable values -- usable directly as a dict
-    key, with no serialization cost on the cache's hot path.
-    """
+def _plan_key(plan) -> tuple:
+    """Full structural key: equal keys => identical lowering."""
     units = []
     for unit in plan.units:
         super_epoch, epoch = plan.epoch(unit.unit_id)
@@ -127,10 +79,10 @@ def plan_key(plan) -> tuple:
     )
 
 
-def plan_signature(plan) -> PlanSignature:
-    """Serializable form of :func:`plan_key`: canonical string + digest."""
-    key = repr(plan_key(plan))
-    return PlanSignature(key=key, digest=_digest(key))
+def plan_digest(plan) -> str:
+    """sha256 hex digest of the plan's full structural key (the ``repr``
+    of its canonical tuple)."""
+    return hashlib.sha256(repr(_plan_key(plan)).encode("utf-8")).hexdigest()
 
 
 def structure_key(plan) -> tuple:

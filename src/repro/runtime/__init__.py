@@ -11,5 +11,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "kernel_for_node",
     ),
     "plan": ("ExecutionPlan", "Unit"),
-    "timeline": ("TimelineOptions", "overlap_fraction", "render_timeline", "utilization"),
 })

@@ -5,7 +5,7 @@ Two kinds of identity gate what measurements may be shared:
 * **job digest** -- *which measurements belong to which job*.  A job is
   keyed by what determines its profile-index contents: the structural
   signature of its traced graph (via
-  :func:`repro.perf.signature.plan_signature` over the canonical native
+  :func:`repro.perf.signature.plan_digest` of the canonical native
   plan -- exactly the key AutoTVM-style measurement corpora transfer
   on), the device model, the feature set, the base exploration context,
   and the measurement policy.  Two jobs with equal digests explore the
@@ -35,12 +35,11 @@ import tokenize
 JOB_KEY_VERSION = 1
 
 #: the modules whose source defines what a stored microsecond *means*:
-#: the simulator timeline, the stream engine that runs it, the executor's
+#: the stream engine that simulates the timeline, the executor's
 #: measurement mediation, the kernel cost model, the GEMM library
 #: physics, and the measurement policy semantics (robust-min, quarantine
 #: sentinel)
 SCHEMA_MODULES = (
-    "repro.runtime.timeline",
     "repro.gpu.streams",
     "repro.runtime.executor",
     "repro.gpu.cost_model",
@@ -83,11 +82,11 @@ def job_digest(graph, device, features, context=(), policy=None) -> str:
     derived from.
     """
     from ..baselines.native import native_plan
-    from ..perf.signature import plan_signature
+    from ..perf.signature import plan_digest
 
     doc = {
         "version": JOB_KEY_VERSION,
-        "plan": plan_signature(native_plan(graph)).digest,
+        "plan": plan_digest(native_plan(graph)),
         "device": device.name,
         "features": repr(features),
         "context": repr(tuple(context)),

@@ -391,6 +391,21 @@ def test_inner_prerank_measures_less_and_changes_nothing(monkeypatch):
     assert two_index == pruned_index
 
 
+def test_inner_sessions_leave_no_run_gauges():
+    """Each inner session observes on its own observer and hands the
+    search everything but its gauges, which hold one session's value:
+    the search's metrics carry no ``astra.best_time_us`` and no
+    ``perf.choices_*`` gauge, while the counters still sum over every
+    session."""
+    observer = Observer()
+    _benchmark_job(1, observer=observer)
+    metrics = observer.metrics().snapshot()
+    assert "astra.best_time_us" not in metrics
+    assert "perf.choices_pruned" not in metrics
+    assert not any(name.startswith("profile_index.") for name in metrics)
+    assert metrics["perf.prune.choices_pruned"]["value"] == 1216
+
+
 def test_width_one_builds_each_batch_once():
     """At width 1 the composition measures every primitive on the
     search's own measurer, so the graphs it built for calibration,
