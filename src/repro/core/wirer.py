@@ -199,12 +199,6 @@ class CustomWirer:
         self.cache = (
             LoweringCache(observer=observer) if self.fast.cache else None
         )
-        # no injector here: every measurement arms its own per-candidate
-        # injector (see _measure)
-        self.executor = Executor(
-            graph, device, seed=seed, validate=validate, observer=observer,
-            cache=self.cache,
-        )
         self._choices_total = 0
         self._choices_pruned = 0
         self._overhead_samples: list[float] = []
@@ -216,7 +210,6 @@ class CustomWirer:
         self._phase_carry: dict[str, tuple[int, int]] = {}
         #: full-measurement failures per configuration key (quarantine)
         self._fault_strikes: dict[tuple, int] = {}
-        self._preempted_at: int | None = None
         self._spent_this_run = 0
         self._all_phases: list[PhaseStats] = []
         #: warm-start accounting (filled by :meth:`warm_start`)
@@ -306,8 +299,8 @@ class CustomWirer:
         """Adopt a prior incarnation's exploration state.
 
         Must be called before :meth:`optimize`.  The profile index, spent
-        budget, work-conservation timeline, and RNG streams all continue
-        where the preempted run stopped."""
+        budget, work-conservation timeline and fault ledger continue where
+        the preempted run stopped."""
         checkpoint.check_signature(self.signature())
         self.index = checkpoint.profile_index()
         self._prior_spent = checkpoint.total_spent
@@ -396,14 +389,14 @@ class CustomWirer:
         costs: its work was dispatched); the uncharged production run
         (``stats`` None) is logged by its caller.
 
-        The executor's injector and jitter stream are swapped for ones
-        derived from the fault plan, the seed and the global ordinal of
-        the first sample, and restored on the way out, so the result
-        depends only on the plan and which mini-batch it starts at; the
-        candidate injector's side effects join the run's.  A preemption
-        or non-transient fault propagates once the samples before it are
-        accounted for; a defective schedule first records one violation
-        per problem.  Returns the successful samples.
+        Each call measures on an executor of its own, whose injector and
+        jitter stream derive from the fault plan, the seed and the global
+        ordinal of the first sample, so the result depends only on the
+        plan and which mini-batch it starts at; the candidate injector's
+        side effects join the run's.  A preemption or non-transient fault
+        propagates once the samples before it are accounted for; a
+        defective schedule first records one violation per problem.
+        Returns the successful samples.
         """
         base_minibatch = self._prior_spent + self._spent_this_run
         injector = None
@@ -411,14 +404,14 @@ class CustomWirer:
             from ..faults.injector import FaultInjector
 
             injector = FaultInjector.for_candidate(
-                self.faults, base_minibatch, preempted=self.injector._preempted
+                self.faults, base_minibatch, preempted=self.injector.preempted
             )
-        executor = self.executor
-        simulator = executor._simulator
-        saved = (executor.injector, simulator.injector,
-                 simulator._seed, simulator._rng)
-        executor.injector = simulator.injector = injector
-        simulator.reseed((self.seed, SIM_STREAM_TAG, base_minibatch))
+        executor = Executor(
+            self.graph, self.device,
+            seed=(self.seed, SIM_STREAM_TAG, base_minibatch),
+            validate=self.validate, observer=self.observer,
+            injector=injector, cache=self.cache,
+        )
         results: list[MiniBatchResult] = []
         try:
             for _sample in range(self.policy.samples if samples is None else samples):
@@ -471,8 +464,6 @@ class CustomWirer:
                 )
             raise
         finally:
-            (executor.injector, simulator.injector,
-             simulator._seed, simulator._rng) = saved
             if injector is not None:
                 self.injector.absorb(injector)
         return results
@@ -652,7 +643,6 @@ class CustomWirer:
             with self.observer.span("explore"), self.graph.memoized():
                 report = self._optimize(max_minibatches)
         except PreemptionError as exc:
-            self._preempted_at = exc.minibatch
             exc.checkpoint_path = self._save_checkpoint(preempted_at=exc.minibatch)
             self.observer.instant("preempted", minibatch=exc.minibatch)
             raise
@@ -765,7 +755,7 @@ class CustomWirer:
             with self.observer.span("prerank"):
                 self._choices_pruned += prune_fk_tree(
                     self.enumerator, strategy, fk_tree, self.device,
-                    self.fast, observer=self.observer, injector=self.injector,
+                    observer=self.observer, injector=self.injector,
                     context=context,
                 )
         self._record_candidates(fk_tree, context)

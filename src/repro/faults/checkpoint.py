@@ -5,17 +5,22 @@ every measurement lives under a context-mangled key and every phase
 consults the index before spending a mini-batch, the index *is* the
 durable exploration state.  A checkpoint is therefore mostly the
 serialized index plus the run's bookkeeping (work-conservation timeline,
-spent-budget cursor, per-phase stats) and the fault injector's ledger.
-Autoboost jitter and injected faults draw from per-candidate substreams
-keyed by the spent-budget cursor, so they continue bit-identically
-across the restart without any RNG state of their own.
+spent-budget cursor, per-phase stats) and the fault injector's cursor,
+preempted flag and ledger.  Autoboost jitter and injected faults draw
+from per-measurement substreams keyed by the spent-budget cursor, so a
+checkpoint holds no RNG state.
 
 On resume the custom-wirer replays its phase structure: every already-
 measured configuration hits the index (no mini-batch spent), update trees
 finalize to the same best assignments, and the end-to-end comparisons are
-answered from their own index keys -- so an interrupted exploration
-converges to the same configuration as an uninterrupted one without
-re-spending mini-batches on already-profiled configurations.
+answered from their own index keys.  Under a fault-free or preempt-only
+plan an interrupted exploration therefore converges to the same
+configuration as an uninterrupted one without re-spending mini-batches.
+Under rate faults it may not: a choice whose measurement was withheld (a
+dropped or implausible timestamp) leaves no index key, so the replay
+visits it again where the uninterrupted run had moved past it
+(docs/robustness.md).  Either way a resume is a function of its
+checkpoint, so two resumes from one checkpoint are equal.
 """
 
 from __future__ import annotations

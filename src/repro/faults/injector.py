@@ -5,7 +5,10 @@ Determinism contract: the injector draws from its own seeded RNG in the
 order opportunities arise, and the simulator visits opportunities in a
 deterministic order, so a fixed ``(FaultPlan, workload, seed)`` triple
 always injects the same faults -- chaos results are exactly reproducible
-and recovery tests can assert exact outcomes.
+and recovery tests can assert exact outcomes.  The RNG is built on the
+first rate-fault draw, so an injector that never draws (the run-level
+one the custom-wirer keeps beside its per-measurement injectors) holds
+no RNG state at all.
 
 The injector also keeps the *ledger*: every injected fault becomes a
 :class:`~repro.faults.events.FaultRecord` and a ``fault.injected.<kind>``
@@ -14,8 +17,6 @@ unaccounted for.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..gpu.device import GPUSpec
 from .events import (
@@ -49,12 +50,24 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self._rng = np.random.default_rng(plan.seed)
+        #: the RNG is built from ``_seed`` (the plan's seed, or a
+        #: candidate's substream key) on the first draw
+        self._seed = plan.seed
+        self._rng = None
         self.minibatch = -1  # incremented by begin_minibatch
         self.ledger: list[FaultRecord] = []
         self.counts: dict[str, int] = {}
-        self._preempted = False
+        #: whether the plan's preemption has fired (it fires once per run)
+        self.preempted = False
         self._log = MinibatchFaultLog()
+
+    @property
+    def rng(self):
+        if self._rng is None:
+            import numpy as np
+
+            self._rng = np.random.default_rng(self._seed)
+        return self._rng
 
     # -- per-candidate sub-states ----------------------------------------
 
@@ -72,11 +85,9 @@ class FaultInjector:
         candidate's own substream.
         """
         child = cls(plan)
-        child._rng = np.random.default_rng(
-            (plan.seed, _CANDIDATE_STREAM_TAG, base_minibatch)
-        )
+        child._seed = (plan.seed, _CANDIDATE_STREAM_TAG, base_minibatch)
         child.minibatch = base_minibatch - 1  # begin_minibatch increments
-        child._preempted = preempted
+        child.preempted = preempted
         return child
 
     def absorb(self, child: "FaultInjector") -> None:
@@ -91,8 +102,8 @@ class FaultInjector:
             self.ledger.append(record)
             self.counts[record.kind] = self.counts.get(record.kind, 0) + 1
         self.minibatch = max(self.minibatch, child.minibatch)
-        if child._preempted:
-            self._preempted = True
+        if child.preempted:
+            self.preempted = True
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -128,11 +139,11 @@ class FaultInjector:
         spec = self.plan.spec(FAULT_PREEMPT)
         if (
             spec is not None
-            and not self._preempted
+            and not self.preempted
             and spec.at is not None
             and self.minibatch >= spec.at
         ):
-            self._preempted = True
+            self.preempted = True
             self.record(FAULT_PREEMPT, f"at mini-batch {self.minibatch}")
             raise PreemptionError(self.minibatch)
         return self._log
@@ -170,7 +181,7 @@ class FaultInjector:
             slow is not None
             and slow.rate > 0
             and slow.window.contains(self.minibatch)
-            and self._rng.random() < slow.rate
+            and self.rng.random() < slow.rate
         ):
             multiplier *= slow.factor
             self._log.slowdowns += 1
@@ -183,7 +194,7 @@ class FaultInjector:
             spec is not None
             and spec.rate > 0
             and spec.window.contains(self.minibatch)
-            and self._rng.random() < spec.rate
+            and self.rng.random() < spec.rate
         ):
             self.record(FAULT_LAUNCH, label)
             return True
@@ -199,7 +210,7 @@ class FaultInjector:
             drop is not None
             and drop.rate > 0
             and drop.window.contains(self.minibatch)
-            and self._rng.random() < drop.rate
+            and self.rng.random() < drop.rate
         ):
             self._log.dropped_records.add(record_index)
             self.record(FAULT_EVENT_DROP, f"record {record_index}")
@@ -209,14 +220,14 @@ class FaultInjector:
             corrupt is not None
             and corrupt.rate > 0
             and corrupt.window.contains(self.minibatch)
-            and self._rng.random() < corrupt.rate
+            and self.rng.random() < corrupt.rate
         ):
             # a corrupted timestamp inflates or deflates the apparent
             # duration by up to `factor`; large errors are detectably
             # absurd (executor plausibility check), small ones survive as
             # plausible-but-wrong samples for MAD rejection to catch
-            factor = float(self._rng.uniform(1.0, max(1.0, corrupt.factor)))
-            if self._rng.random() < 0.5:
+            factor = float(self.rng.uniform(1.0, max(1.0, corrupt.factor)))
+            if self.rng.random() < 0.5:
                 factor = 1.0 / factor
             self._log.corrupted_records[record_index] = factor
             self.record(FAULT_EVENT_CORRUPT, f"record {record_index} x{factor:.3f}")
@@ -224,10 +235,12 @@ class FaultInjector:
     # -- persistence (checkpointing) --------------------------------------
 
     def state(self) -> dict:
+        """What a resumed run reads: the cursor, the preempted flag and
+        the ledger.  No RNG: every draw comes from a per-measurement
+        substream keyed by the mini-batch ordinal."""
         return {
             "minibatch": self.minibatch,
-            "preempted": self._preempted,
-            "rng": _encode_rng_state(self._rng.bit_generator.state),
+            "preempted": self.preempted,
             "counts": dict(self.counts),
             "ledger": [
                 {"kind": r.kind, "minibatch": r.minibatch, "detail": r.detail}
@@ -237,34 +250,9 @@ class FaultInjector:
 
     def restore(self, state: dict) -> None:
         self.minibatch = state["minibatch"]
-        self._preempted = state["preempted"]
-        self._rng.bit_generator.state = _decode_rng_state(state["rng"])
+        self.preempted = state["preempted"]
         self.counts = dict(state["counts"])
         self.ledger = [
             FaultRecord(r["kind"], r["minibatch"], r["detail"])
             for r in state["ledger"]
         ]
-
-
-def _encode_rng_state(state: dict) -> dict:
-    """numpy Generator state -> JSON-safe dict (ints become strings: PCG64
-    state words exceed 2**64 and some JSON consumers mangle big ints)."""
-    def enc(value):
-        if isinstance(value, dict):
-            return {k: enc(v) for k, v in value.items()}
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        return value
-
-    return enc(state)
-
-
-def _decode_rng_state(state: dict) -> dict:
-    def dec(value):
-        if isinstance(value, dict):
-            return {k: dec(v) for k, v in value.items()}
-        if isinstance(value, str) and (value.isdigit() or value.lstrip("-").isdigit()):
-            return int(value)
-        return value
-
-    return dec(state)

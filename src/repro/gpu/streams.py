@@ -402,24 +402,14 @@ class StreamSimulator:
     own records stay ground truth).
     """
 
-    def __init__(self, device: GPUSpec, seed: int = 0, injector=None):
+    def __init__(self, device: GPUSpec, seed: int | tuple = 0, injector=None):
         self.device = device
-        #: the jitter RNG is built from ``_seed`` on the first autoboost
-        #: draw; at base clock nothing is drawn, so numpy is never loaded
+        #: the jitter RNG is built from ``_seed`` (an int or a substream
+        #: key tuple) on the first autoboost draw; at base clock nothing
+        #: is drawn, so numpy is never loaded
         self._seed = seed
         self._rng = None
         self.injector = injector
-
-    def reseed(self, seed_key) -> None:
-        """Rebind the jitter RNG to a derived substream.
-
-        The wirer reseeds the simulator once per candidate, keyed by the
-        candidate's global mini-batch ordinal, so autoboost jitter is a
-        function of *which* candidate runs -- never of what ran before.  At base clock no draws happen
-        at all, so the reseed is skipped.
-        """
-        if self.device.clock_mode == CLOCK_AUTOBOOST:
-            self._seed, self._rng = seed_key, None
 
     def _jitter(self) -> float:
         if self.device.clock_mode != CLOCK_AUTOBOOST:

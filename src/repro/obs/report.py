@@ -2,10 +2,10 @@
 
 Every exploration mini-batch becomes one machine-readable record (phase,
 context key, assignment delta, measured time, best-so-far), so a run can
-be replayed, diffed against another seed, or plotted as a convergence
-curve without re-running anything.  The summary document bundles the
-convergence curve, per-phase profile-index hit rates and (optionally) the
-full serialized :class:`~repro.core.wirer.AstraReport`, following the
+be diffed against another seed or plotted as a convergence curve without
+re-running anything.  The summary document bundles the convergence
+curve, per-phase profile-index hit rates and (optionally) the full
+serialized :class:`~repro.core.wirer.AstraReport`, following the
 same versioned-JSON conventions as :mod:`repro.serialize`.
 
 The records are the :meth:`~repro.obs.observer.Observer.report` view of
@@ -60,26 +60,6 @@ class MiniBatchRecord:
             "time_us": self.time_us,
             "best_so_far_us": self.best_so_far_us,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MiniBatchRecord":
-        return cls(
-            seq=data["seq"],
-            phase=data["phase"],
-            kind=data["kind"],
-            context=_untuple(data["context"]),
-            assignment_delta=dict(data["assignment_delta"]),
-            time_us=data["time_us"],
-            best_so_far_us=data["best_so_far_us"],
-        )
-
-
-def _untuple(part):
-    """Inverse of the list encoding JSON applies to tuples, at any depth
-    (context keys nest: strategy forks, bucket ids, compare labels)."""
-    if isinstance(part, list):
-        return tuple(_untuple(item) for item in part)
-    return part
 
 
 @dataclass
@@ -189,15 +169,6 @@ class RunReporter:
             fh.write(self.jsonl())
             if self.records:
                 fh.write("\n")
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "RunReporter":
-        reporter = cls()
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                reporter.records.append(MiniBatchRecord.from_dict(json.loads(line)))
-        return reporter
 
     def summary(
         self,

@@ -32,6 +32,12 @@ from ..gpu.device import CLOCK_BASE
 from ..gpu.libraries import GEMM_LIBRARIES
 from ..obs.observer import NULL_OBSERVER
 
+#: at most this fraction of a variable's choices may be pruned
+PRUNE_FRACTION = 0.75
+#: keep any choice whose estimate is within (1 + margin) of the best --
+#: absorbs float-roundoff ties without ever risking the argmin
+PRUNE_MARGIN = 0.05
+
 
 @dataclass(frozen=True)
 class FastPath:
@@ -47,11 +53,6 @@ class FastPath:
     cache: bool = True
     #: pre-rank fk choices with the cost model and prune losers
     prune: bool = False
-    #: at most this fraction of a variable's choices may be pruned
-    prune_fraction: float = 0.75
-    #: keep any choice whose estimate is within (1 + margin) of the best
-    #: -- absorbs float-roundoff ties without ever risking the argmin
-    prune_margin: float = 0.05
 
 
 def estimate_choices_us(
@@ -97,7 +98,7 @@ def estimate_choices_us(
 
 
 def prune_fk_tree(
-    enumerator, strategy, tree, device, fast: FastPath,
+    enumerator, strategy, tree, device,
     observer=NULL_OBSERVER, injector=None, context: tuple = (),
 ) -> int:
     """Prune provably-losing choices from an fk update tree, in place.
@@ -109,7 +110,7 @@ def prune_fk_tree(
     pruning is deterministic in (graph, device, strategy), so a resumed
     run reproduces the same pruned space.  Never prunes when the serial
     cost model is not provably exact (injector armed, non-base clock),
-    and always keeps at least ``1 - prune_fraction`` of each variable's
+    and always keeps at least ``1 - PRUNE_FRACTION`` of each variable's
     choices, including every choice tied with the best estimate.
     """
     if injector is not None or device.clock_mode != CLOCK_BASE:
@@ -133,12 +134,12 @@ def prune_fk_tree(
         var_estimates = estimate_choices_us(
             enumerator, strategy, var, device, gemm_us=gemm_us
         )
-        cut = min(var_estimates) * (1.0 + fast.prune_margin)
+        cut = min(var_estimates) * (1.0 + PRUNE_MARGIN)
         survivors = [i for i, est in enumerate(var_estimates) if est <= cut]
-        keep_floor = max(1, len(var.choices) - int(fast.prune_fraction * len(var.choices)))
+        keep_floor = max(1, len(var.choices) - int(PRUNE_FRACTION * len(var.choices)))
         if len(survivors) < keep_floor:
             # top back up with the next-cheapest choices so no more than
-            # prune_fraction of the space is ever discarded
+            # PRUNE_FRACTION of the space is ever discarded
             ranked = sorted(
                 range(len(var_estimates)), key=lambda i: (var_estimates[i], i)
             )

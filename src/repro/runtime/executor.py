@@ -80,7 +80,7 @@ class Executor:
         self,
         graph,
         device: GPUSpec,
-        seed: int = 0,
+        seed: int | tuple = 0,
         validate: bool = False,
         observer=NULL_OBSERVER,
         injector=None,

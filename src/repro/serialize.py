@@ -1,17 +1,14 @@
-"""JSON serialization of graphs, plans and reports.
+"""JSON serialization of plans, reports and lowered schedules.
 
-Lets a downstream user persist what Astra found: the traced graph
-structure, the custom-wired execution plan, and the optimization report
-(including the full adaptive-variable assignment), then reload the plan
-against a freshly traced graph.  Re-wiring a job that was optimized
-before costs zero mini-batches -- the deployment-side counterpart of the
-profile index.
+Dumps what Astra found -- the custom-wired execution plan and the
+optimization report (including the full adaptive-variable assignment)
+-- for ``repro optimize --json``, and a lowered schedule's dispatch
+items for the golden-schedule tests.  There is no reload path:
+re-wiring a job without measuring goes through the profile store's
+warm start (docs/serving.md).
 """
 
 from __future__ import annotations
-
-import json
-from typing import Any
 
 from .core.wirer import AstraReport
 from .core.session import SessionReport
@@ -23,39 +20,9 @@ from .gpu.kernels import (
     HostTransfer,
     Kernel,
 )
-from .ir.graph import Graph
-from .runtime.plan import ExecutionPlan, Unit
+from .runtime.plan import ExecutionPlan
 
 FORMAT_VERSION = 1
-
-
-# ---------------------------------------------------------------------------
-# graphs
-# ---------------------------------------------------------------------------
-
-
-def graph_to_dict(graph: Graph) -> dict:
-    """Structural dump of a traced graph (op names, shapes, provenance)."""
-    return {
-        "version": FORMAT_VERSION,
-        "name": graph.name,
-        "outputs": list(graph.outputs),
-        "nodes": [
-            {
-                "id": node.node_id,
-                "op": node.op.name if node.op else None,
-                "signature": list(node.op.signature()) if node.op else None,
-                "inputs": list(node.input_ids),
-                "shape": list(node.spec.shape),
-                "dtype": node.spec.dtype,
-                "role": node.role,
-                "scope": node.scope,
-                "pass": node.pass_tag,
-                "label": node.label,
-            }
-            for node in graph.nodes
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -86,33 +53,6 @@ def kernel_to_dict(kernel: Kernel) -> dict:
     raise TypeError(f"cannot serialize kernel {kernel!r}")
 
 
-def kernel_from_dict(data: dict) -> Kernel:
-    kind = data["kind"]
-    node_ids = tuple(data.get("node_ids", ()))
-    if kind == "gemm":
-        return GemmLaunch(data["m"], data["k"], data["n"], data["library"],
-                          node_ids=node_ids)
-    if kind == "elementwise":
-        return ElementwiseLaunch(
-            num_elements=data["num_elements"], fused_ops=data["fused_ops"],
-            flops_per_element=data["flops_per_element"],
-            bytes_per_element=data["bytes_per_element"],
-            label=data["label"], node_ids=node_ids,
-        )
-    if kind == "copy":
-        return CopyLaunch(bytes_moved=data["bytes_moved"], label=data["label"],
-                          node_ids=node_ids)
-    if kind == "compound":
-        return CompoundLaunch(
-            total_flops=data["total_flops"], efficiency=data["efficiency"],
-            rows=data.get("rows", 64), label=data["label"], node_ids=node_ids,
-        )
-    if kind == "transfer":
-        return HostTransfer(bytes_moved=data["bytes_moved"],
-                            direction=data["direction"], node_ids=node_ids)
-    raise ValueError(f"unknown kernel kind {kind!r}")
-
-
 def plan_to_dict(plan: ExecutionPlan) -> dict:
     return {
         "version": FORMAT_VERSION,
@@ -136,36 +76,8 @@ def plan_to_dict(plan: ExecutionPlan) -> dict:
     }
 
 
-def plan_from_dict(data: dict) -> ExecutionPlan:
-    if data.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported plan format version {data.get('version')}")
-    units = []
-    epoch_of = {}
-    for entry in data["units"]:
-        unit = Unit(
-            unit_id=entry["id"],
-            kernel=kernel_from_dict(entry["kernel"]) if entry["kernel"] else None,
-            node_ids=tuple(entry["node_ids"]),
-            label=entry["label"],
-            pre_copies=tuple(kernel_from_dict(k) for k in entry["pre_copies"]),
-            host_us=entry["host_us"],
-        )
-        units.append(unit)
-        coord = (entry["super_epoch"], entry["epoch"])
-        if coord != (-1, -1):
-            epoch_of[unit.unit_id] = coord
-    return ExecutionPlan(
-        units=units,
-        stream_of={int(k): v for k, v in data["stream_of"].items()},
-        epoch_of=epoch_of,
-        barriers_after=frozenset(data["barriers_after"]),
-        profile=data["profile"],
-        label=data["label"],
-    )
-
-
 # ---------------------------------------------------------------------------
-# lowered schedules (golden-schedule regression tests, repro check --json)
+# lowered schedules (golden-schedule regression tests)
 # ---------------------------------------------------------------------------
 
 
@@ -261,21 +173,3 @@ def report_to_dict(report: AstraReport | SessionReport) -> dict:
         "warm": dict(getattr(report, "warm", {}) or {}),
         "provenance": provenance_doc,
     }
-
-
-def dumps(obj: Any, **kwargs) -> str:
-    """JSON-encode any of the serializable objects above."""
-    if isinstance(obj, Graph):
-        payload = graph_to_dict(obj)
-    elif isinstance(obj, ExecutionPlan):
-        payload = plan_to_dict(obj)
-    elif isinstance(obj, (AstraReport, SessionReport)):
-        payload = report_to_dict(obj)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return json.dumps(payload, **kwargs)
-
-
-def load_plan(text: str) -> ExecutionPlan:
-    """Reload a serialized plan (for re-wiring a previously optimized job)."""
-    return plan_from_dict(json.loads(text))

@@ -10,12 +10,27 @@ import pytest
 
 from repro.core.session import AstraSession
 from repro.faults import (
+    FAULT_EVENT_CORRUPT,
+    FAULT_EVENT_DROP,
+    FAULT_LAUNCH,
     FAULT_PREEMPT,
+    FAULT_SLOWDOWN,
     ExplorationCheckpoint,
     FaultPlan,
+    FaultSpec,
     PreemptionError,
 )
+from repro.models.milstm import DEFAULT_CONFIG, build_milstm
 from repro.obs import NULL_OBSERVER, Observer
+
+#: the CI "Recovery smoke" plan: rate faults light enough that retried
+#: samples succeed and no run degrades
+MILD_SPECS = (
+    FaultSpec(kind=FAULT_LAUNCH, rate=0.002),
+    FaultSpec(kind=FAULT_SLOWDOWN, rate=0.2, factor=4.0),
+    FaultSpec(kind=FAULT_EVENT_DROP, rate=0.02),
+    FaultSpec(kind=FAULT_EVENT_CORRUPT, rate=0.02, factor=1.5),
+)
 
 
 class TestCheckpointRoundTrip:
@@ -110,7 +125,7 @@ class TestPreemptResume:
         assert not ckpt.completed
         assert ckpt.total_spent > 0
         assert len(ckpt.index_doc["entries"]) > 0
-        json.dumps(ckpt.to_dict())  # fully JSON-safe (RNG big ints encoded)
+        json.dumps(ckpt.to_dict())  # fully JSON-safe
 
     def test_completed_checkpoint_marked(self, tiny_scrnn, tmp_path):
         path = str(tmp_path / "ck.json")
@@ -137,3 +152,53 @@ class TestPreemptResume:
         with pytest.raises(PreemptionError) as exc:
             session.optimize(max_minibatches=40)
         assert exc.value.checkpoint_path is None
+
+    def test_checkpoint_holds_no_rng(self, tiny_scrnn, tmp_path):
+        """Faults draw from per-measurement substreams, so the injector
+        state a checkpoint carries is the cursor, the preempted flag and
+        the ledger -- no RNG."""
+        path = str(tmp_path / "ck.json")
+        plan = FaultPlan(
+            specs=MILD_SPECS + (FaultSpec(kind=FAULT_PREEMPT, at=4),), seed=7
+        )
+        session = AstraSession(
+            tiny_scrnn, features="FK", seed=0, faults=plan,
+            checkpoint_path=path,
+        )
+        with pytest.raises(PreemptionError):
+            session.optimize(max_minibatches=60)
+        with open(path) as fh:
+            state = json.load(fh)["injector_state"]
+        assert set(state) == {"minibatch", "preempted", "counts", "ledger"}
+        assert state["preempted"] and state["ledger"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 11: under rate faults a choice whose measurement "
+    "was withheld leaves no index key, so the resumed replay measures it "
+    "again where the uninterrupted run had moved past it",
+)
+def test_resume_under_rate_faults_equals_uninterrupted(tmp_path):
+    model = build_milstm(DEFAULT_CONFIG.scaled(batch_size=4, seq_len=2))
+
+    def run(specs, path=None):
+        while True:
+            session = AstraSession(
+                model, features="FK", seed=0,
+                faults=FaultPlan(specs=specs, seed=7), checkpoint_path=path,
+            )
+            try:
+                return session.optimize(max_minibatches=200)
+            except PreemptionError:
+                assert path is not None
+
+    uninterrupted = run(MILD_SPECS)
+    resumed = run(
+        MILD_SPECS + (FaultSpec(kind=FAULT_PREEMPT, at=4),),
+        str(tmp_path / "ck.json"),
+    )
+    assert resumed.best_time_us == uninterrupted.best_time_us
+    assert resumed.astra.assignment == uninterrupted.astra.assignment
+    assert resumed.configs_explored == uninterrupted.configs_explored
+    assert resumed.astra.timeline == uninterrupted.astra.timeline

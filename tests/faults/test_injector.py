@@ -10,6 +10,7 @@ from repro.faults import (
     FAULT_PREEMPT,
     FAULT_SLOWDOWN,
     FAULT_THROTTLE,
+    FaultInjector,
     FaultPlan,
     FaultSpec,
     FaultWindow,
@@ -129,7 +130,10 @@ class TestLedger:
 class TestStateRoundTrip:
     def test_restore_continues_exact_stream(self):
         """A restored injector produces bit-identical decisions to one that
-        never stopped -- the checkpointing determinism contract."""
+        never stopped -- the checkpointing determinism contract.  The
+        run-level injector draws nothing itself: each mini-batch draws
+        from a candidate substream keyed by its ordinal, so the restored
+        cursor, counts and ledger are all a resumed run needs."""
         plan = FaultPlan(
             specs=(
                 FaultSpec(FAULT_SLOWDOWN, rate=0.4, factor=2.0),
@@ -137,17 +141,31 @@ class TestStateRoundTrip:
             ),
             seed=9,
         )
+
+        def run(injector, ordinals):
+            outcomes = []
+            for ordinal in ordinals:
+                child = FaultInjector.for_candidate(
+                    plan, ordinal, preempted=injector.preempted
+                )
+                outcomes += drive(child, minibatches=1)
+                injector.absorb(child)
+            return outcomes
+
         reference = plan.injector()
-        full = drive(reference, minibatches=8)
+        full = run(reference, range(8))
 
         first = plan.injector()
-        drive(first, minibatches=4)
+        run(first, range(4))
         state = first.state()
 
         import json
         state = json.loads(json.dumps(state))  # must survive JSON
+        assert "rng" not in state
         second = plan.injector()
         second.restore(state)
-        tail = drive(second, minibatches=4)
+        tail = run(second, range(4, 8))
         assert tail == full[len(full) - len(tail):]
         assert second.counts == reference.counts
+        assert second.ledger == reference.ledger
+        assert second.minibatch == reference.minibatch == 7

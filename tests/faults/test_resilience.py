@@ -165,7 +165,7 @@ class TestCleanRunUnchanged:
 
 
 class TestDefectiveSchedule:
-    def test_violations_recorded_before_the_error(self, tiny_scrnn):
+    def test_violations_recorded_before_the_error(self, tiny_scrnn, monkeypatch):
         """A retry that finds the schedule defective: the aborted
         attempt's fault and retry are accounted first, then one violation
         record per problem, and then the error propagates, uncharged."""
@@ -176,6 +176,7 @@ class TestDefectiveSchedule:
         from repro.core.wirer import CustomWirer
         from repro.faults.events import KernelLaunchError
         from repro.gpu import P100
+        from repro.runtime.executor import Executor
 
         observer = Observer()
         wirer = CustomWirer(
@@ -190,13 +191,13 @@ class TestDefectiveSchedule:
         )
         validated = []
 
-        def run(plan, validate=None):
+        def run(self, plan, validate=None):
             validated.append(validate)
             if len(validated) == 1:
                 raise KernelLaunchError("gemm_k7", minibatch=0)
             raise ScheduleValidationError(defect)
 
-        wirer.executor.run = run
+        monkeypatch.setattr(Executor, "run", run)
         plan = native_plan(tiny_scrnn.graph)
         plan.label = "probe-plan"
         stats = wirer._phase_stats("probe")

@@ -5,8 +5,8 @@ compiled schedules, kept verbatim as a test oracle.
 per-kernel ``duration_us``/``parallelism`` calls and ``KernelRecord``
 objects: its concurrent path rescans every stream head per event and
 re-sorts the SM sharers on every step, and its sequential path is the
-single-stream pipeline model.  Only the jitter draw and reseeding are
-inherited from :class:`~repro.gpu.streams.StreamSimulator`.
+single-stream pipeline model.  Only the constructor and the jitter draw
+are inherited from :class:`~repro.gpu.streams.StreamSimulator`.
 ``test_engine_equivalence.py`` runs it beside the production engine and
 demands bit-identical results; nothing outside the tests imports it.
 """

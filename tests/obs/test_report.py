@@ -7,7 +7,6 @@ import pytest
 
 from repro import AstraSession
 from repro.obs import (
-    KIND_COMPARE,
     KIND_EXPLORE,
     KIND_PRODUCTION,
     NULL_OBSERVER,
@@ -30,17 +29,6 @@ class TestReporter:
         delta = rep.records[0].assignment_delta
         assert delta == {"lib": "'cublas'", "chunk": "4"}
 
-    def test_jsonl_round_trip(self):
-        rep = RunReporter()
-        rep.minibatch("fk", 10.0, context=("fwd", ("b", 4)),
-                      assignment_delta={"x": 1}, kind=KIND_EXPLORE)
-        rep.minibatch("compare", 9.0, kind=KIND_COMPARE)
-        rep.minibatch("production", 8.0, kind=KIND_PRODUCTION)
-        loaded = RunReporter.from_jsonl(rep.jsonl())
-        assert loaded.records == rep.records
-        # context tuples survive the list encoding
-        assert loaded.records[0].context == ("fwd", ("b", 4))
-
     def test_write_jsonl(self, tmp_path):
         rep = RunReporter()
         rep.minibatch("fk", 10.0)
@@ -54,7 +42,6 @@ class TestReporter:
         rep = RunReporter()
         assert rep.best_so_far() == math.inf
         assert rep.jsonl() == ""
-        assert RunReporter.from_jsonl("").records == []
 
     def test_null_reporter_records_nothing(self):
         NULL_OBSERVER.minibatch("fk", KIND_EXPLORE, 10.0, (), {}, 10.0)

@@ -71,7 +71,7 @@ def test_cache_differential_on_explored_winner(tiny_scrnn):
     assert cache.hit_rate > 0.0
     plan = report.astra.best_plan
     fresh = Dispatcher(tiny_scrnn.graph).lower(plan)
-    served = cache.lower(session.wirer.executor.dispatcher, plan)
+    served = cache.lower(Dispatcher(tiny_scrnn.graph), plan)
     assert schedule_to_dict(served) == schedule_to_dict(fresh)
 
 
@@ -104,7 +104,7 @@ def test_cache_differential_after_checkpoint_resume(tiny_scrnn, tmp_path):
 
     plan = resumed.astra.best_plan
     fresh = Dispatcher(tiny_scrnn.graph).lower(plan)
-    served = session.wirer.cache.lower(session.wirer.executor.dispatcher, plan)
+    served = session.wirer.cache.lower(Dispatcher(tiny_scrnn.graph), plan)
     assert schedule_to_dict(served) == schedule_to_dict(fresh)
 
 

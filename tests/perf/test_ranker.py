@@ -13,7 +13,7 @@ from repro.core.session import AstraSession
 from repro.gpu import P100
 from repro.gpu.device import CLOCK_AUTOBOOST
 from repro.obs import Observer
-from repro.perf import FastPath, estimate_choices_us, prune_fk_tree
+from repro.perf import FastPath, estimate_choices_us, prune_fk_tree, ranker
 
 
 def _explored_wirer(model, budget=400):
@@ -84,8 +84,7 @@ class TestPruneInvariants:
             for v in tree.variables()
             if v.metric_kind == "units"
         }
-        fast = FastPath(prune=True)
-        pruned = prune_fk_tree(enum, strategy, tree, P100, fast)
+        pruned = prune_fk_tree(enum, strategy, tree, P100)
         assert pruned > 0
         total_removed = 0
         for var in tree.variables():
@@ -101,12 +100,13 @@ class TestPruneInvariants:
                 assert best in var.choices, f"argmin pruned from {var.name}"
         assert total_removed == pruned
 
-    def test_keep_floor_bounds_pruning(self, tiny_scrnn):
+    def test_keep_floor_bounds_pruning(self, tiny_scrnn, monkeypatch):
         enum, strategy, tree = self._tree(tiny_scrnn)
         originals = {v.name: len(v.choices) for v in tree.variables()}
         # a pathological margin that would prune everything but the argmin
-        fast = FastPath(prune=True, prune_fraction=0.5, prune_margin=0.0)
-        prune_fk_tree(enum, strategy, tree, P100, fast)
+        monkeypatch.setattr(ranker, "PRUNE_FRACTION", 0.5)
+        monkeypatch.setattr(ranker, "PRUNE_MARGIN", 0.0)
+        prune_fk_tree(enum, strategy, tree, P100)
         for var in tree.variables():
             n = originals[var.name]
             keep_floor = max(1, n - int(0.5 * n))
@@ -117,7 +117,7 @@ class TestPruneInvariants:
         before = {v.name: list(v.choices) for v in tree.variables()}
         observer = Observer()
         pruned = prune_fk_tree(
-            enum, strategy, tree, P100, FastPath(prune=True),
+            enum, strategy, tree, P100,
             observer=observer, injector=object(),
         )
         assert pruned == 0
@@ -129,7 +129,7 @@ class TestPruneInvariants:
         observer = Observer()
         boosted = P100.with_clock(CLOCK_AUTOBOOST)
         pruned = prune_fk_tree(
-            enum, strategy, tree, boosted, FastPath(prune=True), observer=observer
+            enum, strategy, tree, boosted, observer=observer
         )
         assert pruned == 0
         assert observer.metrics().counter("perf.prune.skipped_inexact").value == 1
@@ -145,7 +145,7 @@ class TestPruneInvariants:
                   for v in tree.variables() if v.name == name}
         observer = Observer()
         prune_fk_tree(
-            enum, strategy, tree, P100, FastPath(prune=True), observer=observer
+            enum, strategy, tree, P100, observer=observer
         )
         for var in tree.variables():
             if var.name in coupled:
@@ -155,7 +155,7 @@ class TestPruneInvariants:
 
     def test_tree_reinitialized_after_prune(self, tiny_scrnn):
         enum, strategy, tree = self._tree(tiny_scrnn)
-        prune_fk_tree(enum, strategy, tree, P100, FastPath(prune=True))
+        prune_fk_tree(enum, strategy, tree, P100)
         # the pruned tree must still produce a complete assignment
         assignment = tree.assignment()
         assert assignment
